@@ -12,6 +12,38 @@ def run_cli(capsys, argv):
     return code, captured.out, captured.err
 
 
+# One argv per subcommand, with the exit code and the sha256 of stdout that
+# the CLI gave before its parser became a table: output must stay byte-identical.
+DIGEST_PINS = [
+    ("spectrum --n 12 --r 3 --check", 0, "326aae8999e71d837b70a86cd71ca27ac9014f76abfbf0d44b798ef24fb5495f"),
+    ("witness --n 12 --r 3 --m 30 --check", 0, "14c9dad6c4260938dfb5e3a1eb225f8d4480ed87f5cf924982d276d01e770903"),
+    ("density --n 50 --r 4 --check", 0, "8ab41587c3020493457aec469c68d0907601a03e870e7da3301f0ff02d7baf46"),
+    ("interval --n 30 --r 3 --c-low 0 --c-high 0 --clip", 1, "89a97b2a733c67f597a4fd5eddd1524868ed1511912dbef5e63c42616da279ed"),
+    ("classify --m 7 --f 12 --check", 0, "347dfb52f2ca1c6e642fc04170d1ec0d63eb6963598aaf99159af1d0c0312f8b"),
+    ("minr --m 1112 --f 222111 --check", 0, "046a10083fd331daabcb8ee4250577c9a9015eb98e52253ea372338d5782c49e"),
+    ("dm --m 40 --f 300 --check", 0, "81188aebec0fe956e0b33f9601cb05690f11b9f9a205dd064af7c26090d1e70a"),
+    ("pell --k 2 --check", 0, "d72d6c3c0fce6eb303780da6dccd5241cc3946dfe1f8b1bbbdd0b398a60418d5"),
+    ("abc --k-max 3", 1, "d70e9d87ffeec8a155113f879a52d80d0f07c8eb0176b770d1cd593852345baa"),
+    ("three-squares --v 1000003 --check", 0, "0f71cd98b482e4131d5595ae92a4ea74ede46224ce04956e1e3cdf8929ea5404"),
+    ("bennett --y-limit 50 --check", 0, "b0afc7d68ff3db37da9151a16a6ca6b9458431ef5485937df2fece25cba1debf"),
+    ("witness7 --n 30000 --samples 3 --seed 3 --threads 1", 0, "9098dc85b73d9a25bb01712b71583910e6b2af5dbfcf2e234f7b38ee911237e5"),
+    ("arrow --n 5 --e 6 --m 3 --f 3 --check", 0, "c4fe4b44d500ec7717c739834978f1482ef0ded2c7af9a407f0ff65581cb811d"),
+    ("snm --n 5 --m 3 --f 3 --check", 0, "5d83c5e0ee1dbb56444e936c4c678d8352b464e7859125829c2ffce348c32b5a"),
+    ("turan --n 6 --m 3", 0, "a0d348e5b7c29376c7f61ce9c0e465bdcaf7dc24947576cb56c735b92953d922"),
+    ("runs --n 5 --m 3 --f 2", 0, "93a48767a2813d30fedf557ed39a1bfb06c75a12623f56dff3342ee876bfaad4"),
+    ("closure --n 8 --r 2 --m 4", 0, "4cefeb03a2f25c454dea92740c27b3d453b53dfe5acf9a1d172b3e0af6ee8f70"),
+    ("concentration --N 6 --E 5 --n 3 --trials 200 --seed 1", 0, "e8c6a82be8e1297ddf54f2c8988a9b116284560f2e1f98dac0d9767d440ee203"),
+    ("repcount --n 60 --N 12 --check", 0, "eb685e05531f75e1a30765cc50928431545f42044008805815faff893e1f269c"),
+    ("exceptional --n 120 --N 24 --lo-margin 500 --hi-margin 500", 0, "b4d58211380b07fcefe4c8dc7b28314edb48cef1f381fd1a39cad8b1d201e7e6"),
+]
+
+
+@pytest.mark.parametrize("argv,code,digest", DIGEST_PINS, ids=[p[0].split()[0] for p in DIGEST_PINS])
+def test_stdout_digest_pinned(capsys, argv, code, digest):
+    got, out, _ = run_cli(capsys, argv.split())
+    assert (got, hashlib.sha256(out.encode()).hexdigest()) == (code, digest)
+
+
 def test_spectrum_payload(capsys):
     code, out, err = run_cli(capsys, ["spectrum", "--n", "5", "--r", "2"])
     assert code == 0
