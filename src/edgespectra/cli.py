@@ -1,14 +1,18 @@
 """Command-line entry point: one subcommand per package operation.
 
 Results go to standard output as JSON (JSON lines for sampling campaigns);
-diagnostics and a reproducibility manifest go to standard error.  Exit
-status is 0 on success, 1 when a verification-style subcommand finds a
-failure (an interval gap, a mismatched check), 2 on usage errors.
+diagnostics and a reproducibility manifest go to standard error, on every
+call.  Exit status: 0 on success; 1 on a verification failure (an interval
+gap, "check failed: ..." from a re-validation) or a named package failure
+(PreconditionViolated, WindowExhausted, ScaleRejected, SpectrumMemoryError,
+SkippedExhaustive, TupleBudgetExceeded, OverflowError); 2 on a usage error
+(argparse, or a ValueError for a bad value).  Failures print
+"error: <ExceptionName>: <message>".
 
-Every subcommand accepts --check, which re-validates the result by an
-independent substitution before printing.  The spectrum table memory cap
-can be overridden with the EDGESPECTRA_MAX_TABLE_BITS environment
-variable.
+--check, offered where it re-validates the result by an independent
+substitution, is accepted by spectrum, witness, density, classify, minr, dm,
+pell, three-squares, bennett, arrow, snm and repcount; witness7 always
+re-validates.  EDGESPECTRA_MAX_TABLE_BITS overrides the spectrum memory cap.
 """
 
 from __future__ import annotations
@@ -17,10 +21,12 @@ import argparse
 import hashlib
 import json
 import os
+import random
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
+from typing import Callable, NamedTuple
 
 from . import __version__, certify, cliquespec, graphs, pell, repcount, squares
 from .triangles import tri
@@ -32,166 +38,133 @@ def _frac(x: Fraction | None):
     return int(x) if x.denominator == 1 else float(x)
 
 
-def _frac_str(x: Fraction | None):
-    return None if x is None else str(x)
-
-
 class CheckFailure(Exception):
     pass
 
+
+def _require(ok: bool, failure: str) -> None:
+    if not ok:
+        raise CheckFailure(failure)
+
+
+# The run functions of the COMMANDS rows below.
 
 def _cmd_spectrum(args) -> dict:
     spec = cliquespec.spectrum(args.n, args.r)
     if args.check:
         for probe in (spec.min_element, spec.max_element):
             w = cliquespec.member_witness(args.n, args.r, probe)
-            if w is None or w.edge_sum() != probe:
-                raise CheckFailure(f"witness recovery failed at {probe}")
+            _require(w is not None and w.edge_sum() == probe, f"witness recovery failed at {probe}")
     payload = {"n": args.n, "r": args.r, "count": spec.count,
-               "min": spec.min_element, "max": spec.max_element,
-               "members": spec.members()}
-    if args.export:
-        with open(args.export, "w") as fh:
-            fh.write("\n".join(spec.export_lines()) + "\n")
-        payload["exported_to"] = args.export
-        del payload["members"]
-    return payload
-
+               "min": spec.min_element, "max": spec.max_element}
+    if not args.export:
+        return {**payload, "members": spec.members()}
+    with open(args.export, "w") as fh:
+        fh.write("\n".join(spec.export_lines()) + "\n")
+    return {**payload, "exported_to": args.export}
 
 def _cmd_witness(args) -> dict:
     w = cliquespec.member_witness(args.n, args.r, args.m)
     if args.check and w is not None:
-        if sum(w.parts) != args.n or w.edge_sum() != args.m:
-            raise CheckFailure("witness does not re-validate")
-    return {"n": args.n, "r": args.r, "m": args.m,
-            "member": w is not None,
+        _require(sum(w.parts) == args.n and w.edge_sum() == args.m, "witness does not re-validate")
+    return {"n": args.n, "r": args.r, "m": args.m, "member": w is not None,
             "parts": list(w.parts) if w else None}
-
 
 def _cmd_density(args) -> dict:
     rep = cliquespec.density_and_bounds(args.n, args.r)
-    if args.check and not rep.bounds_ok:
-        raise CheckFailure("density bounds violated")
+    if args.check:
+        _require(rep.bounds_ok, "density bounds violated")
     return rep.__dict__.copy()
 
-
 def _cmd_interval(args) -> tuple[dict, int]:
-    rep = cliquespec.verify_interval(args.n, args.r, args.c_low, args.c_high,
-                                     clip=args.clip)
+    rep = cliquespec.verify_interval(args.n, args.r, args.c_low, args.c_high, clip=args.clip)
     payload = {"n": args.n, "r": args.r, "ok": rep.ok, "vacuous": rep.vacuous,
                "lo": rep.lo, "hi": rep.hi, "first_gap": rep.first_gap}
     return payload, 0 if rep.ok else 1
-
 
 def _cmd_classify(args) -> dict:
     v = certify.classify_pair(args.m, args.f)
     if args.check:
         vc = certify.classify_pair(args.m, tri(args.m) - args.f)
-        if (v.exact, v.upper, v.lower) != (vc.exact, vc.upper, vc.lower):
-            raise CheckFailure("complement verdict mismatch")
-    return {"m": args.m, "f": args.f,
-            "exact": _frac(v.exact), "upper": _frac(v.upper), "lower": _frac(v.lower),
-            "exact_frac": _frac_str(v.exact), "upper_frac": _frac_str(v.upper),
-            "lower_frac": _frac_str(v.lower),
-            "rule_upper": _frac(v.rule_upper()),
-            "trace": [t.as_dict() for t in v.trace]}
-
+        _require((v.exact, v.upper, v.lower) == (vc.exact, vc.upper, vc.lower),
+                 "complement verdict mismatch")
+    bounds = {"exact": v.exact, "upper": v.upper, "lower": v.lower}
+    return {"m": args.m, "f": args.f, **{k: _frac(x) for k, x in bounds.items()},
+            **{f"{k}_frac": None if x is None else str(x) for k, x in bounds.items()},
+            "rule_upper": _frac(v.rule_upper()), "trace": [t.as_dict() for t in v.trace]}
 
 def _cmd_minr(args) -> dict:
     r = certify.min_r(args.m, args.f)
     if args.check and r is not None:
         parts = certify.min_r_witness(args.m, args.f)
-        if parts is None or len(parts) != r + 1 or sum(parts) != args.m \
-                or sum(tri(p) for p in parts) != args.f:
-            raise CheckFailure("minimal-rank witness does not re-validate")
+        _require(parts is not None and len(parts) == r + 1 and sum(parts) == args.m
+                 and sum(tri(p) for p in parts) == args.f,
+                 "minimal-rank witness does not re-validate")
     return {"m": args.m, "f": args.f, "r": r}
-
 
 def _cmd_dm(args) -> dict:
     w = certify.dm_witness(args.f, args.m)
     if args.check and w is not None:
         x, y, z = w
-        ok = x * y + z == args.f and x + y <= args.m and (z == 0 or x + y + z <= args.m - 1)
-        if not ok:
-            raise CheckFailure("D(m) witness does not re-validate")
+        _require(x * y + z == args.f and x + y <= args.m and (z == 0 or x + y + z <= args.m - 1),
+                 "D(m) witness does not re-validate")
     return {"m": args.m, "f": args.f, "witness": list(w) if w else None}
-
 
 def _cmd_pell(args) -> dict:
     fp = pell.family_pair(args.k)
     if args.check:
         sol = pell.pell_solutions(2 * args.k)[2 * args.k]
-        if sol.x * sol.x - 7 * sol.y * sol.y != -3:
-            raise CheckFailure("generator solution invalid")
-    return {"k": fp.k, "t": fp.t, "m": fp.m, "f": fp.f,
-            "a": fp.a, "b": fp.b, "c": fp.c,
-            "triple_witness": list(fp.triple_witness())}
-
+        _require(sol.x * sol.x - 7 * sol.y * sol.y == -3, "generator solution invalid")
+    return {**vars(fp), "triple_witness": list(fp.triple_witness())}
 
 def _cmd_abc(args) -> tuple[list, int]:
-    rows = []
-    worst = 0
+    rows, ok = [], True
     for k in range(1, args.k_max + 1):
         fp = pell.family_pair(k)
-        row = {"k": fp.k, "t": fp.t, "m": fp.m, "f": fp.f,
-               "a": fp.a, "b": fp.b, "c": fp.c}
         try:
             rep = pell.verify_ABC(fp, exhaustive_c_limit=args.c_limit)
-            row["ABC"] = {"A": rep.a_ok, "B": rep.b_ok, "C": rep.c_ok,
-                          "b_witness": list(rep.b_witness),
-                          "c_scanned": rep.c_scanned}
-            if not rep.all_ok:
-                worst = 1
+            abc = {"A": rep.a_ok, "B": rep.b_ok, "C": rep.c_ok,
+                   "b_witness": list(rep.b_witness), "c_scanned": rep.c_scanned}
+            ok = ok and rep.all_ok
         except pell.SkippedExhaustive as exc:
-            row["ABC"] = {"error": "SkippedExhaustive", "detail": str(exc)}
-            worst = 1
-        rows.append(row)
-    return rows, worst
-
+            abc, ok = {"error": "SkippedExhaustive", "detail": str(exc)}, False
+        rows.append({**vars(fp), "ABC": abc})
+    return rows, 0 if ok else 1
 
 def _cmd_three_squares(args) -> dict:
     member = squares.is_three_square(args.v)
     dec = squares.three_square_decomp(args.v)
-    if args.check and member != (dec is not None):
-        raise CheckFailure("formula and constructive route disagree")
+    if args.check:
+        _require(member == (dec is not None), "formula and constructive route disagree")
     return {"v": args.v, "in_gauss_set": member,
             "decomp": [dec.x, dec.y, dec.z] if dec else None}
-
 
 def _cmd_bennett(args) -> dict:
     sols = squares.bennett_search(args.y_limit)
     if args.check:
         for x, y in sols:
-            if 2 * tri(x) != tri(y * y):
-                raise CheckFailure(f"({x},{y}) does not satisfy the equation")
+            _require(2 * tri(x) == tri(y * y), f"({x},{y}) does not satisfy the equation")
     return {"y_limit": args.y_limit, "solutions": [list(s) for s in sols]}
-
 
 def _witness7_row(n: int, m: int) -> dict:
     w = squares.witness7(n, m)
     w.validate()
     return {"n": n, "m": m, "t": w.t, "s": [w.s1, w.s2, w.s3],
-            "parts": list(w.parts), "window_index": w.window_index,
-            "verified": True}
+            "parts": list(w.parts), "window_index": w.window_index, "verified": True}
 
-
-def _cmd_witness7(args, out) -> tuple[dict | None, int]:
-    if args.samples:
-        import random
-
-        lo, hi = squares.r7_interval(args.n)
-        rng = random.Random(args.seed)
-        ms = sorted(rng.randint(lo, hi) for _ in range(args.samples))
-        workers = args.threads if args.threads else (os.cpu_count() or 1)
-        with ThreadPoolExecutor(max_workers=max(1, workers)) as pool:
-            # pool.map preserves sample order, so output is thread-count independent
-            for row in pool.map(lambda m: _witness7_row(args.n, m), ms):
-                print(json.dumps(row), file=out)
-        return None, 0
-    if args.m is None:
-        raise SystemExit(2)
-    return _witness7_row(args.n, args.m), 0
-
+def _cmd_witness7(args) -> dict | str:
+    if args.m is not None:
+        return _witness7_row(args.n, args.m)
+    if args.samples < 1:
+        raise ValueError(f"need samples >= 1, got {args.samples}")
+    lo, hi = squares.r7_interval(args.n)
+    rng = random.Random(args.seed)
+    ms = sorted(rng.randint(lo, hi) for _ in range(args.samples))
+    workers = args.threads if args.threads else (os.cpu_count() or 1)
+    with ThreadPoolExecutor(max_workers=max(1, workers)) as pool:
+        # pool.map preserves sample order, so output is thread-count independent
+        rows = pool.map(lambda m: _witness7_row(args.n, m), ms)
+        return "".join(json.dumps(row) + "\n" for row in rows)
 
 def _cmd_arrow(args) -> dict:
     res = graphs.arrow(args.n, args.e, args.m, args.f, dedup=args.dedup)
@@ -201,52 +174,36 @@ def _cmd_arrow(args) -> dict:
             "holds": res.holds,
             "counterexample": res.counterexample.edge_list() if res.counterexample else None}
 
-
 def _cmd_snm(args) -> dict:
     s = graphs.compute_Snm(args.n, args.m, args.f, dedup=args.dedup)
     if args.check:
         for e in s.members()[:1] + s.members()[-1:]:
-            if not graphs.arrow(args.n, e, args.m, args.f, dedup=args.dedup).holds:
-                raise CheckFailure(f"member e={e} fails arrow")
+            _require(graphs.arrow(args.n, e, args.m, args.f, dedup=args.dedup).holds,
+                     f"member e={e} fails arrow")
     return {"n": args.n, "m": args.m, "f": args.f, "members": s.members()}
-
 
 def _cmd_turan(args) -> tuple[dict, int]:
     ok = graphs.turan_check(args.n, args.m)
-    return ({"n": args.n, "m": args.m, "ok": ok,
-             "threshold": graphs.turan_number(args.n, args.m - 1)},
-            0 if ok else 1)
-
+    threshold = graphs.turan_number(args.n, args.m - 1)
+    return {"n": args.n, "m": args.m, "ok": ok, "threshold": threshold}, 0 if ok else 1
 
 def _cmd_runs(args) -> dict:
     rep = graphs.interval_runs(args.n, args.m, args.f)
-    return {"n": args.n, "m": args.m, "f": args.f,
-            "runs": [list(r) for r in rep.runs], "count": rep.count,
-            "covered_fraction": rep.covered_fraction}
-
+    return {"n": args.n, "m": args.m, "f": args.f, **vars(rep)}
 
 def _cmd_closure(args) -> tuple[dict, int]:
-    ok = graphs.induced_closure_check(args.n, args.r, args.m,
-                                      trials=args.trials, seed=args.seed)
-    return ({"n": args.n, "r": args.r, "m": args.m, "ok": ok,
-             "mode": "exhaustive" if args.trials is None else f"random({args.trials})"},
-            0 if ok else 1)
-
+    ok = graphs.induced_closure_check(args.n, args.r, args.m, trials=args.trials, seed=args.seed)
+    mode = "exhaustive" if args.trials is None else f"random({args.trials})"
+    return {"n": args.n, "r": args.r, "m": args.m, "ok": ok, "mode": mode}, 0 if ok else 1
 
 def _cmd_concentration(args) -> tuple[dict, int]:
     rep = graphs.concentration_experiment(args.N, args.E, args.n,
                                           trials=args.trials, seed=args.seed)
-    payload = {"N": rep.N, "E": rep.E, "n": rep.n, "trials": rep.trials,
-               "seed": rep.seed, "expected_mean": rep.expected_mean,
-               "empirical_mean": rep.empirical_mean,
-               "empirical_std": rep.empirical_std,
-               "enum_mean": None if rep.enum_mean is None else float(rep.enum_mean),
-               "expectation_identity_ok": rep.expectation_identity_ok,
-               "tails": [{"t": t.t, "bound": t.bound, "observed": t.observed,
-                          "slack": t.slack, "ok": t.ok} for t in rep.tails]}
+    payload = {k: v for k, v in vars(rep).items() if k != "tails"}
+    payload["enum_mean"] = None if rep.enum_mean is None else float(rep.enum_mean)
+    payload["tails"] = [{**vars(t), "ok": t.ok} for t in rep.tails]
     bad = rep.expectation_identity_ok is False or not rep.tails_ok
     return payload, 1 if bad else 0
-
 
 def _cmd_repcount(args) -> dict:
     hist = repcount.rep_histogram(args.n, args.N, args.sum_cap)
@@ -255,220 +212,125 @@ def _cmd_repcount(args) -> dict:
         support = hist.support()
         spec = cliquespec.spectrum(args.n, 5)
         missing = [int(m) for m in support if int(m) not in spec]
-        if missing:
-            raise CheckFailure(f"support escapes the 5-clique spectrum: {missing[:3]}")
+        _require(not missing, f"support escapes the 5-clique spectrum: {missing[:3]}")
     if args.csv:
         with open(args.csv, "w") as fh:
-            fh.write("m,R\n")
-            for m, c in hist.csv_rows():
-                fh.write(f"{m},{c}\n")
+            fh.write("m,R\n" + "".join(f"{m},{c}\n" for m, c in hist.csv_rows()))
         payload["csv"] = args.csv
     return payload
 
-
-def _cmd_exceptional(args) -> tuple[dict, int]:
-    rep = repcount.exceptional_count(args.n, args.N, args.lo_margin, args.hi_margin,
-                                     args.sum_cap, asymptotic=args.asymptotic)
-    return rep.as_dict(), 0
+def _cmd_exceptional(args) -> dict:
+    return repcount.exceptional_count(args.n, args.N, args.lo_margin, args.hi_margin,
+                                      args.sum_cap, asymptotic=args.asymptotic).as_dict()
 
 
-def _add_check(p):
-    p.add_argument("--check", action="store_true",
-                   help="re-validate the result by substitution before printing")
+class Command(NamedTuple):
+    """One subcommand.  `args` maps option names to a spec: `int` or `float`
+    for a required value, or add_argument keywords (FLAG, CHECK, ...).  A key
+    of several names ("n r") gives each the spec; names joined by " | " are a
+    required choice of one.  Rows offer --check (CHECK) only where `run`
+    re-validates its result.  `run` returns a payload, a (payload, exit code)
+    pair, or ready-made JSON-lines text."""
+
+    help: str
+    run: Callable
+    args: dict
+
+
+FLAG = {"action": "store_true"}
+CHECK = {"action": "store_true", "help": "re-validate the result by substitution before printing"}
+OPT_INT = {"type": int}
+SEED = {"type": int, "default": 0}
+
+COMMANDS = {
+    "spectrum": Command("edge spectrum of <= r cliques on n vertices", _cmd_spectrum, {
+        "n r": int, "export": {"help": "write line-format export to this path"}, "check": CHECK}),
+    "witness": Command("clique partition realizing an edge count", _cmd_witness,
+                       {"n r m": int, "check": CHECK}),
+    "density": Command("cardinality/density/bounds of a spectrum", _cmd_density,
+                       {"n r": int, "check": CHECK}),
+    "interval": Command("check an interval is fully inside a spectrum", _cmd_interval,
+                        {"n r": int, "c-low c-high": float, "clip": FLAG}),
+    "classify": Command("certified density verdict for a pair", _cmd_classify,
+                        {"m f": int, "check": CHECK}),
+    "minr": Command("minimal clique rank of a pair", _cmd_minr, {"m f": int, "check": CHECK}),
+    "dm": Command("product-plus-remainder witness", _cmd_dm, {"m f": int, "check": CHECK}),
+    "pell": Command("k-th derived pair of the Pell family", _cmd_pell, {"k": int, "check": CHECK}),
+    "abc": Command("family table with property verification", _cmd_abc,
+                   {"k-max": int, "c-limit": {"type": int, "default": pell.DEFAULT_C_LIMIT}}),
+    "three-squares": Command("three-square membership and decomposition", _cmd_three_squares,
+                             {"v": int, "check": CHECK}),
+    "bennett": Command("search 2*tri(x) = tri(y^2)", _cmd_bennett,
+                       {"y-limit": int, "check": CHECK}),
+    "witness7": Command("constructive 7-clique witness; every witness is re-validated",
+                        _cmd_witness7, {"n": int, "m | samples": int, "seed": SEED, "threads": {
+                            "type": int, "default": 0,
+                            "help": "worker cap for campaigns; 0 means all cores"}}),
+    "arrow": Command("does every n-vertex e-edge graph hit (m, f)?", _cmd_arrow,
+                     {"n e m f": int, "dedup": FLAG, "check": CHECK}),
+    "snm": Command("all e for which the arrow relation holds", _cmd_snm,
+                   {"n m f": int, "dedup": FLAG, "check": CHECK}),
+    "turan": Command("arrow set of a complete target equals the classical threshold",
+                     _cmd_turan, {"n m": int}),
+    "runs": Command("interval-run structure of an arrow set", _cmd_runs, {"n m f": int}),
+    "closure": Command("induced closure of clique unions", _cmd_closure,
+                       {"n r m": int, "trials": OPT_INT, "seed": SEED}),
+    "concentration": Command("random-subset concentration experiment", _cmd_concentration,
+                             {"N E n trials": int, "seed": SEED}),
+    "repcount": Command("representation histogram", _cmd_repcount, {
+        "n N": int, "sum-cap": OPT_INT, "csv": {"help": "write m,R rows to this path"},
+        "check": CHECK}),
+    "exceptional": Command("zero-count scan of the representation histogram", _cmd_exceptional, {
+        "n": int, "N": OPT_INT, "lo-margin hi-margin": {"type": float, "default": 0.0},
+        "sum-cap": OPT_INT, "asymptotic": FLAG}),
+}
+
+# Named failures of the package; a ValueError (a bad value) exits 2 instead.
+_FAILURES = (squares.PreconditionViolated, squares.WindowExhausted, graphs.ScaleRejected,
+             cliquespec.SpectrumMemoryError, pell.SkippedExhaustive,
+             repcount.TupleBudgetExceeded, OverflowError)
 
 
 def build_parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(prog="edgespectra",
-                                  description=__doc__,
+    top = argparse.ArgumentParser(prog="edgespectra", description=__doc__,
                                   formatter_class=argparse.RawDescriptionHelpFormatter)
     top.add_argument("--version", action="version", version=__version__)
     sub = top.add_subparsers(dest="cmd", required=True)
-
-    p = sub.add_parser("spectrum", help="edge spectrum of <= r cliques on n vertices")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--export", help="write line-format export to this path")
-    _add_check(p)
-
-    p = sub.add_parser("witness", help="clique partition realizing an edge count")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
-    _add_check(p)
-
-    p = sub.add_parser("density", help="cardinality/density/bounds of a spectrum")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--r", type=int, required=True)
-    _add_check(p)
-
-    p = sub.add_parser("interval", help="check an interval is fully inside a spectrum")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--c-low", type=float, required=True)
-    p.add_argument("--c-high", type=float, required=True)
-    p.add_argument("--clip", action="store_true")
-    _add_check(p)
-
-    p = sub.add_parser("classify", help="certified density verdict for a pair")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--f", type=int, required=True)
-    _add_check(p)
-
-    p = sub.add_parser("minr", help="minimal clique rank of a pair")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--f", type=int, required=True)
-    _add_check(p)
-
-    p = sub.add_parser("dm", help="product-plus-remainder witness")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--f", type=int, required=True)
-    _add_check(p)
-
-    p = sub.add_parser("pell", help="k-th derived pair of the Pell family")
-    p.add_argument("--k", type=int, required=True)
-    _add_check(p)
-
-    p = sub.add_parser("abc", help="family table with property verification")
-    p.add_argument("--k-max", type=int, required=True)
-    p.add_argument("--c-limit", type=int, default=pell.DEFAULT_C_LIMIT)
-    _add_check(p)
-
-    p = sub.add_parser("three-squares", help="three-square membership and decomposition")
-    p.add_argument("--v", type=int, required=True)
-    _add_check(p)
-
-    p = sub.add_parser("bennett", help="search 2*tri(x) = tri(y^2)")
-    p.add_argument("--y-limit", type=int, required=True)
-    _add_check(p)
-
-    p = sub.add_parser("witness7", help="constructive 7-clique witness")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--m", type=int)
-    p.add_argument("--samples", type=int, help="sample this many m uniformly in-interval")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=0,
-                   help="worker cap for campaigns; 0 means all cores")
-    _add_check(p)
-
-    p = sub.add_parser("arrow", help="does every n-vertex e-edge graph hit (m, f)?")
-    for flag in ("--n", "--e", "--m", "--f"):
-        p.add_argument(flag, type=int, required=True)
-    p.add_argument("--dedup", action="store_true")
-    _add_check(p)
-
-    p = sub.add_parser("snm", help="all e for which the arrow relation holds")
-    for flag in ("--n", "--m", "--f"):
-        p.add_argument(flag, type=int, required=True)
-    p.add_argument("--dedup", action="store_true")
-    _add_check(p)
-
-    p = sub.add_parser("turan", help="arrow set of a complete target equals the classical threshold")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
-    _add_check(p)
-
-    p = sub.add_parser("runs", help="interval-run structure of an arrow set")
-    for flag in ("--n", "--m", "--f"):
-        p.add_argument(flag, type=int, required=True)
-    _add_check(p)
-
-    p = sub.add_parser("closure", help="induced closure of clique unions")
-    for flag in ("--n", "--r", "--m"):
-        p.add_argument(flag, type=int, required=True)
-    p.add_argument("--trials", type=int)
-    p.add_argument("--seed", type=int, default=0)
-    _add_check(p)
-
-    p = sub.add_parser("concentration", help="random-subset concentration experiment")
-    p.add_argument("--N", type=int, required=True)
-    p.add_argument("--E", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--trials", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
-    _add_check(p)
-
-    p = sub.add_parser("repcount", help="representation histogram")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--N", type=int, required=True)
-    p.add_argument("--sum-cap", type=int)
-    p.add_argument("--csv", help="write m,R rows to this path")
-    _add_check(p)
-
-    p = sub.add_parser("exceptional", help="zero-count scan of the representation histogram")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--N", type=int)
-    p.add_argument("--lo-margin", type=float, default=0.0)
-    p.add_argument("--hi-margin", type=float, default=0.0)
-    p.add_argument("--sum-cap", type=int)
-    p.add_argument("--asymptotic", action="store_true")
-    _add_check(p)
-
+    for name, cmd in COMMANDS.items():
+        p = sub.add_parser(name, help=cmd.help)
+        for key, spec in cmd.args.items():
+            one_of = " | " in key
+            group = p.add_mutually_exclusive_group(required=True) if one_of else p
+            kwargs = spec if isinstance(spec, dict) else {"type": spec, "required": not one_of}
+            for opt in key.replace(" | ", " ").split():
+                group.add_argument(f"--{opt}", **kwargs)
     return top
-
-
-_DISPATCH = {
-    "spectrum": _cmd_spectrum,
-    "witness": _cmd_witness,
-    "density": _cmd_density,
-    "interval": _cmd_interval,
-    "classify": _cmd_classify,
-    "minr": _cmd_minr,
-    "dm": _cmd_dm,
-    "pell": _cmd_pell,
-    "abc": _cmd_abc,
-    "three-squares": _cmd_three_squares,
-    "bennett": _cmd_bennett,
-    "arrow": _cmd_arrow,
-    "snm": _cmd_snm,
-    "turan": _cmd_turan,
-    "runs": _cmd_runs,
-    "closure": _cmd_closure,
-    "concentration": _cmd_concentration,
-    "repcount": _cmd_repcount,
-    "exceptional": _cmd_exceptional,
-}
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
     start = time.perf_counter()
-    out_lines: list[str] = []
-    code = 0
+    args, output = None, ""
     try:
-        if args.cmd == "witness7":
-            import io
-
-            buf = io.StringIO()
-            payload, code = _cmd_witness7(args, buf)
-            if payload is not None:
-                out_lines.append(json.dumps(payload) + "\n")
-            else:
-                out_lines.append(buf.getvalue())
-        else:
-            result = _DISPATCH[args.cmd](args)
-            payload, code = result if isinstance(result, tuple) else (result, 0)
-            out_lines.append(json.dumps(payload) + "\n")
-    except CheckFailure as exc:
+        args = parser.parse_args(argv)
+        result = COMMANDS[args.cmd].run(args)
+        payload, code = result if isinstance(result, tuple) else (result, 0)
+        output = payload if isinstance(payload, str) else json.dumps(payload) + "\n"
+    except (CheckFailure, AssertionError) as exc:
         print(f"check failed: {exc}", file=sys.stderr)
         code = 1
-    except (squares.PreconditionViolated, squares.WindowExhausted,
-            graphs.ScaleRejected, cliquespec.SpectrumMemoryError,
-            pell.SkippedExhaustive, ValueError) as exc:
+    except (*_FAILURES, ValueError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        code = 1
-
-    output = "".join(out_lines)
-    sys.stdout.write(output)
-    manifest = {
-        "subcommand": args.cmd,
-        "parameters": {k: v for k, v in sorted(vars(args).items()) if k != "cmd"},
-        "seed": getattr(args, "seed", None),
-        "version": __version__,
-        "wall_time_s": round(time.perf_counter() - start, 6),
-        "output_digest": hashlib.sha256(output.encode()).hexdigest(),
-    }
-    print(json.dumps(manifest), file=sys.stderr)
+        code = 2 if isinstance(exc, ValueError) else 1
+    finally:  # also when argparse exits: every call writes its manifest
+        sys.stdout.write(output)
+        params = {"argv": sys.argv[1:] if argv is None else argv} if args is None else vars(args)
+        manifest = {"subcommand": getattr(args, "cmd", None),
+                    "parameters": {k: v for k, v in sorted(params.items()) if k != "cmd"},
+                    "seed": getattr(args, "seed", None), "version": __version__,
+                    "wall_time_s": round(time.perf_counter() - start, 6),
+                    "output_digest": hashlib.sha256(output.encode()).hexdigest()}
+        print(json.dumps(manifest), file=sys.stderr)
     return code
 
 

@@ -209,3 +209,48 @@ def test_dm_and_concentration(capsys):
     payload = json.loads(out)
     assert payload["enum_mean"] == 1.0
     assert payload["expectation_identity_ok"] is True
+
+
+def _manifest(err):
+    return json.loads(err.strip().splitlines()[-1])
+
+
+def test_budget_overrun_exits_1_with_manifest(capsys):
+    code, out, err = run_cli(capsys, ["repcount", "--n", "3000", "--N", "1000"])
+    assert code == 1 and out == ""
+    assert "error: TupleBudgetExceeded:" in err
+    assert _manifest(err)["subcommand"] == "repcount"
+
+
+def test_bad_value_exits_2_with_manifest(capsys):
+    code, out, err = run_cli(capsys, ["spectrum", "--n", "-1", "--r", "2"])
+    assert code == 2 and out == ""
+    assert "error: ValueError:" in err
+    assert _manifest(err)["subcommand"] == "spectrum"
+
+
+def test_overflow_exits_1_with_manifest(capsys, monkeypatch):
+    from edgespectra import certify
+
+    def overflow(m, f):
+        raise OverflowError("Python int too large to convert to C long")
+
+    monkeypatch.setattr(certify, "classify_pair", overflow)
+    code, out, err = run_cli(capsys, ["classify", "--m", "7", "--f", "12"])
+    assert code == 1 and out == ""
+    assert "error: OverflowError:" in err
+    assert _manifest(err)["output_digest"] == hashlib.sha256(b"").hexdigest()
+
+
+@pytest.mark.parametrize("argv", [
+    ["interval", "--n", "30", "--r", "3", "--c-low", "0", "--c-high", "0", "--check"],
+    ["witness7", "--n", "30000"],
+    ["witness7", "--n", "30000", "--m", "100000000", "--samples", "3"],
+])
+def test_usage_error_exits_2_with_manifest(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "error:" in err
+    assert _manifest(err)["parameters"] == {"argv": argv}
