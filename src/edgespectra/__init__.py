@@ -70,7 +70,6 @@ from .repcount import (
     RepHistogram,
     exceptional_count,
     rep_histogram,
-    rep_histogram_naive,
 )
 from .squares import (
     PreconditionViolated,

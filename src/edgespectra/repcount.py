@@ -7,7 +7,7 @@ Q(x) = x_1^2+..+x_4^2 + (x_1+..+x_4 - n)^2.  Any m with a positive count
 is therefore realizable by five cliques on n vertices.
 
 The histogram is accumulated over sorted tuples with permutation
-multiplicities; the plain 4-loop version is retained as the oracle route.
+multiplicities; the tests compare it against a plain 4-loop count.
 """
 
 from __future__ import annotations
@@ -87,22 +87,6 @@ def rep_histogram(n: int, N: int, sum_cap: Optional[int] = None,
             continue
         m = tri(x[0]) + tri(x[1]) + tri(x[2]) + tri(x[3]) + tri(n - s)
         counts[m] += _perm_weight(x)
-    return RepHistogram(n=n, N=N, sum_cap=sum_cap, counts=counts)
-
-
-def rep_histogram_naive(n: int, N: int, sum_cap: Optional[int] = None) -> RepHistogram:
-    """Reference route: plain 4 nested loops over ordered tuples."""
-    sum_cap = n if sum_cap is None else sum_cap
-    counts = np.zeros(tri(n) + 1, dtype=np.int64)
-    for x1 in range(1, N + 1):
-        for x2 in range(1, N + 1):
-            for x3 in range(1, N + 1):
-                for x4 in range(1, N + 1):
-                    s = x1 + x2 + x3 + x4
-                    if s > sum_cap:
-                        continue
-                    q = x1 * x1 + x2 * x2 + x3 * x3 + x4 * x4 + (s - n) ** 2
-                    counts[(q - n) // 2] += 1
     return RepHistogram(n=n, N=N, sum_cap=sum_cap, counts=counts)
 
 

@@ -160,15 +160,9 @@ def _f_of_t(t: int, m: int, n: int) -> int:
     return 2 * m + n - (n - 6 * t) ** 2 - 6 * t * t
 
 
-def _find_t0(n: int, m: int, mode: str = "binary") -> int:
+def _find_t0(n: int, m: int) -> int:
     """Largest t with f(t) <= 0 < f(t+1); f is increasing on [0, n//7]."""
-    top = n // 7
-    if mode == "linear":
-        t = 0
-        while t + 1 <= top and _f_of_t(t + 1, m, n) <= 0:
-            t += 1
-        return t
-    lo, hi = 0, top  # invariant: f(lo) <= 0, f(hi) > 0
+    lo, hi = 0, n // 7  # invariant: f(lo) <= 0, f(hi) > 0
     while hi - lo > 1:
         mid = (lo + hi) // 2
         if _f_of_t(mid, m, n) <= 0:
@@ -181,7 +175,7 @@ def _find_t0(n: int, m: int, mode: str = "binary") -> int:
 _BAD_RESIDUES = frozenset({0, 7, 12, 15})
 
 
-def witness7(n: int, m: int, *, t0_search: str = "binary") -> Witness7:
+def witness7(n: int, m: int) -> Witness7:
     """Constructive membership certificate for m among unions of at most
     seven cliques on n vertices, valid for m inside r7_interval(n).
 
@@ -197,7 +191,7 @@ def witness7(n: int, m: int, *, t0_search: str = "binary") -> Witness7:
     if not lo <= m <= hi:
         raise PreconditionViolated(f"m={m} outside [{lo}, {hi}] for n={n}")
 
-    t0 = _find_t0(n, m, mode=t0_search)
+    t0 = _find_t0(n, m)
     t_anchor = next(t for t in range(t0 + 1, t0 + 9) if (t + n) % 8 == 0)
     for idx, t in enumerate(range(t0 + 1, t0 + 11), start=1):
         if 6 * t > n:

@@ -1,0 +1,45 @@
+"""Reference routes that the package no longer ships, kept as test oracles.
+
+Each one computes what a package function computes by a plainer, slower
+route; the tests require equal results.
+"""
+
+from typing import Optional
+from unittest import mock
+
+import numpy as np
+
+from edgespectra import squares
+from edgespectra.repcount import RepHistogram
+from edgespectra.triangles import tri
+
+
+def rep_histogram_naive(n: int, N: int, sum_cap: Optional[int] = None) -> RepHistogram:
+    """repcount.rep_histogram by plain 4 nested loops over ordered tuples."""
+    sum_cap = n if sum_cap is None else sum_cap
+    counts = np.zeros(tri(n) + 1, dtype=np.int64)
+    for x1 in range(1, N + 1):
+        for x2 in range(1, N + 1):
+            for x3 in range(1, N + 1):
+                for x4 in range(1, N + 1):
+                    s = x1 + x2 + x3 + x4
+                    if s > sum_cap:
+                        continue
+                    q = x1 * x1 + x2 * x2 + x3 * x3 + x4 * x4 + (s - n) ** 2
+                    counts[(q - n) // 2] += 1
+    return RepHistogram(n=n, N=N, sum_cap=sum_cap, counts=counts)
+
+
+def _find_t0_linear(n: int, m: int) -> int:
+    """squares._find_t0 by a linear scan instead of bisection."""
+    top = n // 7
+    t = 0
+    while t + 1 <= top and squares._f_of_t(t + 1, m, n) <= 0:
+        t += 1
+    return t
+
+
+def witness7_linear_t0(n: int, m: int) -> squares.Witness7:
+    """squares.witness7 with its pivot found by the linear scan."""
+    with mock.patch.object(squares, "_find_t0", _find_t0_linear):
+        return squares.witness7(n, m)

@@ -1,7 +1,12 @@
+import hashlib
+import json
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 
+from edgespectra import graphs
+from edgespectra.cli import main
 from edgespectra.cliquespec import spectrum
 from edgespectra.graphs import (
     GraphMask,
@@ -12,13 +17,106 @@ from edgespectra.graphs import (
     concentration_experiment,
     induced_closure_check,
     interval_runs,
+    pair_list,
     turan_check,
     turan_number,
 )
 from edgespectra.triangles import tri
 
-# isomorphism-class counts of simple graphs on 1..8 vertices (OEIS A000088)
-ISO_COUNTS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044, 8: 12346}
+# isomorphism-class counts of simple graphs on 1..10 vertices (OEIS A000088)
+ISO_COUNTS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044, 8: 12346,
+              9: 274668, 10: 12005168}
+# sha256 of repr(canonical_reps(8)) as built by the invariant-bucket route
+# below, before deck keys replaced it
+REPS8_SHA256 = "c5742aec701718231670749595e21bb21e28717eda0d14c92f14bc72229c328d"
+
+
+# Oracle: the catalogue by cheap invariant buckets plus an exact
+# backtracking isomorphism test against every graph in the bucket.
+
+def _adjacency(n, mask):
+    adj = [0] * n
+    for i, (u, v) in enumerate(pair_list(n)):
+        if (mask >> i) & 1:
+            adj[u] |= 1 << v
+            adj[v] |= 1 << u
+    return tuple(adj)
+
+
+def _invariant(adj):
+    degs = [a.bit_count() for a in adj]
+    nbr_profiles = sorted(
+        (degs[v], tuple(sorted(degs[u] for u in range(len(adj)) if (adj[v] >> u) & 1)))
+        for v in range(len(adj))
+    )
+    triangles = 0
+    for v in range(len(adj)):
+        for u in range(v + 1, len(adj)):
+            if (adj[v] >> u) & 1:
+                triangles += (adj[v] & adj[u]).bit_count()
+    return tuple(sorted(degs)), tuple(nbr_profiles), triangles // 3
+
+
+def _isomorphic(adj_a, adj_b):
+    k = len(adj_a)
+    deg_a = [a.bit_count() for a in adj_a]
+    deg_b = [b.bit_count() for b in adj_b]
+    if sorted(deg_a) != sorted(deg_b):
+        return False
+    order = sorted(range(k), key=lambda v: (-deg_a[v], v))
+    mapping = [-1] * k
+
+    def bt(i, used):
+        if i == k:
+            return True
+        va = order[i]
+        for vb in range(k):
+            if (used >> vb) & 1 or deg_b[vb] != deg_a[va]:
+                continue
+            ok = True
+            for j in range(i):
+                ua, ub = order[j], mapping[order[j]]
+                if ((adj_a[va] >> ua) & 1) != ((adj_b[vb] >> ub) & 1):
+                    ok = False
+                    break
+            if ok:
+                mapping[va] = vb
+                if bt(i + 1, used | (1 << vb)):
+                    return True
+                mapping[va] = -1
+        return False
+
+    return bt(0, 0)
+
+
+@lru_cache(maxsize=None)
+def _catalogue_by_iso_tests(n):
+    if n == 1:
+        return (0,)
+    old_idx = {p: i for i, p in enumerate(pair_list(n - 1))}
+    new_idx = {p: i for i, p in enumerate(pair_list(n))}
+    remap = {old_idx[p]: new_idx[p] for p in pair_list(n - 1)}
+    new_vertex_bits = [new_idx[(u, n - 1)] for u in range(n - 1)]
+
+    buckets = {}
+    reps = []
+    for g in _catalogue_by_iso_tests(n - 1):
+        base = 0
+        for i in range(tri(n - 1)):
+            if (g >> i) & 1:
+                base |= 1 << remap[i]
+        for nb in range(1 << (n - 1)):
+            mask = base
+            for u in range(n - 1):
+                if (nb >> u) & 1:
+                    mask |= 1 << new_vertex_bits[u]
+            adj = _adjacency(n, mask)
+            bucket = buckets.setdefault(_invariant(adj), [])
+            if any(_isomorphic(adj, other) for other in bucket):
+                continue
+            bucket.append(adj)
+            reps.append(mask)
+    return tuple(reps)
 
 
 def test_arrow_examples():
@@ -113,6 +211,35 @@ def test_iso_catalogue_counts():
         assert len(canonical_reps(n)) == ISO_COUNTS[n], n
 
 
+def test_iso_catalogue_matches_oracle():
+    for n in range(1, 8):
+        assert canonical_reps(n) == _catalogue_by_iso_tests(n), n
+
+
+def test_graph_count_is_A000088():
+    assert {n: graphs._graph_count(n) for n in ISO_COUNTS} == ISO_COUNTS
+
+
+@pytest.fixture
+def graph_count_off_at_5(monkeypatch):
+    real = graphs._graph_count
+    canonical_reps.cache_clear()
+    monkeypatch.setattr(graphs, "_graph_count", lambda n: real(n) + (n == 5))
+    yield
+    monkeypatch.undo()
+    canonical_reps.cache_clear()
+
+
+def test_catalogue_fails_closed_on_count_mismatch(graph_count_off_at_5, capsys):
+    with pytest.raises(AssertionError, match="n=5"):
+        canonical_reps(5)
+    code = main(["snm", "--n", "5", "--m", "3", "--f", "1", "--dedup"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "check failed: catalogue for n=5" in err
+    assert json.loads(err.strip().splitlines()[-1])["subcommand"] == "snm"
+
+
 def test_catalogue_edge_count_distribution():
     # labeled bucket is nonempty exactly when the catalogue has that edge count
     for n in range(2, 7):
@@ -120,9 +247,10 @@ def test_catalogue_edge_count_distribution():
         assert cat_counts == set(range(tri(n) + 1))
 
 
-@pytest.mark.slow
 def test_iso_catalogue_n8():
-    assert len(canonical_reps(8)) == ISO_COUNTS[8]
+    reps = canonical_reps(8)
+    assert len(reps) == ISO_COUNTS[8]
+    assert hashlib.sha256(repr(reps).encode()).hexdigest() == REPS8_SHA256
     res = arrow(8, 17, 3, 3, dedup=True)
     assert res.holds  # above the classical threshold turan_number(8, 2) = 16
     res = arrow(8, 16, 3, 3, dedup=True)

@@ -9,9 +9,9 @@ from edgespectra.repcount import (
     exceptional_count,
     q_form,
     rep_histogram,
-    rep_histogram_naive,
 )
 from edgespectra.triangles import tri
+from oracles import rep_histogram_naive
 
 
 def test_single_tuple_histogram():

@@ -13,6 +13,7 @@ from edgespectra.squares import (
     witness7,
 )
 from edgespectra.triangles import tri
+from oracles import witness7_linear_t0
 
 
 def sieve_three_squares(limit):
@@ -139,7 +140,7 @@ def test_witness7_t0_search_modes_agree():
     rng = random.Random(11)
     for _ in range(25):
         m = rng.randint(lo, hi)
-        assert witness7(n, m) == witness7(n, m, t0_search="linear")
+        assert witness7(n, m) == witness7_linear_t0(n, m)
 
 
 def test_witness7_endpoints():
