@@ -54,7 +54,8 @@ def _cmd_spectrum(args) -> dict:
     if args.check:
         for probe in (spec.min_element, spec.max_element):
             w = cliquespec.member_witness(args.n, args.r, probe)
-            _require(w is not None and w.edge_sum() == probe, f"witness recovery failed at {probe}")
+            _require(w is not None and w.realizes(args.n, args.r, probe),
+                     f"witness recovery failed at {probe}")
     payload = {"n": args.n, "r": args.r, "count": spec.count,
                "min": spec.min_element, "max": spec.max_element}
     if not args.export:
@@ -66,7 +67,7 @@ def _cmd_spectrum(args) -> dict:
 def _cmd_witness(args) -> dict:
     w = cliquespec.member_witness(args.n, args.r, args.m)
     if args.check and w is not None:
-        _require(sum(w.parts) == args.n and w.edge_sum() == args.m, "witness does not re-validate")
+        _require(w.realizes(args.n, args.r, args.m), "witness does not re-validate")
     return {"n": args.n, "r": args.r, "m": args.m, "member": w is not None,
             "parts": list(w.parts) if w else None}
 

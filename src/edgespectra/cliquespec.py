@@ -7,9 +7,13 @@ holds, for each vertex budget v, the bitmask of edge sums reachable with at
 most k parts.  Rows are Python integers used as bit-vectors, so membership,
 counting and shifting are single big-int operations.
 
-Only two layers are alive at a time in the streaming paths; the
-witness-recovery path retains all layers and is therefore kept behind the
-same memory guard.
+Every path builds its layers with one kernel, _layer (and its one-row form
+_row), and row v of layer k only ever reads rows up to floor(v(k-1)/k) of
+layer k - 1.  So a target (n, r) needs layer k only up to the cap
+floor(nk/r), and the top layer only row n.  Only two layers are alive at a
+time in the streaming paths; the witness-recovery path keeps every layer up
+to its cap and is therefore kept behind the same memory guard, charged for
+the rows it builds.
 """
 
 from __future__ import annotations
@@ -54,6 +58,12 @@ class CliquePartition:
     def edge_sum(self) -> int:
         return sum(tri(p) for p in self.parts)
 
+    def realizes(self, n: int, r: int, m: int) -> bool:
+        """Re-validation of a witness that m is in C(n, r): the parts sum to n,
+        at most r of them are nonzero, and their cliques span m edges."""
+        return (sum(self.parts) == n and sum(p > 0 for p in self.parts) <= r
+                and self.edge_sum() == m)
+
 
 @dataclass(frozen=True)
 class EdgeSpectrum:
@@ -67,13 +77,8 @@ class EdgeSpectrum:
         return 0 <= e <= tri(self.n) and bool((self.mask >> e) & 1)
 
     def members(self) -> list[int]:
-        mask, out, e = self.mask, [], 0
-        while mask:
-            low = mask & -mask
-            e = low.bit_length() - 1
-            out.append(e)
-            mask ^= low
-        return out
+        bits = bin(self.mask)[:1:-1]  # character e is bit e
+        return [e for e, bit in enumerate(bits) if bit == "1"]
 
     @property
     def count(self) -> int:
@@ -105,13 +110,13 @@ class EdgeSpectrum:
 
     @classmethod
     def from_members(cls, n: int, r: int | None, members) -> "EdgeSpectrum":
-        mask = 0
         cap = tri(n)
+        buf = bytearray(cap // 8 + 1)
         for e in members:
             if not 0 <= e <= cap:
                 raise ValueError(f"edge count {e} outside [0, {cap}]")
-            mask |= 1 << e
-        return cls(n=n, r=r, mask=mask)
+            buf[e >> 3] |= 1 << (e & 7)
+        return cls(n=n, r=r, mask=int.from_bytes(buf, "little"))
 
     @classmethod
     def parse_export(cls, lines) -> "EdgeSpectrum":
@@ -159,11 +164,46 @@ def _check_cap(bits_estimate: int, cap_bits: int | None):
         )
 
 
+def _rows_bits(cap: int) -> int:
+    return sum(tri(v) + 1 for v in range(cap + 1))
+
+
 def _estimate_bits(caps: list[int]) -> int:
     # two live layers: the two largest row sets
-    per_layer = [sum(tri(v) + 1 for v in range(c + 1)) for c in caps]
-    per_layer.sort()
+    per_layer = sorted(_rows_bits(c) for c in caps)
     return sum(per_layer[-2:]) + (tri(caps[-1]) + 1)
+
+
+def _witness_bits(caps: list[int]) -> int:
+    # every layer below the top up to its cap, and the top's one row
+    return sum(_rows_bits(c) for c in caps[:-1]) + (tri(caps[-1]) + 1)
+
+
+# Part sizes are OR-ed into a row in blocks of _BLOCK consecutive sizes a:
+# inside a block each term sits at the offset tri(a) - tri(a0) relative to
+# the block's first size a0, and the block is shifted by tri(a0) once, so
+# the ORs inside it touch about tri(v - a) + (tri(a) - tri(a0)) bits, not
+# tri(v).
+_BLOCK = 64
+
+
+def _row(prev: list[int], v: int, k: int) -> int:
+    """Row v of layer k (edge sums of at most k cliques on v vertices), from
+    layer k - 1, which it reads at rows up to floor(v(k-1)/k) only."""
+    row = 0
+    # largest part first: a >= ceil(v/k) covers every partition once
+    for a0 in range(-(-v // k), v + 1, _BLOCK):
+        block, offset = 0, 0
+        for a in range(a0, min(a0 + _BLOCK, v + 1)):
+            block |= prev[v - a] << offset
+            offset += a  # tri(a + 1) - tri(a)
+        row |= block << tri(a0)
+    return row
+
+
+def _layer(prev: list[int], k: int, cap: int) -> list[int]:
+    """Rows 0..cap of layer k from layer k - 1; layer 0 is [1]."""
+    return [_row(prev, v, k) for v in range(cap + 1)]
 
 
 def spectrum(n: int, r: int, *, max_table_bits: int | None = None) -> EdgeSpectrum:
@@ -175,42 +215,21 @@ def spectrum(n: int, r: int, *, max_table_bits: int | None = None) -> EdgeSpectr
     k_eff = min(r, max(n, 1))  # more than n parts only adds empty cliques
     caps = _layer_caps(n, k_eff)
     _check_cap(_estimate_bits(caps), max_table_bits)
-
-    if k_eff == 1:
-        return EdgeSpectrum(n=n, r=r, mask=1 << tri(n))
-    prev = [1 << tri(v) for v in range(caps[1] + 1)]  # layer 1
-    for k in range(2, k_eff):
-        cap = caps[k]
-        cur = [0] * (cap + 1)
-        for v in range(cap + 1):
-            row = 0
-            # largest part first: a >= ceil(v/k) covers every partition once
-            for a in range(-(-v // k), v + 1):
-                row |= prev[v - a] << tri(a)
-            cur[v] = row
-        prev = cur
-    out = 0
-    for a in range(-(-n // k_eff), n + 1):
-        out |= prev[n - a] << tri(a)
-    return EdgeSpectrum(n=n, r=r, mask=out)
+    prev = [1]
+    for k in range(1, k_eff):
+        prev = _layer(prev, k, caps[k])
+    return EdgeSpectrum(n=n, r=r, mask=_row(prev, n, k_eff))
 
 
 @lru_cache(maxsize=6)
-def _witness_tables(n: int, r: int, max_table_bits: int | None = None) -> list[list[int]]:
-    """Full per-layer tables C(v, k) for v <= n, k <= r, for backtracking."""
-    per_layer_bits = sum(tri(v) + 1 for v in range(n + 1))
-    _check_cap(per_layer_bits * r, max_table_bits)
-    layers = [[1 << tri(v) for v in range(n + 1)]]
-    for k in range(2, r + 1):
-        prevl = layers[-1]
-        cur = [0] * (n + 1)
-        for v in range(n + 1):
-            row = 0
-            for a in range(-(-v // k), v + 1):
-                row |= prevl[v - a] << tri(a)
-            cur[v] = row if v else 1
-        layers.append(cur)
-    return layers
+def _witness_tables(n: int, r: int, max_table_bits: int | None = None) -> tuple[list[list[int]], int]:
+    """Layers 0..r-1, each up to its cap, and the top row C(n, r), for backtracking."""
+    caps = _layer_caps(n, r)
+    _check_cap(_witness_bits(caps), max_table_bits)
+    layers = [[1]]
+    for k in range(1, r):
+        layers.append(_layer(layers[-1], k, caps[k]))
+    return layers, _row(layers[-1], n, r)
 
 
 def member_witness(n: int, r: int, m: int, *, max_table_bits: int | None = None) -> CliquePartition | None:
@@ -221,28 +240,22 @@ def member_witness(n: int, r: int, m: int, *, max_table_bits: int | None = None)
     if m < 0 or m > tri(n):
         return None
     r = min(max(r, 1), max(n, 1))
-    layers = _witness_tables(n, r, max_table_bits)
-    if not (layers[r - 1][n] >> m) & 1:
+    layers, top = _witness_tables(n, r, max_table_bits)
+    if not (top >> m) & 1:
         return None
     parts: list[int] = []
     v, k, rem = n, r, m
     while v > 0:
-        if k == 1:
-            assert tri(v) == rem
-            parts.append(v)
-            break
-        placed = False
-        for a in range(v, 0, -1):
+        # A member at (v, k) has a largest part a >= ceil(v/k); so the scan
+        # stops there, and v - a stays inside layer k - 1's cap.
+        for a in range(v, -(-v // k) - 1, -1):
             t = tri(a)
-            if t <= rem and (layers[k - 2][v - a] >> (rem - t)) & 1:
-                parts.append(a)
-                v, k, rem = v - a, k - 1, rem - t
-                placed = True
+            if t <= rem and (layers[k - 1][v - a] >> (rem - t)) & 1:
                 break
-        if not placed:  # remaining budget must be all singleton/empty parts
-            assert rem == 0
-            parts.extend([1] * v)
-            break
+        else:
+            raise AssertionError(f"no feasible part at v={v}, k={k}, rem={rem}")
+        parts.append(a)
+        v, k, rem = v - a, k - 1, rem - t
     return CliquePartition(parts=tuple(parts), n=n)
 
 
@@ -287,17 +300,11 @@ def bounds_sweep(n_max: int, r_max: int) -> Iterator[DensityReport]:
     One full-table DP pass per report family: rows for all v are kept for
     the current layer only, so the whole sweep costs two layers of memory.
     """
-    prev = [1 << tri(v) for v in range(n_max + 1)]
+    prev = _layer([1], 1, n_max)
     for r in range(2, r_max + 1):
-        cur = [0] * (n_max + 1)
-        for v in range(n_max + 1):
-            row = 0
-            for a in range(-(-v // r), v + 1):
-                row |= prev[v - a] << tri(a)
-            cur[v] = row
-        prev = cur
+        prev = _layer(prev, r, n_max)
         for n in range(1, n_max + 1):
-            row = cur[n]
+            row = prev[n]
             count = row.bit_count()
             min_el = (row & -row).bit_length() - 1
             denom = tri(n)

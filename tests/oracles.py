@@ -10,6 +10,7 @@ from unittest import mock
 import numpy as np
 
 from edgespectra import squares
+from edgespectra.cliquespec import EdgeSpectrum
 from edgespectra.repcount import RepHistogram
 from edgespectra.triangles import tri
 
@@ -43,3 +44,40 @@ def witness7_linear_t0(n: int, m: int) -> squares.Witness7:
     """squares.witness7 with its pivot found by the linear scan."""
     with mock.patch.object(squares, "_find_t0", _find_t0_linear):
         return squares.witness7(n, m)
+
+
+def spectrum_unblocked(n: int, r: int) -> EdgeSpectrum:
+    """cliquespec.spectrum with one shift-OR per part size, no blocks."""
+    k_eff = min(r, max(n, 1))
+    caps = [0] + [(n * k) // k_eff for k in range(1, k_eff)] + [n]
+    if k_eff == 1:
+        return EdgeSpectrum(n=n, r=r, mask=1 << tri(n))
+    prev = [1 << tri(v) for v in range(caps[1] + 1)]
+    for k in range(2, k_eff):
+        cur = [0] * (caps[k] + 1)
+        for v in range(caps[k] + 1):
+            row = 0
+            for a in range(-(-v // k), v + 1):
+                row |= prev[v - a] << tri(a)
+            cur[v] = row
+        prev = cur
+    out = 0
+    for a in range(-(-n // k_eff), n + 1):
+        out |= prev[n - a] << tri(a)
+    return EdgeSpectrum(n=n, r=r, mask=out)
+
+
+def witness_tables_uncapped(n: int, r: int) -> list[list[int]]:
+    """Layers 1..r of the clique-spectrum DP, every row 0..n, unblocked:
+    entry [k - 1][v] is the mask of C(v, k)."""
+    layers = [[1 << tri(v) for v in range(n + 1)]]
+    for k in range(2, r + 1):
+        prev = layers[-1]
+        cur = [0] * (n + 1)
+        for v in range(n + 1):
+            row = 0
+            for a in range(-(-v // k), v + 1):
+                row |= prev[v - a] << tri(a)
+            cur[v] = row
+        layers.append(cur)
+    return layers

@@ -254,3 +254,27 @@ def test_usage_error_exits_2_with_manifest(capsys, argv):
     err = capsys.readouterr().err
     assert "error:" in err
     assert _manifest(err)["parameters"] == {"argv": argv}
+
+
+@pytest.mark.parametrize("argv", [
+    ["witness", "--n", "12", "--r", "3", "--m", "18", "--check"],
+    ["spectrum", "--n", "12", "--r", "3", "--check"],
+])
+def test_check_rejects_witness_with_too_many_parts(capsys, monkeypatch, argv):
+    from edgespectra import cliquespec
+    from edgespectra.triangles import tri
+
+    real = cliquespec.member_witness
+
+    def extra_part(n, r, m):
+        # a partition of n with r + 1 nonzero parts and edge sum m, when there is one
+        for parts in cliquespec.bounded_partitions(n, r + 1):
+            if len(parts) == r + 1 and sum(tri(p) for p in parts) == m:
+                return cliquespec.CliquePartition(parts=parts, n=n)
+        return real(n, r, m)
+
+    monkeypatch.setattr(cliquespec, "member_witness", extra_part)
+    code, out, err = run_cli(capsys, argv)
+    assert code == 1 and out == ""
+    assert "check failed:" in err
+    assert _manifest(err)["subcommand"] == argv[0]

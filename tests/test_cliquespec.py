@@ -1,9 +1,13 @@
 import pytest
 
 from edgespectra.cliquespec import (
+    _BLOCK,
     CliquePartition,
     EdgeSpectrum,
     SpectrumMemoryError,
+    _layer_caps,
+    _witness_bits,
+    _witness_tables,
     bounded_partitions,
     bounds_sweep,
     density_and_bounds,
@@ -13,6 +17,7 @@ from edgespectra.cliquespec import (
     verify_interval,
 )
 from edgespectra.triangles import tri
+from oracles import spectrum_unblocked, witness_tables_uncapped
 
 
 def brute_spectrum(n, r):
@@ -33,6 +38,15 @@ def test_partition_type():
     assert p.edge_sum() == 4
     with pytest.raises(ValueError):
         CliquePartition(parts=(3, 3), n=5)
+
+
+def test_partition_realizes():
+    p = CliquePartition(parts=(3, 2, 0), n=5)
+    assert p.realizes(5, 2, 4)
+    assert not p.realizes(5, 1, 4)   # two nonzero parts
+    assert not p.realizes(6, 2, 4)   # wrong vertex count
+    assert not p.realizes(5, 2, 5)   # wrong edge count
+    assert CliquePartition(parts=(), n=0).realizes(0, 1, 0)
 
 
 def test_spectrum_matches_brute_force():
@@ -65,17 +79,21 @@ def test_member_witness_examples():
 
 
 def test_witness_soundness():
-    for n, r in ((9, 3), (12, 4), (16, 5), (20, 2)):
-        spec = spectrum(n, r)
-        for m in range(tri(n) + 1):
-            w = member_witness(n, r, m)
-            if m in spec:
-                assert w is not None
-                assert sum(w.parts) == n
-                assert len([p for p in w.parts if p > 0]) <= r
-                assert w.edge_sum() == m
-            else:
-                assert w is None
+    # The witness takes the largest feasible part at each step, so it is the
+    # lexicographically largest partition with at most r parts and edge sum
+    # m: the first one bounded_partitions yields.
+    for n in range(31):
+        for r in (*range(1, 7), n + 1):
+            first = {}
+            for parts in bounded_partitions(n, r):
+                first.setdefault(sum(tri(p) for p in parts), parts)
+            for m in range(tri(n) + 1):
+                w = member_witness(n, r, m)
+                if m in first:
+                    assert w is not None and w.parts == first[m], (n, r, m)
+                    assert w.realizes(n, r, m)
+                else:
+                    assert w is None, (n, r, m)
 
 
 def test_density_examples():
@@ -106,6 +124,54 @@ def test_memory_guard():
         spectrum(500, 5, max_table_bits=1000)
     with pytest.raises(SpectrumMemoryError):
         member_witness(400, 6, 10_000, max_table_bits=1000)
+
+
+def test_witness_guard_counts_built_rows():
+    for n, r in ((0, 1), (1, 1), (9, 3), (40, 5), (57, 7), (100, 2)):
+        caps = _layer_caps(n, r)
+        layers, top = _witness_tables(n, r)
+        assert [len(layer) - 1 for layer in layers] == caps[:-1]
+        built = sum(tri(v) + 1 for layer in layers for v in range(len(layer))) + tri(n) + 1
+        assert _witness_bits(caps) == built, (n, r)
+    # the guard admits tables that fit once only the built rows are charged
+    caps = _layer_caps(400, 6)
+    assert member_witness(400, 6, 20_000, max_table_bits=_witness_bits(caps)) is not None
+    with pytest.raises(SpectrumMemoryError):
+        member_witness(400, 6, 20_000, max_table_bits=_witness_bits(caps) - 1)
+
+
+def test_blocked_spectrum_matches_unblocked():
+    # n = 0..3B puts the part sizes of the top rows across block edges
+    n_max = 3 * _BLOCK
+    uncapped = witness_tables_uncapped(n_max, 7)
+    for r in range(1, 8):
+        for n in range(n_max + 1):
+            assert spectrum(n, r).mask == uncapped[r - 1][n], (n, r)
+        for n in (0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1, n_max):
+            assert spectrum(n, r).mask == spectrum_unblocked(n, r).mask, (n, r)
+    assert spectrum(400, 5).mask == spectrum_unblocked(400, 5).mask
+
+
+def test_bounds_sweep_matches_unblocked():
+    n_max = 3 * _BLOCK
+    uncapped = witness_tables_uncapped(n_max, 7)
+    reps = list(bounds_sweep(n_max, 7))
+    assert len(reps) == n_max * 6
+    for rep in reps:
+        row = uncapped[rep.r - 1][rep.n]
+        assert (rep.count, rep.min_element, rep.max_element) == (
+            row.bit_count(), (row & -row).bit_length() - 1, row.bit_length() - 1)
+
+
+def test_capped_witness_rows_match_uncapped():
+    for n, r in ((1, 1), (7, 7), (50, 2), (100, 7), (3 * _BLOCK, 5)):
+        caps = _layer_caps(n, r)
+        layers, top = _witness_tables(n, r)
+        uncapped = witness_tables_uncapped(n, r)
+        assert layers[0] == [1]
+        for k in range(1, r):
+            assert layers[k] == uncapped[k - 1][:caps[k] + 1], (n, r, k)
+        assert top == uncapped[r - 1][n]
 
 
 def test_interval_vacuous_case():
@@ -169,3 +235,30 @@ def test_export_empty_set():
     lines = empty.export_lines()
     assert len(lines) == 1
     assert EdgeSpectrum.parse_export(lines).mask == 0
+
+
+def _from_members_by_or(n, members):
+    mask = 0
+    for e in members:
+        if not 0 <= e <= tri(n):
+            raise ValueError(e)
+        mask |= 1 << e
+    return mask
+
+
+def test_from_members_matches_or_loop():
+    spec = spectrum(60, 4)
+    for n, members in ((4, []), (4, [0]), (4, [6]), (4, [6, 0, 3, 3]), (5, range(11)),
+                       (60, spec.members()), (60, reversed(spec.members()))):
+        members = list(members)
+        got = EdgeSpectrum.from_members(n, 2, members)
+        assert got.mask == _from_members_by_or(n, members) and (got.n, got.r) == (n, 2)
+    for bad in ([7], [-1], [0, 3, 11]):
+        with pytest.raises(ValueError):
+            EdgeSpectrum.from_members(4, None, bad)
+
+
+def test_members_lists_every_bit():
+    for mask in (0, 1, 0b1010, (1 << 300) | (1 << 64) | 5):
+        spec = EdgeSpectrum(n=30, r=None, mask=mask)
+        assert spec.members() == [e for e in range(mask.bit_length()) if (mask >> e) & 1]
