@@ -169,8 +169,8 @@ def _rows_bits(cap: int) -> int:
 
 
 def _estimate_bits(caps: list[int]) -> int:
-    # two live layers: the two largest row sets
-    per_layer = sorted(_rows_bits(c) for c in caps)
+    # two live layers: the two largest built below the top, and the top's one row
+    per_layer = sorted(_rows_bits(c) for c in caps[:-1])
     return sum(per_layer[-2:]) + (tri(caps[-1]) + 1)
 
 

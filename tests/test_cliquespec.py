@@ -2,9 +2,11 @@ import pytest
 
 from edgespectra.cliquespec import (
     _BLOCK,
+    _DEFAULT_MAX_TABLE_BITS,
     CliquePartition,
     EdgeSpectrum,
     SpectrumMemoryError,
+    _estimate_bits,
     _layer_caps,
     _witness_bits,
     _witness_tables,
@@ -140,6 +142,21 @@ def test_witness_guard_counts_built_rows():
         member_witness(400, 6, 20_000, max_table_bits=_witness_bits(caps) - 1)
 
 
+def test_spectrum_guard_counts_built_rows():
+    # spectrum builds layers 1..r-1 up to their caps, two alive at a time,
+    # then the top row n
+    for n, r in ((0, 1), (9, 1), (40, 5), (57, 7), (100, 2)):
+        k_eff = min(r, max(n, 1))
+        caps = _layer_caps(n, k_eff)
+        built = sorted(sum(tri(v) + 1 for v in range(c + 1)) for c in caps[:-1])
+        assert _estimate_bits(caps) == sum(built[-2:]) + tri(n) + 1, (n, r)
+        spectrum(n, r, max_table_bits=_estimate_bits(caps))
+        with pytest.raises(SpectrumMemoryError):
+            spectrum(n, r, max_table_bits=_estimate_bits(caps) - 1)
+    # n = 4000, r = 5 fits the default guard
+    assert _estimate_bits(_layer_caps(4000, 5)) <= _DEFAULT_MAX_TABLE_BITS
+
+
 def test_blocked_spectrum_matches_unblocked():
     # n = 0..3B puts the part sizes of the top rows across block edges
     n_max = 3 * _BLOCK
@@ -257,8 +274,3 @@ def test_from_members_matches_or_loop():
         with pytest.raises(ValueError):
             EdgeSpectrum.from_members(4, None, bad)
 
-
-def test_members_lists_every_bit():
-    for mask in (0, 1, 0b1010, (1 << 300) | (1 << 64) | 5):
-        spec = EdgeSpectrum(n=30, r=None, mask=mask)
-        assert spec.members() == [e for e in range(mask.bit_length()) if (mask >> e) & 1]
