@@ -206,13 +206,22 @@ def _layer(prev: list[int], k: int, cap: int) -> list[int]:
     return [_row(prev, v, k) for v in range(cap + 1)]
 
 
-def spectrum(n: int, r: int, *, max_table_bits: int | None = None) -> EdgeSpectrum:
-    """Exact C(n, r): edge sums of unions of at most r cliques on n vertices."""
+def spectrum(n: int, r: int, *, max_table_bits: int | None = None,
+             witnesses: bool = False) -> EdgeSpectrum:
+    """Exact C(n, r): edge sums of unions of at most r cliques on n vertices.
+
+    With witnesses=True the mask is the top row of the witness tables,
+    which keep every layer up to its cap (under the witness guard) and stay
+    cached, so member_witness calls for the same (n, r) that follow
+    backtrack through them instead of running the DP again.
+    """
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
     if r < 1:
         raise ValueError(f"r must be >= 1, got {r}")
     k_eff = min(r, max(n, 1))  # more than n parts only adds empty cliques
+    if witnesses:  # called as member_witness calls it: lru_cache keys by form
+        return EdgeSpectrum(n=n, r=r, mask=_witness_tables(n, k_eff, max_table_bits)[1])
     caps = _layer_caps(n, k_eff)
     _check_cap(_estimate_bits(caps), max_table_bits)
     prev = [1]

@@ -11,7 +11,8 @@ augmentation catalogue of one representative per isomorphism class.  Each
 candidate is keyed by its edge count and its deck (the class ids of its
 vertex-deleted subgraphs), all candidates of a level at once in numpy.
 The number of distinct keys is checked against the exact Polya count of
-n-vertex graphs, which proves that the keys separate the classes.
+n-vertex graphs, which proves that the keys separate the classes.  Queries
+under dedup run the same kernel over the array of representatives.
 """
 
 from __future__ import annotations
@@ -55,6 +56,12 @@ def subset_pair_mask(n: int, subset: tuple[int, ...]) -> int:
     return mask
 
 
+@lru_cache(maxsize=None)
+def _subset_masks(n: int, m: int) -> tuple[int, ...]:
+    """subset_pair_mask of every m-subset of range(n), in combinations order."""
+    return tuple(subset_pair_mask(n, s) for s in combinations(range(n), m))
+
+
 @dataclass(frozen=True)
 class GraphMask:
     """Labeled graph on n <= 8 vertices as an edge bitmask."""
@@ -80,7 +87,7 @@ class GraphMask:
         return (self.edges & subset_pair_mask(self.n, subset)).bit_count()
 
     def achieved_counts(self, m: int) -> set[int]:
-        return {self.induced_count(s) for s in combinations(range(self.n), m)}
+        return {(self.edges & s).bit_count() for s in _subset_masks(self.n, m)}
 
     @classmethod
     def from_edges(cls, n: int, edges) -> "GraphMask":
@@ -105,8 +112,17 @@ def _validate_arrow_args(n: int, e: int, m: int, f: int, dedup: bool):
 
 
 # ---------------------------------------------------------------------------
-# Labeled exhaustive tables (vectorized)
+# Exhaustive tables (vectorized): every labeled graph, or the catalogue reps
 # ---------------------------------------------------------------------------
+
+def _achieved(masks: np.ndarray, n: int, m: int) -> np.ndarray:
+    """Per edge mask, the bitset of induced edge counts over m-subsets."""
+    achieved = np.zeros(masks.shape, dtype=np.uint32)
+    for smask in _subset_masks(n, m):
+        cnt = np.bitwise_count(masks & np.uint32(smask)).astype(np.uint32)
+        achieved |= np.left_shift(np.uint32(1), cnt)
+    return achieved
+
 
 @lru_cache(maxsize=3)
 def _popcounts(n: int) -> np.ndarray:
@@ -116,21 +132,30 @@ def _popcounts(n: int) -> np.ndarray:
 
 @lru_cache(maxsize=4)
 def _achieved_table(n: int, m: int) -> np.ndarray:
-    """Per labeled graph, the bitset of induced edge counts over m-subsets."""
-    arr = np.arange(1 << tri(n), dtype=np.uint32)
-    achieved = np.zeros(arr.shape, dtype=np.uint32)
-    for subset in combinations(range(n), m):
-        smask = np.uint32(subset_pair_mask(n, subset))
-        cnt = np.bitwise_count(arr & smask).astype(np.uint32)
-        achieved |= np.left_shift(np.uint32(1), cnt)
-    return achieved
+    """_achieved over every labeled graph, indexed by its mask."""
+    return _achieved(np.arange(1 << tri(n), dtype=np.uint32), n, m)
 
 
 @lru_cache(maxsize=8)
-def _snm_table(n: int, m: int) -> np.ndarray:
-    """good[f, e] = every labeled graph with e edges achieves f on some m-subset."""
-    ach = _achieved_table(n, m)
-    pc = _popcounts(n)
+def _rep_tables(n: int, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The catalogue reps as a mask array, their edge counts and _achieved."""
+    reps = np.array(canonical_reps(n), dtype=np.uint32)
+    return reps, np.bitwise_count(reps).astype(np.uint8), _achieved(reps, n, m)
+
+
+def _scan_tables(n: int, m: int, dedup: bool):
+    """(masks, edge counts, achieved bitsets) of the graphs a query scans,
+    in the order its counterexample is chosen: every labeled graph by mask
+    (masks is then a range), or the catalogue reps in catalogue order."""
+    if dedup:
+        return _rep_tables(n, m)
+    return range(1 << tri(n)), _popcounts(n), _achieved_table(n, m)
+
+
+@lru_cache(maxsize=8)
+def _snm_table(n: int, m: int, dedup: bool) -> np.ndarray:
+    """good[f, e] = every scanned graph with e edges achieves f on some m-subset."""
+    _, pc, ach = _scan_tables(n, m, dedup)
     good = np.ones((tri(m) + 1, tri(n) + 1), dtype=bool)
     for f in range(tri(m) + 1):
         lacking = (ach >> np.uint32(f)) & np.uint32(1) == 0
@@ -159,16 +184,7 @@ def arrow(n: int, e: int, m: int, f: int, *, dedup: bool = False) -> ArrowResult
     spanning exactly f edges?  On failure the lowest-numbered (or first
     catalogued, under dedup) counterexample is returned."""
     _validate_arrow_args(n, e, m, f, dedup)
-    if dedup:
-        for g in canonical_reps(n):
-            if g.bit_count() != e:
-                continue
-            gm = GraphMask(n=n, edges=g)
-            if f not in gm.achieved_counts(m):
-                return ArrowResult(holds=False, counterexample=gm)
-        return ArrowResult(holds=True, counterexample=None)
-    ach = _achieved_table(n, m)
-    pc = _popcounts(n)
+    masks, pc, ach = _scan_tables(n, m, dedup)
     sel = np.flatnonzero(pc == e)
     chunk = 1 << 16
     for i in range(0, sel.size, chunk):
@@ -177,22 +193,14 @@ def arrow(n: int, e: int, m: int, f: int, *, dedup: bool = False) -> ArrowResult
         hits = np.flatnonzero(lacking)
         if hits.size:
             return ArrowResult(holds=False,
-                               counterexample=GraphMask(n=n, edges=int(block[hits[0]])))
+                               counterexample=GraphMask(n=n, edges=int(masks[block[hits[0]]])))
     return ArrowResult(holds=True, counterexample=None)
 
 
 def compute_Snm(n: int, m: int, f: int, *, dedup: bool = False) -> EdgeSpectrum:
     """The exact set of edge counts e for which arrow(n, e, m, f) holds."""
     _validate_arrow_args(n, 0, m, f, dedup)
-    if dedup:
-        good = [True] * (tri(n) + 1)
-        for g in canonical_reps(n):
-            e = g.bit_count()
-            if good[e] and f not in GraphMask(n=n, edges=g).achieved_counts(m):
-                good[e] = False
-        members = [e for e, ok in enumerate(good) if ok]
-    else:
-        members = np.flatnonzero(_snm_table(n, m)[f]).tolist()
+    members = np.flatnonzero(_snm_table(n, m, dedup)[f]).tolist()
     return EdgeSpectrum.from_members(n, None, members)
 
 
@@ -278,8 +286,7 @@ def induced_closure_check(
                 yield tuple(b - a for a, b in zip(bounds, bounds[1:]) if b > a)
 
         parts_iter = _random_parts()
-    subsets = list(combinations(range(n), m))
-    smasks = [subset_pair_mask(n, s) for s in subsets]
+    smasks = _subset_masks(n, m)
     for parts in parts_iter:
         gmask = _clique_union_mask(n, parts)
         for sm in smasks:

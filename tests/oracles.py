@@ -11,6 +11,7 @@ import numpy as np
 
 from edgespectra import squares
 from edgespectra.cliquespec import EdgeSpectrum
+from edgespectra.graphs import GraphMask, canonical_reps
 from edgespectra.repcount import RepHistogram
 from edgespectra.triangles import tri
 
@@ -81,3 +82,18 @@ def witness_tables_uncapped(n: int, r: int) -> list[list[int]]:
             cur[v] = row
         layers.append(cur)
     return layers
+
+
+def dedup_counterexamples(n: int, m: int) -> dict[tuple[int, int], int]:
+    """The per-rep loop that graphs.arrow and compute_Snm ran under dedup,
+    one GraphMask.achieved_counts per catalogue rep: for each (e, f), the
+    first rep with e edges on none of whose m-subsets f edges are induced.
+    arrow(n, e, m, f, dedup=True) holds exactly when (e, f) is missing, and
+    compute_Snm(n, m, f, dedup=True) is the set of such e."""
+    first: dict[tuple[int, int], int] = {}
+    for g in canonical_reps(n):
+        achieved = GraphMask(n=n, edges=g).achieved_counts(m)
+        for f in range(tri(m) + 1):
+            if f not in achieved:
+                first.setdefault((g.bit_count(), f), g)
+    return first

@@ -278,3 +278,64 @@ def test_check_rejects_witness_with_too_many_parts(capsys, monkeypatch, argv):
     assert code == 1 and out == ""
     assert "check failed:" in err
     assert _manifest(err)["subcommand"] == argv[0]
+
+
+def test_spectrum_check_builds_each_layer_once(capsys, monkeypatch):
+    from edgespectra import cliquespec
+
+    built, real = [], cliquespec._layer
+    monkeypatch.setattr(cliquespec, "_layer", lambda prev, k, cap: built.append(k) or real(prev, k, cap))
+    cliquespec._witness_tables.cache_clear()
+    code, out, _ = run_cli(capsys, ["spectrum", "--n", "60", "--r", "5", "--check"])
+    cliquespec._witness_tables.cache_clear()  # its tables were built through the patch
+    assert code == 0 and json.loads(out)["count"] == 893
+    assert sorted(built) == [1, 2, 3, 4]
+
+
+# Calls that set different options of one subparser, an argparse error and
+# the call after it: a parser that kept state between calls would differ
+# from a fresh one somewhere here.
+PARSER_STATE_SEQUENCE = [
+    "witness7 --n 30000 --m 100000000",
+    "witness7 --n 30000 --samples 3",
+    "witness7 --n 30000 --m 100000000 --samples 3",
+    "witness7 --n 30000 --m 100000000",
+    "closure --n 6 --r 2 --m 3",
+    "closure --n 6 --r 2 --m 3 --trials 5",
+    "closure --n 6 --r 2 --m 3",
+    "spectrum --n 5",
+    "spectrum --n 5 --r 2",
+]
+
+
+def _outcome(capsys, argv):
+    try:
+        code = main(argv.split())
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, _manifest(captured.err)["parameters"]
+
+
+def test_shared_parser_carries_no_state(capsys, monkeypatch):
+    from edgespectra import cli
+
+    shared = [_outcome(capsys, argv) for argv in PARSER_STATE_SEQUENCE]
+    monkeypatch.setattr(cli, "_shared_parser", cli.build_parser)  # a fresh parser per call
+    fresh = [_outcome(capsys, argv) for argv in PARSER_STATE_SEQUENCE]
+    assert [code for code, _, _ in shared] == [0, 0, 2, 0, 0, 0, 0, 2, 0]
+    assert shared == fresh
+
+
+def test_main_builds_the_parser_once(capsys, monkeypatch):
+    from edgespectra import cli
+
+    built, real = [], cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or real())
+    cli._shared_parser.cache_clear()
+    try:
+        run_cli(capsys, ["minr", "--m", "4", "--f", "3"])
+        run_cli(capsys, ["dm", "--m", "8", "--f", "17"])
+    finally:
+        cli._shared_parser.cache_clear()
+    assert len(built) == 1

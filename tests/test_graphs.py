@@ -22,6 +22,7 @@ from edgespectra.graphs import (
     turan_number,
 )
 from edgespectra.triangles import tri
+from oracles import dedup_counterexamples
 
 # isomorphism-class counts of simple graphs on 1..10 vertices (OEIS A000088)
 ISO_COUNTS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044, 8: 12346,
@@ -206,6 +207,21 @@ def test_labeled_vs_dedup_agree():
                 assert labeled == reduced, (n, m, f)
 
 
+@pytest.mark.parametrize("n, ms", [(n, range(2, n + 1)) for n in range(2, 8)] + [(8, (3, 4, 5))],
+                         ids=[f"n{n}" for n in range(2, 9)])
+def test_dedup_matches_per_rep_oracle(n, ms):
+    for m in ms:
+        first = dedup_counterexamples(n, m)
+        for f in range(tri(m) + 1):
+            members = [e for e in range(tri(n) + 1) if (e, f) not in first]
+            assert compute_Snm(n, m, f, dedup=True).members() == members, (m, f)
+            for e in range(tri(n) + 1):
+                res = arrow(n, e, m, f, dedup=True)
+                got = res.counterexample.edges if res.counterexample else None
+                expected = first.get((e, f))
+                assert (res.holds, got) == (expected is None, expected), (e, m, f)
+
+
 def test_iso_catalogue_counts():
     for n in range(1, 8):
         assert len(canonical_reps(n)) == ISO_COUNTS[n], n
@@ -223,11 +239,14 @@ def test_graph_count_is_A000088():
 @pytest.fixture
 def graph_count_off_at_5(monkeypatch):
     real = graphs._graph_count
-    canonical_reps.cache_clear()
+    caches = (canonical_reps, graphs._rep_tables, graphs._snm_table)  # tables from the catalogue
+    for cache in caches:
+        cache.cache_clear()
     monkeypatch.setattr(graphs, "_graph_count", lambda n: real(n) + (n == 5))
     yield
     monkeypatch.undo()
-    canonical_reps.cache_clear()
+    for cache in caches:
+        cache.cache_clear()
 
 
 def test_catalogue_fails_closed_on_count_mismatch(graph_count_off_at_5, capsys):
