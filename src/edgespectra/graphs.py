@@ -140,7 +140,7 @@ def _achieved_table(n: int, m: int) -> np.ndarray:
 def _rep_tables(n: int, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The catalogue reps as a mask array, their edge counts and _achieved."""
     reps = np.array(canonical_reps(n), dtype=np.uint32)
-    return reps, np.bitwise_count(reps).astype(np.uint8), _achieved(reps, n, m)
+    return reps, np.bitwise_count(reps), _achieved(reps, n, m)
 
 
 def _scan_tables(n: int, m: int, dedup: bool):
