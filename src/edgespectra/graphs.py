@@ -87,7 +87,7 @@ class GraphMask:
         return (self.edges & subset_pair_mask(self.n, subset)).bit_count()
 
     def achieved_counts(self, m: int) -> set[int]:
-        return {(self.edges & s).bit_count() for s in _subset_masks(self.n, m)}
+        return {self.induced_count(s) for s in combinations(range(self.n), m)}
 
     @classmethod
     def from_edges(cls, n: int, edges) -> "GraphMask":

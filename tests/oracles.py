@@ -4,6 +4,7 @@ Each one computes what a package function computes by a plainer, slower
 route; the tests require equal results.
 """
 
+from itertools import combinations
 from typing import Optional
 from unittest import mock
 
@@ -11,7 +12,7 @@ import numpy as np
 
 from edgespectra import squares
 from edgespectra.cliquespec import EdgeSpectrum
-from edgespectra.graphs import GraphMask, canonical_reps
+from edgespectra.graphs import canonical_reps, subset_pair_mask
 from edgespectra.repcount import RepHistogram
 from edgespectra.triangles import tri
 
@@ -86,13 +87,16 @@ def witness_tables_uncapped(n: int, r: int) -> list[list[int]]:
 
 def dedup_counterexamples(n: int, m: int) -> dict[tuple[int, int], int]:
     """The per-rep loop that graphs.arrow and compute_Snm ran under dedup,
-    one GraphMask.achieved_counts per catalogue rep: for each (e, f), the
-    first rep with e edges on none of whose m-subsets f edges are induced.
-    arrow(n, e, m, f, dedup=True) holds exactly when (e, f) is missing, and
-    compute_Snm(n, m, f, dedup=True) is the set of such e."""
+    one Python set of induced edge counts per catalogue rep: for each
+    (e, f), the first rep with e edges on none of whose m-subsets f edges
+    are induced.  arrow(n, e, m, f, dedup=True) holds exactly when (e, f)
+    is missing, and compute_Snm(n, m, f, dedup=True) is the set of such e.
+    The subset masks are built once per call, not once per rep as
+    GraphMask.achieved_counts builds them, which would cost ~5 s at n = 8."""
+    smasks = [subset_pair_mask(n, s) for s in combinations(range(n), m)]
     first: dict[tuple[int, int], int] = {}
     for g in canonical_reps(n):
-        achieved = GraphMask(n=n, edges=g).achieved_counts(m)
+        achieved = {(g & s).bit_count() for s in smasks}
         for f in range(tri(m) + 1):
             if f not in achieved:
                 first.setdefault((g.bit_count(), f), g)

@@ -217,6 +217,7 @@ def test_dedup_matches_per_rep_oracle(n, ms):
             assert compute_Snm(n, m, f, dedup=True).members() == members, (m, f)
             for e in range(tri(n) + 1):
                 res = arrow(n, e, m, f, dedup=True)
+                res.validate(e, m, f)
                 got = res.counterexample.edges if res.counterexample else None
                 expected = first.get((e, f))
                 assert (res.holds, got) == (expected is None, expected), (e, m, f)
