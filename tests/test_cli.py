@@ -14,13 +14,19 @@ def run_cli(capsys, argv):
 
 # One argv per subcommand, with the exit code and the sha256 of stdout that
 # the CLI gave before its parser became a table: output must stay byte-identical.
+# The extra minr and classify rows reach the rank search above rank 2 (r = 10,
+# and no rank at all) and the lower-bound rule (r = 4); their digests were
+# taken before that search was rewritten.
 DIGEST_PINS = [
     ("spectrum --n 12 --r 3 --check", 0, "326aae8999e71d837b70a86cd71ca27ac9014f76abfbf0d44b798ef24fb5495f"),
     ("witness --n 12 --r 3 --m 30 --check", 0, "14c9dad6c4260938dfb5e3a1eb225f8d4480ed87f5cf924982d276d01e770903"),
     ("density --n 50 --r 4 --check", 0, "8ab41587c3020493457aec469c68d0907601a03e870e7da3301f0ff02d7baf46"),
     ("interval --n 30 --r 3 --c-low 0 --c-high 0 --clip", 1, "89a97b2a733c67f597a4fd5eddd1524868ed1511912dbef5e63c42616da279ed"),
     ("classify --m 7 --f 12 --check", 0, "347dfb52f2ca1c6e642fc04170d1ec0d63eb6963598aaf99159af1d0c0312f8b"),
+    ("classify --m 38 --f 325 --check", 0, "b4f7fefdfef3a9560098cf903b9c7352d53c7c21df0740cd070da5cc35f29ad4"),
     ("minr --m 1112 --f 222111 --check", 0, "046a10083fd331daabcb8ee4250577c9a9015eb98e52253ea372338d5782c49e"),
+    ("minr --m 20 --f 9 --check", 0, "6c422c877fc9bab14acbf8b8d4a30ae60b4467f3f1e69bb6b3aedd2ec0357992"),
+    ("minr --m 20 --f 86", 0, "fbddf9227cad6b8c3ea01758199ea49d1ad3c3fc38e9d3aa649b0e83a171e02c"),
     ("dm --m 40 --f 300 --check", 0, "81188aebec0fe956e0b33f9601cb05690f11b9f9a205dd064af7c26090d1e70a"),
     ("pell --k 2 --check", 0, "d72d6c3c0fce6eb303780da6dccd5241cc3946dfe1f8b1bbbdd0b398a60418d5"),
     ("abc --k-max 3", 1, "d70e9d87ffeec8a155113f879a52d80d0f07c8eb0176b770d1cd593852345baa"),
@@ -38,7 +44,13 @@ DIGEST_PINS = [
 ]
 
 
-@pytest.mark.parametrize("argv,code,digest", DIGEST_PINS, ids=[p[0].split()[0] for p in DIGEST_PINS])
+def _pin_ids(pins):
+    # the first pin of a subcommand is named by the subcommand, later ones by their argv
+    names = [argv.split()[0] for argv, _, _ in pins]
+    return [name if names.index(name) == i else pins[i][0] for i, name in enumerate(names)]
+
+
+@pytest.mark.parametrize("argv,code,digest", DIGEST_PINS, ids=_pin_ids(DIGEST_PINS))
 def test_stdout_digest_pinned(capsys, argv, code, digest):
     got, out, _ = run_cli(capsys, argv.split())
     assert (got, hashlib.sha256(out.encode()).hexdigest()) == (code, digest)
