@@ -10,11 +10,16 @@ every rule that fired.
 
 The special set SPECIAL_PAIRS is closed under complement, so membership
 can be tested on the pair as given.
+
+The minimal clique rank comes from one search, min_r_witness: closed forms
+for one, two and three parts, then a recursive largest-part-first search
+(_find_rep) for four parts and more.  min_r is the witness's part count
+less one, so the rank and its certificate never disagree.  The closed
+forms solve their quadratics with triangles.int_roots.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import isqrt
@@ -22,7 +27,7 @@ from typing import Optional
 
 import numpy as np
 
-from .triangles import decompose_lower, decompose_upper, tri, tri_root
+from .triangles import decompose_lower, decompose_upper, int_roots, tri, tri_root
 
 #: The five pairs whose density is exactly 1.
 SPECIAL_PAIRS = frozenset({(2, 0), (2, 1), (4, 3), (5, 4), (5, 6)})
@@ -150,16 +155,10 @@ def dm_witness(f: int, m: int) -> Optional[tuple[int, int, int]]:
 
 def two_part_witness(m: int, f: int) -> Optional[tuple[int, int]]:
     """(x, m-x) with tri(x) + tri(m-x) = f and both parts >= 1, else None."""
-    # tri(x) + tri(m-x) = f  <=>  x^2 - m*x + (tri(m) - f) = 0
-    disc = 4 * f - m * (m - 2)
-    if disc < 0:
-        return None
-    s = isqrt(disc)
-    if s * s != disc or (m + s) % 2:
-        return None
-    x = (m + s) // 2
-    if 1 <= m - x <= x <= m - 1:
-        return (x, m - x)
+    # tri(x) + tri(m-x) = f  <=>  x^2 - m*x + (tri(m) - f) = 0; the roots are the parts
+    roots = int_roots(m, tri(m) - f)
+    if roots and roots[0] >= 1:
+        return (roots[1], roots[0])
     return None
 
 
@@ -179,7 +178,10 @@ def _np_square_roots(vals: np.ndarray) -> np.ndarray:
     return out
 
 
-def three_part_witness(m: int, f: int, *, chunk: int = 1 << 20) -> Optional[tuple[int, int, int]]:
+_CHUNK = 1 << 20  # smallest parts scanned per numpy pass
+
+
+def three_part_witness(m: int, f: int) -> Optional[tuple[int, int, int]]:
     """(x, y, z) with x >= y >= z >= 1, x+y+z = m, tri sums to f; else None.
 
     Scans the smallest part z and resolves the rest with the two-part
@@ -187,8 +189,8 @@ def three_part_witness(m: int, f: int, *, chunk: int = 1 << 20) -> Optional[tupl
     """
     if m < 3:
         return None
-    for z0 in range(1, m // 3 + 1, chunk):
-        z = np.arange(z0, min(z0 + chunk, m // 3 + 1), dtype=np.int64)
+    for z0 in range(1, m // 3 + 1, _CHUNK):
+        z = np.arange(z0, min(z0 + _CHUNK, m // 3 + 1), dtype=np.int64)
         rest_f = f - z * (z - 1) // 2
         rest_m = m - z
         disc = 4 * rest_f - rest_m * (rest_m - 2)
@@ -220,24 +222,45 @@ def _parts_max_edges(v: int, j: int, cap: int) -> int:
     return t * tri(cap) + tri(big)
 
 
-def _exists_rep(f: int, v: int, j: int, cap: int) -> bool:
-    """Partition of v into exactly j parts in [1, cap] with edge sum f?"""
+def _find_rep(f: int, v: int, j: int, cap: int) -> Optional[tuple[int, ...]]:
+    """The lexicographically largest partition of v into exactly j parts in
+    [1, cap] with edge sum f, nonincreasing; None if there is none."""
     if j == 0:
-        return v == 0 and f == 0
+        return () if v == 0 and f == 0 else None
     if v < j or f < 0:
-        return False
+        return None
     if j == 1:
-        return v <= cap and tri(v) == f
+        return (v,) if v <= cap and tri(v) == f else None
     if f < _parts_min_edges(v, j) or f > _parts_max_edges(v, j, cap):
-        return False
+        return None
     if j == 2:
         w = two_part_witness(v, f)
-        return w is not None and w[0] <= cap
-    hi = min(cap, v - (j - 1))
-    for a in range(hi, -(-v // j) - 1, -1):
-        if _exists_rep(f - tri(a), v - a, j - 1, a):
-            return True
-    return False
+        return w if w is not None and w[0] <= cap else None
+    for a in range(min(cap, v - (j - 1)), -(-v // j) - 1, -1):
+        rest = _find_rep(f - tri(a), v - a, j - 1, a)
+        if rest is not None:
+            return (a,) + rest
+    return None
+
+
+def min_r_witness(m: int, f: int) -> Optional[tuple[int, ...]]:
+    """A partition realizing min_r(m, f), nonincreasing; None if absent.
+
+    Tries one, two and three parts by closed forms, then j = 4, 5, ...
+    parts by a largest-part-first search, whose first hit is the
+    lexicographically largest partition with j parts.
+    """
+    PairMF(m, f)
+    if f == tri(m):
+        return (m,)
+    w = two_part_witness(m, f) or three_part_witness(m, f)
+    if w is not None:
+        return w
+    for j in range(4, m + 1):
+        w = _find_rep(f, m, j, m)
+        if w is not None:
+            return w
+    return None
 
 
 def min_r(m: int, f: int) -> Optional[int]:
@@ -246,46 +269,8 @@ def min_r(m: int, f: int) -> Optional[int]:
 
     Equals (min k with f in C(m, k)) - 1, since empty parts are removable.
     """
-    PairMF(m, f)
-    if f == tri(m):
-        return 0
-    if two_part_witness(m, f) is not None:
-        return 1
-    if three_part_witness(m, f) is not None:
-        return 2
-    for j in range(4, m + 1):
-        if _exists_rep(f, m, j, m):
-            return j - 1
-    return None
-
-
-def min_r_witness(m: int, f: int) -> Optional[tuple[int, ...]]:
-    """A partition realizing min_r(m, f), nonincreasing; None if absent."""
-    PairMF(m, f)
-    if f == tri(m):
-        return (m,)
-    w2 = two_part_witness(m, f)
-    if w2 is not None:
-        return w2
-    w3 = three_part_witness(m, f)
-    if w3 is not None:
-        return w3
-    for j in range(4, m + 1):
-        parts: list[int] = []
-        ff, vv, jj, cap = f, m, j, m
-        while jj and _exists_rep(ff, vv, jj, cap):
-            if jj == 1:
-                parts.append(vv)
-                break
-            hi = min(cap, vv - (jj - 1))
-            for a in range(hi, 0, -1):
-                if _exists_rep(ff - tri(a), vv - a, jj - 1, a):
-                    parts.append(a)
-                    ff, vv, jj, cap = ff - tri(a), vv - a, jj - 1, a
-                    break
-        if parts and sum(parts) == m and sum(tri(p) for p in parts) == f:
-            return tuple(parts)
-    return None
+    w = min_r_witness(m, f)
+    return None if w is None else len(w) - 1
 
 
 # ---------------------------------------------------------------------------
@@ -309,17 +294,8 @@ def triple_identity(m: int, f: int) -> Optional[TripleIdentity]:
     b = tri_root(tri(m) - f)
     if b is None:
         return None
-    disc = m * m - 4 * f
-    if disc < 0:
-        return None
-    s = isqrt(disc)
-    if s * s != disc:
-        return None
-    c = None
-    for cand in ((m - s) // 2, (m + s) // 2):
-        if (m - s) % 2 == 0 and cand >= 1 and cand * (m - cand) == f:
-            c = cand
-            break
+    # c(m - c) = f  <=>  c^2 - m*c + f = 0
+    c = next((x for x in int_roots(m, f) if x >= 1), None)
     if c is None:
         return None
     return TripleIdentity(a=a, b=b, c=c)

@@ -5,8 +5,8 @@ diagnostics and a reproducibility manifest go to standard error, on every
 call.  Exit status: 0 on success; 1 on a verification failure (an interval
 gap, "check failed: ..." from a re-validation) or a named package failure
 (PreconditionViolated, WindowExhausted, ScaleRejected, SpectrumMemoryError,
-SkippedExhaustive, TupleBudgetExceeded, OverflowError); 2 on a usage error
-(argparse, or a ValueError for a bad value).  Failures print
+SkippedExhaustive, TupleBudgetExceeded, OverflowError, RecursionError); 2 on
+a usage error (argparse, or a ValueError for a bad value).  Failures print
 "error: <ExceptionName>: <message>".
 
 --check, offered where it re-validates the result by an independent
@@ -101,13 +101,11 @@ def _cmd_classify(args) -> dict:
             "rule_upper": _frac(v.rule_upper()), "trace": [t.as_dict() for t in v.trace]}
 
 def _cmd_minr(args) -> dict:
-    r = certify.min_r(args.m, args.f)
-    if args.check and r is not None:
-        parts = certify.min_r_witness(args.m, args.f)
-        _require(parts is not None and len(parts) == r + 1 and sum(parts) == args.m
-                 and sum(tri(p) for p in parts) == args.f,
+    parts = certify.min_r_witness(args.m, args.f)  # the rank is its part count less one
+    if args.check and parts is not None:
+        _require(min(parts) >= 1 and sum(parts) == args.m and sum(tri(p) for p in parts) == args.f,
                  "minimal-rank witness does not re-validate")
-    return {"m": args.m, "f": args.f, "r": r}
+    return {"m": args.m, "f": args.f, "r": None if parts is None else len(parts) - 1}
 
 def _cmd_dm(args) -> dict:
     w = certify.dm_witness(args.f, args.m)
@@ -295,7 +293,7 @@ COMMANDS = {
 # Named failures of the package; a ValueError (a bad value) exits 2 instead.
 _FAILURES = (squares.PreconditionViolated, squares.WindowExhausted, graphs.ScaleRejected,
              cliquespec.SpectrumMemoryError, pell.SkippedExhaustive,
-             repcount.TupleBudgetExceeded, OverflowError)
+             repcount.TupleBudgetExceeded, OverflowError, RecursionError)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -288,19 +288,17 @@ def _bounds_ok(n: int, r: int, count: int, min_element: int) -> bool:
     return bool(min_ok and count_ok)
 
 
+def _density_report(n: int, r: int, mask: int) -> DensityReport:
+    spec = EdgeSpectrum(n=n, r=r, mask=mask)
+    count, min_el, denom = spec.count, spec.min_element, tri(n)
+    return DensityReport(n=n, r=r, count=count, density=count / denom if denom else 1.0,
+                         min_element=min_el, max_element=spec.max_element,
+                         bounds_ok=_bounds_ok(n, r, count, min_el))
+
+
 def density_and_bounds(n: int, r: int, *, max_table_bits: int | None = None) -> DensityReport:
     """Cardinality, density and the two bound checks for C(n, r)."""
-    spec = spectrum(n, r, max_table_bits=max_table_bits)
-    denom = tri(n)
-    return DensityReport(
-        n=n,
-        r=r,
-        count=spec.count,
-        density=spec.count / denom if denom else 1.0,
-        min_element=spec.min_element,
-        max_element=spec.max_element,
-        bounds_ok=_bounds_ok(n, r, spec.count, spec.min_element),
-    )
+    return _density_report(n, r, spectrum(n, r, max_table_bits=max_table_bits).mask)
 
 
 def bounds_sweep(n_max: int, r_max: int) -> Iterator[DensityReport]:
@@ -313,19 +311,7 @@ def bounds_sweep(n_max: int, r_max: int) -> Iterator[DensityReport]:
     for r in range(2, r_max + 1):
         prev = _layer(prev, r, n_max)
         for n in range(1, n_max + 1):
-            row = prev[n]
-            count = row.bit_count()
-            min_el = (row & -row).bit_length() - 1
-            denom = tri(n)
-            yield DensityReport(
-                n=n,
-                r=r,
-                count=count,
-                density=count / denom if denom else 1.0,
-                min_element=min_el,
-                max_element=row.bit_length() - 1,
-                bounds_ok=_bounds_ok(n, r, count, min_el),
-            )
+            yield _density_report(n, r, prev[n])
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from math import isqrt
 from typing import Optional
 
-from .triangles import tri
+from .triangles import int_roots, tri
 
 
 class PreconditionViolated(Exception):
@@ -87,15 +87,10 @@ def bennett_search(y_limit: int) -> list[tuple[int, int]]:
         raise ValueError(f"need y_limit >= 2, got {y_limit}")
     hits: list[tuple[int, int]] = []
     for y in range(2, y_limit + 1):
-        # x(x-1) = y^2 (y^2 - 1) / 2
-        rhs = y * y * (y * y - 1) // 2
-        disc = 1 + 4 * rhs
-        s = isqrt(disc)
-        if s * s != disc:
-            continue
-        x = (1 + s) // 2
-        if x * (x - 1) == rhs and x >= 1:
-            hits.append((x, y))
+        # x(x-1) = y^2 (y^2 - 1) / 2; the larger root is the positive one
+        roots = int_roots(1, -(y * y * (y * y - 1) // 2))
+        if roots:
+            hits.append((roots[1], y))
     return hits
 
 

@@ -18,25 +18,31 @@ def tri(x: int) -> int:
     return x * (x - 1) // 2
 
 
+def int_roots(p: int, q: int) -> tuple[int, ...]:
+    """Both roots of x^2 - p*x + q in ascending order when they are
+    integers (a double root is listed twice), else ().
+
+    The polynomial is monic, so its roots are integers exactly when the
+    discriminant p^2 - 4q is a perfect square; isqrt keeps this exact at
+    any size.
+    """
+    disc = p * p - 4 * q
+    if disc < 0:
+        return ()
+    s = isqrt(disc)
+    if s * s != disc:
+        return ()
+    return ((p - s) // 2, (p + s) // 2)
+
+
 def tri_root(f: int) -> int | None:
     """The x >= 1 with tri(x) == f, or None when f is not triangular.
 
     tri(1) = tri(0) = 0; the root is reported as 1 so that it always
     describes a usable (non-empty) clique.
     """
-    if f < 0:
-        return None
-    if f == 0:
-        return 1
-    x = (1 + isqrt(1 + 8 * f)) // 2
-    return x if tri(x) == f else None
-
-
-def is_square(v: int) -> bool:
-    if v < 0:
-        return False
-    r = isqrt(v)
-    return r * r == v
+    roots = int_roots(1, -2 * f)  # tri(x) = f  <=>  x^2 - x - 2f = 0
+    return roots[1] if roots else None
 
 
 @dataclass(frozen=True)
@@ -70,12 +76,8 @@ def decompose_upper(f: int) -> UpperDecomp:
         raise ValueError(f"edge count must be non-negative, got {f}")
     if f == 0:
         return UpperDecomp(1, 0)
+    # tri(ell) <= f  <=>  (2*ell - 1)^2 <= 1 + 8f, so this is the largest such ell
     ell = (1 + isqrt(1 + 8 * f)) // 2
-    # floating-free correction: want the largest ell with tri(ell) <= f
-    while tri(ell + 1) <= f:
-        ell += 1
-    while tri(ell) > f:
-        ell -= 1
     return UpperDecomp(ell, f - tri(ell))
 
 
@@ -87,11 +89,9 @@ def decompose_lower(f: int) -> LowerDecomp:
     """
     if f < 1:
         raise ValueError(f"decompose_lower needs f >= 1, got {f}")
-    b = (1 + isqrt(1 + 8 * f)) // 2
-    while tri(b) < f:
+    b = (1 + isqrt(1 + 8 * f)) // 2  # the largest b with tri(b) <= f
+    if tri(b) < f:
         b += 1
-    while b > 2 and tri(b - 1) >= f:
-        b -= 1
     dec = LowerDecomp(b, tri(b) - f)
     assert 0 <= dec.bp < dec.b - 1
     return dec

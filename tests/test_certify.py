@@ -73,20 +73,23 @@ def test_dm_large_pair_fast():
 
 # -- minimal clique rank ----------------------------------------------------
 
+def brute_partitions(v, j, cap):
+    """Partitions of v into exactly j parts in [1, cap], nonincreasing,
+    lexicographically largest first."""
+    if j == 0:
+        if v == 0:
+            yield ()
+        return
+    for a in range(min(cap, v - j + 1), 0, -1):
+        for rest in brute_partitions(v - a, j - 1, a):
+            yield (a,) + rest
+
+
 def brute_min_r(m, f):
     """Reference route: enumerate partitions of m into exactly j positive parts."""
-    def reps(v, j, cap):
-        if j == 0:
-            yield () if v == 0 else None
-            return
-        for a in range(min(cap, v - j + 1), 0, -1):
-            for rest in reps(v - a, j - 1, a):
-                if rest is not None:
-                    yield (a,) + rest
-
     for j in range(1, m + 1):
-        for parts in reps(m, j, m):
-            if parts is not None and sum(tri(p) for p in parts) == f:
+        for parts in brute_partitions(m, j, m):
+            if sum(tri(p) for p in parts) == f:
                 return j - 1
     return None
 
@@ -110,6 +113,26 @@ def test_min_r_matches_brute():
     for m in range(2, 15):
         for f in range(tri(m) + 1):
             assert min_r(m, f) == brute_min_r(m, f), (m, f)
+
+
+def test_min_r_witness_is_first_brute_partition():
+    # from four parts on, the witness is the first hit of the enumeration order
+    for m in range(2, 15):
+        for f in range(tri(m) + 1):
+            r = min_r(m, f)
+            if r is None or r < 3:
+                continue
+            first = next(p for p in brute_partitions(m, r + 1, m) if sum(tri(x) for x in p) == f)
+            assert min_r_witness(m, f) == first, (m, f)
+
+
+def test_min_r_witness_length_is_rank():
+    for m in range(2, 41):
+        for f in range(tri(m) + 1):
+            w, r = min_r_witness(m, f), min_r(m, f)
+            assert (None if w is None else len(w) - 1) == r, (m, f)
+            if w is not None:
+                assert sum(w) == m and sum(tri(p) for p in w) == f and min(w) >= 1
 
 
 def test_min_r_cross_checks_spectrum():

@@ -254,6 +254,29 @@ def test_overflow_exits_1_with_manifest(capsys, monkeypatch):
     assert _manifest(err)["output_digest"] == hashlib.sha256(b"").hexdigest()
 
 
+def test_recursion_error_exits_1_with_manifest(capsys, monkeypatch):
+    from edgespectra import certify
+
+    def too_deep(m, f):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr(certify, "min_r_witness", too_deep)
+    code, out, err = run_cli(capsys, ["minr", "--m", "3004", "--f", "3003"])
+    assert code == 1 and out == ""
+    assert "error: RecursionError:" in err
+    assert _manifest(err)["output_digest"] == hashlib.sha256(b"").hexdigest()
+
+
+def test_minr_check_runs_one_search(capsys, monkeypatch):
+    from edgespectra import certify
+
+    calls, real = [], certify.three_part_witness
+    monkeypatch.setattr(certify, "three_part_witness", lambda m, f: calls.append((m, f)) or real(m, f))
+    code, out, _ = run_cli(capsys, ["minr", "--m", "20", "--f", "9", "--check"])
+    assert code == 0 and json.loads(out)["r"] == 10
+    assert calls == [(20, 9)]
+
+
 @pytest.mark.parametrize("argv", [
     ["interval", "--n", "30", "--r", "3", "--c-low", "0", "--c-high", "0", "--check"],
     ["witness7", "--n", "30000"],

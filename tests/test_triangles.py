@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from edgespectra.triangles import (
@@ -5,6 +7,7 @@ from edgespectra.triangles import (
     UpperDecomp,
     decompose_lower,
     decompose_upper,
+    int_roots,
     tri,
     tri_root,
 )
@@ -21,6 +24,38 @@ def test_tri_root():
     assert tri_root(2) is None
     assert tri_root(222111) == 667
     assert tri_root(-1) is None
+
+
+def test_int_roots_small_by_definition():
+    # |root| <= 1 + max(|p|, |q|), so the scan below sees every integer root
+    for p in range(-20, 21):
+        for q in range(-100, 101):
+            hits = [x for x in range(-105, 106) if x * x - p * x + q == 0]
+            expect = tuple(sorted((hits[0], p - hits[0]))) if hits else ()
+            assert int_roots(p, q) == expect, (p, q)
+
+
+def test_int_roots_beyond_64_bits():
+    rng = random.Random(64)
+    for _ in range(2000):
+        a, b = sorted(rng.randrange(-(2 ** 90), 2 ** 90) for _ in range(2))
+        assert int_roots(a + b, a * b) == (a, b)
+        if b - a > 2:  # discriminant (b - a)^2 - 4 is then not a square
+            assert int_roots(a + b, a * b + 1) == ()
+    k = 2 ** 70  # 4k^2 - 4 rounds to the square 4k^2 in floating point
+    assert int_roots(2 * k, 1) == ()
+    assert int_roots(2 * k, k * k) == (k, k)
+    assert int_roots(0, 1) == ()
+
+
+def test_decompositions_satisfy_their_inequalities():
+    rng = random.Random(40)
+    near = [tri(rng.randrange(10 ** 19, 10 ** 20)) + d for _ in range(500) for d in (-1, 0, 1)]
+    far = [rng.randrange(10 ** 39, 10 ** 40) for _ in range(2000)]
+    for f in [*range(1, 100_001), *near, *far]:
+        up, low = decompose_upper(f), decompose_lower(f)
+        assert tri(up.ell) <= f < tri(up.ell + 1) and up.value() == f
+        assert tri(low.b - 1) < f <= tri(low.b) and low.value() == f
 
 
 def test_upper_examples():
