@@ -296,9 +296,7 @@ def triple_identity(m: int, f: int) -> Optional[TripleIdentity]:
         return None
     # c(m - c) = f  <=>  c^2 - m*c + f = 0
     c = next((x for x in int_roots(m, f) if x >= 1), None)
-    if c is None:
-        return None
-    return TripleIdentity(a=a, b=b, c=c)
+    return None if c is None else TripleIdentity(a=a, b=b, c=c)
 
 
 # ---------------------------------------------------------------------------

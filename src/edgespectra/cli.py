@@ -101,7 +101,7 @@ def _cmd_classify(args) -> dict:
             "rule_upper": _frac(v.rule_upper()), "trace": [t.as_dict() for t in v.trace]}
 
 def _cmd_minr(args) -> dict:
-    parts = certify.min_r_witness(args.m, args.f)  # the rank is its part count less one
+    parts = certify.min_r_witness(args.m, args.f)
     if args.check and parts is not None:
         _require(min(parts) >= 1 and sum(parts) == args.m and sum(tri(p) for p in parts) == args.f,
                  "minimal-rank witness does not re-validate")

@@ -74,8 +74,6 @@ def decompose_upper(f: int) -> UpperDecomp:
     """
     if f < 0:
         raise ValueError(f"edge count must be non-negative, got {f}")
-    if f == 0:
-        return UpperDecomp(1, 0)
     # tri(ell) <= f  <=>  (2*ell - 1)^2 <= 1 + 8f, so this is the largest such ell
     ell = (1 + isqrt(1 + 8 * f)) // 2
     return UpperDecomp(ell, f - tri(ell))
