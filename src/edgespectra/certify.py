@@ -12,10 +12,12 @@ The special set SPECIAL_PAIRS is closed under complement, so membership
 can be tested on the pair as given.
 
 The minimal clique rank comes from one search, min_r_witness: closed forms
-for one, two and three parts, then a recursive largest-part-first search
-(_find_rep) for four parts and more.  min_r is the witness's part count
-less one, so the rank and its certificate never disagree.  The closed
-forms solve their quadratics with triangles.int_roots.
+for one and two parts, a loop over the smallest part within a closed-form
+window for three, then a recursive largest-part-first search (_find_rep)
+for four parts and more.  min_r is the witness's part count less one, so
+the rank and its certificate never disagree.  Every step is exact integer
+arithmetic: the quadratics are solved with triangles.int_roots, and
+nothing here is fixed-width.
 """
 
 from __future__ import annotations
@@ -24,8 +26,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import isqrt
 from typing import Optional
-
-import numpy as np
 
 from .triangles import decompose_lower, decompose_upper, int_roots, tri, tri_root
 
@@ -162,47 +162,25 @@ def two_part_witness(m: int, f: int) -> Optional[tuple[int, int]]:
     return None
 
 
-def _np_square_roots(vals: np.ndarray) -> np.ndarray:
-    """Exact integer square roots where vals is a perfect square, else -1."""
-    out = np.full(vals.shape, -1, dtype=np.int64)
-    nonneg = vals >= 0
-    approx = np.sqrt(vals[nonneg].astype(np.float64))
-    base = np.floor(approx).astype(np.int64)
-    found = np.full(base.shape, -1, dtype=np.int64)
-    target = vals[nonneg]
-    for delta in (-1, 0, 1):
-        cand = base + delta
-        ok = (cand >= 0) & (cand * cand == target)
-        found[ok] = cand[ok]
-    out[nonneg] = found
-    return out
-
-
-_CHUNK = 1 << 20  # smallest parts scanned per numpy pass
-
-
 def three_part_witness(m: int, f: int) -> Optional[tuple[int, int, int]]:
     """(x, y, z) with x >= y >= z >= 1, x+y+z = m, tri sums to f; else None.
 
-    Scans the smallest part z and resolves the rest with the two-part
-    closed form; vectorized so that m in the tens of millions stays fast.
+    Every such triple satisfies (3z - m)^2 + 3(x - y)^2 = N with
+    N = 12f + 6m - 2m^2, so the smallest part z starts where
+    (m - 3z)^2 <= N first holds, and y >= z holds only while
+    4(m - 3z)^2 >= N.  The loop walks z upward through that window and
+    solves for the other two parts with two_part_witness; the first hit
+    has the smallest z.  Exact at any size.
     """
-    if m < 3:
+    n = 12 * f + 6 * m - 2 * m * m
+    if m < 3 or n < 0:
         return None
-    for z0 in range(1, m // 3 + 1, _CHUNK):
-        z = np.arange(z0, min(z0 + _CHUNK, m // 3 + 1), dtype=np.int64)
-        rest_f = f - z * (z - 1) // 2
-        rest_m = m - z
-        disc = 4 * rest_f - rest_m * (rest_m - 2)
-        roots = _np_square_roots(disc)
-        ok = (roots >= 0) & ((rest_m + roots) % 2 == 0)
-        if not ok.any():
-            continue
-        for zi in z[ok]:
-            zi = int(zi)
-            w = two_part_witness(m - zi, f - tri(zi))
-            if w is not None and w[1] >= zi:
-                return (w[0], w[1], zi)
+    for z in range(max(1, -(-(m - isqrt(n)) // 3)), m // 3 + 1):
+        if 4 * (m - 3 * z) ** 2 < n:
+            break
+        w = two_part_witness(m - z, f - tri(z))
+        if w is not None and w[1] >= z:
+            return (w[0], w[1], z)
     return None
 
 
@@ -246,7 +224,8 @@ def _find_rep(f: int, v: int, j: int, cap: int) -> Optional[tuple[int, ...]]:
 def min_r_witness(m: int, f: int) -> Optional[tuple[int, ...]]:
     """A partition realizing min_r(m, f), nonincreasing; None if absent.
 
-    Tries one, two and three parts by closed forms, then j = 4, 5, ...
+    Tries one and two parts by closed forms and three by
+    three_part_witness, then j = 4, 5, ...
     parts by a largest-part-first search, whose first hit is the
     lexicographically largest partition with j parts.
     """
@@ -320,8 +299,6 @@ def classify_pair(m: int, f: int) -> Verdict:
         one = Fraction(1)
         return Verdict(exact=one, upper=one, lower=one, trace=tuple(trace))
 
-    complement_used = False
-
     # rule (iv): decompose upward; excess at least m - ell forces density 0
     exact_zero = False
     for side, g in sides:
@@ -329,7 +306,6 @@ def classify_pair(m: int, f: int) -> Verdict:
         if dec.ell < m and dec.ellp >= m - dec.ell:
             trace.append(TraceEntry("iv", side, (("l", dec.ell), ("lp", dec.ellp))))
             exact_zero = True
-            complement_used |= side == "complement"
 
     # rules (ii), (iii), (v): each caps the density at 1/2
     half = False
@@ -338,17 +314,14 @@ def classify_pair(m: int, f: int) -> Verdict:
         if not wlo <= g <= whi:
             trace.append(TraceEntry("ii", side, (("f", g), ("window", (wlo, whi)))))
             half = True
-            complement_used |= side == "complement"
         if g >= 1:
             dec = decompose_lower(g)
             if 2 * dec.bp > dec.b and dec.bp < dec.b - 1:
                 trace.append(TraceEntry("iii", side, (("b", dec.b), ("bp", dec.bp))))
                 half = True
-                complement_used |= side == "complement"
         if dm_witness(g, m) is None:
             trace.append(TraceEntry("v", side, (("f", g),)))
             half = True
-            complement_used |= side == "complement"
 
     # lower bounds / exactness from the minimal clique rank, on either side
     exact_val: Optional[Fraction] = None
@@ -370,9 +343,9 @@ def classify_pair(m: int, f: int) -> Verdict:
         else:
             trace.append(TraceEntry("thm-lower-1/r", side, params))
             lower = max(lower or Fraction(0), Fraction(1, r))
-        complement_used |= side == "complement"
 
-    if complement_used:
+    # rule (i): whatever fired on the complement holds for the pair
+    if any(t.side == "complement" for t in trace):
         trace.insert(0, TraceEntry("i", "pair", (("f", f), ("complement", fc))))
 
     if exact_zero:

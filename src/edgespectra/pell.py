@@ -23,7 +23,8 @@ DEFAULT_C_LIMIT = 10 ** 7
 
 
 class SkippedExhaustive(Exception):
-    """The two-clique exhaustive scan was not run because m exceeds the limit."""
+    """The two-clique exhaustive scan was not run because m exceeds the
+    limit or is too large for its int64 arithmetic."""
 
 
 @dataclass(frozen=True)
@@ -93,8 +94,13 @@ def scan_two_clique_partitions(m: int, f: int) -> tuple[int | None, int]:
 
     Returns (first matching y1 or None, number of values scanned).  This
     is the brute-force audit route; the algebraic route lives in
-    certify.two_part_witness.
+    certify.two_part_witness.  Raises SkippedExhaustive when the int64
+    edge counts could wrap, that is when (m - 1)(m - 2) >= 2^63.
     """
+    if (m - 1) * (m - 2) >= 1 << 63:
+        raise SkippedExhaustive(
+            f"m={m} is too large for the int64 scan: (m - 1)(m - 2) >= 2^63"
+        )
     scanned = 0
     for start in range(1, m // 2 + 1, _C_SCAN_CHUNK):
         y1 = np.arange(start, min(start + _C_SCAN_CHUNK, m // 2 + 1), dtype=np.int64)
@@ -129,7 +135,9 @@ def verify_ABC(pair: FamilyPair, exhaustive_c_limit: int = DEFAULT_C_LIMIT) -> A
     (C) no two-clique representation, confirmed by exhaustive scan.
 
     Raises SkippedExhaustive instead of silently passing when m exceeds
-    the scan limit; rerun with a higher limit to complete (C).
+    the scan limit; rerun with a higher limit to complete (C).  Above
+    m of about 3.04 * 10^9 the scan's int64 values would wrap, and it
+    raises at any limit.
     """
     m, f = pair.m, pair.f
     if m > exhaustive_c_limit:

@@ -11,6 +11,7 @@ from unittest import mock
 import numpy as np
 
 from edgespectra import squares
+from edgespectra.certify import two_part_witness
 from edgespectra.cliquespec import EdgeSpectrum
 from edgespectra.graphs import canonical_reps, subset_pair_mask
 from edgespectra.repcount import RepHistogram
@@ -101,3 +102,42 @@ def dedup_counterexamples(n: int, m: int) -> dict[tuple[int, int], int]:
             if f not in achieved:
                 first.setdefault((g.bit_count(), f), g)
     return first
+
+
+def _np_square_roots(vals: np.ndarray) -> np.ndarray:
+    """Exact integer square roots where vals is a perfect square, else -1."""
+    out = np.full(vals.shape, -1, dtype=np.int64)
+    nonneg = vals >= 0
+    approx = np.sqrt(vals[nonneg].astype(np.float64))
+    base = np.floor(approx).astype(np.int64)
+    found = np.full(base.shape, -1, dtype=np.int64)
+    target = vals[nonneg]
+    for delta in (-1, 0, 1):
+        cand = base + delta
+        ok = (cand >= 0) & (cand * cand == target)
+        found[ok] = cand[ok]
+    out[nonneg] = found
+    return out
+
+
+def three_part_witness_scan(m: int, f: int) -> Optional[tuple[int, int, int]]:
+    """certify.three_part_witness by a scan of every smallest part z from 1
+    to m // 3 in int64 numpy chunks: the rest has two parts only where
+    4(f - tri(z)) - (m - z)(m - z - 2) is a perfect square of the parity
+    of m - z, and two_part_witness confirms each such z.  Exact only while
+    the discriminants fit in int64 (m below about 2 * 10^9)."""
+    if m < 3:
+        return None
+    chunk = 1 << 20  # smallest parts scanned per numpy pass
+    for z0 in range(1, m // 3 + 1, chunk):
+        z = np.arange(z0, min(z0 + chunk, m // 3 + 1), dtype=np.int64)
+        rest_f = f - z * (z - 1) // 2
+        rest_m = m - z
+        disc = 4 * rest_f - rest_m * (rest_m - 2)
+        roots = _np_square_roots(disc)
+        ok = (roots >= 0) & ((rest_m + roots) % 2 == 0)
+        for zi in z[ok].tolist():
+            w = two_part_witness(m - zi, f - tri(zi))
+            if w is not None and w[1] >= zi:
+                return (w[0], w[1], zi)
+    return None

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -16,6 +17,7 @@ from edgespectra.certify import (
 )
 from edgespectra.cliquespec import spectrum
 from edgespectra.triangles import tri
+from oracles import three_part_witness_scan
 
 HALF = Fraction(1, 2)
 
@@ -153,6 +155,34 @@ def test_part_witnesses_validate():
         w3 = three_part_witness(m, f)
         if w3:
             assert sum(w3) == m and sum(tri(p) for p in w3) == f and min(w3) >= 1
+
+
+def _seeded_three_part_pairs(count, seed):
+    """Pairs (m, f - 1), (m, f), (m, f + 1) with f the edge count of a
+    random triple x >= y >= z summing to m <= 10^6.  The smallest part is
+    drawn within 2000 of m / 3, so at large m the search window stays
+    short; for m up to about 6000 it is drawn from all of [1, m / 3]."""
+    rng = random.Random(seed)
+    pairs = []
+    while len(pairs) < count:
+        m = rng.randint(3, 10 ** rng.randint(1, 6))
+        z = rng.randint(max(1, m // 3 - 2000), m // 3)
+        y = rng.randint(z, (m - z) // 2)
+        f = tri(m - z - y) + tri(y) + tri(z)
+        pairs += [(m, g) for g in (f - 1, f, f + 1) if 0 <= g <= tri(m)]
+    return pairs
+
+
+def test_three_part_witness_matches_scan():
+    for m in range(2, 41):
+        for f in range(tri(m) + 1):
+            assert three_part_witness(m, f) == three_part_witness_scan(m, f), (m, f)
+    hits = 0
+    for m, f in _seeded_three_part_pairs(500, seed=8):
+        w = three_part_witness(m, f)
+        assert w == three_part_witness_scan(m, f), (m, f)
+        hits += w is not None
+    assert 100 < hits < 400  # both hits and misses are covered
 
 
 # -- triple identities ------------------------------------------------------

@@ -72,6 +72,19 @@ def test_classify_payload(capsys):
     assert any(t["rule"] == "iv" for t in payload["trace"])
 
 
+def test_classify_family_pair_beyond_int64(capsys):
+    # family_pair(4): the rank-2 certificate needs exact integers
+    code, out, err = run_cli(capsys, ["classify", "--m", "18270687362",
+                                      "--f", "60087242994716684736", "--check"])
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["exact_frac"] == "1/2"
+    assert any(t["rule"] == "thm-exact-1/r" and t["params"]["r"] == 2 for t in payload["trace"])
+    man = _manifest(err)
+    assert man["subcommand"] == "classify"
+    assert man["output_digest"] == hashlib.sha256(out.encode()).hexdigest()
+
+
 def test_pell_payload(capsys):
     code, out, _ = run_cli(capsys, ["pell", "--k", "1"])
     assert code == 0

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from edgespectra.certify import classify_pair, min_r, two_part_witness
+from edgespectra.certify import classify_pair, min_r, three_part_witness, two_part_witness
 from edgespectra.pell import (
     FamilyPair,
     SkippedExhaustive,
@@ -71,6 +71,16 @@ def test_verify_abc_skip_is_loud():
         verify_ABC(family_pair(3))  # m ~ 7.2e7 exceeds the default limit
 
 
+def test_verify_abc_refuses_int64_wraparound():
+    # m = 18270687362: at y1 = 1 the scan's int64 value would wrap, whatever the limit
+    with pytest.raises(SkippedExhaustive, match="int64"):
+        verify_ABC(family_pair(4), exhaustive_c_limit=10 ** 11)
+    m = 3037000501  # the largest m with (m - 1)(m - 2) < 2^63
+    assert (m - 1) * (m - 2) < 1 << 63 <= m * (m - 1)
+    with pytest.raises(SkippedExhaustive, match="int64"):
+        scan_two_clique_partitions(m + 1, 0)
+
+
 def test_two_clique_counterexample_shape():
     # (m, f) = (6, 6) is expressible: y1 = 3 gives tri(3) + tri(3) = 6
     hit, _ = scan_two_clique_partitions(6, 6)
@@ -88,8 +98,9 @@ def test_scan_agrees_with_closed_form():
 
 
 def test_family_min_rank_and_verdict():
-    for k in (1, 2, 3):
+    for k in range(1, 8):
         fp = family_pair(k)
+        assert three_part_witness(fp.m, fp.f) == fp.triple_witness(), k
         assert min_r(fp.m, fp.f) == 2, k
         v = classify_pair(fp.m, fp.f)
         assert v.exact == Fraction(1, 2), k
