@@ -11,13 +11,18 @@ every rule that fired.
 The special set SPECIAL_PAIRS is closed under complement, so membership
 can be tested on the pair as given.
 
-The minimal clique rank comes from one search, min_r_witness: closed forms
-for one and two parts, a loop over the smallest part within a closed-form
-window for three, then a recursive largest-part-first search (_find_rep)
-for four parts and more.  min_r is the witness's part count less one, so
-the rank and its certificate never disagree.  Every step is exact integer
-arithmetic: the quadratics are solved with triangles.int_roots, and
-nothing here is fixed-width.
+Verdict.validate re-checks a verdict by substitution into the rules that
+fired.
+
+The minimal clique rank comes from one search, min_r_witness: one loop
+over the part count j, each step a call of _find_rep.  That gives one and
+two parts by closed forms, three by three_part_witness (a loop over the
+smallest part within a closed-form window), and more by trying largest
+parts from the top, recursing down to three_part_witness with the largest
+part capped.  min_r is the witness's part count less one, so the rank and
+its certificate never disagree.  Every step is exact integer arithmetic:
+the quadratics are solved with triangles.int_roots, and nothing here is
+fixed-width.
 """
 
 from __future__ import annotations
@@ -96,6 +101,81 @@ class Verdict:
     def fired(self, rule: str) -> list[TraceEntry]:
         return [t for t in self.trace if t.rule == rule]
 
+    def validate(self, m: int, f: int) -> None:
+        """Re-check the verdict on (m, f) by substitution; AssertionError if
+        it fails.  Each entry's parameters must satisfy its rule's condition
+        against m and its side's edge count g (f, or tri(m) - f on the
+        complement), rule (i) must be present exactly when an entry is on
+        the complement, and exact, upper and lower must follow from the
+        entries.  Rule (v) (g has no D(m) witness) and the minimality of r
+        in a thm-exact/thm-lower entry are non-existence claims, which
+        substitution cannot re-check: only their edge counts are checked.
+        """
+        half = any(t.rule in ("ii", "iii", "v") for t in self.trace)
+        for t in self.trace:
+            if not _entry_holds(t, m, f, half):
+                raise AssertionError(f"trace entry {t.as_dict()} does not hold for ({m},{f})")
+        rules = {t.rule for t in self.trace}
+        if ("i" in rules) != any(t.side == "complement" for t in self.trace):
+            raise AssertionError(f"rule (i) entry disagrees with the complement entries for ({m},{f})")
+        exact = {Fraction(1, dict(t.params)["r"]) for t in self.fired("thm-exact-1/r")}
+        lower = max((Fraction(1, dict(t.params)["r"]) for t in self.fired("thm-lower-1/r")), default=None)
+        upper = Fraction(1, 2) if half else Fraction(2, 3)
+        if len(exact) > 1 or any(e > upper for e in exact) or ("iv" in rules and (exact or lower)):
+            raise AssertionError(f"conflicting bounds in the trace for ({m},{f})")
+        if "A" in rules:
+            expect = (Fraction(1),) * 3
+        elif "iv" in rules:
+            expect = (Fraction(0),) * 3
+        elif exact:
+            expect = (min(exact),) * 3
+        else:
+            expect = (None, upper, lower)
+        if (self.exact, self.upper, self.lower) != expect:
+            raise AssertionError(f"bounds {(self.exact, self.upper, self.lower)} do not follow "
+                                 f"from the trace for ({m},{f}): expected {expect}")
+
+
+#: The parameter names of each trace rule, and whether it speaks of the
+#: pair (True) or of one side, f or its complement (False).
+_RULE_PARAMS = {
+    "A": ({"m", "f"}, True), "i": ({"f", "complement"}, True),
+    "iv": ({"l", "lp"}, False), "ii": ({"f", "window"}, False),
+    "iii": ({"b", "bp"}, False), "v": ({"f"}, False),
+    "thm-exact-1/r": ({"r", "a", "b", "c"}, False), "thm-lower-1/r": ({"r", "a", "b", "c"}, False),
+    "thm-upper-2/3": (set(), True), "thm-upper-1/2": (set(), True),
+}
+
+
+def _entry_holds(t: TraceEntry, m: int, f: int, half: bool) -> bool:
+    """Whether trace entry t satisfies its rule's condition on (m, f);
+    half says whether a rule capping the density at 1/2 fired."""
+    keys, on_pair = _RULE_PARAMS.get(t.rule, (None, None))
+    p = dict(t.params)
+    if set(p) != keys or t.side not in (("pair",) if on_pair else ("f", "complement")):
+        return False
+    g = f if t.side == "f" else tri(m) - f
+    if t.rule == "A":
+        return p == {"m": m, "f": f} and (m, f) in SPECIAL_PAIRS
+    if t.rule == "i":
+        return p == {"f": f, "complement": tri(m) - f}
+    if t.rule == "iv":
+        return g == tri(p["l"]) + p["lp"] and 0 <= p["lp"] < p["l"] < m and p["lp"] >= m - p["l"]
+    if t.rule == "ii":
+        wlo, whi = _window(m)
+        return p["f"] == g and p["window"] == (wlo, whi) and not wlo <= g <= whi
+    if t.rule == "iii":
+        return g == tri(p["b"]) - p["bp"] and p["b"] < 2 * p["bp"] < 2 * p["b"] - 2
+    if t.rule == "v":
+        return p["f"] == g
+    if t.rule in ("thm-exact-1/r", "thm-lower-1/r"):
+        r = p["r"]
+        return (g == tri(p["a"]) == tri(m) - tri(p["b"]) == p["c"] * (m - p["c"]) and r >= 2
+                and (r == 2 or r >= 5) == (t.rule == "thm-exact-1/r"))
+    if t.rule == "thm-upper-2/3":
+        return not half
+    return (m, f) not in SPECIAL_PAIRS  # thm-upper-1/2, the universal bound off the special set
+
 
 # ---------------------------------------------------------------------------
 # D(m) membership
@@ -162,25 +242,29 @@ def two_part_witness(m: int, f: int) -> Optional[tuple[int, int]]:
     return None
 
 
-def three_part_witness(m: int, f: int) -> Optional[tuple[int, int, int]]:
-    """(x, y, z) with x >= y >= z >= 1, x+y+z = m, tri sums to f; else None.
+def three_part_witness(m: int, f: int, cap: Optional[int] = None) -> Optional[tuple[int, int, int]]:
+    """(x, y, z) with cap >= x >= y >= z >= 1, x+y+z = m, tri sums to f,
+    and z smallest; None if there is none.  cap defaults to m.
 
     Every such triple satisfies (3z - m)^2 + 3(x - y)^2 = N with
     N = 12f + 6m - 2m^2, so the smallest part z starts where
     (m - 3z)^2 <= N first holds, and y >= z holds only while
-    4(m - 3z)^2 >= N.  The loop walks z upward through that window and
-    solves for the other two parts with two_part_witness; the first hit
-    has the smallest z.  Exact at any size.
+    4(m - 3z)^2 >= N; by the same identity in x, y <= x needs
+    4(3x - m)^2 >= N, so a cap below that admits nothing.  The loop walks
+    z upward through the window and solves for the other two parts with
+    two_part_witness.  Along the window x grows with z, so the first hit
+    decides: it fits under the cap or no later hit does.  Exact at any size.
     """
     n = 12 * f + 6 * m - 2 * m * m
-    if m < 3 or n < 0:
+    cap = m if cap is None else cap
+    if m < 3 or n < 0 or 3 * cap < m or 4 * (3 * cap - m) ** 2 < n:
         return None
     for z in range(max(1, -(-(m - isqrt(n)) // 3)), m // 3 + 1):
         if 4 * (m - 3 * z) ** 2 < n:
             break
         w = two_part_witness(m - z, f - tri(z))
         if w is not None and w[1] >= z:
-            return (w[0], w[1], z)
+            return (w[0], w[1], z) if w[0] <= cap else None
     return None
 
 
@@ -201,12 +285,10 @@ def _parts_max_edges(v: int, j: int, cap: int) -> int:
 
 
 def _find_rep(f: int, v: int, j: int, cap: int) -> Optional[tuple[int, ...]]:
-    """The lexicographically largest partition of v into exactly j parts in
-    [1, cap] with edge sum f, nonincreasing; None if there is none."""
-    if j == 0:
-        return () if v == 0 and f == 0 else None
-    if v < j or f < 0:
-        return None
+    """A partition of v into exactly j >= 1 parts in [1, cap] with edge sum
+    f >= 0, nonincreasing; None if there is none.  The parts before the last
+    three are the lexicographically largest that admit a completion, and
+    the last three are three_part_witness's, the smallest smallest part."""
     if j == 1:
         return (v,) if v <= cap and tri(v) == f else None
     if f < _parts_min_edges(v, j) or f > _parts_max_edges(v, j, cap):
@@ -214,7 +296,11 @@ def _find_rep(f: int, v: int, j: int, cap: int) -> Optional[tuple[int, ...]]:
     if j == 2:
         w = two_part_witness(v, f)
         return w if w is not None and w[0] <= cap else None
-    for a in range(min(cap, v - (j - 1)), -(-v // j) - 1, -1):
+    if j == 3:
+        return three_part_witness(v, f, cap)
+    # a part with tri(a) > f would leave a negative rest: start below those
+    top = min(cap, v - (j - 1), (1 + isqrt(1 + 8 * f)) // 2)
+    for a in range(top, -(-v // j) - 1, -1):
         rest = _find_rep(f - tri(a), v - a, j - 1, a)
         if rest is not None:
             return (a,) + rest
@@ -224,18 +310,12 @@ def _find_rep(f: int, v: int, j: int, cap: int) -> Optional[tuple[int, ...]]:
 def min_r_witness(m: int, f: int) -> Optional[tuple[int, ...]]:
     """A partition realizing min_r(m, f), nonincreasing; None if absent.
 
-    Tries one and two parts by closed forms and three by
-    three_part_witness, then j = 4, 5, ...
-    parts by a largest-part-first search, whose first hit is the
-    lexicographically largest partition with j parts.
+    It has the fewest parts; the parts before the last three are the
+    lexicographically largest possible, and the last three are the triple
+    with the smallest smallest part.
     """
     PairMF(m, f)
-    if f == tri(m):
-        return (m,)
-    w = two_part_witness(m, f) or three_part_witness(m, f)
-    if w is not None:
-        return w
-    for j in range(4, m + 1):
+    for j in range(1, m + 1):
         w = _find_rep(f, m, j, m)
         if w is not None:
             return w

@@ -92,9 +92,7 @@ def _cmd_interval(args) -> tuple[dict, int]:
 def _cmd_classify(args) -> dict:
     v = certify.classify_pair(args.m, args.f)
     if args.check:
-        vc = certify.classify_pair(args.m, tri(args.m) - args.f)
-        _require((v.exact, v.upper, v.lower) == (vc.exact, vc.upper, vc.lower),
-                 "complement verdict mismatch")
+        v.validate(args.m, args.f)
     bounds = {"exact": v.exact, "upper": v.upper, "lower": v.lower}
     return {"m": args.m, "f": args.f, **{k: _frac(x) for k, x in bounds.items()},
             **{f"{k}_frac": None if x is None else str(x) for k, x in bounds.items()},

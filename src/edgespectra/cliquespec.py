@@ -206,6 +206,13 @@ def _layer(prev: list[int], k: int, cap: int) -> list[int]:
     return [_row(prev, v, k) for v in range(cap + 1)]
 
 
+def _check_n_r(n: int, r: int) -> None:
+    if n < 0:
+        raise ValueError(f"n must be >= 0, got {n}")
+    if r < 1:
+        raise ValueError(f"r must be >= 1, got {r}")
+
+
 def spectrum(n: int, r: int, *, max_table_bits: int | None = None,
              witnesses: bool = False) -> EdgeSpectrum:
     """Exact C(n, r): edge sums of unions of at most r cliques on n vertices.
@@ -215,10 +222,7 @@ def spectrum(n: int, r: int, *, max_table_bits: int | None = None,
     cached, so member_witness calls for the same (n, r) that follow
     backtrack through them instead of running the DP again.
     """
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
-    if r < 1:
-        raise ValueError(f"r must be >= 1, got {r}")
+    _check_n_r(n, r)
     k_eff = min(r, max(n, 1))  # more than n parts only adds empty cliques
     if witnesses:  # called as member_witness calls it: lru_cache keys by form
         return EdgeSpectrum(n=n, r=r, mask=_witness_tables(n, k_eff, max_table_bits)[1])
@@ -243,12 +247,14 @@ def _witness_tables(n: int, r: int, max_table_bits: int | None = None) -> tuple[
 
 def member_witness(n: int, r: int, m: int, *, max_table_bits: int | None = None) -> CliquePartition | None:
     """A clique partition realizing edge sum m, or None when m is not in C(n, r).
+    n and r are checked as spectrum checks them.
 
     Deterministic: at each step the largest feasible part is taken.
     """
+    _check_n_r(n, r)
     if m < 0 or m > tri(n):
         return None
-    r = min(max(r, 1), max(n, 1))
+    r = min(r, max(n, 1))
     layers, top = _witness_tables(n, r, max_table_bits)
     if not (top >> m) & 1:
         return None
@@ -296,9 +302,9 @@ def _density_report(n: int, r: int, mask: int) -> DensityReport:
                          bounds_ok=_bounds_ok(n, r, count, min_el))
 
 
-def density_and_bounds(n: int, r: int, *, max_table_bits: int | None = None) -> DensityReport:
+def density_and_bounds(n: int, r: int) -> DensityReport:
     """Cardinality, density and the two bound checks for C(n, r)."""
-    return _density_report(n, r, spectrum(n, r, max_table_bits=max_table_bits).mask)
+    return _density_report(n, r, spectrum(n, r).mask)
 
 
 def bounds_sweep(n_max: int, r_max: int) -> Iterator[DensityReport]:
@@ -323,15 +329,7 @@ class IntervalReport:
     hi: int
 
 
-def verify_interval(
-    n: int,
-    r: int,
-    c_low: float,
-    c_high: float,
-    *,
-    clip: bool = False,
-    max_table_bits: int | None = None,
-) -> IntervalReport:
+def verify_interval(n: int, r: int, c_low: float, c_high: float, *, clip: bool = False) -> IntervalReport:
     """Check that every integer in [n^2/2r + c_low*n, (n^2-n)/2 - c_high*n^1.5]
     belongs to C(n, r); on failure report the smallest missing integer.
 
@@ -342,7 +340,7 @@ def verify_interval(
 
     lo = math.ceil(n * n / (2 * r) + c_low * n)
     hi = math.floor((n * n - n) / 2 - c_high * n * math.sqrt(n))
-    spec = spectrum(n, r, max_table_bits=max_table_bits)
+    spec = spectrum(n, r)
     if clip and spec.mask:
         lo = max(lo, spec.min_element)
         hi = min(hi, spec.max_element)
@@ -358,13 +356,13 @@ def verify_interval(
     return IntervalReport(ok=False, first_gap=gap, vacuous=False, lo=lo, hi=hi)
 
 
-def shift_inclusion_check(n: int, r: int, *, max_table_bits: int | None = None) -> bool:
+def shift_inclusion_check(n: int, r: int) -> bool:
     """Every element of C(n - floor(n/(r+1)), r), shifted by the edge count of
     one clique on floor(n/(r+1)) vertices, lands inside C(n, r+1)."""
     if n < r + 1:
         raise ValueError(f"need n >= r+1, got n={n}, r={r}")
     s = n // (r + 1)
-    small = spectrum(n - s, r, max_table_bits=max_table_bits)
-    big = spectrum(n, r + 1, max_table_bits=max_table_bits)
+    small = spectrum(n - s, r)
+    big = spectrum(n, r + 1)
     shifted = small.mask << tri(s)
     return shifted | big.mask == big.mask

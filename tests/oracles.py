@@ -120,12 +120,14 @@ def _np_square_roots(vals: np.ndarray) -> np.ndarray:
     return out
 
 
-def three_part_witness_scan(m: int, f: int) -> Optional[tuple[int, int, int]]:
+def three_part_witness_scan(m: int, f: int, cap: Optional[int] = None) -> Optional[tuple[int, int, int]]:
     """certify.three_part_witness by a scan of every smallest part z from 1
     to m // 3 in int64 numpy chunks: the rest has two parts only where
     4(f - tri(z)) - (m - z)(m - z - 2) is a perfect square of the parity
-    of m - z, and two_part_witness confirms each such z.  Exact only while
-    the discriminants fit in int64 (m below about 2 * 10^9)."""
+    of m - z, and two_part_witness confirms each such z.  A hit whose
+    largest part exceeds cap is skipped and the scan goes on, so it does
+    not rely on the largest part growing with z.  Exact only while the
+    discriminants fit in int64 (m below about 2 * 10^9)."""
     if m < 3:
         return None
     chunk = 1 << 20  # smallest parts scanned per numpy pass
@@ -138,6 +140,6 @@ def three_part_witness_scan(m: int, f: int) -> Optional[tuple[int, int, int]]:
         ok = (roots >= 0) & ((rest_m + roots) % 2 == 0)
         for zi in z[ok].tolist():
             w = two_part_witness(m - zi, f - tri(zi))
-            if w is not None and w[1] >= zi:
+            if w is not None and w[1] >= zi and (cap is None or w[0] <= cap):
                 return (w[0], w[1], zi)
     return None

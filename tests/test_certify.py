@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -7,6 +8,7 @@ from edgespectra.certify import (
     TripleIdentity,
     PairMF,
     SPECIAL_PAIRS,
+    TraceEntry,
     classify_pair,
     dm_witness,
     triple_identity,
@@ -118,14 +120,17 @@ def test_min_r_matches_brute():
 
 
 def test_min_r_witness_is_first_brute_partition():
-    # from four parts on, the witness is the first hit of the enumeration order
-    for m in range(2, 15):
+    # the witness has the fewest parts, the lexicographically largest parts
+    # before the last three, and then the triple with the smallest smallest part
+    for m in range(2, 19):
         for f in range(tri(m) + 1):
             r = min_r(m, f)
-            if r is None or r < 3:
+            if r is None:
                 continue
-            first = next(p for p in brute_partitions(m, r + 1, m) if sum(tri(x) for x in p) == f)
+            hits = [p for p in brute_partitions(m, r + 1, m) if sum(tri(x) for x in p) == f]
+            first = min(hits, key=lambda p: (tuple(-x for x in p[:-3]), p[-1]))
             assert min_r_witness(m, f) == first, (m, f)
+    assert min_r_witness(15, 27) == (6, 4, 4, 1)
 
 
 def test_min_r_witness_length_is_rank():
@@ -183,6 +188,29 @@ def test_three_part_witness_matches_scan():
         assert w == three_part_witness_scan(m, f), (m, f)
         hits += w is not None
     assert 100 < hits < 400  # both hits and misses are covered
+
+
+def test_three_part_witness_cap_matches_brute():
+    for m in range(2, 26):
+        for f in range(tri(m) + 1):
+            triples = [p for p in brute_partitions(m, 3, m) if sum(tri(x) for x in p) == f]
+            for cap in range(m + 2):
+                fits = [p for p in triples if p[0] <= cap]
+                expect = min(fits, key=lambda p: p[2]) if fits else None
+                assert three_part_witness(m, f, cap) == expect, (m, f, cap)
+
+
+def test_three_part_witness_cap_matches_scan():
+    rng = random.Random(9)
+    hits = capped = 0
+    for m, f in _seeded_three_part_pairs(300, seed=10):
+        cap = rng.randint(-(-m // 3), m)
+        w = three_part_witness(m, f, cap)
+        assert w == three_part_witness_scan(m, f, cap), (m, f, cap)
+        hits += w is not None
+        capped += w is None and three_part_witness(m, f) is not None
+    # hits, misses and triples that only the cap rules out are all covered
+    assert 30 < hits < 270 and capped > 10
 
 
 # -- triple identities ------------------------------------------------------
@@ -292,3 +320,43 @@ def test_verdict_interval_sanity():
             if v.exact is not None:
                 assert v.exact == v.lower == v.upper
             assert v.rule_upper() in (Fraction(0), HALF, Fraction(1))
+
+
+def test_classify_verdicts_validate():
+    for m in range(2, 31):
+        for f in range(tri(m) + 1):
+            classify_pair(m, f).validate(m, f)
+
+
+def _tampered(v, rule, side=None, **params):
+    """v with its first `rule` entry's side and params overridden."""
+    i = next(i for i, t in enumerate(v.trace) if t.rule == rule)
+    t = v.trace[i]
+    entry = TraceEntry(t.rule, side or t.side, tuple({**dict(t.params), **params}.items()))
+    return dataclasses.replace(v, trace=v.trace[:i] + (entry,) + v.trace[i + 1:])
+
+
+@pytest.mark.parametrize("m,f,tamper", [
+    (7, 12, lambda v: _tampered(v, "iv", lp=3)),
+    (7, 12, lambda v: _tampered(v, "iv", side="complement")),
+    (7, 12, lambda v: _tampered(v, "i", complement=8)),
+    (7, 10, lambda v: _tampered(v, "iii", bp=3)),
+    (7, 10, lambda v: _tampered(v, "v", f=10)),
+    (38, 325, lambda v: _tampered(v, "ii", window=(341, 361))),
+    (38, 325, lambda v: _tampered(v, "thm-lower-1/r", r=5)),
+    (38, 325, lambda v: _tampered(v, "thm-lower-1/r", c=12)),
+    (38, 325, lambda v: _tampered(v, "thm-upper-1/2", side="f")),
+    (38, 325, lambda v: dataclasses.replace(v, trace=v.trace[1:])),
+    (38, 325, lambda v: dataclasses.replace(v, lower=Fraction(1, 3))),
+    (38, 325, lambda v: dataclasses.replace(v, upper=Fraction(2, 3))),
+    (38, 325, lambda v: dataclasses.replace(
+        v, trace=v.trace + (TraceEntry("thm-upper-2/3", "pair"),))),
+    (7, 10, lambda v: dataclasses.replace(
+        v, trace=(TraceEntry("A", "pair", (("m", 7), ("f", 10))),) + v.trace)),
+    (7, 10, lambda v: dataclasses.replace(v, trace=v.trace + (TraceEntry("vi", "pair"),))),
+])
+def test_verdict_validate_rejects_tampering(m, f, tamper):
+    v = classify_pair(m, f)
+    v.validate(m, f)
+    with pytest.raises(AssertionError):
+        tamper(v).validate(m, f)

@@ -1,9 +1,11 @@
 import hashlib
 import json
+import random
 
 import pytest
 
 from edgespectra.cli import main
+from edgespectra.triangles import tri
 
 
 def run_cli(capsys, argv):
@@ -283,11 +285,85 @@ def test_recursion_error_exits_1_with_manifest(capsys, monkeypatch):
 def test_minr_check_runs_one_search(capsys, monkeypatch):
     from edgespectra import certify
 
-    calls, real = [], certify.three_part_witness
-    monkeypatch.setattr(certify, "three_part_witness", lambda m, f: calls.append((m, f)) or real(m, f))
+    calls, real = [], certify.min_r_witness
+    monkeypatch.setattr(certify, "min_r_witness", lambda m, f: calls.append((m, f)) or real(m, f))
     code, out, _ = run_cli(capsys, ["minr", "--m", "20", "--f", "9", "--check"])
     assert code == 0 and json.loads(out)["r"] == 10
     assert calls == [(20, 9)]
+
+
+def test_classify_check_rejects_tampered_entry(capsys, monkeypatch):
+    import dataclasses
+
+    from edgespectra import certify
+
+    real = certify.classify_pair
+
+    def tampered(m, f):
+        v = real(m, f)
+        i = next(i for i, t in enumerate(v.trace) if t.rule == "iv")
+        bad = certify.TraceEntry("iv", v.trace[i].side, (("l", 5), ("lp", 3)))
+        return dataclasses.replace(v, trace=v.trace[:i] + (bad,) + v.trace[i + 1:])
+
+    monkeypatch.setattr(certify, "classify_pair", tampered)
+    code, out, err = run_cli(capsys, ["classify", "--m", "7", "--f", "12", "--check"])
+    assert code == 1 and out == ""
+    assert "check failed:" in err
+    assert _manifest(err)["subcommand"] == "classify"
+
+
+def test_classify_check_runs_one_verdict(capsys, monkeypatch):
+    from edgespectra import certify
+
+    calls, real = [], certify.classify_pair
+    monkeypatch.setattr(certify, "classify_pair", lambda m, f: calls.append((m, f)) or real(m, f))
+    code, out, _ = run_cli(capsys, ["classify", "--m", "38", "--f", "325", "--check"])
+    assert code == 0 and json.loads(out)["lower_frac"] == "1/4"
+    assert calls == [(38, 325)]
+
+
+def _fuzz_argvs(count, seed):
+    """Random classify, minr and dm calls with m <= 300 and witness calls with
+    n <= 60: values reach a little past their ranges on both sides, half
+    carry --check, and one in twenty has a malformed value."""
+    rng = random.Random(seed)
+    argvs = []
+    for _ in range(count):
+        cmd = rng.choice(["classify", "minr", "dm", "witness"])
+        if cmd == "witness":
+            n = rng.randint(-1, 60)
+            argv = [cmd, "--n", n, "--r", rng.randint(0, 6), "--m", rng.randint(-2, tri(max(n, 0)) + 2)]
+        else:
+            m = rng.randint(-1, 300)
+            top = tri(max(m, 0))
+            f = rng.choice([rng.randint(-2, 3), rng.randint(top - 3, top + 2), rng.randint(0, top)])
+            argv = [cmd, "--m", m, "--f", f]
+        argv = [str(a) for a in argv] + ["--check"] * (rng.random() < 0.5)
+        if rng.random() < 0.05:
+            argv[rng.choice((2, 4))] = "1.5"
+        argvs.append(argv)
+    return argvs
+
+
+def test_cli_fuzz_keeps_exit_contract(capsys):
+    # the real (3004, 3003) calls exceed the rank search's recursion limit
+    argvs = _fuzz_argvs(1500, seed=11) + [["minr", "--m", "3004", "--f", "3003"],
+                                          ["classify", "--m", "3004", "--f", "3003", "--check"]]
+    codes = set()
+    for argv in argvs:
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's usage errors
+            code = exc.code
+        err = capsys.readouterr().err
+        lines = err.strip().splitlines()
+        assert code in (0, 1, 2), argv
+        assert _manifest(err)["output_digest"], argv
+        if code:
+            assert any(line.startswith(("error: ", "check failed: ")) or ": error: " in line
+                       for line in lines[:-1]), argv
+        codes.add(code)
+    assert codes == {0, 1, 2}
 
 
 @pytest.mark.parametrize("argv", [

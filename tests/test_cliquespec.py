@@ -80,6 +80,13 @@ def test_member_witness_examples():
     assert member_witness(4, 1, 6).parts == (4,)
 
 
+@pytest.mark.parametrize("n,r", [(1, 0), (5, -1), (-1, 2)])
+def test_member_witness_rejects_bad_n_r(n, r):
+    # as spectrum does: a witness for r = 0 would claim a part it may not have
+    with pytest.raises(ValueError):
+        member_witness(n, r, 0)
+
+
 def test_witness_soundness():
     # The witness takes the largest feasible part at each step, so it is the
     # lexicographically largest partition with at most r parts and edge sum
