@@ -34,13 +34,6 @@ class SpectrumMemoryError(Exception):
     """Requested DP tables exceed the configured memory cap."""
 
 
-def _max_table_bits(override: int | None = None) -> int:
-    if override is not None:
-        return override
-    env = os.environ.get(ENV_MAX_TABLE_BITS)
-    return int(env) if env else _DEFAULT_MAX_TABLE_BITS
-
-
 @dataclass(frozen=True)
 class CliquePartition:
     """Multiset of clique sizes; canonical form is nonincreasing."""
@@ -155,12 +148,13 @@ def _layer_caps(n: int, r: int) -> list[int]:
     return [0] + [(n * k) // r for k in range(1, r)] + [n]
 
 
-def _check_cap(bits_estimate: int, cap_bits: int | None):
-    limit = _max_table_bits(cap_bits)
+def _check_cap(bits_estimate: int):
+    env = os.environ.get(ENV_MAX_TABLE_BITS)
+    limit = int(env) if env else _DEFAULT_MAX_TABLE_BITS
     if bits_estimate > limit:
         raise SpectrumMemoryError(
             f"DP tables need ~{bits_estimate} bits, cap is {limit} "
-            f"(raise via {ENV_MAX_TABLE_BITS} or max_table_bits=)"
+            f"(raise via {ENV_MAX_TABLE_BITS})"
         )
 
 
@@ -213,8 +207,7 @@ def _check_n_r(n: int, r: int) -> None:
         raise ValueError(f"r must be >= 1, got {r}")
 
 
-def spectrum(n: int, r: int, *, max_table_bits: int | None = None,
-             witnesses: bool = False) -> EdgeSpectrum:
+def spectrum(n: int, r: int, *, witnesses: bool = False) -> EdgeSpectrum:
     """Exact C(n, r): edge sums of unions of at most r cliques on n vertices.
 
     With witnesses=True the mask is the top row of the witness tables,
@@ -224,10 +217,10 @@ def spectrum(n: int, r: int, *, max_table_bits: int | None = None,
     """
     _check_n_r(n, r)
     k_eff = min(r, max(n, 1))  # more than n parts only adds empty cliques
-    if witnesses:  # called as member_witness calls it: lru_cache keys by form
-        return EdgeSpectrum(n=n, r=r, mask=_witness_tables(n, k_eff, max_table_bits)[1])
+    if witnesses:
+        return EdgeSpectrum(n=n, r=r, mask=_witness_tables(n, k_eff)[1])
     caps = _layer_caps(n, k_eff)
-    _check_cap(_estimate_bits(caps), max_table_bits)
+    _check_cap(_estimate_bits(caps))
     prev = [1]
     for k in range(1, k_eff):
         prev = _layer(prev, k, caps[k])
@@ -235,17 +228,17 @@ def spectrum(n: int, r: int, *, max_table_bits: int | None = None,
 
 
 @lru_cache(maxsize=6)
-def _witness_tables(n: int, r: int, max_table_bits: int | None = None) -> tuple[list[list[int]], int]:
+def _witness_tables(n: int, r: int) -> tuple[list[list[int]], int]:
     """Layers 0..r-1, each up to its cap, and the top row C(n, r), for backtracking."""
     caps = _layer_caps(n, r)
-    _check_cap(_witness_bits(caps), max_table_bits)
+    _check_cap(_witness_bits(caps))
     layers = [[1]]
     for k in range(1, r):
         layers.append(_layer(layers[-1], k, caps[k]))
     return layers, _row(layers[-1], n, r)
 
 
-def member_witness(n: int, r: int, m: int, *, max_table_bits: int | None = None) -> CliquePartition | None:
+def member_witness(n: int, r: int, m: int) -> CliquePartition | None:
     """A clique partition realizing edge sum m, or None when m is not in C(n, r).
     n and r are checked as spectrum checks them.
 
@@ -255,7 +248,7 @@ def member_witness(n: int, r: int, m: int, *, max_table_bits: int | None = None)
     if m < 0 or m > tri(n):
         return None
     r = min(r, max(n, 1))
-    layers, top = _witness_tables(n, r, max_table_bits)
+    layers, top = _witness_tables(n, r)
     if not (top >> m) & 1:
         return None
     parts: list[int] = []
@@ -338,6 +331,7 @@ def verify_interval(n: int, r: int, c_low: float, c_high: float, *, clip: bool =
     """
     import math
 
+    _check_n_r(n, r)
     lo = math.ceil(n * n / (2 * r) + c_low * n)
     hi = math.floor((n * n - n) / 2 - c_high * n * math.sqrt(n))
     spec = spectrum(n, r)

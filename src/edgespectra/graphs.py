@@ -1,18 +1,20 @@
 """Brute-force ground truth on small graphs.
 
 Labeled n-vertex graphs are bitmasks over the C(n, 2) vertex pairs in
-lexicographic order, enumerated exhaustively for n <= 7 (2^21 masks at
-n = 7).  The inner kernel for every question asked here is "how many edges
-does a vertex subset induce", computed as popcount(edges & subset_pair_mask)
-and vectorized across all masks at once with numpy.
+lexicographic order.  The inner kernel for every question asked here is
+"how many edges does a vertex subset induce", computed as
+popcount(edges & subset_pair_mask) and vectorized with numpy.
 
-n = 8 is reachable only through the isomorphism-reduced path: an
-augmentation catalogue of one representative per isomorphism class.  Each
-candidate is keyed by its edge count and its deck (the class ids of its
-vertex-deleted subgraphs), all candidates of a level at once in numpy.
-The number of distinct keys is checked against the exact Polya count of
-n-vertex graphs, which proves that the keys separate the classes.  Queries
-under dedup run the same kernel over the array of representatives.
+Whether a graph hits (m, f) depends only on its isomorphism class, so arrow
+queries run the kernel over a catalogue of one representative per class.
+Each augmentation candidate is keyed by its edge count and its deck (the
+class ids of its vertex-deleted subgraphs), all candidates of a level at
+once in numpy; the number of distinct keys is checked against the exact
+Polya count, which proves that the keys separate the classes.  The class
+ids come from relabelling every representative under all k! permutations,
+which also gives each class's lowest labeled mask: a labeled query
+(n <= 7) returns the lowest over the failing classes, a dedup query
+(n <= 8) the first failing representative.
 """
 
 from __future__ import annotations
@@ -112,7 +114,7 @@ def _validate_arrow_args(n: int, e: int, m: int, f: int, dedup: bool):
 
 
 # ---------------------------------------------------------------------------
-# Exhaustive tables (vectorized): every labeled graph, or the catalogue reps
+# Exhaustive tables (vectorized) over the catalogue representatives
 # ---------------------------------------------------------------------------
 
 def _achieved(masks: np.ndarray, n: int, m: int) -> np.ndarray:
@@ -124,18 +126,6 @@ def _achieved(masks: np.ndarray, n: int, m: int) -> np.ndarray:
     return achieved
 
 
-@lru_cache(maxsize=3)
-def _popcounts(n: int) -> np.ndarray:
-    arr = np.arange(1 << tri(n), dtype=np.uint32)
-    return np.bitwise_count(arr).astype(np.uint8)
-
-
-@lru_cache(maxsize=4)
-def _achieved_table(n: int, m: int) -> np.ndarray:
-    """_achieved over every labeled graph, indexed by its mask."""
-    return _achieved(np.arange(1 << tri(n), dtype=np.uint32), n, m)
-
-
 @lru_cache(maxsize=8)
 def _rep_tables(n: int, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The catalogue reps as a mask array, their edge counts and _achieved."""
@@ -143,19 +133,10 @@ def _rep_tables(n: int, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return reps, np.bitwise_count(reps), _achieved(reps, n, m)
 
 
-def _scan_tables(n: int, m: int, dedup: bool):
-    """(masks, edge counts, achieved bitsets) of the graphs a query scans,
-    in the order its counterexample is chosen: every labeled graph by mask
-    (masks is then a range), or the catalogue reps in catalogue order."""
-    if dedup:
-        return _rep_tables(n, m)
-    return range(1 << tri(n)), _popcounts(n), _achieved_table(n, m)
-
-
 @lru_cache(maxsize=8)
-def _snm_table(n: int, m: int, dedup: bool) -> np.ndarray:
-    """good[f, e] = every scanned graph with e edges achieves f on some m-subset."""
-    _, pc, ach = _scan_tables(n, m, dedup)
+def _snm_table(n: int, m: int) -> np.ndarray:
+    """good[f, e] = every graph with e edges achieves f on some m-subset."""
+    _, pc, ach = _rep_tables(n, m)
     good = np.ones((tri(m) + 1, tri(n) + 1), dtype=bool)
     for f in range(tri(m) + 1):
         lacking = (ach >> np.uint32(f)) & np.uint32(1) == 0
@@ -181,26 +162,23 @@ class ArrowResult:
 
 def arrow(n: int, e: int, m: int, f: int, *, dedup: bool = False) -> ArrowResult:
     """Does every n-vertex graph with e edges contain an induced m-subset
-    spanning exactly f edges?  On failure the lowest-numbered (or first
-    catalogued, under dedup) counterexample is returned."""
+    spanning exactly f edges?  The answer depends only on the isomorphism
+    class, so the catalogue is scanned.  On failure the lowest-numbered
+    labeled counterexample is returned (the first catalogued one under
+    dedup): the smallest of the lowest labeled masks of the lacking classes."""
     _validate_arrow_args(n, e, m, f, dedup)
-    masks, pc, ach = _scan_tables(n, m, dedup)
-    sel = np.flatnonzero(pc == e)
-    chunk = 1 << 16
-    for i in range(0, sel.size, chunk):
-        block = sel[i:i + chunk]
-        lacking = (ach[block] >> np.uint32(f)) & np.uint32(1) == 0
-        hits = np.flatnonzero(lacking)
-        if hits.size:
-            return ArrowResult(holds=False,
-                               counterexample=GraphMask(n=n, edges=int(masks[block[hits[0]]])))
-    return ArrowResult(holds=True, counterexample=None)
+    reps, pc, ach = _rep_tables(n, m)
+    lacking = (pc == e) & ((ach >> np.uint32(f)) & np.uint32(1) == 0)
+    if not lacking.any():
+        return ArrowResult(holds=True, counterexample=None)
+    edges = reps[lacking.argmax()] if dedup else _class_ids(n)[1][lacking].min()
+    return ArrowResult(holds=False, counterexample=GraphMask(n=n, edges=int(edges)))
 
 
 def compute_Snm(n: int, m: int, f: int, *, dedup: bool = False) -> EdgeSpectrum:
     """The exact set of edge counts e for which arrow(n, e, m, f) holds."""
     _validate_arrow_args(n, 0, m, f, dedup)
-    members = np.flatnonzero(_snm_table(n, m, dedup)[f]).tolist()
+    members = np.flatnonzero(_snm_table(n, m)[f]).tolist()
     return EdgeSpectrum.from_members(n, None, members)
 
 
@@ -349,6 +327,8 @@ def concentration_experiment(
         raise ValueError(f"need 2 <= n <= N, got n={n}, N={N}")
     if not 0 <= E <= tri(N):
         raise ValueError(f"E={E} outside [0, {tri(N)}]")
+    if trials < 0:
+        raise ValueError(f"need trials >= 0, got {trials}")
     rng = np.random.default_rng(seed)
     pl = pair_list(N)
     chosen = rng.choice(tri(N), size=E, replace=False) if E else np.empty(0, dtype=int)
@@ -377,11 +357,13 @@ def concentration_experiment(
     emp_std = float(counts.std()) if trials else 0.0
 
     mu = float(expected_mean)
-    denom = min(n, N - n) * (n - 1) ** 2 if n > 1 else 1
+    # 0 only when N == n: every n-subset is the whole graph, so t is 0 and
+    # the bound is 2 exp(0) = 2
+    denom = min(n, N - n) * (n - 1) ** 2
     tails = []
     for cscale in _TAIL_GRID:
-        t = cscale * (n - 1) * math.sqrt(min(n, N - n)) if N > n else 0.0
-        bound = 2.0 * math.exp(-2.0 * t * t / denom) if denom else 0.0
+        t = cscale * (n - 1) * math.sqrt(min(n, N - n))
+        bound = 2.0 * math.exp(-2.0 * t * t / denom) if denom else 2.0
         observed = float(np.mean(np.abs(counts - mu) >= t)) if trials else 0.0
         se = math.sqrt(max(bound * (1 - bound), 1e-12) / trials) if trials else 0.0
         tails.append(TailCheck(t=t, bound=bound, observed=observed, slack=3 * se))
@@ -448,16 +430,22 @@ def _move_bits(dest: np.ndarray, words: np.ndarray) -> np.ndarray:
     return out
 
 
-def _class_ids(k: int, reps: tuple[int, ...]) -> np.ndarray:
-    """Index into reps of the class of every labeled k-vertex graph, found
-    by relabelling each representative under all k! permutations."""
+@lru_cache(maxsize=None)
+def _class_ids(k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Index into canonical_reps(k) of the class of every labeled k-vertex
+    graph, and the lowest labeled mask of each class, found by relabelling
+    each representative under all k! permutations."""
+    reps = canonical_reps(k)
     ids = np.zeros(1 << tri(k), dtype=np.uint16)
     words = np.array(reps, dtype=np.uint32)
+    lowest = words.copy()
     cls = np.arange(len(reps), dtype=np.uint16)
     perms = np.array(list(permutations(range(k))), dtype=np.intp)
     for lo in range(0, len(perms), _PERM_CHUNK):
-        ids[_move_bits(_pair_dest(perms[lo:lo + _PERM_CHUNK], k), words)] = cls
-    return ids
+        moved = _move_bits(_pair_dest(perms[lo:lo + _PERM_CHUNK], k), words)
+        ids[moved] = cls
+        lowest = np.minimum(lowest, moved.min(axis=0))
+    return ids, lowest
 
 
 @lru_cache(maxsize=None)
@@ -486,7 +474,7 @@ def canonical_reps(n: int) -> tuple[int, ...]:
     # row v maps the n vertices onto n - 1 with v dropped (sent to n - 1)
     deletions = np.array([[u - (u > v) if u != v else n - 1 for u in range(n)]
                           for v in range(n)])
-    deck = _class_ids(n - 1, prev)[_move_bits(_pair_dest(deletions, n - 1), cand)]
+    deck = _class_ids(n - 1)[0][_move_bits(_pair_dest(deletions, n - 1), cand)]
     keys = np.column_stack([np.bitwise_count(cand).astype(np.uint16), np.sort(deck.T, axis=1)])
     # rows by edge count, then deck (lexsort's last key is its primary); a
     # stable sort puts the first candidate of each key at the head of its

@@ -72,6 +72,8 @@ def _perm_weight(x: tuple[int, ...]) -> int:
 def rep_histogram(n: int, N: int, sum_cap: Optional[int] = None,
                   *, max_tuples: int = _MAX_TUPLES) -> RepHistogram:
     """Counts of ordered 4-tuples per realized edge count m."""
+    if n < 0:
+        raise ValueError(f"need n >= 0, got {n}")
     if N < 1:
         raise ValueError(f"need N >= 1, got {N}")
     sum_cap = n if sum_cap is None else sum_cap
@@ -126,13 +128,15 @@ def exceptional_count(
     """Count scan-range values m with no representation.
 
     The scan range is [n^2/10 + lo_margin, (n^2-n)/2 - hi_margin].  With
-    asymptotic=True the margins become n^2/log(n) and the coordinate
+    asymptotic=True (n >= 2) the margins become n^2/log(n) and the coordinate
     cap n/5 - n/log(n), with natural logarithm (recorded in the report);
     that asymptotic regime degenerates for small n and may produce an
     empty range or coordinate cap, which is flagged rather than hidden.
     """
     log_base = None
     if asymptotic:
+        if n < 2:
+            raise ValueError(f"the asymptotic margins divide by log(n); need n >= 2, got {n}")
         log_base = "e"
         lo_margin = hi_margin = n * n / math.log(n)
         N = math.floor(n / 5 - n / math.log(n))

@@ -13,7 +13,7 @@ import numpy as np
 from edgespectra import squares
 from edgespectra.certify import two_part_witness
 from edgespectra.cliquespec import EdgeSpectrum
-from edgespectra.graphs import canonical_reps, subset_pair_mask
+from edgespectra.graphs import _achieved, canonical_reps, subset_pair_mask
 from edgespectra.repcount import RepHistogram
 from edgespectra.triangles import tri
 
@@ -84,6 +84,26 @@ def witness_tables_uncapped(n: int, r: int) -> list[list[int]]:
             cur[v] = row
         layers.append(cur)
     return layers
+
+
+def labeled_counterexamples(n: int, m: int) -> dict[tuple[int, int], int]:
+    """The labeled route that graphs.arrow and compute_Snm took for n <= 7,
+    over the achieved-count bitset of every labeled mask 0..2^tri(n) - 1:
+    for each (e, f), the lowest mask with e edges on none of whose
+    m-subsets f edges are induced, found by a scan in mask order.
+    arrow(n, e, m, f) holds exactly when (e, f) is missing, and otherwise
+    returns the mask here; compute_Snm(n, m, f) is the set of e missing
+    for f."""
+    masks = np.arange(1 << tri(n), dtype=np.uint32)
+    edges = np.bitwise_count(masks)
+    achieved = _achieved(masks, n, m)
+    first: dict[tuple[int, int], int] = {}
+    for f in range(tri(m) + 1):
+        lacking = np.flatnonzero((achieved >> np.uint32(f)) & np.uint32(1) == 0)
+        # lacking ascends, so each edge count's first index is its lowest mask
+        counts, at = np.unique(edges[lacking], return_index=True)
+        first.update({(int(e), f): int(lacking[i]) for e, i in zip(counts, at)})
+    return first
 
 
 def dedup_counterexamples(n: int, m: int) -> dict[tuple[int, int], int]:

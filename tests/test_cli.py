@@ -323,31 +323,60 @@ def test_classify_check_runs_one_verdict(capsys, monkeypatch):
 
 
 def _fuzz_argvs(count, seed):
-    """Random classify, minr and dm calls with m <= 300 and witness calls with
-    n <= 60: values reach a little past their ranges on both sides, half
-    carry --check, and one in twenty has a malformed value."""
+    """Random classify, minr and dm calls with m <= 300, witness calls with
+    n <= 60, and interval, exceptional, repcount and concentration calls on
+    at most 40 vertices (12 for concentration): values reach a little past
+    their ranges on both sides, half the calls that offer --check carry it,
+    and one in twenty has a malformed value."""
     rng = random.Random(seed)
+
+    def near(lo, hi):  # inside [lo, hi], or at or just past one of its ends
+        hi = max(lo, hi)
+        return rng.choice([rng.randint(lo - 1, lo + 1), rng.randint(hi - 1, hi + 1),
+                           rng.randint(lo, hi)])
+
+    def maybe(option, value):
+        return [option, value] if rng.random() < 0.5 else []
+
     argvs = []
     for _ in range(count):
-        cmd = rng.choice(["classify", "minr", "dm", "witness"])
+        cmd = rng.choice(["classify", "minr", "dm", "witness",
+                          "interval", "exceptional", "repcount", "concentration"])
         if cmd == "witness":
             n = rng.randint(-1, 60)
             argv = [cmd, "--n", n, "--r", rng.randint(0, 6), "--m", rng.randint(-2, tri(max(n, 0)) + 2)]
+        elif cmd == "interval":
+            argv = [cmd, "--n", near(0, 40), "--r", near(1, 6),
+                    "--c-low", rng.choice([-1, 0, 0.5, 2]), "--c-high", rng.choice([-1, 0, 0.5, 2])]
+            argv += ["--clip"] * (rng.random() < 0.5)
+        elif cmd == "exceptional":
+            n = near(2, 40)
+            argv = [cmd, "--n", n, *maybe("--N", near(1, max(n, 0) // 5 + 1)),
+                    *maybe("--sum-cap", near(0, n)), *maybe("--lo-margin", rng.choice([-5, 0, 20])),
+                    *(["--asymptotic"] * (rng.random() < 0.5))]
+        elif cmd == "repcount":
+            n = near(0, 40)
+            argv = [cmd, "--n", n, "--N", near(1, 8), *maybe("--sum-cap", near(0, n))]
+        elif cmd == "concentration":
+            N = near(2, 12)
+            argv = [cmd, "--N", N, "--E", near(0, tri(max(N, 0))), "--n", near(2, N),
+                    "--trials", near(0, 30), "--seed", rng.randint(0, 9)]
         else:
             m = rng.randint(-1, 300)
             top = tri(max(m, 0))
             f = rng.choice([rng.randint(-2, 3), rng.randint(top - 3, top + 2), rng.randint(0, top)])
             argv = [cmd, "--m", m, "--f", f]
-        argv = [str(a) for a in argv] + ["--check"] * (rng.random() < 0.5)
+        offers_check = cmd in ("classify", "minr", "dm", "witness", "repcount")
+        argv = [str(a) for a in argv] + ["--check"] * (offers_check and rng.random() < 0.5)
         if rng.random() < 0.05:
-            argv[rng.choice((2, 4))] = "1.5"
+            argv[rng.choice((2, 4)) if len(argv) > 4 else 2] = "1.5"
         argvs.append(argv)
     return argvs
 
 
 def test_cli_fuzz_keeps_exit_contract(capsys):
     # the real (3004, 3003) calls exceed the rank search's recursion limit
-    argvs = _fuzz_argvs(1500, seed=11) + [["minr", "--m", "3004", "--f", "3003"],
+    argvs = _fuzz_argvs(2500, seed=11) + [["minr", "--m", "3004", "--f", "3003"],
                                           ["classify", "--m", "3004", "--f", "3003", "--check"]]
     codes = set()
     for argv in argvs:
@@ -355,11 +384,11 @@ def test_cli_fuzz_keeps_exit_contract(capsys):
             code = main(argv)
         except SystemExit as exc:  # argparse's usage errors
             code = exc.code
-        err = capsys.readouterr().err
+        out, err = capsys.readouterr()
         lines = err.strip().splitlines()
         assert code in (0, 1, 2), argv
         assert _manifest(err)["output_digest"], argv
-        if code:
+        if code and not (code == 1 and out):  # a negative verdict prints its payload
             assert any(line.startswith(("error: ", "check failed: ")) or ": error: " in line
                        for line in lines[:-1]), argv
         codes.add(code)

@@ -3,6 +3,7 @@ import pytest
 from edgespectra.cliquespec import (
     _BLOCK,
     _DEFAULT_MAX_TABLE_BITS,
+    ENV_MAX_TABLE_BITS,
     CliquePartition,
     EdgeSpectrum,
     SpectrumMemoryError,
@@ -128,14 +129,28 @@ def test_sweep_agrees_with_single_runs():
             assert singles[(n, r)].min_element == direct.min_element
 
 
-def test_memory_guard():
-    with pytest.raises(SpectrumMemoryError):
-        spectrum(500, 5, max_table_bits=1000)
-    with pytest.raises(SpectrumMemoryError):
-        member_witness(400, 6, 10_000, max_table_bits=1000)
+@pytest.fixture
+def table_cap(monkeypatch):
+    """Sets the memory cap through its environment variable.  The witness
+    tables are cached with the guard checked once, on the build, so each
+    setting clears them, and so does teardown."""
+    def set_cap(bits):
+        monkeypatch.setenv(ENV_MAX_TABLE_BITS, str(bits))
+        _witness_tables.cache_clear()
+    _witness_tables.cache_clear()
+    yield set_cap
+    _witness_tables.cache_clear()
 
 
-def test_witness_guard_counts_built_rows():
+def test_memory_guard(table_cap):
+    table_cap(1000)
+    with pytest.raises(SpectrumMemoryError):
+        spectrum(500, 5)
+    with pytest.raises(SpectrumMemoryError):
+        member_witness(400, 6, 10_000)
+
+
+def test_witness_guard_counts_built_rows(table_cap):
     for n, r in ((0, 1), (1, 1), (9, 3), (40, 5), (57, 7), (100, 2)):
         caps = _layer_caps(n, r)
         layers, top = _witness_tables(n, r)
@@ -144,12 +159,14 @@ def test_witness_guard_counts_built_rows():
         assert _witness_bits(caps) == built, (n, r)
     # the guard admits tables that fit once only the built rows are charged
     caps = _layer_caps(400, 6)
-    assert member_witness(400, 6, 20_000, max_table_bits=_witness_bits(caps)) is not None
+    table_cap(_witness_bits(caps))
+    assert member_witness(400, 6, 20_000) is not None
+    table_cap(_witness_bits(caps) - 1)
     with pytest.raises(SpectrumMemoryError):
-        member_witness(400, 6, 20_000, max_table_bits=_witness_bits(caps) - 1)
+        member_witness(400, 6, 20_000)
 
 
-def test_spectrum_guard_counts_built_rows():
+def test_spectrum_guard_counts_built_rows(table_cap):
     # spectrum builds layers 1..r-1 up to their caps, two alive at a time,
     # then the top row n
     for n, r in ((0, 1), (9, 1), (40, 5), (57, 7), (100, 2)):
@@ -157,9 +174,11 @@ def test_spectrum_guard_counts_built_rows():
         caps = _layer_caps(n, k_eff)
         built = sorted(sum(tri(v) + 1 for v in range(c + 1)) for c in caps[:-1])
         assert _estimate_bits(caps) == sum(built[-2:]) + tri(n) + 1, (n, r)
-        spectrum(n, r, max_table_bits=_estimate_bits(caps))
+        table_cap(_estimate_bits(caps))
+        spectrum(n, r)
+        table_cap(_estimate_bits(caps) - 1)
         with pytest.raises(SpectrumMemoryError):
-            spectrum(n, r, max_table_bits=_estimate_bits(caps) - 1)
+            spectrum(n, r)
     # n = 4000, r = 5 fits the default guard
     assert _estimate_bits(_layer_caps(4000, 5)) <= _DEFAULT_MAX_TABLE_BITS
 
@@ -215,6 +234,13 @@ def test_interval_direct_cases():
     rep = verify_interval(30, 3, 0, 0, clip=True)
     assert rep.ok is False and rep.first_gap == 150  # pinned from first verified run
     assert rep.first_gap not in spectrum(30, 3)
+
+
+def test_interval_rejects_bad_n_r():
+    # checked as spectrum checks them, before the interval divides by 2r
+    for n, r in ((5, 0), (-1, 3)):
+        with pytest.raises(ValueError):
+            verify_interval(n, r, 0, 0)
 
 
 def test_interval_agrees_with_member_scan():

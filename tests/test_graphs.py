@@ -22,7 +22,7 @@ from edgespectra.graphs import (
     turan_number,
 )
 from edgespectra.triangles import tri
-from oracles import dedup_counterexamples
+from oracles import dedup_counterexamples, labeled_counterexamples
 
 # isomorphism-class counts of simple graphs on 1..10 vertices (OEIS A000088)
 ISO_COUNTS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044, 8: 12346,
@@ -199,12 +199,31 @@ def test_counterexample_soundness():
 
 
 def test_labeled_vs_dedup_agree():
+    # the dedup arrow sets against the labeled route's
     for n in range(2, 7):
         for m in range(2, min(4, n) + 1):
+            first = labeled_counterexamples(n, m)
             for f in range(tri(m) + 1):
-                labeled = compute_Snm(n, m, f).members()
+                labeled = [e for e in range(tri(n) + 1) if (e, f) not in first]
                 reduced = compute_Snm(n, m, f, dedup=True).members()
                 assert labeled == reduced, (n, m, f)
+
+
+@pytest.mark.parametrize("n, ms", [(n, range(2, n + 1)) for n in range(2, 7)] + [(7, (3, 4, 5))],
+                         ids=[f"n{n}" for n in range(2, 8)])
+def test_labeled_matches_oracle(n, ms):
+    # holds, the lowest labeled counterexample and the arrow set, against
+    # the scan of every labeled mask
+    for m in ms:
+        first = labeled_counterexamples(n, m)
+        for f in range(tri(m) + 1):
+            members = [e for e in range(tri(n) + 1) if (e, f) not in first]
+            assert compute_Snm(n, m, f).members() == members, (m, f)
+            for e in range(tri(n) + 1):
+                res = arrow(n, e, m, f)
+                got = res.counterexample.edges if res.counterexample else None
+                expected = first.get((e, f))
+                assert (res.holds, got) == (expected is None, expected), (e, m, f)
 
 
 @pytest.mark.parametrize("n, ms", [(n, range(2, n + 1)) for n in range(2, 8)] + [(8, (3, 4, 5))],
@@ -240,7 +259,8 @@ def test_graph_count_is_A000088():
 @pytest.fixture
 def graph_count_off_at_5(monkeypatch):
     real = graphs._graph_count
-    caches = (canonical_reps, graphs._rep_tables, graphs._snm_table)  # tables from the catalogue
+    # every table derived from the catalogue
+    caches = (canonical_reps, graphs._class_ids, graphs._rep_tables, graphs._snm_table)
     for cache in caches:
         cache.cache_clear()
     monkeypatch.setattr(graphs, "_graph_count", lambda n: real(n) + (n == 5))
@@ -253,11 +273,12 @@ def graph_count_off_at_5(monkeypatch):
 def test_catalogue_fails_closed_on_count_mismatch(graph_count_off_at_5, capsys):
     with pytest.raises(AssertionError, match="n=5"):
         canonical_reps(5)
-    code = main(["snm", "--n", "5", "--m", "3", "--f", "1", "--dedup"])
-    err = capsys.readouterr().err
-    assert code == 1
-    assert "check failed: catalogue for n=5" in err
-    assert json.loads(err.strip().splitlines()[-1])["subcommand"] == "snm"
+    for dedup in (["--dedup"], []):  # labeled queries read the catalogue too
+        code = main(["snm", "--n", "5", "--m", "3", "--f", "1", *dedup])
+        err = capsys.readouterr().err
+        assert code == 1, dedup
+        assert "check failed: catalogue for n=5" in err
+        assert json.loads(err.strip().splitlines()[-1])["subcommand"] == "snm"
 
 
 def test_catalogue_edge_count_distribution():
@@ -336,6 +357,15 @@ def test_concentration_zero_edges():
     rep = concentration_experiment(12, 0, 4, trials=200, seed=0)
     assert rep.empirical_mean == 0.0 and rep.empirical_std == 0.0
     assert rep.enum_mean == 0
+
+
+def test_concentration_whole_graph_subsets():
+    # with N == n every subset is the whole graph: the deviation is exactly
+    # 0, t is 0 and every tail bound is 2 exp(0) = 2
+    rep = concentration_experiment(5, 3, 5, trials=10, seed=0)
+    assert rep.empirical_std == 0.0 and rep.empirical_mean == rep.expected_mean == 3.0
+    assert all(t.t == 0.0 and t.bound == 2.0 and t.observed == 1.0 for t in rep.tails)
+    assert rep.tails_ok
 
 
 def test_concentration_monte_carlo():

@@ -1,4 +1,5 @@
-"""Every name a package module imports is used in that module.
+"""Every name a package module imports is used in that module, and every
+private module-level function is used somewhere in the package.
 
 No linter ships with the package, so this walks the syntax tree instead.
 `from __future__` imports and the re-exports of `__init__.py` are exempt.
@@ -37,3 +38,34 @@ def test_unused_import_is_reported():
     assert unused_imports("import math\nfrom os import path, sep\nprint(sep)\n") == [
         "math (line 1)", "path (line 2)"]
     assert unused_imports("from .x import y\n", reexports=True) == []
+
+
+def unreferenced_helpers(sources: dict[str, str]) -> list[str]:
+    """Private module-level functions (one leading underscore) that no code
+    of the given modules names outside the function's own body."""
+    trees = {mod: ast.parse(src) for mod, src in sources.items()}
+    refs = [(node, node.id if isinstance(node, ast.Name) else node.attr)
+            for tree in trees.values() for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute))]
+    dead = []
+    for mod, tree in trees.items():
+        for fn in tree.body:
+            if isinstance(fn, ast.FunctionDef) and fn.name[:1] == "_" and fn.name[:2] != "__":
+                own = {id(node) for node in ast.walk(fn)}
+                if not any(name == fn.name and id(node) not in own for node, name in refs):
+                    dead.append(f"{mod}.{fn.name}")
+    return dead
+
+
+def test_every_private_helper_is_used():
+    sources = {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+    assert unreferenced_helpers(sources) == []
+
+
+def test_unreferenced_helper_is_reported():
+    sources = {
+        "a": "def _used():\n    pass\n\ndef _dead(k):\n    return _dead(k - 1)\n",
+        "b": "from .a import _used\n\ndef _also_used():\n    return _used()\n\n"
+             "class C:\n    def _method(self):\n        return a._also_used\n",
+    }
+    assert unreferenced_helpers(sources) == ["a._dead"]

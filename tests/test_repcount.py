@@ -64,6 +64,14 @@ def test_support_inside_five_clique_spectrum():
         assert int(m) in spec
 
 
+def test_bad_vertex_counts_rejected():
+    with pytest.raises(ValueError, match="n >= 0"):
+        rep_histogram(-2, 1)
+    for n in (0, 1):  # the asymptotic margins divide by log(n)
+        with pytest.raises(ValueError, match="n >= 2"):
+            exceptional_count(n, asymptotic=True)
+
+
 def test_tuple_budget_guard():
     with pytest.raises(TupleBudgetExceeded):
         rep_histogram(10_000, 2000, max_tuples=1000)
