@@ -59,10 +59,8 @@ from .pell import (
     ABCReport,
     FamilyPair,
     PellSolution,
-    SkippedExhaustive,
     family_pair,
     pell_solutions,
-    scan_two_clique_partitions,
     verify_ABC,
 )
 from .repcount import (

@@ -5,8 +5,8 @@ diagnostics and a reproducibility manifest go to standard error, on every
 call.  Exit status: 0 on success; 1 on a verification failure (an interval
 gap, "check failed: ..." from a re-validation) or a named package failure
 (PreconditionViolated, WindowExhausted, ScaleRejected, SpectrumMemoryError,
-SkippedExhaustive, TupleBudgetExceeded, OverflowError, RecursionError); 2 on
-a usage error (argparse, or a ValueError for a bad value).  Failures print
+TupleBudgetExceeded, OverflowError, RecursionError); 2 on a usage error
+(argparse, or a ValueError for a bad value).  Failures print
 "error: <ExceptionName>: <message>".
 
 --check, offered where it re-validates the result by an independent
@@ -123,15 +123,11 @@ def _cmd_pell(args) -> dict:
 def _cmd_abc(args) -> tuple[list, int]:
     rows, ok = [], True
     for k in range(1, args.k_max + 1):
-        fp = pell.family_pair(k)
-        try:
-            rep = pell.verify_ABC(fp, exhaustive_c_limit=args.c_limit)
-            abc = {"A": rep.a_ok, "B": rep.b_ok, "C": rep.c_ok,
-                   "b_witness": list(rep.b_witness), "c_scanned": rep.c_scanned}
-            ok = ok and rep.all_ok
-        except pell.SkippedExhaustive as exc:
-            abc, ok = {"error": "SkippedExhaustive", "detail": str(exc)}, False
-        rows.append({**vars(fp), "ABC": abc})
+        rep = pell.verify_ABC(pell.family_pair(k))
+        abc = {"A": rep.a_ok, "B": rep.b_ok, "C": rep.c_ok,
+               "b_witness": list(rep.b_witness), "c_scanned": rep.c_scanned}
+        ok = ok and rep.all_ok
+        rows.append({**vars(rep.pair), "ABC": abc})
     return rows, 0 if ok else 1
 
 def _cmd_three_squares(args) -> dict:
@@ -259,8 +255,7 @@ COMMANDS = {
     "minr": Command("minimal clique rank of a pair", _cmd_minr, {"m f": int, "check": CHECK}),
     "dm": Command("product-plus-remainder witness", _cmd_dm, {"m f": int, "check": CHECK}),
     "pell": Command("k-th derived pair of the Pell family", _cmd_pell, {"k": int, "check": CHECK}),
-    "abc": Command("family table with property verification", _cmd_abc,
-                   {"k-max": int, "c-limit": {"type": int, "default": pell.DEFAULT_C_LIMIT}}),
+    "abc": Command("family table with property verification", _cmd_abc, {"k-max": int}),
     "three-squares": Command("three-square membership and decomposition", _cmd_three_squares,
                              {"v": int, "check": CHECK}),
     "bennett": Command("search 2*tri(x) = tri(y^2)", _cmd_bennett,
@@ -290,8 +285,8 @@ COMMANDS = {
 
 # Named failures of the package; a ValueError (a bad value) exits 2 instead.
 _FAILURES = (squares.PreconditionViolated, squares.WindowExhausted, graphs.ScaleRejected,
-             cliquespec.SpectrumMemoryError, pell.SkippedExhaustive,
-             repcount.TupleBudgetExceeded, OverflowError, RecursionError)
+             cliquespec.SpectrumMemoryError, repcount.TupleBudgetExceeded, OverflowError,
+             RecursionError)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, permutations
+from itertools import combinations, islice, permutations
 from typing import Optional
 
 import numpy as np
@@ -34,6 +34,7 @@ from .triangles import tri
 MAX_LABELED_N = 7
 MAX_DEDUP_N = 8
 _ENUM_LIMIT = 10 ** 6  # full-subset enumeration cap for exact expectations
+_ENUM_CHUNK = 1 << 14  # subsets summed per numpy pass of that enumeration
 
 
 class ScaleRejected(Exception):
@@ -311,6 +312,25 @@ class ConcentrationReport:
 _TAIL_GRID = (0.25, 0.5, 0.75, 1.0, 1.25)
 
 
+def _decode_pairs(N: int, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The pairs pair_list(N)[i] for i in idx, as arrays u < v, without
+    building the list: the pairs (u, *) start at index u*N - tri(u + 1)."""
+    first = np.arange(N, dtype=np.int64)
+    starts = first * N - first * (first + 1) // 2
+    u = np.searchsorted(starts, idx, side="right") - 1
+    return u, idx - starts[u] + u + 1
+
+
+def _induced_edge_total(adj: np.ndarray, n: int) -> int:
+    """Edges induced by every n-subset of the graph adj, summed over all
+    C(len(adj), n) subsets, _ENUM_CHUNK subsets per numpy pass."""
+    subsets = combinations(range(len(adj)), n)
+    total = 0
+    while len(s := np.fromiter(islice(subsets, _ENUM_CHUNK), dtype=(np.intp, n))):
+        total += int(adj[s[:, :, None], s[:, None, :]].sum())
+    return total // 2  # each edge sits in adj twice
+
+
 def concentration_experiment(
     N: int, E: int, n: int, trials: int, seed: int = 0
 ) -> ConcentrationReport:
@@ -330,23 +350,18 @@ def concentration_experiment(
     if trials < 0:
         raise ValueError(f"need trials >= 0, got {trials}")
     rng = np.random.default_rng(seed)
-    pl = pair_list(N)
     chosen = rng.choice(tri(N), size=E, replace=False) if E else np.empty(0, dtype=int)
+    u, v = _decode_pairs(N, chosen)
     adj = np.zeros((N, N), dtype=bool)
-    for i in chosen:
-        u, v = pl[int(i)]
-        adj[u, v] = adj[v, u] = True
+    adj[u, v] = True
+    adj[v, u] = True
 
     expected_mean = Fraction(E) * tri(n) / tri(N) if tri(N) else Fraction(0)
 
     enum_mean = None
     identity_ok = None
     if math.comb(N, n) <= _ENUM_LIMIT:
-        total = 0
-        for s in combinations(range(N), n):
-            sub = adj[np.ix_(s, s)]
-            total += int(sub.sum()) // 2
-        enum_mean = Fraction(total, math.comb(N, n))
+        enum_mean = Fraction(_induced_edge_total(adj, n), math.comb(N, n))
         identity_ok = enum_mean == expected_mean
 
     counts = np.empty(trials, dtype=np.int64)

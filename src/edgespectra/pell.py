@@ -14,17 +14,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
+from .certify import two_part_witness
 from .triangles import tri
-
-_C_SCAN_CHUNK = 1 << 20
-DEFAULT_C_LIMIT = 10 ** 7
-
-
-class SkippedExhaustive(Exception):
-    """The two-clique exhaustive scan was not run because m exceeds the
-    limit or is too large for its int64 arithmetic."""
 
 
 @dataclass(frozen=True)
@@ -89,30 +80,6 @@ def family_pair(k: int) -> FamilyPair:
     )
 
 
-def scan_two_clique_partitions(m: int, f: int) -> tuple[int | None, int]:
-    """Exhaustively scan y1 in [1, m//2] for tri(y1) + tri(m - y1) == f.
-
-    Returns (first matching y1 or None, number of values scanned).  This
-    is the brute-force audit route; the algebraic route lives in
-    certify.two_part_witness.  Raises SkippedExhaustive when the int64
-    edge counts could wrap, that is when (m - 1)(m - 2) >= 2^63.
-    """
-    if (m - 1) * (m - 2) >= 1 << 63:
-        raise SkippedExhaustive(
-            f"m={m} is too large for the int64 scan: (m - 1)(m - 2) >= 2^63"
-        )
-    scanned = 0
-    for start in range(1, m // 2 + 1, _C_SCAN_CHUNK):
-        y1 = np.arange(start, min(start + _C_SCAN_CHUNK, m // 2 + 1), dtype=np.int64)
-        vals = y1 * (y1 - 1) // 2 + (m - y1) * (m - y1 - 1) // 2
-        hits = np.flatnonzero(vals == f)
-        scanned += len(y1)
-        if hits.size:
-            scanned = int(y1[hits[0]])  # scanned up to the hit
-            return int(y1[hits[0]]), scanned
-    return None, scanned
-
-
 @dataclass(frozen=True)
 class ABCReport:
     pair: FamilyPair
@@ -120,6 +87,8 @@ class ABCReport:
     b_ok: bool
     b_witness: tuple[int, int, int]
     c_ok: bool
+    # two-clique splits y1 in [1, m // 2] the (C) certificate covers: all
+    # m // 2 of them when (C) holds, else up to the smaller part of the hit
     c_scanned: int
 
     @property
@@ -127,27 +96,19 @@ class ABCReport:
         return self.a_ok and self.b_ok and self.c_ok
 
 
-def verify_ABC(pair: FamilyPair, exhaustive_c_limit: int = DEFAULT_C_LIMIT) -> ABCReport:
+def verify_ABC(pair: FamilyPair) -> ABCReport:
     """Re-verify the three defining properties of a family pair:
 
     (A) the triple identity f = tri(a) = tri(m) - tri(b) = c(m - c);
     (B) an explicit three-clique representation;
-    (C) no two-clique representation, confirmed by exhaustive scan.
-
-    Raises SkippedExhaustive instead of silently passing when m exceeds
-    the scan limit; rerun with a higher limit to complete (C).  Above
-    m of about 3.04 * 10^9 the scan's int64 values would wrap, and it
-    raises at any limit.
+    (C) no two-clique representation, certified by two_part_witness: the
+        discriminant m^2 - 4(tri(m) - f) of its quadratic is not a perfect
+        square with both roots >= 1.  Exact at every k.
     """
     m, f = pair.m, pair.f
-    if m > exhaustive_c_limit:
-        raise SkippedExhaustive(
-            f"m={m} exceeds exhaustive_c_limit={exhaustive_c_limit}; "
-            "pass a larger limit to run property (C)"
-        )
     a_ok = f == tri(pair.a) == tri(m) - tri(pair.b) == pair.c * (m - pair.c)
     w = pair.triple_witness()
     b_ok = sum(w) == m and sum(tri(q) for q in w) == f and all(q >= 1 for q in w)
-    hit, scanned = scan_two_clique_partitions(m, f)
+    hit = two_part_witness(m, f)
     return ABCReport(pair=pair, a_ok=a_ok, b_ok=b_ok, b_witness=w,
-                     c_ok=hit is None, c_scanned=scanned)
+                     c_ok=hit is None, c_scanned=m // 2 if hit is None else hit[1])

@@ -69,8 +69,7 @@ def _perm_weight(x: tuple[int, ...]) -> int:
     return w
 
 
-def rep_histogram(n: int, N: int, sum_cap: Optional[int] = None,
-                  *, max_tuples: int = _MAX_TUPLES) -> RepHistogram:
+def rep_histogram(n: int, N: int, sum_cap: Optional[int] = None) -> RepHistogram:
     """Counts of ordered 4-tuples per realized edge count m."""
     if n < 0:
         raise ValueError(f"need n >= 0, got {n}")
@@ -80,8 +79,8 @@ def rep_histogram(n: int, N: int, sum_cap: Optional[int] = None,
     if sum_cap > n:
         raise ValueError(f"sum_cap={sum_cap} exceeds n={n}")
     estimate = math.comb(N + 3, 4)
-    if estimate > max_tuples:
-        raise TupleBudgetExceeded(f"~{estimate} sorted tuples exceeds cap {max_tuples}")
+    if estimate > _MAX_TUPLES:
+        raise TupleBudgetExceeded(f"~{estimate} sorted tuples exceeds cap {_MAX_TUPLES}")
     counts = np.zeros(tri(n) + 1, dtype=np.int64)
     for x in combinations_with_replacement(range(1, N + 1), 4):
         s = x[0] + x[1] + x[2] + x[3]
@@ -123,7 +122,6 @@ def exceptional_count(
     sum_cap: Optional[int] = None,
     *,
     asymptotic: bool = False,
-    max_tuples: int = _MAX_TUPLES,
 ) -> ExceptionalReport:
     """Count scan-range values m with no representation.
 
@@ -145,7 +143,7 @@ def exceptional_count(
                                      zeros=0, total=0, range_empty=True, log_base=log_base)
     if N is None:
         N = n // 5
-    hist = rep_histogram(n, N, sum_cap, max_tuples=max_tuples)
+    hist = rep_histogram(n, N, sum_cap)
     lo = math.ceil(n * n / 10 + lo_margin)
     hi = math.floor((n * n - n) / 2 - hi_margin)
     if lo > hi:

@@ -163,3 +163,38 @@ def three_part_witness_scan(m: int, f: int, cap: Optional[int] = None) -> Option
             if w is not None and w[1] >= zi and (cap is None or w[0] <= cap):
                 return (w[0], w[1], zi)
     return None
+
+
+def scan_two_clique_partitions(m: int, f: int) -> tuple[int | None, int]:
+    """The route pell.verify_ABC took for property (C): scan y1 in
+    [1, m//2] for tri(y1) + tri(m - y1) == f in int64 numpy chunks.
+
+    Returns (first matching y1 or None, number of values scanned), which
+    verify_ABC now reports as (C) and c_scanned from two_part_witness.
+    Raises OverflowError when the int64 edge counts could wrap, that is
+    when (m - 1)(m - 2) >= 2^63.
+    """
+    if (m - 1) * (m - 2) >= 1 << 63:
+        raise OverflowError(
+            f"m={m} is too large for the int64 scan: (m - 1)(m - 2) >= 2^63"
+        )
+    chunk = 1 << 20  # splits scanned per numpy pass
+    scanned = 0
+    for start in range(1, m // 2 + 1, chunk):
+        y1 = np.arange(start, min(start + chunk, m // 2 + 1), dtype=np.int64)
+        vals = y1 * (y1 - 1) // 2 + (m - y1) * (m - y1 - 1) // 2
+        hits = np.flatnonzero(vals == f)
+        scanned += len(y1)
+        if hits.size:
+            scanned = int(y1[hits[0]])  # scanned up to the hit
+            return int(y1[hits[0]]), scanned
+    return None, scanned
+
+
+def induced_edge_total_per_subset(adj: np.ndarray, n: int) -> int:
+    """graphs._induced_edge_total by the loop concentration_experiment ran:
+    one np.ix_ submatrix sum per n-subset."""
+    total = 0
+    for s in combinations(range(len(adj)), n):
+        total += int(adj[np.ix_(s, s)].sum()) // 2
+    return total

@@ -81,7 +81,7 @@ def test_criterion_03_pell_family():
                     for k in range(len(sols) // 2 + 1) if 2 * k < len(sols))
     abc_ok = True
     for k in (1, 2, 3):
-        rep = es.verify_ABC(es.family_pair(k), exhaustive_c_limit=10 ** 8)
+        rep = es.verify_ABC(es.family_pair(k))
         abc_ok &= rep.all_ok
     elapsed = time.perf_counter() - t0
     ok = pell_ok and parity_ok and abc_ok and elapsed < budget

@@ -18,7 +18,9 @@ def run_cli(capsys, argv):
 # the CLI gave before its parser became a table: output must stay byte-identical.
 # The extra minr and classify rows reach the rank search above rank 2 (r = 10,
 # and no rank at all) and the lower-bound rule (r = 4); their digests were
-# taken before that search was rewritten.
+# taken before that search was rewritten.  The abc row was re-pinned when
+# property (C) became the two-part discriminant: k = 3 is certified (exit 0)
+# where the int64 scan had skipped it (exit 1); k = 1, 2 are unchanged.
 DIGEST_PINS = [
     ("spectrum --n 12 --r 3 --check", 0, "326aae8999e71d837b70a86cd71ca27ac9014f76abfbf0d44b798ef24fb5495f"),
     ("witness --n 12 --r 3 --m 30 --check", 0, "14c9dad6c4260938dfb5e3a1eb225f8d4480ed87f5cf924982d276d01e770903"),
@@ -31,7 +33,7 @@ DIGEST_PINS = [
     ("minr --m 20 --f 86", 0, "fbddf9227cad6b8c3ea01758199ea49d1ad3c3fc38e9d3aa649b0e83a171e02c"),
     ("dm --m 40 --f 300 --check", 0, "81188aebec0fe956e0b33f9601cb05690f11b9f9a205dd064af7c26090d1e70a"),
     ("pell --k 2 --check", 0, "d72d6c3c0fce6eb303780da6dccd5241cc3946dfe1f8b1bbbdd0b398a60418d5"),
-    ("abc --k-max 3", 1, "d70e9d87ffeec8a155113f879a52d80d0f07c8eb0176b770d1cd593852345baa"),
+    ("abc --k-max 3", 0, "382cd32bf13d87255c10c447d8d45770bc8d4976ac7b68f911450ea45b600bd8"),
     ("three-squares --v 1000003 --check", 0, "0f71cd98b482e4131d5595ae92a4ea74ede46224ce04956e1e3cdf8929ea5404"),
     ("bennett --y-limit 50 --check", 0, "b0afc7d68ff3db37da9151a16a6ca6b9458431ef5485937df2fece25cba1debf"),
     ("witness7 --n 30000 --samples 3 --seed 3 --threads 1", 0, "9098dc85b73d9a25bb01712b71583910e6b2af5dbfcf2e234f7b38ee911237e5"),
@@ -191,11 +193,17 @@ def test_abc_table(capsys):
     assert all(row["ABC"]["A"] and row["ABC"]["B"] and row["ABC"]["C"] for row in rows)
 
 
-def test_abc_skip_reported(capsys):
-    code, out, _ = run_cli(capsys, ["abc", "--k-max", "3"])
-    assert code == 1  # k=3 exceeds the default exhaustive limit
+def test_abc_certifies_every_k(capsys):
+    # (C) is certified by the two-part discriminant, so no k is skipped
+    code, out, _ = run_cli(capsys, ["abc", "--k-max", "7"])
+    assert code == 0
     rows = json.loads(out)
-    assert rows[2]["ABC"].get("error") == "SkippedExhaustive"
+    assert [row["k"] for row in rows] == list(range(1, 8))
+    assert all(row["ABC"]["A"] and row["ABC"]["B"] and row["ABC"]["C"] for row in rows)
+    assert all(row["ABC"]["c_scanned"] == row["m"] // 2 for row in rows)
+    with pytest.raises(SystemExit) as exc:  # the scan limit option is gone
+        main(["abc", "--k-max", "3", "--c-limit", "10"])
+    assert exc.value.code == 2
 
 
 def test_arrow_and_snm(capsys):

@@ -3,6 +3,7 @@ import json
 from fractions import Fraction
 from functools import lru_cache
 
+import numpy as np
 import pytest
 
 from edgespectra import graphs
@@ -22,7 +23,7 @@ from edgespectra.graphs import (
     turan_number,
 )
 from edgespectra.triangles import tri
-from oracles import dedup_counterexamples, labeled_counterexamples
+from oracles import dedup_counterexamples, induced_edge_total_per_subset, labeled_counterexamples
 
 # isomorphism-class counts of simple graphs on 1..10 vertices (OEIS A000088)
 ISO_COUNTS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044, 8: 12346,
@@ -373,6 +374,23 @@ def test_concentration_monte_carlo():
     se = rep.empirical_std / (rep.trials ** 0.5)
     assert abs(rep.empirical_mean - rep.expected_mean) <= 3 * max(se, 1e-9)
     assert rep.tails_ok
+
+
+def test_decoded_pairs_match_pair_list():
+    for N in range(2, 31):
+        u, v = graphs._decode_pairs(N, np.arange(tri(N), dtype=np.int64))
+        assert list(zip(u.tolist(), v.tolist())) == list(pair_list(N)), N
+
+
+@pytest.mark.parametrize("N,n,density", [
+    (2, 2, 1.0), (6, 3, 0.5), (9, 9, 0.3), (12, 5, 0.4),
+    (17, 7, 0.5),  # 19,448 subsets: crosses a chunk boundary
+    (30, 2, 0.2), (40, 3, 0.9)])
+def test_induced_edge_total_matches_oracle(N, n, density):
+    rng = np.random.default_rng(N * 100 + n)
+    upper = np.triu(rng.random((N, N)) < density, 1)
+    adj = upper | upper.T
+    assert graphs._induced_edge_total(adj, n) == induced_edge_total_per_subset(adj, n)
 
 
 def test_concentration_reproducible():

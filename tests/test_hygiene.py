@@ -1,5 +1,6 @@
-"""Every name a package module imports is used in that module, and every
-private module-level function is used somewhere in the package.
+"""Every name a package module imports is used in that module, every
+private module-level function is used somewhere in the package, and the
+modules of the certified integer paths import no numpy.
 
 No linter ships with the package, so this walks the syntax tree instead.
 `from __future__` imports and the re-exports of `__init__.py` are exempt.
@@ -69,3 +70,34 @@ def test_unreferenced_helper_is_reported():
              "class C:\n    def _method(self):\n        return a._also_used\n",
     }
     assert unreferenced_helpers(sources) == ["a._dead"]
+
+
+# Modules whose answers are certificates: exact integers only, so neither
+# numpy nor a package module that imports it.
+EXACT_MODULES = ("certify", "pell", "triangles")
+
+
+def fixed_width_imports(source: str) -> list[str]:
+    """numpy imports, and relative imports of package modules outside
+    EXACT_MODULES, in the given module source."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found += [a.name for a in node.names if a.name.split(".")[0] == "numpy"]
+        elif isinstance(node, ast.ImportFrom):
+            if node.level == 0 and (node.module or "").split(".")[0] == "numpy":
+                found.append(node.module)
+            elif node.level and node.module not in EXACT_MODULES:
+                found.append("." + (node.module or ""))
+    return found
+
+
+@pytest.mark.parametrize("module", EXACT_MODULES)
+def test_exact_modules_import_no_numpy(module):
+    assert fixed_width_imports((PACKAGE / f"{module}.py").read_text()) == []
+
+
+def test_numpy_import_is_reported():
+    source = ("import math\nimport numpy as np\nfrom numpy.linalg import norm\n"
+              "from .triangles import tri\nfrom .graphs import arrow\n")
+    assert fixed_width_imports(source) == ["numpy", "numpy.linalg", ".graphs"]

@@ -3,15 +3,9 @@ from fractions import Fraction
 import pytest
 
 from edgespectra.certify import classify_pair, min_r, three_part_witness, two_part_witness
-from edgespectra.pell import (
-    FamilyPair,
-    SkippedExhaustive,
-    family_pair,
-    pell_solutions,
-    scan_two_clique_partitions,
-    verify_ABC,
-)
+from edgespectra.pell import FamilyPair, family_pair, pell_solutions, verify_ABC
 from edgespectra.triangles import tri
+from oracles import scan_two_clique_partitions
 
 
 def test_seed_and_first_solutions():
@@ -66,18 +60,21 @@ def test_verify_abc_k2():
     assert rep.pair.t == 56640 and rep.pair.m == 283202
 
 
-def test_verify_abc_skip_is_loud():
-    with pytest.raises(SkippedExhaustive):
-        verify_ABC(family_pair(3))  # m ~ 7.2e7 exceeds the default limit
+def test_verify_abc_every_k():
+    # (C) is the two-part discriminant, exact at every size
+    for k in range(1, 8):
+        rep = verify_ABC(family_pair(k))
+        assert rep.all_ok, k
+        assert rep.c_scanned == rep.pair.m // 2, k
 
 
-def test_verify_abc_refuses_int64_wraparound():
-    # m = 18270687362: at y1 = 1 the scan's int64 value would wrap, whatever the limit
-    with pytest.raises(SkippedExhaustive, match="int64"):
-        verify_ABC(family_pair(4), exhaustive_c_limit=10 ** 11)
+def test_oracle_scan_refuses_int64_wraparound():
+    fp = family_pair(4)  # m = 18270687362: at y1 = 1 the int64 value would wrap
+    with pytest.raises(OverflowError, match="int64"):
+        scan_two_clique_partitions(fp.m, fp.f)
     m = 3037000501  # the largest m with (m - 1)(m - 2) < 2^63
     assert (m - 1) * (m - 2) < 1 << 63 <= m * (m - 1)
-    with pytest.raises(SkippedExhaustive, match="int64"):
+    with pytest.raises(OverflowError, match="int64"):
         scan_two_clique_partitions(m + 1, 0)
 
 
@@ -85,16 +82,22 @@ def test_two_clique_counterexample_shape():
     # (m, f) = (6, 6) is expressible: y1 = 3 gives tri(3) + tri(3) = 6
     hit, _ = scan_two_clique_partitions(6, 6)
     assert hit == 3
+    assert two_part_witness(6, 6) == (3, 3)
 
 
 def test_scan_agrees_with_closed_form():
+    # the oracle scan and two_part_witness decide (C) alike, and the
+    # scan's count is the c_scanned verify_ABC derives from the witness
     for m in range(2, 40):
         for f in range(tri(m) + 1):
-            hit, _ = scan_two_clique_partitions(m, f)
+            hit, scanned = scan_two_clique_partitions(m, f)
             closed = two_part_witness(m, f)
             assert (hit is not None) == (closed is not None), (m, f)
             if hit is not None:
                 assert {hit, m - hit} == set(closed)
+                assert scanned == hit == closed[1], (m, f)
+            else:
+                assert scanned == m // 2, (m, f)
 
 
 def test_family_min_rank_and_verdict():

@@ -74,7 +74,7 @@ def test_bad_vertex_counts_rejected():
 
 def test_tuple_budget_guard():
     with pytest.raises(TupleBudgetExceeded):
-        rep_histogram(10_000, 2000, max_tuples=1000)
+        rep_histogram(10_000, 2000)  # C(2003, 4) ~ 6.7e11 tuples, over the default cap
 
 
 def test_exceptional_zero_partition():
