@@ -34,7 +34,7 @@ from .triangles import tri
 MAX_LABELED_N = 7
 MAX_DEDUP_N = 8
 _ENUM_LIMIT = 10 ** 6  # full-subset enumeration cap for exact expectations
-_ENUM_CHUNK = 1 << 14  # subsets summed per numpy pass of that enumeration
+_ENUM_CELLS = 1 << 20  # adjacency cells read per numpy pass of that enumeration
 
 
 class ScaleRejected(Exception):
@@ -323,10 +323,13 @@ def _decode_pairs(N: int, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _induced_edge_total(adj: np.ndarray, n: int) -> int:
     """Edges induced by every n-subset of the graph adj, summed over all
-    C(len(adj), n) subsets, _ENUM_CHUNK subsets per numpy pass."""
+    C(len(adj), n) subsets.  Each numpy pass takes as many subsets as fit
+    in _ENUM_CELLS adjacency cells (n*n each), so its memory is bounded
+    whatever n is."""
     subsets = combinations(range(len(adj)), n)
+    rows = max(1, _ENUM_CELLS // (n * n))
     total = 0
-    while len(s := np.fromiter(islice(subsets, _ENUM_CHUNK), dtype=(np.intp, n))):
+    while len(s := np.fromiter(islice(subsets, rows), dtype=(np.intp, n))):
         total += int(adj[s[:, :, None], s[:, None, :]].sum())
     return total // 2  # each edge sits in adj twice
 

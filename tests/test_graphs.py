@@ -384,13 +384,28 @@ def test_decoded_pairs_match_pair_list():
 
 @pytest.mark.parametrize("N,n,density", [
     (2, 2, 1.0), (6, 3, 0.5), (9, 9, 0.3), (12, 5, 0.4),
-    (17, 7, 0.5),  # 19,448 subsets: crosses a chunk boundary
-    (30, 2, 0.2), (40, 3, 0.9)])
+    (17, 7, 0.5), (30, 2, 0.2), (40, 3, 0.9),
+    (40, 38, 0.5)])  # 780 subsets, 726 per pass: crosses a pass boundary
 def test_induced_edge_total_matches_oracle(N, n, density):
     rng = np.random.default_rng(N * 100 + n)
     upper = np.triu(rng.random((N, N)) < density, 1)
     adj = upper | upper.T
     assert graphs._induced_edge_total(adj, n) == induced_edge_total_per_subset(adj, n)
+
+
+@pytest.mark.parametrize("N,n,cells", [
+    (17, 7, 3 * 49 + 5),  # 3 subsets per pass; 19,448 = 3 * 6,482 + 2
+    (40, 38, 1),  # below one subset's n*n cells: still one subset per pass
+    (30, 28, 7 * 784)])
+def test_induced_edge_total_pass_boundaries(monkeypatch, N, n, cells):
+    """A small cell budget splits the enumeration into many passes, the
+    last one partial, without changing the total."""
+    rng = np.random.default_rng(N * 100 + n)
+    upper = np.triu(rng.random((N, N)) < 0.5, 1)
+    adj = upper | upper.T
+    expected = induced_edge_total_per_subset(adj, n)
+    monkeypatch.setattr(graphs, "_ENUM_CELLS", cells)
+    assert graphs._induced_edge_total(adj, n) == expected
 
 
 def test_concentration_reproducible():
