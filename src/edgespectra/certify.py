@@ -20,9 +20,14 @@ two parts by closed forms, three by three_part_witness (a loop over the
 smallest part within a closed-form window), and more by trying largest
 parts from the top, recursing down to three_part_witness with the largest
 part capped.  min_r is the witness's part count less one, so the rank and
-its certificate never disagree.  Every step is exact integer arithmetic:
-the quadratics are solved with triangles.int_roots, and nothing here is
-fixed-width.
+its certificate never disagree.  A pair with no representation at all
+would be excluded once per part count; instead it is decided once, before
+j = 4, from the deficit d = tri(m) - f: a largest part m - s forces
+s <= 2d/m, and the other parts are looked up in cliquespec's partition
+rows (every edge sum of every partition of s).  The rows are read only
+while 2d/m <= min(4 sqrt(m), 512); past that the loop searches as before.
+Every step is exact integer arithmetic: the quadratics are solved with
+triangles.int_roots, and nothing here is fixed-width.
 """
 
 from __future__ import annotations
@@ -32,6 +37,7 @@ from fractions import Fraction
 from math import isqrt
 from typing import Optional
 
+from .cliquespec import partition_rows
 from .triangles import decompose_lower, decompose_upper, int_roots, tri, tri_root
 
 #: The five pairs whose density is exactly 1.
@@ -307,15 +313,57 @@ def _find_rep(f: int, v: int, j: int, cap: int) -> Optional[tuple[int, ...]]:
     return None
 
 
+# The deficit test reads partition rows up to this size at most: about
+# 2.8 MB of rows, built in about 0.3 s cold on a 2-core x86-64 VM.
+_ROWS_MAX = 512
+
+
+def _representable(m: int, f: int) -> Optional[bool]:
+    """Whether f is the edge sum of some partition of m >= 1 into cliques;
+    None when the deficit is too large for the partition rows to pay.
+
+    The deficit d = tri(m) - f is sum_{i<j} a_i a_j.  With a = m - s the
+    largest part, d = (m^2 - sum a_i^2) / 2 >= (m^2 - a m) / 2 = m s / 2,
+    so s <= 2d/m.  The other parts partition s and their own deficit is
+    e = d - s(m - s), so f is an edge sum exactly when some s <= 2d/m has
+    0 <= e <= tri(s) and tri(s) - e in partition row s.  The rows are used
+    only while 2d/m <= min(4 sqrt(m), _ROWS_MAX): for m up to 8000 the
+    largest deficit without a partition has 2d/m below 3.55 sqrt(m), and
+    4 sqrt(m) reaches _ROWS_MAX at m = 16384.  The bound picks a route, not
+    an answer.
+    """
+    d = tri(m) - f
+    top = 2 * d // m
+    if top > _ROWS_MAX or top * top > 16 * m:
+        return None
+    rows = partition_rows(top)
+    for s in range(top + 1):
+        e = d - s * (m - s)
+        if 0 <= e <= tri(s) and (rows[s] >> (tri(s) - e)) & 1:
+            return True
+    return False
+
+
 def min_r_witness(m: int, f: int) -> Optional[tuple[int, ...]]:
     """A partition realizing min_r(m, f), nonincreasing; None if absent.
 
     It has the fewest parts; the parts before the last three are the
     lexicographically largest possible, and the last three are the triple
     with the smallest smallest part.
+
+    The part counts j are tried in turn with _find_rep.  Before j = 4, one
+    test on the deficit d = tri(m) - f decides whether any partition of m
+    has edge sum f: a largest part m - s forces s <= 2d/m, and the other
+    parts are read from cliquespec.partition_rows while
+    2d/m <= min(4 sqrt(m), 512).  A pair without a representation returns
+    None there instead of being excluded once per j.  Past that bound, or
+    when the pair is representable, the loop goes on, so the witness does
+    not depend on the test.
     """
     PairMF(m, f)
     for j in range(1, m + 1):
+        if j == 4 and _representable(m, f) is False:
+            return None
         w = _find_rep(f, m, j, m)
         if w is not None:
             return w

@@ -11,7 +11,7 @@ from unittest import mock
 import numpy as np
 
 from edgespectra import squares
-from edgespectra.certify import two_part_witness
+from edgespectra.certify import PairMF, _find_rep, two_part_witness
 from edgespectra.cliquespec import EdgeSpectrum
 from edgespectra.graphs import _achieved, canonical_reps, subset_pair_mask
 from edgespectra.repcount import RepHistogram
@@ -198,3 +198,15 @@ def induced_edge_total_per_subset(adj: np.ndarray, n: int) -> int:
     for s in combinations(range(len(adj)), n):
         total += int(adj[np.ix_(s, s)].sum()) // 2
     return total
+
+
+def min_r_witness_search(m: int, f: int) -> Optional[tuple[int, ...]]:
+    """certify.min_r_witness by the part-count loop alone: _find_rep tries
+    every j from 1 to m, so a pair with no representation is excluded once
+    per part count, with no deficit test before j = 4."""
+    PairMF(m, f)
+    for j in range(1, m + 1):
+        w = _find_rep(f, m, j, m)
+        if w is not None:
+            return w
+    return None

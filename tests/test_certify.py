@@ -1,6 +1,7 @@
 import dataclasses
 import random
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 
@@ -19,7 +20,7 @@ from edgespectra.certify import (
 )
 from edgespectra.cliquespec import spectrum
 from edgespectra.triangles import tri
-from oracles import three_part_witness_scan
+from oracles import min_r_witness_search, three_part_witness_scan
 
 HALF = Fraction(1, 2)
 
@@ -131,6 +132,22 @@ def test_min_r_witness_is_first_brute_partition():
             first = min(hits, key=lambda p: (tuple(-x for x in p[:-3]), p[-1]))
             assert min_r_witness(m, f) == first, (m, f)
     assert min_r_witness(15, 27) == (6, 4, 4, 1)
+
+
+def test_min_r_witness_matches_search_near_complete():
+    # pairs just below tri(m), where most pairs without a representation
+    # lie: 2d/m for the deficit d = tri(m) - f is drawn on both sides of
+    # the 4 sqrt(m) bound up to which the deficit test decides them
+    rng = random.Random(12)
+    routes = {"none": 0, "rows": 0, "search": 0}
+    for _ in range(40):
+        m = rng.randint(100, 3000)
+        top = rng.randint(0, 6 * isqrt(m))
+        f = tri(m) - top * m // 2 - rng.randint(0, m // 2)
+        w = min_r_witness(m, f)
+        assert w == min_r_witness_search(m, f), (m, f)
+        routes["none" if w is None else "rows" if top * top <= 16 * m else "search"] += 1
+    assert min(routes.values()) >= 5, routes
 
 
 def test_min_r_witness_length_is_rank():

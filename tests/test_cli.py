@@ -31,6 +31,8 @@ DIGEST_PINS = [
     ("minr --m 1112 --f 222111 --check", 0, "046a10083fd331daabcb8ee4250577c9a9015eb98e52253ea372338d5782c49e"),
     ("minr --m 20 --f 9 --check", 0, "6c422c877fc9bab14acbf8b8d4a30ae60b4467f3f1e69bb6b3aedd2ec0357992"),
     ("minr --m 20 --f 86", 0, "fbddf9227cad6b8c3ea01758199ea49d1ad3c3fc38e9d3aa649b0e83a171e02c"),
+    ("minr --m 2539 --f 3034362 --check", 0, "e727242458ed1a7ed3560b436797e6327c9a59d2d66012d271c0cfbdeb0009c1"),
+    ("minr --m 508 --f 112130 --check", 0, "daae41adbbe9915227c4db2bc71f63b2f941b1d98b12f97b64eb8560c92f656c"),
     ("dm --m 40 --f 300 --check", 0, "81188aebec0fe956e0b33f9601cb05690f11b9f9a205dd064af7c26090d1e70a"),
     ("pell --k 2 --check", 0, "d72d6c3c0fce6eb303780da6dccd5241cc3946dfe1f8b1bbbdd0b398a60418d5"),
     ("abc --k-max 3", 0, "382cd32bf13d87255c10c447d8d45770bc8d4976ac7b68f911450ea45b600bd8"),

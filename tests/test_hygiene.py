@@ -74,7 +74,7 @@ def test_unreferenced_helper_is_reported():
 
 # Modules whose answers are certificates: exact integers only, so neither
 # numpy nor a package module that imports it.
-EXACT_MODULES = ("certify", "pell", "triangles")
+EXACT_MODULES = ("certify", "cliquespec", "pell", "triangles")
 
 
 def fixed_width_imports(source: str) -> list[str]:
