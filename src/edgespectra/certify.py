@@ -14,20 +14,18 @@ can be tested on the pair as given.
 Verdict.validate re-checks a verdict by substitution into the rules that
 fired.
 
-The minimal clique rank comes from one search, min_r_witness: one loop
-over the part count j, each step a call of _find_rep.  That gives one and
-two parts by closed forms, three by three_part_witness (a loop over the
-smallest part within a closed-form window), and more by trying largest
-parts from the top, recursing down to three_part_witness with the largest
-part capped.  min_r is the witness's part count less one, so the rank and
-its certificate never disagree.  A pair with no representation at all
-would be excluded once per part count; instead it is decided once, before
-j = 4, from the deficit d = tri(m) - f: a largest part m - s forces
-s <= 2d/m, and the other parts are looked up in cliquespec's partition
-rows (every edge sum of every partition of s).  The rows are read only
-while 2d/m <= min(4 sqrt(m), 512); past that the loop searches as before.
-Every step is exact integer arithmetic: the quadratics are solved with
-triangles.int_roots, and nothing here is fixed-width.
+The minimal clique rank comes from one search, min_r_witness.  It first
+decides whether f is the edge sum of any partition of m, by a recursion
+over the largest part a, which the deficit d = tri(m) - f confines to
+a >= m - 2d/m; a pair with no representation is answered there.  Then one
+loop over the part count j calls _find_rep.  That gives one and two parts
+by closed forms, three by three_part_witness (a loop over the smallest
+part within a closed-form window), the fewest edges by the balanced
+partition, and more by trying largest parts from the top, recursing down
+to three_part_witness with the largest part capped.  min_r is the
+witness's part count less one, so the rank and its certificate never
+disagree.  Every step is exact integer arithmetic: the quadratics are
+solved with triangles.int_roots, and nothing here is fixed-width.
 """
 
 from __future__ import annotations
@@ -37,8 +35,7 @@ from fractions import Fraction
 from math import isqrt
 from typing import Optional
 
-from .cliquespec import partition_rows
-from .triangles import decompose_lower, decompose_upper, int_roots, tri, tri_root
+from .triangles import decompose_lower, decompose_upper, int_roots, tri, tri_floor_root, tri_root
 
 #: The five pairs whose density is exactly 1.
 SPECIAL_PAIRS = frozenset({(2, 0), (2, 1), (4, 3), (5, 4), (5, 6)})
@@ -297,15 +294,21 @@ def _find_rep(f: int, v: int, j: int, cap: int) -> Optional[tuple[int, ...]]:
     the last three are three_part_witness's, the smallest smallest part."""
     if j == 1:
         return (v,) if v <= cap and tri(v) == f else None
-    if f < _parts_min_edges(v, j) or f > _parts_max_edges(v, j, cap):
+    fewest = _parts_min_edges(v, j)
+    if f < fewest or f > _parts_max_edges(v, j, cap):
         return None
+    if f == fewest:
+        # tri is strictly convex, so the balanced partition is the only one
+        # with this few edges
+        q, rem = divmod(v, j)
+        return (q + 1,) * rem + (q,) * (j - rem)
     if j == 2:
         w = two_part_witness(v, f)
         return w if w is not None and w[0] <= cap else None
     if j == 3:
         return three_part_witness(v, f, cap)
     # a part with tri(a) > f would leave a negative rest: start below those
-    top = min(cap, v - (j - 1), (1 + isqrt(1 + 8 * f)) // 2)
+    top = min(cap, v - (j - 1), tri_floor_root(f))
     for a in range(top, -(-v // j) - 1, -1):
         rest = _find_rep(f - tri(a), v - a, j - 1, a)
         if rest is not None:
@@ -313,35 +316,29 @@ def _find_rep(f: int, v: int, j: int, cap: int) -> Optional[tuple[int, ...]]:
     return None
 
 
-# The deficit test reads partition rows up to this size at most: about
-# 2.8 MB of rows, built in about 0.3 s cold on a 2-core x86-64 VM.
-_ROWS_MAX = 512
+def _representable(m: int, f: int) -> bool:
+    """Whether f is the edge sum of some partition of m >= 1 into cliques.
 
-
-def _representable(m: int, f: int) -> Optional[bool]:
-    """Whether f is the edge sum of some partition of m >= 1 into cliques;
-    None when the deficit is too large for the partition rows to pay.
-
-    The deficit d = tri(m) - f is sum_{i<j} a_i a_j.  With a = m - s the
-    largest part, d = (m^2 - sum a_i^2) / 2 >= (m^2 - a m) / 2 = m s / 2,
-    so s <= 2d/m.  The other parts partition s and their own deficit is
-    e = d - s(m - s), so f is an edge sum exactly when some s <= 2d/m has
-    0 <= e <= tri(s) and tri(s) - e in partition row s.  The rows are used
-    only while 2d/m <= min(4 sqrt(m), _ROWS_MAX): for m up to 8000 the
-    largest deficit without a partition has 2d/m below 3.55 sqrt(m), and
-    4 sqrt(m) reaches _ROWS_MAX at m = 16384.  The bound picks a route, not
-    an answer.
+    The deficit d = tri(m) - f is sum_{i<j} a_i a_j.  With a the largest
+    part, d = (m^2 - sum a_i^2) / 2 >= (m^2 - a m) / 2, so
+    a >= m - 2d/m; and tri(a) <= f.  Each such a is tried, largest first,
+    on the rest (m - a, f - tri(a)), down to f = 0, which m singletons
+    realize.  The pairs decided are remembered for the rest of the call.
     """
-    d = tri(m) - f
-    top = 2 * d // m
-    if top > _ROWS_MAX or top * top > 16 * m:
-        return None
-    rows = partition_rows(top)
-    for s in range(top + 1):
-        e = d - s * (m - s)
-        if 0 <= e <= tri(s) and (rows[s] >> (tri(s) - e)) & 1:
+    seen: dict[tuple[int, int], bool] = {}
+
+    def rep(v: int, g: int) -> bool:
+        if g == 0:
             return True
-    return False
+        d = tri(v) - g
+        if d < 0:
+            return False
+        if (v, g) not in seen:
+            seen[v, g] = any(rep(v - a, g - tri(a))
+                             for a in range(min(v, tri_floor_root(g)), v - 2 * d // v - 1, -1))
+        return seen[v, g]
+
+    return rep(m, f)
 
 
 def min_r_witness(m: int, f: int) -> Optional[tuple[int, ...]]:
@@ -351,23 +348,19 @@ def min_r_witness(m: int, f: int) -> Optional[tuple[int, ...]]:
     lexicographically largest possible, and the last three are the triple
     with the smallest smallest part.
 
-    The part counts j are tried in turn with _find_rep.  Before j = 4, one
-    test on the deficit d = tri(m) - f decides whether any partition of m
-    has edge sum f: a largest part m - s forces s <= 2d/m, and the other
-    parts are read from cliquespec.partition_rows while
-    2d/m <= min(4 sqrt(m), 512).  A pair without a representation returns
-    None there instead of being excluded once per j.  Past that bound, or
-    when the pair is representable, the loop goes on, so the witness does
-    not depend on the test.
+    _representable first decides whether any partition of m has edge sum
+    f, by a recursion over the largest part; a pair without one returns
+    None there.  Otherwise the part counts j are tried in turn with
+    _find_rep, and the first that admits a partition gives the witness.
     """
     PairMF(m, f)
+    if not _representable(m, f):
+        return None
     for j in range(1, m + 1):
-        if j == 4 and _representable(m, f) is False:
-            return None
         w = _find_rep(f, m, j, m)
         if w is not None:
             return w
-    return None
+    raise AssertionError(f"({m},{f}) is representable but no part count admits it")
 
 
 def min_r(m: int, f: int) -> Optional[int]:

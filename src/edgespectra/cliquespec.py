@@ -14,10 +14,6 @@ floor(nk/r), and the top layer only row n.  Only two layers are alive at a
 time in the streaming paths; the witness-recovery path keeps every layer up
 to its cap and is therefore kept behind the same memory guard, charged for
 the rows it builds.
-
-partition_rows keeps one more layer, the one with no bound on the part
-count, built by the same _row and grown on demand; certify reads it to
-decide whether an edge count has any clique-partition representation.
 """
 
 from __future__ import annotations
@@ -202,26 +198,6 @@ def _row(prev: list[int], v: int, k: int) -> int:
 def _layer(prev: list[int], k: int, cap: int) -> list[int]:
     """Rows 0..cap of layer k from layer k - 1; layer 0 is [1]."""
     return [_row(prev, v, k) for v in range(cap + 1)]
-
-
-# Row v of the layer with no bound on the part count, shared by every caller
-# in the process and only ever extended.
-_PARTITION_ROWS = [1]
-
-
-def partition_rows(top: int) -> list[int]:
-    """Rows 0..top (or more) of the layer with no part-count bound: bit e
-    of row v is set when some partition of v into cliques spans e edges.
-
-    Row v is _row(rows, v, v): at most v parts never bind, so layer v - 1
-    agrees with this layer on the rows 0..v - 1 that _row reads.  The rows
-    are cached per process and grown to the largest top asked for, so the
-    list returned is shared and must not be modified.
-    """
-    rows = _PARTITION_ROWS
-    for v in range(len(rows), top + 1):
-        rows.append(_row(rows, v, v))
-    return rows
 
 
 def _check_n_r(n: int, r: int) -> None:

@@ -45,6 +45,14 @@ def tri_root(f: int) -> int | None:
     return roots[1] if roots else None
 
 
+def tri_floor_root(f: int) -> int:
+    """The largest x >= 1 with tri(x) <= f, for f >= 0.
+
+    tri(x) <= f  <=>  (2x - 1)^2 <= 1 + 8f, so x = (1 + isqrt(1 + 8f)) // 2.
+    """
+    return (1 + isqrt(1 + 8 * f)) // 2
+
+
 @dataclass(frozen=True)
 class UpperDecomp:
     """f = tri(ell) + ellp with 0 <= ellp < ell."""
@@ -74,8 +82,7 @@ def decompose_upper(f: int) -> UpperDecomp:
     """
     if f < 0:
         raise ValueError(f"edge count must be non-negative, got {f}")
-    # tri(ell) <= f  <=>  (2*ell - 1)^2 <= 1 + 8f, so this is the largest such ell
-    ell = (1 + isqrt(1 + 8 * f)) // 2
+    ell = tri_floor_root(f)
     return UpperDecomp(ell, f - tri(ell))
 
 
@@ -87,7 +94,7 @@ def decompose_lower(f: int) -> LowerDecomp:
     """
     if f < 1:
         raise ValueError(f"decompose_lower needs f >= 1, got {f}")
-    b = (1 + isqrt(1 + 8 * f)) // 2  # the largest b with tri(b) <= f
+    b = tri_floor_root(f)
     if tri(b) < f:
         b += 1
     dec = LowerDecomp(b, tri(b) - f)

@@ -5,13 +5,15 @@ route; the tests require equal results.
 """
 
 from itertools import combinations
+from math import isqrt
 from typing import Optional
 from unittest import mock
 
 import numpy as np
 
 from edgespectra import squares
-from edgespectra.certify import PairMF, _find_rep, two_part_witness
+from edgespectra.certify import (PairMF, _parts_max_edges, _parts_min_edges, three_part_witness,
+                                 two_part_witness)
 from edgespectra.cliquespec import EdgeSpectrum
 from edgespectra.graphs import _achieved, canonical_reps, subset_pair_mask
 from edgespectra.repcount import RepHistogram
@@ -200,13 +202,36 @@ def induced_edge_total_per_subset(adj: np.ndarray, n: int) -> int:
     return total
 
 
+def _find_rep_per_part(f: int, v: int, j: int, cap: int) -> Optional[tuple[int, ...]]:
+    """certify._find_rep as it was before the balanced partition was
+    returned at once: one recursion level per part, whatever the parts."""
+    if j == 1:
+        return (v,) if v <= cap and tri(v) == f else None
+    if f < _parts_min_edges(v, j) or f > _parts_max_edges(v, j, cap):
+        return None
+    if j == 2:
+        w = two_part_witness(v, f)
+        return w if w is not None and w[0] <= cap else None
+    if j == 3:
+        return three_part_witness(v, f, cap)
+    # a part with tri(a) > f would leave a negative rest: start below those
+    top = min(cap, v - (j - 1), (1 + isqrt(1 + 8 * f)) // 2)
+    for a in range(top, -(-v // j) - 1, -1):
+        rest = _find_rep_per_part(f - tri(a), v - a, j - 1, a)
+        if rest is not None:
+            return (a,) + rest
+    return None
+
+
 def min_r_witness_search(m: int, f: int) -> Optional[tuple[int, ...]]:
-    """certify.min_r_witness by the part-count loop alone: _find_rep tries
-    every j from 1 to m, so a pair with no representation is excluded once
-    per part count, with no deficit test before j = 4."""
+    """certify.min_r_witness by the part-count loop alone, over the
+    per-part recursion: every j from 1 to m is tried, so a pair with no
+    representation is excluded once per part count, with no test first.
+    The recursion is one level per part, so ranks above several hundred
+    exceed Python's default recursion limit."""
     PairMF(m, f)
     for j in range(1, m + 1):
-        w = _find_rep(f, m, j, m)
+        w = _find_rep_per_part(f, m, j, m)
         if w is not None:
             return w
     return None

@@ -5,11 +5,13 @@ from math import isqrt
 
 import pytest
 
+from edgespectra import certify
 from edgespectra.certify import (
     TripleIdentity,
     PairMF,
     SPECIAL_PAIRS,
     TraceEntry,
+    _representable,
     classify_pair,
     dm_witness,
     triple_identity,
@@ -136,18 +138,39 @@ def test_min_r_witness_is_first_brute_partition():
 
 def test_min_r_witness_matches_search_near_complete():
     # pairs just below tri(m), where most pairs without a representation
-    # lie: 2d/m for the deficit d = tri(m) - f is drawn on both sides of
-    # the 4 sqrt(m) bound up to which the deficit test decides them
+    # lie, then f = 0 and f = m - 1, whose ranks m - 1 and about m/3 the
+    # per-part recursion of the oracle still reaches at these sizes
     rng = random.Random(12)
-    routes = {"none": 0, "rows": 0, "search": 0}
+    found = {"none": 0, "witness": 0}
     for _ in range(40):
         m = rng.randint(100, 3000)
         top = rng.randint(0, 6 * isqrt(m))
         f = tri(m) - top * m // 2 - rng.randint(0, m // 2)
         w = min_r_witness(m, f)
         assert w == min_r_witness_search(m, f), (m, f)
-        routes["none" if w is None else "rows" if top * top <= 16 * m else "search"] += 1
-    assert min(routes.values()) >= 5, routes
+        found["none" if w is None else "witness"] += 1
+    assert min(found.values()) >= 5, found
+    for m in (rng.randint(100, 600) for _ in range(5)):
+        for f in (0, m - 1):
+            assert min_r_witness(m, f) == min_r_witness_search(m, f), (m, f)
+
+
+def test_representable_matches_spectrum():
+    # f has a clique-partition representation exactly when it is in C(m, m)
+    for m in range(2, 61):
+        spec = spectrum(m, m)
+        for f in range(tri(m) + 1):
+            assert _representable(m, f) == (f in spec), (m, f)
+
+
+def test_no_representation_skips_part_count_search(monkeypatch):
+    # pairs without a representation, from m = 2554 to m = 622856, are
+    # answered before any part count is tried
+    calls, real = [], certify._find_rep
+    monkeypatch.setattr(certify, "_find_rep", lambda *a: calls.append(a) or real(*a))
+    for m, f in ((2554, 3195938), (13898, 94084537), (622856, 193768603283)):
+        assert min_r_witness(m, f) is None, (m, f)
+    assert calls == []
 
 
 def test_min_r_witness_length_is_rank():

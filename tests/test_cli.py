@@ -21,6 +21,9 @@ def run_cli(capsys, argv):
 # taken before that search was rewritten.  The abc row was re-pinned when
 # property (C) became the two-part discriminant: k = 3 is certified (exit 0)
 # where the int64 scan had skipped it (exit 1); k = 1, 2 are unchanged.
+# The four rows of rank 1001 and 1199 were pinned when the rank search
+# stopped recursing once per part of the balanced partition; before that
+# they exited 1 with a RecursionError (test_high_rank_pairs_answered).
 DIGEST_PINS = [
     ("spectrum --n 12 --r 3 --check", 0, "326aae8999e71d837b70a86cd71ca27ac9014f76abfbf0d44b798ef24fb5495f"),
     ("witness --n 12 --r 3 --m 30 --check", 0, "14c9dad6c4260938dfb5e3a1eb225f8d4480ed87f5cf924982d276d01e770903"),
@@ -33,6 +36,10 @@ DIGEST_PINS = [
     ("minr --m 20 --f 86", 0, "fbddf9227cad6b8c3ea01758199ea49d1ad3c3fc38e9d3aa649b0e83a171e02c"),
     ("minr --m 2539 --f 3034362 --check", 0, "e727242458ed1a7ed3560b436797e6327c9a59d2d66012d271c0cfbdeb0009c1"),
     ("minr --m 508 --f 112130 --check", 0, "daae41adbbe9915227c4db2bc71f63b2f941b1d98b12f97b64eb8560c92f656c"),
+    ("minr --m 1200 --f 0", 0, "ab7fcf4fde1f18ea8602a916ff97153fb59d0427f917d09ee42e80a94f1ebeb9"),
+    ("minr --m 3004 --f 3003", 0, "35301219316c895ebff9bee903d98d46a5d7bdc3c3f7c688870e251c2e9a65dc"),
+    ("classify --m 1200 --f 0", 0, "1a09d1cbfb421995631bd3eafc49287a06515229329776b1e527c406bc01fa1b"),
+    ("classify --m 1200 --f 719400", 0, "6ccf16b6024f446d3750b9c60c9bf0587292d2487ff9940f5fa6f501c4b76dd2"),
     ("dm --m 40 --f 300 --check", 0, "81188aebec0fe956e0b33f9601cb05690f11b9f9a205dd064af7c26090d1e70a"),
     ("pell --k 2 --check", 0, "d72d6c3c0fce6eb303780da6dccd5241cc3946dfe1f8b1bbbdd0b398a60418d5"),
     ("abc --k-max 3", 0, "382cd32bf13d87255c10c447d8d45770bc8d4976ac7b68f911450ea45b600bd8"),
@@ -48,6 +55,17 @@ DIGEST_PINS = [
     ("repcount --n 60 --N 12 --check", 0, "eb685e05531f75e1a30765cc50928431545f42044008805815faff893e1f269c"),
     ("exceptional --n 120 --N 24 --lo-margin 500 --hi-margin 500", 0, "b4d58211380b07fcefe4c8dc7b28314edb48cef1f381fd1a39cad8b1d201e7e6"),
 ]
+
+
+@pytest.mark.parametrize("argv,key,value", [
+    ("minr --m 1200 --f 0", "r", 1199),          # Turan: 1200 singletons
+    ("minr --m 3004 --f 3003", "r", 1001),       # one 4, 998 triangles, three edges
+    ("classify --m 1200 --f 0", "exact_frac", "1/1199"),
+    ("classify --m 1200 --f 719400", "exact_frac", "1/1199"),
+])
+def test_high_rank_pairs_answered(capsys, argv, key, value):
+    code, out, _ = run_cli(capsys, argv.split())
+    assert code == 0 and json.loads(out)[key] == value
 
 
 def _pin_ids(pins):
@@ -385,7 +403,7 @@ def _fuzz_argvs(count, seed):
 
 
 def test_cli_fuzz_keeps_exit_contract(capsys):
-    # the real (3004, 3003) calls exceed the rank search's recursion limit
+    # the real (3004, 3003) calls, rank 1001, exit 0
     argvs = _fuzz_argvs(2500, seed=11) + [["minr", "--m", "3004", "--f", "3003"],
                                           ["classify", "--m", "3004", "--f", "3003", "--check"]]
     codes = set()

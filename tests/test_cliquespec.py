@@ -15,7 +15,6 @@ from edgespectra.cliquespec import (
     bounds_sweep,
     density_and_bounds,
     member_witness,
-    partition_rows,
     shift_inclusion_check,
     spectrum,
     verify_interval,
@@ -216,18 +215,6 @@ def test_capped_witness_rows_match_uncapped():
         for k in range(1, r):
             assert layers[k] == uncapped[k - 1][:caps[k] + 1], (n, r, k)
         assert top == uncapped[r - 1][n]
-
-
-def test_partition_rows_match_spectrum():
-    # row v holds the edge sums of every partition of v: C(v, v)
-    rows = partition_rows(20)
-    for v in range(21):
-        assert rows[v] == EdgeSpectrum.from_members(v, v, brute_spectrum(v, v)).mask, v
-    # rows past the first block edge, grown in place on the same list
-    assert partition_rows(_BLOCK + 1) is rows
-    for v in (_BLOCK - 1, _BLOCK, _BLOCK + 1):
-        assert rows[v] == spectrum(v, v).mask, v
-    assert len(partition_rows(5)) == len(rows) >= _BLOCK + 2
 
 
 def test_interval_vacuous_case():

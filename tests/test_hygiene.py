@@ -1,6 +1,6 @@
 """Every name a package module imports is used in that module, every
-private module-level function is used somewhere in the package, and the
-modules of the certified integer paths import no numpy.
+private module-level function and constant is read somewhere in the
+package, and the modules of the certified integer paths import no numpy.
 
 No linter ships with the package, so this walks the syntax tree instead.
 `from __future__` imports and the re-exports of `__init__.py` are exempt.
@@ -41,20 +41,34 @@ def test_unused_import_is_reported():
     assert unused_imports("from .x import y\n", reexports=True) == []
 
 
+def _private_names(stmt: ast.stmt) -> list[str]:
+    """Names with one leading underscore that a module-level statement
+    defines: a function, or the targets of a constant's assignment."""
+    if isinstance(stmt, ast.FunctionDef):
+        names = [stmt.name]
+    elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+        targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+        names = [t.id for t in targets if isinstance(t, ast.Name)]
+    else:
+        names = []
+    return [name for name in names if name[:1] == "_" and name[:2] != "__"]
+
+
 def unreferenced_helpers(sources: dict[str, str]) -> list[str]:
-    """Private module-level functions (one leading underscore) that no code
-    of the given modules names outside the function's own body."""
+    """Private module-level functions and constants (one leading
+    underscore) that no code of the given modules reads outside the
+    function's own body or the constant's own assignment."""
     trees = {mod: ast.parse(src) for mod, src in sources.items()}
     refs = [(node, node.id if isinstance(node, ast.Name) else node.attr)
             for tree in trees.values() for node in ast.walk(tree)
-            if isinstance(node, (ast.Name, ast.Attribute))]
+            if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)]
     dead = []
     for mod, tree in trees.items():
-        for fn in tree.body:
-            if isinstance(fn, ast.FunctionDef) and fn.name[:1] == "_" and fn.name[:2] != "__":
-                own = {id(node) for node in ast.walk(fn)}
-                if not any(name == fn.name and id(node) not in own for node, name in refs):
-                    dead.append(f"{mod}.{fn.name}")
+        for stmt in tree.body:
+            own = {id(node) for node in ast.walk(stmt)}
+            for name in _private_names(stmt):
+                if not any(ref == name and id(node) not in own for node, ref in refs):
+                    dead.append(f"{mod}.{name}")
     return dead
 
 
@@ -70,6 +84,15 @@ def test_unreferenced_helper_is_reported():
              "class C:\n    def _method(self):\n        return a._also_used\n",
     }
     assert unreferenced_helpers(sources) == ["a._dead"]
+
+
+def test_unread_constant_is_reported():
+    sources = {
+        "a": "_LIMIT = 3\n_ROWS = [1]\n_cap: int = 5\n__all__ = []\n\n"
+             "def f():\n    global _ROWS\n    _ROWS = [0]\n    return _LIMIT\n",
+        "b": "from . import a\n\ndef g():\n    return a._cap\n",
+    }
+    assert unreferenced_helpers(sources) == ["a._ROWS"]
 
 
 # Modules whose answers are certificates: exact integers only, so neither

@@ -9,6 +9,7 @@ from edgespectra.triangles import (
     decompose_upper,
     int_roots,
     tri,
+    tri_floor_root,
     tri_root,
 )
 
@@ -24,6 +25,16 @@ def test_tri_root():
     assert tri_root(2) is None
     assert tri_root(222111) == 667
     assert tri_root(-1) is None
+
+
+def test_tri_floor_root():
+    # the largest x >= 1 with tri(x) <= f, by scan, and past 64 bits
+    for f in range(2000):
+        x = tri_floor_root(f)
+        assert x >= 1 and tri(x) <= f < tri(x + 1), f
+    big = tri(10 ** 30)
+    assert [tri_floor_root(g) for g in (big - 1, big, big + 10 ** 30 - 1, big + 10 ** 30)] == [
+        10 ** 30 - 1, 10 ** 30, 10 ** 30, 10 ** 30 + 1]
 
 
 def test_int_roots_small_by_definition():
