@@ -20,6 +20,7 @@ __version__ = "0.1.0"
 
 from .certify import (
     PairMF,
+    RankBudgetExceeded,
     SPECIAL_PAIRS,
     Verdict,
     classify_pair,

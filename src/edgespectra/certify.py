@@ -22,7 +22,10 @@ loop over the part count j calls _find_rep.  That gives one and two parts
 by closed forms, three by three_part_witness (a loop over the smallest
 part within a closed-form window), the fewest edges by the balanced
 partition, and more by trying largest parts from the top, recursing down
-to three_part_witness with the largest part capped.  min_r is the
+to three_part_witness with the largest part capped.  The three-part
+windows of one search share a budget of z-steps, charged per window in
+closed form, so a search that cannot decide in time raises
+RankBudgetExceeded instead of running on.  min_r is the
 witness's part count less one, so the rank and its certificate never
 disagree.  Every step is exact integer arithmetic: the quadratics are
 solved with triangles.int_roots, and nothing here is fixed-width.
@@ -245,7 +248,53 @@ def two_part_witness(m: int, f: int) -> Optional[tuple[int, int]]:
     return None
 
 
-def three_part_witness(m: int, f: int, cap: Optional[int] = None) -> Optional[tuple[int, int, int]]:
+class RankBudgetExceeded(Exception):
+    """The rank search walked its whole budget of three-part z-steps
+    without deciding the pair."""
+
+
+#: z-steps of three-part windows one min_r_witness call may walk: about
+#: 1.6 s (2-core x86-64 VM), and 26 times the most that any of 2400 seeded
+#: pairs with m <= 3000 walks.
+_RANK_STEPS = 2_000_000
+
+
+class _Budget:
+    """The z-steps one rank search may still walk, and the windows it
+    charged."""
+
+    def __init__(self, m: int, f: int):
+        self.pair, self.left, self.windows = (m, f), _RANK_STEPS, 0
+
+    def charge(self, window: range) -> range:
+        """Charge a whole window before it is walked; the part of it that
+        the budget covers."""
+        self.windows += 1
+        walk = window[:self.left]
+        self.left -= len(walk)
+        return walk
+
+    def refund(self, steps: int) -> None:
+        self.left += steps
+
+    def exceeded(self) -> RankBudgetExceeded:
+        return RankBudgetExceeded(
+            f"rank search of (m, f) = {self.pair} walked all {_RANK_STEPS} z-steps of its "
+            f"budget in {self.windows} three-part windows without a decision")
+
+
+def _z_window(m: int, f: int, cap: int) -> range:
+    """The smallest parts z that three_part_witness tries; see there."""
+    n = 12 * f + 6 * m - 2 * m * m
+    if m < 3 or n < 0 or 3 * cap < m or 4 * (3 * cap - m) ** 2 < n:
+        return range(0)
+    root = isqrt(n)
+    t = (root + (root * root < n) + 1) // 2  # the least t >= 0 with 4t^2 >= n
+    return range(max(1, -(-(m - root) // 3)), (m - t) // 3 + 1)
+
+
+def three_part_witness(m: int, f: int, cap: Optional[int] = None,
+                       budget: Optional[_Budget] = None) -> Optional[tuple[int, int, int]]:
     """(x, y, z) with cap >= x >= y >= z >= 1, x+y+z = m, tri sums to f,
     and z smallest; None if there is none.  cap defaults to m.
 
@@ -257,17 +306,22 @@ def three_part_witness(m: int, f: int, cap: Optional[int] = None) -> Optional[tu
     z upward through the window and solves for the other two parts with
     two_part_witness.  Along the window x grows with z, so the first hit
     decides: it fits under the cap or no later hit does.  Exact at any size.
+
+    A budget is charged the window's length before the walk and refunded
+    the steps a hit leaves unwalked; RankBudgetExceeded is raised when the
+    budget ends the walk before the window does.
     """
-    n = 12 * f + 6 * m - 2 * m * m
     cap = m if cap is None else cap
-    if m < 3 or n < 0 or 3 * cap < m or 4 * (3 * cap - m) ** 2 < n:
-        return None
-    for z in range(max(1, -(-(m - isqrt(n)) // 3)), m // 3 + 1):
-        if 4 * (m - 3 * z) ** 2 < n:
-            break
+    window = _z_window(m, f, cap)
+    walk = window if budget is None else budget.charge(window)
+    for z in walk:
         w = two_part_witness(m - z, f - tri(z))
         if w is not None and w[1] >= z:
+            if budget is not None:
+                budget.refund(walk.stop - z - 1)
             return (w[0], w[1], z) if w[0] <= cap else None
+    if len(walk) < len(window):
+        raise budget.exceeded()
     return None
 
 
@@ -287,11 +341,12 @@ def _parts_max_edges(v: int, j: int, cap: int) -> int:
     return t * tri(cap) + tri(big)
 
 
-def _find_rep(f: int, v: int, j: int, cap: int) -> Optional[tuple[int, ...]]:
+def _find_rep(f: int, v: int, j: int, cap: int, budget: _Budget) -> Optional[tuple[int, ...]]:
     """A partition of v into exactly j >= 1 parts in [1, cap] with edge sum
     f >= 0, nonincreasing; None if there is none.  The parts before the last
     three are the lexicographically largest that admit a completion, and
-    the last three are three_part_witness's, the smallest smallest part."""
+    the last three are three_part_witness's, the smallest smallest part.
+    Its three-part windows are charged to budget."""
     if j == 1:
         return (v,) if v <= cap and tri(v) == f else None
     fewest = _parts_min_edges(v, j)
@@ -306,11 +361,11 @@ def _find_rep(f: int, v: int, j: int, cap: int) -> Optional[tuple[int, ...]]:
         w = two_part_witness(v, f)
         return w if w is not None and w[0] <= cap else None
     if j == 3:
-        return three_part_witness(v, f, cap)
+        return three_part_witness(v, f, cap, budget)
     # a part with tri(a) > f would leave a negative rest: start below those
     top = min(cap, v - (j - 1), tri_floor_root(f))
     for a in range(top, -(-v // j) - 1, -1):
-        rest = _find_rep(f - tri(a), v - a, j - 1, a)
+        rest = _find_rep(f - tri(a), v - a, j - 1, a, budget)
         if rest is not None:
             return (a,) + rest
     return None
@@ -352,12 +407,15 @@ def min_r_witness(m: int, f: int) -> Optional[tuple[int, ...]]:
     f, by a recursion over the largest part; a pair without one returns
     None there.  Otherwise the part counts j are tried in turn with
     _find_rep, and the first that admits a partition gives the witness.
+    The three-part windows of one call share one budget of _RANK_STEPS
+    z-steps; RankBudgetExceeded is raised once they have walked it.
     """
     PairMF(m, f)
     if not _representable(m, f):
         return None
+    budget = _Budget(m, f)
     for j in range(1, m + 1):
-        w = _find_rep(f, m, j, m)
+        w = _find_rep(f, m, j, m, budget)
         if w is not None:
             return w
     raise AssertionError(f"({m},{f}) is representable but no part count admits it")

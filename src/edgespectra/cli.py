@@ -5,14 +5,18 @@ diagnostics and a reproducibility manifest go to standard error, on every
 call.  Exit status: 0 on success; 1 on a verification failure (an interval
 gap, "check failed: ..." from a re-validation) or a named package failure
 (PreconditionViolated, WindowExhausted, ScaleRejected, SpectrumMemoryError,
-TupleBudgetExceeded, OverflowError, RecursionError); 2 on a usage error
-(argparse, or a ValueError for a bad value).  Failures print
+TupleBudgetExceeded, RankBudgetExceeded, OverflowError, RecursionError); 2 on
+a usage error (argparse, or a ValueError for a bad value).  Failures print
 "error: <ExceptionName>: <message>".
 
 --check, offered where it re-validates the result by an independent
 substitution, is accepted by spectrum, witness, density, classify, minr, dm,
 pell, three-squares, bennett, arrow, snm and repcount; witness7 always
 re-validates.  EDGESPECTRA_MAX_TABLE_BITS overrides the spectrum memory cap.
+
+Large clique spectra (spectrum, witness, density, interval at n above
+about 370) build each DP layer on every CPU the process may use, in
+forked worker processes; the output does not depend on their number.
 
 One process builds the argument parser once, on its first main call, and
 reuses it for every later call: building it takes about 4 ms, and a whole
@@ -285,8 +289,8 @@ COMMANDS = {
 
 # Named failures of the package; a ValueError (a bad value) exits 2 instead.
 _FAILURES = (squares.PreconditionViolated, squares.WindowExhausted, graphs.ScaleRejected,
-             cliquespec.SpectrumMemoryError, repcount.TupleBudgetExceeded, OverflowError,
-             RecursionError)
+             cliquespec.SpectrumMemoryError, repcount.TupleBudgetExceeded,
+             certify.RankBudgetExceeded, OverflowError, RecursionError)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -14,11 +14,21 @@ floor(nk/r), and the top layer only row n.  Only two layers are alive at a
 time in the streaming paths; the witness-recovery path keeps every layer up
 to its cap and is therefore kept behind the same memory guard, charged for
 the rows it builds.
+
+The rows of a layer depend only on the layer below, so a large layer is
+built on every CPU the process may use: _layer forks one child per extra
+CPU, each child builds the rows of one residue class of v and writes them
+to its own unlinked temporary file, and the parent builds the first class
+meanwhile and reads the others back.  Each child holds one row at a time
+besides the pages of the layer below that it touches (copy-on-write),
+and the temporary files hold up to (W - 1)/W of a layer for W processes,
+which is memory, not disk, where the temporary directory is a tmpfs.
 """
 
 from __future__ import annotations
 
 import os
+import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -159,7 +169,8 @@ def _check_cap(bits_estimate: int):
 
 
 def _rows_bits(cap: int) -> int:
-    return sum(tri(v) + 1 for v in range(cap + 1))
+    # sum of tri(v) + 1 over v = 0..cap
+    return (cap + 1) * cap * (cap - 1) // 6 + cap + 1
 
 
 def _estimate_bits(caps: list[int]) -> int:
@@ -195,9 +206,95 @@ def _row(prev: list[int], v: int, k: int) -> int:
     return row
 
 
+# A layer of fewer row bits than this is built in this process alone: below
+# it a fork costs more than the other CPUs save.  On a 2-core x86-64 VM the
+# split broke even at about 7 * 10^6 bits (cap 350) and took 1.5 to 1.9
+# times the serial time at 2.6 * 10^6 (cap 250).  The layers of every
+# spectrum with n below about 370 stay under it.
+_SPLIT_MIN_BITS = 1 << 23
+
+
+def _workers() -> int:
+    """Processes to build a large layer with: the CPUs this process may run
+    on, or 1 where it cannot fork, or while another thread is alive (a
+    child forked then could inherit a lock that thread holds)."""
+    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
+        return 1
+    if threading.active_count() > 1:
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+def _write_rows(fh, prev: list[int], k: int, vs: range) -> None:
+    for v in vs:
+        row = _row(prev, v, k)
+        data = row.to_bytes((row.bit_length() + 7) // 8, "little")
+        fh.write(len(data).to_bytes(8, "little"))
+        fh.write(data)
+    fh.flush()
+
+
+def _read_rows(fh, count: int) -> list[int]:
+    fh.seek(0)
+    return [int.from_bytes(fh.read(int.from_bytes(fh.read(8), "little")), "little")
+            for _ in range(count)]
+
+
 def _layer(prev: list[int], k: int, cap: int) -> list[int]:
-    """Rows 0..cap of layer k from layer k - 1; layer 0 is [1]."""
-    return [_row(prev, v, k) for v in range(cap + 1)]
+    """Rows 0..cap of layer k from layer k - 1; layer 0 is [1].
+
+    A layer of at least _SPLIT_MIN_BITS row bits is split by v mod W over
+    W = _workers() processes: W - 1 forked children write the rows of
+    residues 1..W-1 to temporary files while this process builds residue
+    0, then reads theirs back.  A residue whose child could not be forked
+    or did not exit 0 is built here instead, so a failed child costs time,
+    not the answer.  The rows are the same on either path.
+    """
+    workers = _workers() if _rows_bits(cap) >= _SPLIT_MIN_BITS else 1
+    if workers == 1:
+        return [_row(prev, v, k) for v in range(cap + 1)]
+    import tempfile
+
+    def own(i: int) -> list[int]:  # the rows of residue i, built here
+        return [_row(prev, v, k) for v in range(i, cap + 1, workers)]
+
+    rows = [0] * (cap + 1)
+    children = {}  # residue -> (pid, temp file)
+    try:
+        for i in range(1, workers):
+            fh = None
+            try:
+                fh = tempfile.TemporaryFile()
+                pid = os.fork()
+            except OSError:  # no temporary file or no process: the rest is built here
+                if fh is not None:
+                    fh.close()
+                break
+            if pid == 0:  # the child leaves by os._exit, never through the caller
+                code = 1
+                try:
+                    _write_rows(fh, prev, k, range(i, cap + 1, workers))
+                    code = 0
+                finally:
+                    os._exit(code)
+            children[i] = (pid, fh)
+        for i in range(workers):
+            if i not in children:
+                rows[i::workers] = own(i)
+        for i in list(children):
+            pid, fh = children.pop(i)
+            with fh:
+                ok = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) == 0
+                rows[i::workers] = _read_rows(fh, len(rows[i::workers])) if ok else own(i)
+    finally:  # only left non-empty by an exception: stop and reap the rest
+        if children:
+            import signal
+
+            for pid, fh in children.values():
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+                fh.close()
+    return rows
 
 
 def _check_n_r(n: int, r: int) -> None:

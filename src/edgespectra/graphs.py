@@ -35,6 +35,7 @@ MAX_LABELED_N = 7
 MAX_DEDUP_N = 8
 _ENUM_LIMIT = 10 ** 6  # full-subset enumeration cap for exact expectations
 _ENUM_CELLS = 1 << 20  # adjacency cells read per numpy pass of that enumeration
+MAX_CONCENTRATION_N = 2000  # the N x N adjacency matrix takes N^2 bytes: 4 MB here
 
 
 class ScaleRejected(Exception):
@@ -344,7 +345,8 @@ def concentration_experiment(
     E * tri(n) / tri(N) for every graph; that identity is asserted by full
     enumeration whenever C(N, n) <= 10^6.  Empirical tail frequencies are
     compared against 2*exp(-2 t^2 / (min(n, N-n) (n-1)^2)) plus three
-    binomial standard errors.
+    binomial standard errors.  N is at most MAX_CONCENTRATION_N
+    (ScaleRejected above it).
     """
     if not 2 <= n <= N:
         raise ValueError(f"need 2 <= n <= N, got n={n}, N={N}")
@@ -352,6 +354,8 @@ def concentration_experiment(
         raise ValueError(f"E={E} outside [0, {tri(N)}]")
     if trials < 0:
         raise ValueError(f"need trials >= 0, got {trials}")
+    if N > MAX_CONCENTRATION_N:
+        raise ScaleRejected(f"need N <= {MAX_CONCENTRATION_N}, got N={N}")
     rng = np.random.default_rng(seed)
     chosen = rng.choice(tri(N), size=E, replace=False) if E else np.empty(0, dtype=int)
     u, v = _decode_pairs(N, chosen)

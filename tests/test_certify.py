@@ -9,8 +9,10 @@ from edgespectra import certify
 from edgespectra.certify import (
     TripleIdentity,
     PairMF,
+    RankBudgetExceeded,
     SPECIAL_PAIRS,
     TraceEntry,
+    _Budget,
     _representable,
     classify_pair,
     dm_witness,
@@ -251,6 +253,35 @@ def test_three_part_witness_cap_matches_scan():
         capped += w is None and three_part_witness(m, f) is not None
     # hits, misses and triples that only the cap rules out are all covered
     assert 30 < hits < 270 and capped > 10
+
+
+def test_three_part_budget_charges_window_and_refunds_hit(monkeypatch):
+    monkeypatch.setattr(certify, "_RANK_STEPS", 10 ** 6)
+    # (18270687362, f) of the Pell family: a window of about 1.2 * 10^9
+    # z-steps, hit at its first z, so one step is charged
+    m, f = 18270687362, 60087242994716684736
+    budget = _Budget(m, f)
+    assert three_part_witness(m, f, budget=budget) == three_part_witness(m, f)
+    assert (budget.left, budget.windows) == (10 ** 6 - 1, 1)
+    # a miss is charged its whole window
+    m, f = 3000, 2037210
+    window = certify._z_window(m, f, m)
+    budget = _Budget(m, f)
+    assert three_part_witness(m, f, budget=budget) is None
+    assert budget.left == 10 ** 6 - len(window) and len(window) > 100
+
+
+def test_rank_budget_bounds_the_search(monkeypatch):
+    # the pair walks 75773 z-steps to its answer, r = 4
+    assert min_r(2942, 1718353) == 4
+    monkeypatch.setattr(certify, "_RANK_STEPS", 75773)
+    assert min_r(2942, 1718353) == 4
+    monkeypatch.setattr(certify, "_RANK_STEPS", 75772)
+    with pytest.raises(RankBudgetExceeded, match=r"\(2942, 1718353\) walked all 75772 z-steps"):
+        min_r(2942, 1718353)
+    # a window cut by the budget still answers when it hits within the cut
+    monkeypatch.setattr(certify, "_RANK_STEPS", 1)
+    assert classify_pair(18270687362, 60087242994716684736).exact == HALF
 
 
 # -- triple identities ------------------------------------------------------

@@ -277,6 +277,23 @@ def test_budget_overrun_exits_1_with_manifest(capsys):
     assert _manifest(err)["subcommand"] == "repcount"
 
 
+def test_rank_budget_overrun_exits_1_with_manifest(capsys):
+    # a pair whose rank search would walk far more than two million z-steps
+    code, out, err = run_cli(capsys, ["minr", "--m", "146714", "--f", "5165649739"])
+    assert code == 1 and out == ""
+    assert "error: RankBudgetExceeded:" in err and "three-part windows" in err
+    assert _manifest(err)["subcommand"] == "minr"
+
+
+def test_concentration_scale_rejected_exits_1(capsys):
+    # N = 300000 would need a 90 GB adjacency matrix
+    code, out, err = run_cli(capsys, ["concentration", "--N", "300000", "--E", "1",
+                                      "--n", "2", "--trials", "1"])
+    assert code == 1 and out == ""
+    assert "error: ScaleRejected:" in err
+    assert _manifest(err)["subcommand"] == "concentration"
+
+
 def test_bad_value_exits_2_with_manifest(capsys):
     code, out, err = run_cli(capsys, ["spectrum", "--n", "-1", "--r", "2"])
     assert code == 2 and out == ""

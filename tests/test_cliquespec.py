@@ -1,5 +1,10 @@
+import os
+import signal
+import threading
+
 import pytest
 
+from edgespectra import cliquespec
 from edgespectra.cliquespec import (
     _BLOCK,
     _DEFAULT_MAX_TABLE_BITS,
@@ -8,7 +13,9 @@ from edgespectra.cliquespec import (
     EdgeSpectrum,
     SpectrumMemoryError,
     _estimate_bits,
+    _layer,
     _layer_caps,
+    _row,
     _witness_bits,
     _witness_tables,
     bounded_partitions,
@@ -215,6 +222,108 @@ def test_capped_witness_rows_match_uncapped():
         for k in range(1, r):
             assert layers[k] == uncapped[k - 1][:caps[k] + 1], (n, r, k)
         assert top == uncapped[r - 1][n]
+
+
+# Layers built past the split threshold: caps odd and even, and across
+# block edges, so a residue class holds rows on both sides of them.
+SPLIT_CAPS = (0, 1, 2, 7, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1)
+
+
+def serial_layers(cap, depth):
+    layers = [[1]]
+    for k in range(1, depth + 1):
+        layers.append([_row(layers[-1], v, k) for v in range(cap + 1)])
+    return layers
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """Splits every layer over the CPUs os.sched_getaffinity reports, and
+    records the pid of each child forked."""
+    monkeypatch.setattr(cliquespec, "_SPLIT_MIN_BITS", 0)
+    pids, fork = [], os.fork
+
+    def recording_fork():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+    monkeypatch.setattr(os, "fork", recording_fork)
+    return pids
+
+
+def assert_reaped(pids):
+    for pid in pids:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_split_layer_matches_serial(monkeypatch, forks, workers):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(workers)))
+    serial = serial_layers(max(SPLIT_CAPS), 3)
+    for cap in SPLIT_CAPS:
+        for k in (1, 2, 3):
+            assert _layer(serial[k - 1], k, cap) == serial[k][:cap + 1], (workers, cap, k)
+    assert len(forks) == (workers - 1) * len(SPLIT_CAPS) * 3
+    assert_reaped(forks)
+
+
+def _exit_by_signal(*args):
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+def _raise(*args):
+    raise RuntimeError("worker fails")
+
+
+@pytest.mark.parametrize("failure", [_raise, _exit_by_signal])
+def test_failed_worker_gives_serial_layer(monkeypatch, forks, failure):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    monkeypatch.setattr(cliquespec, "_write_rows", failure)
+    serial = serial_layers(2 * _BLOCK + 1, 3)
+    assert _layer(serial[2], 3, 2 * _BLOCK + 1) == serial[3]
+    assert len(forks) == 2
+    assert_reaped(forks)
+
+
+def test_no_fork_without_a_second_cpu_or_with_a_live_thread(monkeypatch, forks):
+    serial = serial_layers(_BLOCK + 1, 2)
+
+    def forbidden_fork():
+        raise AssertionError("forked")
+    monkeypatch.setattr(os, "fork", forbidden_fork)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    assert _layer(serial[1], 2, _BLOCK + 1) == serial[2]
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait)
+    thread.start()
+    try:
+        assert _layer(serial[1], 2, _BLOCK + 1) == serial[2]
+    finally:
+        release.set()
+        thread.join()
+    monkeypatch.delattr(os, "fork")
+    assert cliquespec._workers() == 1
+
+
+@pytest.mark.parametrize("refused", ["fork", "temporary file"])
+def test_refused_worker_gives_serial_layer(monkeypatch, forks, refused):
+    # the process limit reached, or no writable temporary directory: the
+    # parent builds every residue itself
+    import tempfile
+
+    def refuse(*args):
+        raise OSError("refused")
+    if refused == "fork":
+        monkeypatch.setattr(os, "fork", refuse)
+    else:
+        monkeypatch.setattr(tempfile, "TemporaryFile", refuse)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    serial = serial_layers(_BLOCK + 1, 2)
+    assert _layer(serial[1], 2, _BLOCK + 1) == serial[2]
+    assert forks == []
 
 
 def test_interval_vacuous_case():
