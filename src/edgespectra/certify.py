@@ -38,7 +38,8 @@ from fractions import Fraction
 from math import isqrt
 from typing import Optional
 
-from .triangles import decompose_lower, decompose_upper, int_roots, tri, tri_floor_root, tri_root
+from .triangles import (decompose_lower, decompose_upper, int_roots, min_clique_edges, tri,
+                        tri_floor_root, tri_root)
 
 #: The five pairs whose density is exactly 1.
 SPECIAL_PAIRS = frozenset({(2, 0), (2, 1), (4, 3), (5, 4), (5, 6)})
@@ -192,45 +193,29 @@ def dm_witness(f: int, m: int) -> Optional[tuple[int, int, int]]:
     x + y <= m, and x + y + z <= m - 1 whenever z >= 1; None if no such
     triple exists.
 
-    The witness matches exhaustive enumeration in the order "smallest x
-    first, then smallest y >= x", but is found by a jump to the smallest
-    x that can possibly work: below the smaller root of x(m-x) = f the
-    product x*y never reaches f with enough slack for z.
+    The first witness in the order "smallest x, then smallest y >= x".
+    Once f >= m, x >= 2 and every witness has x(m - x) >= f (z >= 1 forces
+    f <= xy + m - 1 - x - y), so x starts at the smaller root of
+    x(m - x) = f.  The slack x + y + (f - xy) falls as y grows, so the
+    largest y, min(f // x, m - x), decides whether x has a witness; the
+    least y is then the closed form below while z >= 1, else f / x.
     """
     if m < 2 or f < 0:
         raise ValueError(f"need m >= 2 and f >= 0, got m={m}, f={f}")
-    if f == 0:
-        return (0, 0, 0)
     if f <= m - 1:
         return (0, 0, f)
     if f > m * m // 4:
         # x*y <= m^2/4, so z >= f - m^2/4 and x+y+z > m - 1 always
         return None
-    disc = m * m - 4 * f
-    x_start = max(2, (m - isqrt(disc)) // 2 - 2) if disc >= 0 else 2
-    for x in range(x_start, m // 2 + 2):
-        if x > m - x:
-            break
-        y_hi = min(f // x, m - x)
-        if y_hi < x:
+    for x in range(max(2, (m - isqrt(m * m - 4 * f)) // 2), m // 2 + 1):
+        y = min(f // x, m - x)
+        if y < x or (x * y < f and x + y + f - x * y > m - 1):
             continue
-        z_hi = f - x * y_hi
-        feasible = (z_hi == 0) or (x + y_hi + z_hi <= m - 1)
-        if not feasible:
-            continue
-        # smallest feasible y >= x for this x (brute-force order tie-break)
-        best_y = y_hi
-        if x >= 2:
-            # z >= 1 branch: x + y + (f - x*y) <= m - 1  <=>  y >= ceil((f + x - m + 1)/(x - 1))
-            need = f + x - m + 1
-            y_lo = max(x, -(-need // (x - 1)))
-            if y_lo <= (f - 1) // x and y_lo <= m - x:
-                best_y = min(best_y, y_lo)
-            if f % x == 0 and x <= f // x <= m - x:
-                best_y = min(best_y, f // x)
-        z = f - x * best_y
-        if z == 0 or x + best_y + z <= m - 1:
-            return (x, best_y, z)
+        # x + y + (f - x*y) <= m - 1  <=>  y >= ceil((f + x - m + 1)/(x - 1))
+        y_lo = max(x, -((m - 1 - f - x) // (x - 1)))
+        if x * y_lo < f and y_lo <= m - x:
+            y = y_lo
+        return (x, y, f - x * y)
     return None
 
 
@@ -325,11 +310,6 @@ def three_part_witness(m: int, f: int, cap: Optional[int] = None,
     return None
 
 
-def _parts_min_edges(v: int, j: int) -> int:
-    q, rem = divmod(v, j)
-    return (j - rem) * tri(q) + rem * tri(q + 1)
-
-
 def _parts_max_edges(v: int, j: int, cap: int) -> int:
     if cap <= 1:
         return 0
@@ -349,12 +329,10 @@ def _find_rep(f: int, v: int, j: int, cap: int, budget: _Budget) -> Optional[tup
     Its three-part windows are charged to budget."""
     if j == 1:
         return (v,) if v <= cap and tri(v) == f else None
-    fewest = _parts_min_edges(v, j)
+    fewest = min_clique_edges(v, j)
     if f < fewest or f > _parts_max_edges(v, j, cap):
         return None
-    if f == fewest:
-        # tri is strictly convex, so the balanced partition is the only one
-        # with this few edges
+    if f == fewest:  # the balanced partition, the only one with this few edges
         q, rem = divmod(v, j)
         return (q + 1,) * rem + (q,) * (j - rem)
     if j == 2:

@@ -30,6 +30,7 @@ import argparse
 import functools
 import hashlib
 import json
+import math
 import os
 import random
 import sys
@@ -227,13 +228,21 @@ def _cmd_exceptional(args) -> dict:
                                       args.sum_cap, asymptotic=args.asymptotic).as_dict()
 
 
+def finite_float(text: str) -> float:
+    """The argparse type of every float option: inf and nan are usage errors."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+    return value
+
+
 class Command(NamedTuple):
-    """One subcommand.  `args` maps option names to a spec: `int` or `float`
-    for a required value, or add_argument keywords (FLAG, CHECK, ...).  A key
-    of several names ("n r") gives each the spec; names joined by " | " are a
-    required choice of one.  Rows offer --check (CHECK) only where `run`
-    re-validates its result.  `run` returns a payload, a (payload, exit code)
-    pair, or ready-made JSON-lines text."""
+    """One subcommand.  `args` maps option names to a spec: `int` or
+    `finite_float` for a required value, or add_argument keywords (FLAG,
+    CHECK, ...).  A key of several names ("n r") gives each the spec; names
+    joined by " | " are a required choice of one.  Rows offer --check
+    (CHECK) only where `run` re-validates its result.  `run` returns a
+    payload, a (payload, exit code) pair, or ready-made JSON-lines text."""
 
     help: str
     run: Callable
@@ -253,7 +262,7 @@ COMMANDS = {
     "density": Command("cardinality/density/bounds of a spectrum", _cmd_density,
                        {"n r": int, "check": CHECK}),
     "interval": Command("check an interval is fully inside a spectrum", _cmd_interval,
-                        {"n r": int, "c-low c-high": float, "clip": FLAG}),
+                        {"n r": int, "c-low c-high": finite_float, "clip": FLAG}),
     "classify": Command("certified density verdict for a pair", _cmd_classify,
                         {"m f": int, "check": CHECK}),
     "minr": Command("minimal clique rank of a pair", _cmd_minr, {"m f": int, "check": CHECK}),
@@ -283,7 +292,7 @@ COMMANDS = {
         "n N": int, "sum-cap": OPT_INT, "csv": {"help": "write m,R rows to this path"},
         "check": CHECK}),
     "exceptional": Command("zero-count scan of the representation histogram", _cmd_exceptional, {
-        "n": int, "N": OPT_INT, "lo-margin hi-margin": {"type": float, "default": 0.0},
+        "n": int, "N": OPT_INT, "lo-margin hi-margin": {"type": finite_float, "default": 0.0},
         "sum-cap": OPT_INT, "asymptotic": FLAG}),
 }
 

@@ -401,8 +401,10 @@ def bounds_sweep(n_max: int, r_max: int) -> Iterator[DensityReport]:
     """Stream DensityReports for every 1 <= n <= n_max, 2 <= r <= r_max.
 
     One full-table DP pass per report family: rows for all v are kept for
-    the current layer only, so the whole sweep costs two layers of memory.
+    the current layer only, so the whole sweep costs two layers of memory,
+    which the memory guard is charged before the first is built.
     """
+    _check_cap(2 * _rows_bits(n_max))
     prev = _layer([1], 1, n_max)
     for r in range(2, r_max + 1):
         prev = _layer(prev, r, n_max)

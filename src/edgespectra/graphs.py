@@ -29,7 +29,7 @@ from typing import Optional
 import numpy as np
 
 from .cliquespec import EdgeSpectrum, bounded_partitions, spectrum
-from .triangles import tri
+from .triangles import min_clique_edges, tri
 
 MAX_LABELED_N = 7
 MAX_DEDUP_N = 8
@@ -188,8 +188,7 @@ def turan_number(n: int, p: int) -> int:
     """Edge count of the complete balanced p-partite graph on n vertices."""
     if p < 1:
         raise ValueError(f"need p >= 1, got {p}")
-    q, rem = divmod(n, p)
-    return tri(n) - rem * tri(q + 1) - (p - rem) * tri(q)
+    return tri(n) - min_clique_edges(n, p)
 
 
 def turan_check(n: int, m: int) -> bool:
@@ -247,8 +246,10 @@ def induced_closure_check(
     induces an edge count lying in the (m, r) clique spectrum.
 
     trials=None enumerates all partitions exhaustively (n <= 10); otherwise
-    `trials` random partitions are drawn from a seeded generator.
+    `trials` >= 0 random partitions are drawn from a seeded generator.
     """
+    if trials is not None and trials < 0:
+        raise ValueError(f"need trials >= 0, got {trials}")
     if not 2 <= m <= n <= 12:
         raise ScaleRejected(f"need 2 <= m <= n <= 12, got n={n}, m={m}")
     if trials is None and n > 10:

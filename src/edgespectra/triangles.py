@@ -53,6 +53,13 @@ def tri_floor_root(f: int) -> int:
     return (1 + isqrt(1 + 8 * f)) // 2
 
 
+def min_clique_edges(v: int, j: int) -> int:
+    """The fewest edges j >= 1 cliques on v vertices in all can span: the
+    balanced partition's, the only one this few, as tri is strictly convex."""
+    q, rem = divmod(v, j)
+    return (j - rem) * tri(q) + rem * tri(q + 1)
+
+
 @dataclass(frozen=True)
 class UpperDecomp:
     """f = tri(ell) + ellp with 0 <= ellp < ell."""

@@ -12,12 +12,11 @@ from unittest import mock
 import numpy as np
 
 from edgespectra import squares
-from edgespectra.certify import (PairMF, _parts_max_edges, _parts_min_edges, three_part_witness,
-                                 two_part_witness)
+from edgespectra.certify import PairMF, _parts_max_edges, three_part_witness, two_part_witness
 from edgespectra.cliquespec import EdgeSpectrum
 from edgespectra.graphs import _achieved, canonical_reps, subset_pair_mask
 from edgespectra.repcount import RepHistogram
-from edgespectra.triangles import tri
+from edgespectra.triangles import min_clique_edges, tri
 
 
 def rep_histogram_naive(n: int, N: int, sum_cap: Optional[int] = None) -> RepHistogram:
@@ -207,7 +206,7 @@ def _find_rep_per_part(f: int, v: int, j: int, cap: int) -> Optional[tuple[int, 
     returned at once: one recursion level per part, whatever the parts."""
     if j == 1:
         return (v,) if v <= cap and tri(v) == f else None
-    if f < _parts_min_edges(v, j) or f > _parts_max_edges(v, j, cap):
+    if f < min_clique_edges(v, j) or f > _parts_max_edges(v, j, cap):
         return None
     if j == 2:
         w = two_part_witness(v, f)
@@ -234,4 +233,17 @@ def min_r_witness_search(m: int, f: int) -> Optional[tuple[int, ...]]:
         w = _find_rep_per_part(f, m, j, m)
         if w is not None:
             return w
+    return None
+
+
+def brute_dm_witness(f: int, m: int) -> Optional[tuple[int, int, int]]:
+    """certify.dm_witness by full triple enumeration: x <= y with x + y <= m
+    and z = f - xy >= 0, smallest x first, then smallest y."""
+    for x in range(m + 1):
+        for y in range(x, m - x + 1):
+            z = f - x * y
+            if z < 0:
+                continue
+            if z == 0 or x + y + z <= m - 1:
+                return (x, y, z)
     return None

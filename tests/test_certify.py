@@ -24,21 +24,9 @@ from edgespectra.certify import (
 )
 from edgespectra.cliquespec import spectrum
 from edgespectra.triangles import tri
-from oracles import min_r_witness_search, three_part_witness_scan
+from oracles import brute_dm_witness, min_r_witness_search, three_part_witness_scan
 
 HALF = Fraction(1, 2)
-
-
-def brute_dm_witness(f, m):
-    """Reference route: full triple enumeration, x <= y, smallest x then y."""
-    for x in range(m + 1):
-        for y in range(x, m - x + 1):
-            z = f - x * y
-            if z < 0:
-                continue
-            if z == 0 or x + y + z <= m - 1:
-                return (x, y, z)
-    return None
 
 
 def test_pair_validation():
@@ -66,9 +54,25 @@ def test_dm_examples():
 
 
 def test_dm_matches_brute_enumeration():
-    for m in range(2, 21):
+    for m in range(2, 61):
         for f in range(tri(m) + 1):
             assert dm_witness(f, m) == brute_dm_witness(f, m), (m, f)
+    # the edges of the two closed forms: z alone, the start at x = 2, and
+    # the product ceiling m^2/4, on both sides
+    for m in range(61, 401, 7):
+        for f in (m - 1, m, m * m // 4, m * m // 4 + 1):
+            assert dm_witness(f, m) == brute_dm_witness(f, m), (m, f)
+    rng = random.Random(15)
+    found = []
+    for i in range(100):
+        m = rng.randint(100, 400)
+        top = m * m // 4 + m
+        # every other f near the product ceiling, where the misses are
+        f = rng.randint(0, top) if i % 2 else rng.randint(top - 3 * m, top)
+        w = dm_witness(f, m)
+        assert w == brute_dm_witness(f, m), (m, f)
+        found.append(w is not None)
+    assert found.count(True) >= 10 and found.count(False) >= 10
 
 
 def test_dm_large_pair_fast():

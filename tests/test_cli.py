@@ -266,8 +266,13 @@ def test_dm_and_concentration(capsys):
     assert payload["expectation_identity_ok"] is True
 
 
+def _not_strict_json(constant):
+    raise ValueError(f"manifest holds {constant}, which strict JSON has not")
+
+
 def _manifest(err):
-    return json.loads(err.strip().splitlines()[-1])
+    """The manifest, the last stderr line, read as strict JSON."""
+    return json.loads(err.strip().splitlines()[-1], parse_constant=_not_strict_json)
 
 
 def test_budget_overrun_exits_1_with_manifest(capsys):
@@ -299,6 +304,11 @@ def test_bad_value_exits_2_with_manifest(capsys):
     assert code == 2 and out == ""
     assert "error: ValueError:" in err
     assert _manifest(err)["subcommand"] == "spectrum"
+    # a negative number of random draws would certify nothing
+    code, out, err = run_cli(capsys, ["closure", "--n", "6", "--r", "2", "--m", "3", "--trials", "-1"])
+    assert code == 2 and out == ""
+    assert "error: ValueError:" in err
+    assert _manifest(err)["subcommand"] == "closure"
 
 
 def test_overflow_exits_1_with_manifest(capsys, monkeypatch):
@@ -369,9 +379,10 @@ def test_classify_check_runs_one_verdict(capsys, monkeypatch):
 
 def _fuzz_argvs(count, seed):
     """Random classify, minr and dm calls with m <= 300, witness calls with
-    n <= 60, and interval, exceptional, repcount and concentration calls on
-    at most 40 vertices (12 for concentration): values reach a little past
-    their ranges on both sides, half the calls that offer --check carry it,
+    n <= 60, and interval, exceptional, repcount, concentration and closure
+    calls on at most 40 vertices (12 for concentration, 9 for closure):
+    values reach a little past their ranges on both sides, float options
+    are sometimes inf or nan, half the calls that offer --check carry it,
     and one in twenty has a malformed value."""
     rng = random.Random(seed)
 
@@ -383,21 +394,23 @@ def _fuzz_argvs(count, seed):
     def maybe(option, value):
         return [option, value] if rng.random() < 0.5 else []
 
+    floats = [-1, 0, 0.5, 2, "inf", "-inf", "nan"]
     argvs = []
     for _ in range(count):
-        cmd = rng.choice(["classify", "minr", "dm", "witness",
-                          "interval", "exceptional", "repcount", "concentration"])
+        cmd = rng.choice(["classify", "minr", "dm", "witness", "interval",
+                          "exceptional", "repcount", "concentration", "closure"])
         if cmd == "witness":
             n = rng.randint(-1, 60)
             argv = [cmd, "--n", n, "--r", rng.randint(0, 6), "--m", rng.randint(-2, tri(max(n, 0)) + 2)]
         elif cmd == "interval":
             argv = [cmd, "--n", near(0, 40), "--r", near(1, 6),
-                    "--c-low", rng.choice([-1, 0, 0.5, 2]), "--c-high", rng.choice([-1, 0, 0.5, 2])]
+                    "--c-low", rng.choice(floats), "--c-high", rng.choice(floats)]
             argv += ["--clip"] * (rng.random() < 0.5)
         elif cmd == "exceptional":
             n = near(2, 40)
             argv = [cmd, "--n", n, *maybe("--N", near(1, max(n, 0) // 5 + 1)),
-                    *maybe("--sum-cap", near(0, n)), *maybe("--lo-margin", rng.choice([-5, 0, 20])),
+                    *maybe("--sum-cap", near(0, n)),
+                    *maybe("--lo-margin", rng.choice([-5, 0, 20, "inf", "nan"])),
                     *(["--asymptotic"] * (rng.random() < 0.5))]
         elif cmd == "repcount":
             n = near(0, 40)
@@ -406,6 +419,9 @@ def _fuzz_argvs(count, seed):
             N = near(2, 12)
             argv = [cmd, "--N", N, "--E", near(0, tri(max(N, 0))), "--n", near(2, N),
                     "--trials", near(0, 30), "--seed", rng.randint(0, 9)]
+        elif cmd == "closure":
+            n = near(2, 8)
+            argv = [cmd, "--n", n, "--r", near(1, 4), "--m", near(2, n), *maybe("--trials", near(0, 3))]
         else:
             m = rng.randint(-1, 300)
             top = tri(max(m, 0))
@@ -433,6 +449,8 @@ def test_cli_fuzz_keeps_exit_contract(capsys):
         lines = err.strip().splitlines()
         assert code in (0, 1, 2), argv
         assert _manifest(err)["output_digest"], argv
+        if "--trials" in argv and argv[argv.index("--trials") + 1].startswith("-"):
+            assert code == 2, argv  # a negative number of draws certifies nothing
         if code and not (code == 1 and out):  # a negative verdict prints its payload
             assert any(line.startswith(("error: ", "check failed: ")) or ": error: " in line
                        for line in lines[:-1]), argv
@@ -444,6 +462,10 @@ def test_cli_fuzz_keeps_exit_contract(capsys):
     ["interval", "--n", "30", "--r", "3", "--c-low", "0", "--c-high", "0", "--check"],
     ["witness7", "--n", "30000"],
     ["witness7", "--n", "30000", "--m", "100000000", "--samples", "3"],
+    # float options take finite values only
+    ["interval", "--n", "30", "--r", "3", "--c-low", "0", "--c-high", "inf"],
+    ["interval", "--n", "30", "--r", "3", "--c-low", "nan", "--c-high", "0"],
+    ["exceptional", "--n", "30", "--lo-margin", "inf"],
 ])
 def test_usage_error_exits_2_with_manifest(capsys, argv):
     with pytest.raises(SystemExit) as exc:

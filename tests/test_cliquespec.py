@@ -16,6 +16,7 @@ from edgespectra.cliquespec import (
     _layer,
     _layer_caps,
     _row,
+    _rows_bits,
     _witness_bits,
     _witness_tables,
     bounded_partitions,
@@ -188,6 +189,17 @@ def test_spectrum_guard_counts_built_rows(table_cap):
             spectrum(n, r)
     # n = 4000, r = 5 fits the default guard
     assert _estimate_bits(_layer_caps(4000, 5)) <= _DEFAULT_MAX_TABLE_BITS
+
+
+def test_bounds_sweep_guard_counts_two_layers(table_cap):
+    # the sweep is a generator: the guard is met on its first report
+    first = next(bounds_sweep(400, 9))
+    assert (first.n, first.r) == (1, 2)
+    table_cap(2 * _rows_bits(60))
+    assert next(bounds_sweep(60, 3)) == first
+    table_cap(2 * _rows_bits(60) - 1)
+    with pytest.raises(SpectrumMemoryError):
+        next(bounds_sweep(60, 3))
 
 
 def test_blocked_spectrum_matches_unblocked():

@@ -345,6 +345,8 @@ def test_induced_closure_scale_guard():
         induced_closure_check(13, 3, 5)
     with pytest.raises(ScaleRejected):
         induced_closure_check(11, 3, 5)  # exhaustive mode needs n <= 10
+    with pytest.raises(ValueError):
+        induced_closure_check(6, 2, 3, trials=-1)  # would certify nothing
 
 
 def test_concentration_exact_small():

@@ -8,6 +8,7 @@ from edgespectra.triangles import (
     decompose_lower,
     decompose_upper,
     int_roots,
+    min_clique_edges,
     tri,
     tri_floor_root,
     tri_root,
@@ -57,6 +58,21 @@ def test_int_roots_beyond_64_bits():
     assert int_roots(2 * k, 1) == ()
     assert int_roots(2 * k, k * k) == (k, k)
     assert int_roots(0, 1) == ()
+
+
+def test_min_clique_edges_is_the_fewest_over_all_partitions():
+    def partitions(v, j, cap):  # j parts in [0, cap], nonincreasing
+        if j == 0:
+            yield from [()] if v == 0 else []
+            return
+        for a in range(min(v, cap), -1, -1):
+            for rest in partitions(v - a, j - 1, a):
+                yield (a,) + rest
+
+    for v in range(13):
+        for j in range(1, 8):
+            fewest = min(sum(tri(a) for a in p) for p in partitions(v, j, v))
+            assert min_clique_edges(v, j) == fewest, (v, j)
 
 
 def test_decompositions_satisfy_their_inequalities():
