@@ -15,10 +15,11 @@ Verdict.validate re-checks a verdict by substitution into the rules that
 fired.
 
 The minimal clique rank comes from one search, min_r_witness.  It first
-decides whether f is the edge sum of any partition of m, by a recursion
-over the largest part a, which the deficit d = tri(m) - f confines to
-a >= m - 2d/m; a pair with no representation is answered there.  Then one
-loop over the part count j calls _find_rep.  That gives one and two parts
+decides whether f is the edge sum of any partition of m, by
+triangles.clique_parts, a recursion over the largest part a, which the
+deficit d = tri(m) - f confines to a >= m - 2d/m; a pair with no
+representation is answered there.  Then one loop over the part count j
+calls _find_rep.  That gives one and two parts
 by closed forms, three by three_part_witness (a loop over the smallest
 part within a closed-form window), the fewest edges by the balanced
 partition, and more by trying largest parts from the top, recursing down
@@ -38,8 +39,8 @@ from fractions import Fraction
 from math import isqrt
 from typing import Optional
 
-from .triangles import (decompose_lower, decompose_upper, int_roots, min_clique_edges, tri,
-                        tri_floor_root, tri_root)
+from .triangles import (clique_parts, decompose_lower, decompose_upper, int_roots,
+                        min_clique_edges, tri, tri_floor_root, tri_root, two_part_witness)
 
 #: The five pairs whose density is exactly 1.
 SPECIAL_PAIRS = frozenset({(2, 0), (2, 1), (4, 3), (5, 4), (5, 6)})
@@ -224,15 +225,6 @@ def dm_witness(f: int, m: int) -> Optional[tuple[int, int, int]]:
 # whose vertex counts are positive and sum to m.
 # ---------------------------------------------------------------------------
 
-def two_part_witness(m: int, f: int) -> Optional[tuple[int, int]]:
-    """(x, m-x) with tri(x) + tri(m-x) = f and both parts >= 1, else None."""
-    # tri(x) + tri(m-x) = f  <=>  x^2 - m*x + (tri(m) - f) = 0; the roots are the parts
-    roots = int_roots(m, tri(m) - f)
-    if roots and roots[0] >= 1:
-        return (roots[1], roots[0])
-    return None
-
-
 class RankBudgetExceeded(Exception):
     """The rank search walked its whole budget of three-part z-steps
     without deciding the pair."""
@@ -349,31 +341,6 @@ def _find_rep(f: int, v: int, j: int, cap: int, budget: _Budget) -> Optional[tup
     return None
 
 
-def _representable(m: int, f: int) -> bool:
-    """Whether f is the edge sum of some partition of m >= 1 into cliques.
-
-    The deficit d = tri(m) - f is sum_{i<j} a_i a_j.  With a the largest
-    part, d = (m^2 - sum a_i^2) / 2 >= (m^2 - a m) / 2, so
-    a >= m - 2d/m; and tri(a) <= f.  Each such a is tried, largest first,
-    on the rest (m - a, f - tri(a)), down to f = 0, which m singletons
-    realize.  The pairs decided are remembered for the rest of the call.
-    """
-    seen: dict[tuple[int, int], bool] = {}
-
-    def rep(v: int, g: int) -> bool:
-        if g == 0:
-            return True
-        d = tri(v) - g
-        if d < 0:
-            return False
-        if (v, g) not in seen:
-            seen[v, g] = any(rep(v - a, g - tri(a))
-                             for a in range(min(v, tri_floor_root(g)), v - 2 * d // v - 1, -1))
-        return seen[v, g]
-
-    return rep(m, f)
-
-
 def min_r_witness(m: int, f: int) -> Optional[tuple[int, ...]]:
     """A partition realizing min_r(m, f), nonincreasing; None if absent.
 
@@ -381,15 +348,15 @@ def min_r_witness(m: int, f: int) -> Optional[tuple[int, ...]]:
     lexicographically largest possible, and the last three are the triple
     with the smallest smallest part.
 
-    _representable first decides whether any partition of m has edge sum
-    f, by a recursion over the largest part; a pair without one returns
-    None there.  Otherwise the part counts j are tried in turn with
+    triangles.clique_parts first decides whether any partition of m has
+    edge sum f, by a recursion over the largest part; a pair without one
+    returns None there.  Otherwise the part counts j are tried in turn with
     _find_rep, and the first that admits a partition gives the witness.
     The three-part windows of one call share one budget of _RANK_STEPS
     z-steps; RankBudgetExceeded is raised once they have walked it.
     """
     PairMF(m, f)
-    if not _representable(m, f):
+    if clique_parts(m, f, m) is None:
         return None
     budget = _Budget(m, f)
     for j in range(1, m + 1):

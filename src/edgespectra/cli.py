@@ -14,9 +14,10 @@ substitution, is accepted by spectrum, witness, density, classify, minr, dm,
 pell, three-squares, bennett, arrow, snm and repcount; witness7 always
 re-validates.  EDGESPECTRA_MAX_TABLE_BITS overrides the spectrum memory cap.
 
-Large clique spectra (spectrum, witness, density, interval at n above
-about 370) build each DP layer on every CPU the process may use, in
-forked worker processes; the output does not depend on their number.
+Large clique spectra (spectrum, density, interval at n above about 370)
+build each DP layer on every CPU the process may use, in forked worker
+processes; the output does not depend on their number.  Witnesses
+(witness, the probes of spectrum --check) come from a recursion, not the DP.
 
 One process builds the argument parser once, on its first main call, and
 reuses it for every later call: building it takes about 4 ms, and a whole
@@ -61,8 +62,8 @@ def _require(ok: bool, failure: str) -> None:
 # The run functions of the COMMANDS rows below.
 
 def _cmd_spectrum(args) -> dict:
-    spec = cliquespec.spectrum(args.n, args.r, witnesses=args.check)
-    if args.check:  # the probes backtrack through the tables spectrum just built
+    spec = cliquespec.spectrum(args.n, args.r)
+    if args.check:  # the probes' witnesses come from a recursion, not from the DP
         for probe in (spec.min_element, spec.max_element):
             w = cliquespec.member_witness(args.n, args.r, probe)
             _require(w is not None and w.realizes(args.n, args.r, probe),

@@ -11,9 +11,9 @@ Every path builds its layers with one kernel, _layer (and its one-row form
 _row), and row v of layer k only ever reads rows up to floor(v(k-1)/k) of
 layer k - 1.  So a target (n, r) needs layer k only up to the cap
 floor(nk/r), and the top layer only row n.  Only two layers are alive at a
-time in the streaming paths; the witness-recovery path keeps every layer up
-to its cap and is therefore kept behind the same memory guard, charged for
-the rows it builds.
+time, and the memory guard is charged for them before the first is built.
+member_witness reads no layer (it is triangles.clique_parts, a recursion
+over the largest part), but it is guarded as spectrum(n, r) is.
 
 The rows of a layer depend only on the layer below, so a large layer is
 built on every CPU the process may use: _layer forks one child per extra
@@ -31,10 +31,9 @@ import os
 import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 from typing import Iterator
 
-from .triangles import tri
+from .triangles import clique_parts, tri
 
 ENV_MAX_TABLE_BITS = "EDGESPECTRA_MAX_TABLE_BITS"
 _DEFAULT_MAX_TABLE_BITS = 8_000_000_000  # ~1 GB of row storage
@@ -179,11 +178,6 @@ def _estimate_bits(caps: list[int]) -> int:
     return sum(per_layer[-2:]) + (tri(caps[-1]) + 1)
 
 
-def _witness_bits(caps: list[int]) -> int:
-    # every layer below the top up to its cap, and the top's one row
-    return sum(_rows_bits(c) for c in caps[:-1]) + (tri(caps[-1]) + 1)
-
-
 # Part sizes are OR-ed into a row in blocks of _BLOCK consecutive sizes a:
 # inside a block each term sits at the offset tri(a) - tri(a0) relative to
 # the block's first size a0, and the block is shifted by tri(a0) once, so
@@ -304,64 +298,35 @@ def _check_n_r(n: int, r: int) -> None:
         raise ValueError(f"r must be >= 1, got {r}")
 
 
-def spectrum(n: int, r: int, *, witnesses: bool = False) -> EdgeSpectrum:
-    """Exact C(n, r): edge sums of unions of at most r cliques on n vertices.
-
-    With witnesses=True the mask is the top row of the witness tables,
-    which keep every layer up to its cap (under the witness guard) and stay
-    cached, so member_witness calls for the same (n, r) that follow
-    backtrack through them instead of running the DP again.
-    """
+def _guarded_caps(n: int, r: int) -> tuple[int, list[int]]:
+    """The layer count spectrum(n, r) builds and its layer caps, after the
+    memory guard has been charged for them."""
     _check_n_r(n, r)
     k_eff = min(r, max(n, 1))  # more than n parts only adds empty cliques
-    if witnesses:
-        return EdgeSpectrum(n=n, r=r, mask=_witness_tables(n, k_eff)[1])
     caps = _layer_caps(n, k_eff)
     _check_cap(_estimate_bits(caps))
+    return k_eff, caps
+
+
+def spectrum(n: int, r: int) -> EdgeSpectrum:
+    """Exact C(n, r): edge sums of unions of at most r cliques on n vertices."""
+    k_eff, caps = _guarded_caps(n, r)
     prev = [1]
     for k in range(1, k_eff):
         prev = _layer(prev, k, caps[k])
     return EdgeSpectrum(n=n, r=r, mask=_row(prev, n, k_eff))
 
 
-@lru_cache(maxsize=6)
-def _witness_tables(n: int, r: int) -> tuple[list[list[int]], int]:
-    """Layers 0..r-1, each up to its cap, and the top row C(n, r), for backtracking."""
-    caps = _layer_caps(n, r)
-    _check_cap(_witness_bits(caps))
-    layers = [[1]]
-    for k in range(1, r):
-        layers.append(_layer(layers[-1], k, caps[k]))
-    return layers, _row(layers[-1], n, r)
-
-
 def member_witness(n: int, r: int, m: int) -> CliquePartition | None:
-    """A clique partition realizing edge sum m, or None when m is not in C(n, r).
-    n and r are checked as spectrum checks them.
-
-    Deterministic: at each step the largest feasible part is taken.
-    """
-    _check_n_r(n, r)
-    if m < 0 or m > tri(n):
+    """The lexicographically largest clique partition of n into at most r
+    parts with edge sum m, or None when m is not in C(n, r).  It reads none
+    of the DP, so it re-checks a spectrum by another route; n, r and the
+    memory guard are checked as spectrum(n, r) checks them."""
+    _guarded_caps(n, r)
+    parts = clique_parts(n, m, r)
+    if parts is None:
         return None
-    r = min(r, max(n, 1))
-    layers, top = _witness_tables(n, r)
-    if not (top >> m) & 1:
-        return None
-    parts: list[int] = []
-    v, k, rem = n, r, m
-    while v > 0:
-        # A member at (v, k) has a largest part a >= ceil(v/k); so the scan
-        # stops there, and v - a stays inside layer k - 1's cap.
-        for a in range(v, -(-v // k) - 1, -1):
-            t = tri(a)
-            if t <= rem and (layers[k - 1][v - a] >> (rem - t)) & 1:
-                break
-        else:
-            raise AssertionError(f"no feasible part at v={v}, k={k}, rem={rem}")
-        parts.append(a)
-        v, k, rem = v - a, k - 1, rem - t
-    return CliquePartition(parts=tuple(parts), n=n)
+    return CliquePartition(parts=parts + (1,) * (n - sum(parts)), n=n)
 
 
 @dataclass(frozen=True)
@@ -426,11 +391,13 @@ def verify_interval(n: int, r: int, c_low: float, c_high: float, *, clip: bool =
     belongs to C(n, r); on failure report the smallest missing integer.
 
     An empty interval (including a negative upper endpoint) is vacuously
-    true and flagged as such.
+    true and flagged as such.  c_low and c_high must be finite.
     """
     import math
 
     _check_n_r(n, r)
+    if not (math.isfinite(c_low) and math.isfinite(c_high)):
+        raise ValueError(f"c_low and c_high must be finite, got {c_low} and {c_high}")
     lo = math.ceil(n * n / (2 * r) + c_low * n)
     hi = math.floor((n * n - n) / 2 - c_high * n * math.sqrt(n))
     spec = spectrum(n, r)

@@ -246,10 +246,10 @@ def induced_closure_check(
     induces an edge count lying in the (m, r) clique spectrum.
 
     trials=None enumerates all partitions exhaustively (n <= 10); otherwise
-    `trials` >= 0 random partitions are drawn from a seeded generator.
+    `trials` >= 1 random partitions are drawn from a seeded generator.
     """
-    if trials is not None and trials < 0:
-        raise ValueError(f"need trials >= 0, got {trials}")
+    if trials is not None and trials < 1:
+        raise ValueError(f"need trials >= 1, got {trials}")
     if not 2 <= m <= n <= 12:
         raise ScaleRejected(f"need 2 <= m <= n <= 12, got n={n}, m={m}")
     if trials is None and n > 10:
@@ -353,8 +353,8 @@ def concentration_experiment(
         raise ValueError(f"need 2 <= n <= N, got n={n}, N={N}")
     if not 0 <= E <= tri(N):
         raise ValueError(f"E={E} outside [0, {tri(N)}]")
-    if trials < 0:
-        raise ValueError(f"need trials >= 0, got {trials}")
+    if trials < 1:
+        raise ValueError(f"need trials >= 1, got {trials}")
     if N > MAX_CONCENTRATION_N:
         raise ScaleRejected(f"need N <= {MAX_CONCENTRATION_N}, got N={N}")
     rng = np.random.default_rng(seed)
@@ -376,8 +376,8 @@ def concentration_experiment(
     for i in range(trials):
         s = rng.choice(N, size=n, replace=False)
         counts[i] = int(adj[np.ix_(s, s)].sum()) // 2
-    emp_mean = float(counts.mean()) if trials else 0.0
-    emp_std = float(counts.std()) if trials else 0.0
+    emp_mean = float(counts.mean())
+    emp_std = float(counts.std())
 
     mu = float(expected_mean)
     # 0 only when N == n: every n-subset is the whole graph, so t is 0 and
@@ -387,8 +387,8 @@ def concentration_experiment(
     for cscale in _TAIL_GRID:
         t = cscale * (n - 1) * math.sqrt(min(n, N - n))
         bound = 2.0 * math.exp(-2.0 * t * t / denom) if denom else 2.0
-        observed = float(np.mean(np.abs(counts - mu) >= t)) if trials else 0.0
-        se = math.sqrt(max(bound * (1 - bound), 1e-12) / trials) if trials else 0.0
+        observed = float(np.mean(np.abs(counts - mu) >= t))
+        se = math.sqrt(max(bound * (1 - bound), 1e-12) / trials)
         tails.append(TailCheck(t=t, bound=bound, observed=observed, slack=3 * se))
     return ConcentrationReport(
         N=N, E=E, n=n, trials=trials, seed=seed,

@@ -69,15 +69,21 @@ def _perm_weight(x: tuple[int, ...]) -> int:
     return w
 
 
+def _sum_cap(n: int, sum_cap: Optional[int]) -> int:
+    """sum_cap, n by default, checked to lie in [0, n]."""
+    sum_cap = n if sum_cap is None else sum_cap
+    if not 0 <= sum_cap <= n:
+        raise ValueError(f"need 0 <= sum_cap <= n={n}, got sum_cap={sum_cap}")
+    return sum_cap
+
+
 def rep_histogram(n: int, N: int, sum_cap: Optional[int] = None) -> RepHistogram:
     """Counts of ordered 4-tuples per realized edge count m."""
     if n < 0:
         raise ValueError(f"need n >= 0, got {n}")
     if N < 1:
         raise ValueError(f"need N >= 1, got {N}")
-    sum_cap = n if sum_cap is None else sum_cap
-    if sum_cap > n:
-        raise ValueError(f"sum_cap={sum_cap} exceeds n={n}")
+    sum_cap = _sum_cap(n, sum_cap)
     estimate = math.comb(N + 3, 4)
     if estimate > _MAX_TUPLES:
         raise TupleBudgetExceeded(f"~{estimate} sorted tuples exceeds cap {_MAX_TUPLES}")
@@ -131,6 +137,8 @@ def exceptional_count(
     that asymptotic regime degenerates for small n and may produce an
     empty range or coordinate cap, which is flagged rather than hidden.
     """
+    if not (math.isfinite(lo_margin) and math.isfinite(hi_margin)):
+        raise ValueError(f"margins must be finite, got {lo_margin} and {hi_margin}")
     log_base = None
     if asymptotic:
         if n < 2:
@@ -139,7 +147,7 @@ def exceptional_count(
         lo_margin = hi_margin = n * n / math.log(n)
         N = math.floor(n / 5 - n / math.log(n))
         if N < 1:
-            return ExceptionalReport(n=n, N=N, sum_cap=sum_cap or n, lo=0, hi=-1,
+            return ExceptionalReport(n=n, N=N, sum_cap=_sum_cap(n, sum_cap), lo=0, hi=-1,
                                      zeros=0, total=0, range_empty=True, log_base=log_base)
     if N is None:
         N = n // 5

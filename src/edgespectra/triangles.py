@@ -5,6 +5,7 @@ differences of triangular numbers are the basic currency of everything in
 this package.  The two decompositions expose an edge count f either as
 "largest triangular number below, plus excess" or as "smallest triangular
 number above, minus deficit"; both are unique in the stated ranges.
+clique_parts splits an edge count over a partition of the vertices.
 """
 
 from __future__ import annotations
@@ -58,6 +59,58 @@ def min_clique_edges(v: int, j: int) -> int:
     balanced partition's, the only one this few, as tri is strictly convex."""
     q, rem = divmod(v, j)
     return (j - rem) * tri(q) + rem * tri(q + 1)
+
+
+def two_part_witness(m: int, f: int) -> tuple[int, int] | None:
+    """(x, m-x) with tri(x) + tri(m-x) = f and both parts >= 1, else None."""
+    # tri(x) + tri(m-x) = f  <=>  x^2 - m*x + (tri(m) - f) = 0; the roots are the parts
+    roots = int_roots(m, tri(m) - f)
+    if roots and roots[0] >= 1:
+        return (roots[1], roots[0])
+    return None
+
+
+def clique_parts(v: int, g: int, k: int) -> tuple[int, ...] | None:
+    """The parts >= 2, nonincreasing, of the lexicographically largest
+    partition of v >= 0 into at most k >= 1 parts whose cliques span g
+    edges, or None.  The rest of v is singletons, never listed, so v may
+    be far too large for a tuple of v parts.
+
+    The deficit d = tri(v) - g is sum_{i<j} a_i a_j >= (v^2 - a v) / 2 for
+    the largest part a, so a >= v - 2d/v; also a >= v/k.  From above,
+    tri(a) <= g, and the rest spans at least min_clique_edges(v - a, k - 1)
+    >= ((v - a)^2/(k - 1) - (v - a))/2 edges, so a^2 + (v - a)^2/(k - 1)
+    <= 2g + v.  Each a between is tried, largest first, on the rest
+    (v - a, g - tri(a), k - 1), so the first that succeeds is the largest
+    part of any such partition.  k = 2 is two_part_witness, and the failed
+    keys, with k past v taken as v, are remembered for the rest of the call.
+    """
+    if v < 0 or k < 1:
+        raise ValueError(f"need v >= 0 and k >= 1, got v={v}, k={k}")
+    failed: set[tuple[int, int, int]] = set()
+
+    def search(v: int, g: int, k: int) -> tuple[int, ...] | None:
+        k = min(k, v)  # more parts than vertices only adds empty ones
+        if g <= 0:
+            return () if g == 0 and k == v else None
+        d = tri(v) - g
+        if d < 0 or (k < v and g < min_clique_edges(v, k)) or (v, g, k) in failed:
+            return None
+        if k == 1 or d == 0:  # one part: min_clique_edges(v, 1) = tri(v) = g
+            return (v,)
+        if k == 2:
+            w = two_part_witness(v, g)
+            return None if w is None else tuple(p for p in w if p > 1)
+        j = k - 1  # the larger root of j a^2 + (v - a)^2 = j (2g + v), floored
+        top = min(v, tri_floor_root(g), (v + isqrt(j * (k * (2 * g + v) - v * v))) // k)
+        for a in range(top, max(-(-v // k), v - 2 * d // v) - 1, -1):
+            rest = search(v - a, g - tri(a), k - 1)
+            if rest is not None:
+                return (a,) + rest
+        failed.add((v, g, k))
+        return None
+
+    return search(v, g, k)
 
 
 @dataclass(frozen=True)

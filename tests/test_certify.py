@@ -13,7 +13,6 @@ from edgespectra.certify import (
     SPECIAL_PAIRS,
     TraceEntry,
     _Budget,
-    _representable,
     classify_pair,
     dm_witness,
     triple_identity,
@@ -23,7 +22,7 @@ from edgespectra.certify import (
     two_part_witness,
 )
 from edgespectra.cliquespec import spectrum
-from edgespectra.triangles import tri
+from edgespectra.triangles import clique_parts, tri
 from oracles import brute_dm_witness, min_r_witness_search, three_part_witness_scan
 
 HALF = Fraction(1, 2)
@@ -162,11 +161,13 @@ def test_min_r_witness_matches_search_near_complete():
 
 
 def test_representable_matches_spectrum():
-    # f has a clique-partition representation exactly when it is in C(m, m)
+    # f has a partition of m into at most k cliques exactly when it is in
+    # C(m, k); k = m is the rank search's representability test
     for m in range(2, 61):
-        spec = spectrum(m, m)
-        for f in range(tri(m) + 1):
-            assert _representable(m, f) == (f in spec), (m, f)
+        for k in sorted({1, 2, 3, 4, m // 3 or 1, m - 1, m}):
+            spec = spectrum(m, k)
+            for f in range(tri(m) + 1):
+                assert (clique_parts(m, f, k) is not None) == (f in spec), (m, k, f)
 
 
 def test_no_representation_skips_part_count_search(monkeypatch):

@@ -300,15 +300,17 @@ def test_concentration_scale_rejected_exits_1(capsys):
 
 
 def test_bad_value_exits_2_with_manifest(capsys):
-    code, out, err = run_cli(capsys, ["spectrum", "--n", "-1", "--r", "2"])
-    assert code == 2 and out == ""
-    assert "error: ValueError:" in err
-    assert _manifest(err)["subcommand"] == "spectrum"
-    # a negative number of random draws would certify nothing
-    code, out, err = run_cli(capsys, ["closure", "--n", "6", "--r", "2", "--m", "3", "--trials", "-1"])
-    assert code == 2 and out == ""
-    assert "error: ValueError:" in err
-    assert _manifest(err)["subcommand"] == "closure"
+    for argv in (["spectrum", "--n", "-1", "--r", "2"],
+                 # no random draw, or a negative tuple cap, would certify nothing
+                 ["closure", "--n", "6", "--r", "2", "--m", "3", "--trials", "-1"],
+                 ["closure", "--n", "6", "--r", "2", "--m", "3", "--trials", "0"],
+                 ["concentration", "--N", "6", "--E", "5", "--n", "3", "--trials", "0"],
+                 ["exceptional", "--n", "10", "--sum-cap", "-1"],
+                 ["repcount", "--n", "10", "--N", "2", "--sum-cap", "-1"]):
+        code, out, err = run_cli(capsys, argv)
+        assert code == 2 and out == "", argv
+        assert "error: ValueError:" in err, argv
+        assert _manifest(err)["subcommand"] == argv[0]
 
 
 def test_overflow_exits_1_with_manifest(capsys, monkeypatch):
@@ -449,8 +451,10 @@ def test_cli_fuzz_keeps_exit_contract(capsys):
         lines = err.strip().splitlines()
         assert code in (0, 1, 2), argv
         assert _manifest(err)["output_digest"], argv
-        if "--trials" in argv and argv[argv.index("--trials") + 1].startswith("-"):
-            assert code == 2, argv  # a negative number of draws certifies nothing
+        for option, least in (("--trials", 1), ("--sum-cap", 0)):
+            value = argv[argv.index(option) + 1] if option in argv else ""
+            if value.lstrip("-").isdigit() and int(value) < least:
+                assert code == 2, argv  # no draw or a negative cap certifies nothing
         if code and not (code == 1 and out):  # a negative verdict prints its payload
             assert any(line.startswith(("error: ", "check failed: ")) or ": error: " in line
                        for line in lines[:-1]), argv
@@ -505,7 +509,6 @@ def test_spectrum_check_builds_each_layer_once(capsys, monkeypatch):
 
     built, real = [], cliquespec._layer
     monkeypatch.setattr(cliquespec, "_layer", lambda prev, k, cap: built.append(k) or real(prev, k, cap))
-    cliquespec._witness_tables.cache_clear()
     code, out, _ = run_cli(capsys, ["spectrum", "--n", "60", "--r", "5", "--check"])
     assert code == 0 and json.loads(out)["count"] == 893
     assert sorted(built) == [1, 2, 3, 4]

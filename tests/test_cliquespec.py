@@ -1,4 +1,5 @@
 import os
+import random
 import signal
 import threading
 
@@ -17,8 +18,6 @@ from edgespectra.cliquespec import (
     _layer_caps,
     _row,
     _rows_bits,
-    _witness_bits,
-    _witness_tables,
     bounded_partitions,
     bounds_sweep,
     density_and_bounds,
@@ -114,6 +113,22 @@ def test_witness_soundness():
                     assert w is None, (n, r, m)
 
 
+@pytest.mark.parametrize("n,r", [(400, 5), (150, 8)])
+def test_witness_route_agrees_with_spectrum(n, r):
+    # member_witness reads none of the DP, so the two routes check each
+    # other: on every non-member from the minimum up (at (400, 5) layers
+    # fork) and on seeded members
+    spec = spectrum(n, r)
+    members = spec.members()
+    gaps = sorted(set(range(spec.min_element, tri(n) + 1)) - set(members))
+    assert len(gaps) > 1000
+    for e in gaps:
+        assert member_witness(n, r, e) is None, (n, r, e)
+    for e in random.Random(n * r).sample(members, 500):
+        w = member_witness(n, r, e)
+        assert w is not None and w.realizes(n, r, e), (n, r, e)
+
+
 def test_density_examples():
     rep = density_and_bounds(10, 3)
     assert rep.min_element == 12 and rep.bounds_ok
@@ -139,15 +154,8 @@ def test_sweep_agrees_with_single_runs():
 
 @pytest.fixture
 def table_cap(monkeypatch):
-    """Sets the memory cap through its environment variable.  The witness
-    tables are cached with the guard checked once, on the build, so each
-    setting clears them, and so does teardown."""
-    def set_cap(bits):
-        monkeypatch.setenv(ENV_MAX_TABLE_BITS, str(bits))
-        _witness_tables.cache_clear()
-    _witness_tables.cache_clear()
-    yield set_cap
-    _witness_tables.cache_clear()
+    """Sets the memory cap through its environment variable."""
+    return lambda bits: monkeypatch.setenv(ENV_MAX_TABLE_BITS, str(bits))
 
 
 def test_memory_guard(table_cap):
@@ -158,20 +166,15 @@ def test_memory_guard(table_cap):
         member_witness(400, 6, 10_000)
 
 
-def test_witness_guard_counts_built_rows(table_cap):
-    for n, r in ((0, 1), (1, 1), (9, 3), (40, 5), (57, 7), (100, 2)):
-        caps = _layer_caps(n, r)
-        layers, top = _witness_tables(n, r)
-        assert [len(layer) - 1 for layer in layers] == caps[:-1]
-        built = sum(tri(v) + 1 for layer in layers for v in range(len(layer))) + tri(n) + 1
-        assert _witness_bits(caps) == built, (n, r)
-    # the guard admits tables that fit once only the built rows are charged
-    caps = _layer_caps(400, 6)
-    table_cap(_witness_bits(caps))
-    assert member_witness(400, 6, 20_000) is not None
-    table_cap(_witness_bits(caps) - 1)
-    with pytest.raises(SpectrumMemoryError):
-        member_witness(400, 6, 20_000)
+def test_witness_guard_is_the_spectrum_guard(table_cap):
+    # member_witness builds no table, but answers exactly where spectrum does
+    for n, r in ((40, 5), (400, 6), (57, 70)):
+        caps = _layer_caps(n, min(r, n))
+        table_cap(_estimate_bits(caps))
+        assert member_witness(n, r, tri(n) - (n - 1)) is not None
+        table_cap(_estimate_bits(caps) - 1)
+        with pytest.raises(SpectrumMemoryError):
+            member_witness(n, r, tri(n) - (n - 1))
 
 
 def test_spectrum_guard_counts_built_rows(table_cap):
@@ -228,7 +231,10 @@ def test_bounds_sweep_matches_unblocked():
 def test_capped_witness_rows_match_uncapped():
     for n, r in ((1, 1), (7, 7), (50, 2), (100, 7), (3 * _BLOCK, 5)):
         caps = _layer_caps(n, r)
-        layers, top = _witness_tables(n, r)
+        layers = [[1]]
+        for k in range(1, r):
+            layers.append(_layer(layers[-1], k, caps[k]))
+        top = _row(layers[-1], n, r)
         uncapped = witness_tables_uncapped(n, r)
         assert layers[0] == [1]
         for k in range(1, r):
@@ -362,6 +368,9 @@ def test_interval_rejects_bad_n_r():
     for n, r in ((5, 0), (-1, 3)):
         with pytest.raises(ValueError):
             verify_interval(n, r, 0, 0)
+    for c_low, c_high in ((0, float("inf")), (float("-inf"), 0), (float("nan"), 0)):
+        with pytest.raises(ValueError, match="finite"):
+            verify_interval(30, 3, c_low, c_high)
 
 
 def test_interval_agrees_with_member_scan():

@@ -345,8 +345,9 @@ def test_induced_closure_scale_guard():
         induced_closure_check(13, 3, 5)
     with pytest.raises(ScaleRejected):
         induced_closure_check(11, 3, 5)  # exhaustive mode needs n <= 10
-    with pytest.raises(ValueError):
-        induced_closure_check(6, 2, 3, trials=-1)  # would certify nothing
+    for trials in (-1, 0):  # would certify nothing
+        with pytest.raises(ValueError, match="trials >= 1"):
+            induced_closure_check(6, 2, 3, trials=trials)
 
 
 def test_concentration_exact_small():
@@ -354,6 +355,13 @@ def test_concentration_exact_small():
     assert rep.enum_mean == Fraction(1)
     assert rep.expectation_identity_ok
     assert rep.expected_mean == pytest.approx(1.0)
+
+
+def test_concentration_needs_a_draw():
+    # no draw leaves every tail vacuously within its bound
+    for trials in (-1, 0):
+        with pytest.raises(ValueError, match="trials >= 1"):
+            concentration_experiment(6, 5, 3, trials=trials)
 
 
 def test_concentration_zero_edges():

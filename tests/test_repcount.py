@@ -52,8 +52,12 @@ def test_sum_cap_restricts():
     capped = rep_histogram(30, 6, sum_cap=10)
     assert capped.total_tuples < full.total_tuples
     assert np.all(capped.counts <= full.counts)
-    with pytest.raises(ValueError):
-        rep_histogram(30, 6, sum_cap=31)
+    for sum_cap in (31, -1):  # a negative cap would count no tuples at all
+        with pytest.raises(ValueError, match="sum_cap"):
+            rep_histogram(30, 6, sum_cap=sum_cap)
+        with pytest.raises(ValueError, match="sum_cap"):  # also where N < 1 skips the histogram
+            exceptional_count(30, sum_cap=sum_cap, asymptotic=True)
+    assert exceptional_count(30, sum_cap=0, asymptotic=True).sum_cap == 0
 
 
 def test_support_inside_five_clique_spectrum():
@@ -70,6 +74,12 @@ def test_bad_vertex_counts_rejected():
     for n in (0, 1):  # the asymptotic margins divide by log(n)
         with pytest.raises(ValueError, match="n >= 2"):
             exceptional_count(n, asymptotic=True)
+
+
+def test_exceptional_rejects_non_finite_margins():
+    for margins in ((float("inf"), 0.0), (0.0, float("-inf")), (float("nan"), 0.0)):
+        with pytest.raises(ValueError, match="finite"):
+            exceptional_count(30, None, *margins, None)
 
 
 def test_tuple_budget_guard():

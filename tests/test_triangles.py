@@ -5,6 +5,7 @@ import pytest
 from edgespectra.triangles import (
     LowerDecomp,
     UpperDecomp,
+    clique_parts,
     decompose_lower,
     decompose_upper,
     int_roots,
@@ -73,6 +74,22 @@ def test_min_clique_edges_is_the_fewest_over_all_partitions():
         for j in range(1, 8):
             fewest = min(sum(tri(a) for a in p) for p in partitions(v, j, v))
             assert min_clique_edges(v, j) == fewest, (v, j)
+
+
+def test_clique_parts_lists_no_singletons():
+    # a tuple of v parts could not be built at this v
+    v = 10 ** 12
+    assert clique_parts(v, tri(v - 1), v) == (v - 1,)
+    assert clique_parts(v, tri(v - 1), 1) is None
+    assert clique_parts(v, 0, v) == ()
+    assert clique_parts(v, 0, v - 1) is None
+    assert clique_parts(v, tri(v) - 2 * (v - 2), 3) == (v - 2, 2)
+    # 6 edges on 7 vertices: (4, 1, 1, 1) and (3, 3, 1); the first needs 4 parts
+    assert clique_parts(7, 6, 7) == (4,)
+    assert clique_parts(7, 6, 3) == (3, 3)
+    for v, k in ((-1, 1), (5, 0)):
+        with pytest.raises(ValueError):
+            clique_parts(v, 0, k)
 
 
 def test_decompositions_satisfy_their_inequalities():
