@@ -28,7 +28,6 @@ from .certify import (
     triple_identity,
     min_r,
     min_r_witness,
-    two_part_witness,
     three_part_witness,
 )
 from .cliquespec import (
@@ -81,6 +80,6 @@ from .squares import (
     three_square_decomp,
     witness7,
 )
-from .triangles import decompose_lower, decompose_upper, tri, tri_root
+from .triangles import decompose_lower, decompose_upper, tri, tri_root, two_part_witness
 
 __all__ = [name for name in dir() if not name.startswith("_")]

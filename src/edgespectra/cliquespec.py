@@ -211,7 +211,8 @@ _SPLIT_MIN_BITS = 1 << 23
 def _workers() -> int:
     """Processes to build a large layer with: the CPUs this process may run
     on, or 1 where it cannot fork, or while another thread is alive (a
-    child forked then could inherit a lock that thread holds)."""
+    child forked then could inherit a lock that thread holds).  The package
+    starts no threads itself, so that thread is always one of the caller's."""
     if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
         return 1
     if threading.active_count() > 1:

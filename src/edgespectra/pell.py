@@ -14,8 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .certify import two_part_witness
-from .triangles import tri
+from .triangles import tri, two_part_witness
 
 
 @dataclass(frozen=True)

@@ -133,14 +133,18 @@ def exceptional_count(
 
     The scan range is [n^2/10 + lo_margin, (n^2-n)/2 - hi_margin].  With
     asymptotic=True (n >= 2) the margins become n^2/log(n) and the coordinate
-    cap n/5 - n/log(n), with natural logarithm (recorded in the report);
-    that asymptotic regime degenerates for small n and may produce an
-    empty range or coordinate cap, which is flagged rather than hidden.
+    cap n/5 - n/log(n), with natural logarithm (recorded in the report),
+    so an explicit N or a nonzero margin is then a ValueError; that
+    asymptotic regime degenerates for small n and may produce an empty
+    range or coordinate cap, which is flagged rather than hidden.
     """
     if not (math.isfinite(lo_margin) and math.isfinite(hi_margin)):
         raise ValueError(f"margins must be finite, got {lo_margin} and {hi_margin}")
     log_base = None
     if asymptotic:
+        if N is not None or lo_margin or hi_margin:
+            raise ValueError(f"asymptotic mode sets N and the margins itself; got N={N}, "
+                             f"lo_margin={lo_margin}, hi_margin={hi_margin}")
         if n < 2:
             raise ValueError(f"the asymptotic margins divide by log(n); need n >= 2, got {n}")
         log_base = "e"

@@ -156,15 +156,12 @@ def _f_of_t(t: int, m: int, n: int) -> int:
 
 
 def _find_t0(n: int, m: int) -> int:
-    """Largest t with f(t) <= 0 < f(t+1); f is increasing on [0, n//7]."""
-    lo, hi = 0, n // 7  # invariant: f(lo) <= 0, f(hi) > 0
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if _f_of_t(mid, m, n) <= 0:
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    """Largest t with f(t) <= 0 < f(t+1), for m in r7_interval(n).  f rises
+    from negative to positive on [0, n/7], so t0 is the floor of its smaller
+    root (6n - sqrt(D))/42, D = 84m + 42n - 6n^2 > 0: (6n - s) // 42 with
+    s = ceil(sqrt(D)), since 6n - s is an integer and sqrt(D) > s - 1."""
+    s = isqrt(84 * m + 42 * n - 6 * n * n - 1) + 1  # ceil(sqrt(D)) for D >= 1
+    return (6 * n - s) // 42
 
 
 _BAD_RESIDUES = frozenset({0, 7, 12, 15})
@@ -174,11 +171,12 @@ def witness7(n: int, m: int) -> Witness7:
     """Constructive membership certificate for m among unions of at most
     seven cliques on n vertices, valid for m inside r7_interval(n).
 
-    Scans the ten pivots above the sign change of f(t) = 2m + n -
-    (n-6t)^2 - 6t^2 for one where f(t)/2 is positive, small enough,
-    clears the mod-16 residue filter and is a sum of three squares; the
-    witness is rebuilt from the three-square decomposition and always
-    re-validated by substitution.
+    Scans the ten pivots above the sign change t0 (in closed form) of
+    f(t) = 2m + n - (n-6t)^2 - 6t^2 for one where f(t)/2 is positive,
+    small enough, clears the mod-16 residue filter and is a sum of three
+    squares; the witness is rebuilt from the three-square decomposition
+    and always re-validated by substitution.  It keeps no state
+    between calls, so a campaign's rows depend only on its samples.
     """
     lo, hi = r7_interval(n)
     if lo > hi:
@@ -187,7 +185,7 @@ def witness7(n: int, m: int) -> Witness7:
         raise PreconditionViolated(f"m={m} outside [{lo}, {hi}] for n={n}")
 
     t0 = _find_t0(n, m)
-    t_anchor = next(t for t in range(t0 + 1, t0 + 9) if (t + n) % 8 == 0)
+    t_anchor = t0 + 1 + (-(t0 + 1 + n)) % 8
     for idx, t in enumerate(range(t0 + 1, t0 + 11), start=1):
         if 6 * t > n:
             continue

@@ -36,7 +36,7 @@ def rep_histogram_naive(n: int, N: int, sum_cap: Optional[int] = None) -> RepHis
 
 
 def _find_t0_linear(n: int, m: int) -> int:
-    """squares._find_t0 by a linear scan instead of bisection."""
+    """squares._find_t0 by a linear scan instead of the closed form."""
     top = n // 7
     t = 0
     while t + 1 <= top and squares._f_of_t(t + 1, m, n) <= 0:

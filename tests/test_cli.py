@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+import threading
 
 import pytest
 
@@ -116,6 +117,27 @@ def test_pell_payload(capsys):
     assert (payload["t"], payload["m"], payload["f"]) == (222, 1112, 222111)
 
 
+@pytest.mark.parametrize("fault", ["triple", "identity"])
+def test_pell_check_substitutes_what_it_prints(capsys, monkeypatch, fault):
+    from edgespectra import pell
+
+    if fault == "triple":  # sums to m, but spans the wrong edge count
+        monkeypatch.setattr(pell.FamilyPair, "triple_witness",
+                            lambda self: (2 * self.t + 2, 2 * self.t, self.t))
+    else:  # c is written after the identity was checked
+        family_pair = pell.family_pair
+
+        def bent(k):
+            fp = family_pair(k)
+            object.__setattr__(fp, "c", fp.c + 1)
+            return fp
+
+        monkeypatch.setattr(pell, "family_pair", bent)
+    code, out, err = run_cli(capsys, ["pell", "--k", "2", "--check"])
+    assert code == 1 and out == ""
+    assert "check failed:" in err
+
+
 def test_manifest_digest_and_determinism(capsys):
     code1, out1, err1 = run_cli(capsys, ["minr", "--m", "4", "--f", "3"])
     code2, out2, err2 = run_cli(capsys, ["minr", "--m", "4", "--f", "3"])
@@ -155,11 +177,22 @@ def test_witness7_campaign_lines(capsys):
     assert all(len(row["parts"]) == 7 for row in rows)
 
 
-def test_witness7_campaign_thread_independent(capsys):
+def test_witness7_campaign_thread_independent(capsys, monkeypatch):
+    from edgespectra import squares
+
+    callers = []
+
+    def recording(n, m, witness7=squares.witness7):
+        callers.append(threading.get_ident())
+        return witness7(n, m)
+
+    monkeypatch.setattr(squares, "witness7", recording)
     argv = ["witness7", "--n", "30000", "--samples", "8", "--seed", "1"]
     _, out1, _ = run_cli(capsys, argv + ["--threads", "1"])
     _, out2, _ = run_cli(capsys, argv + ["--threads", "2"])
     assert out1 == out2
+    # --threads is ignored: every sample runs on the calling thread
+    assert callers == [threading.get_ident()] * 16
 
 
 def test_witness7_out_of_interval_error(capsys):
@@ -306,7 +339,10 @@ def test_bad_value_exits_2_with_manifest(capsys):
                  ["closure", "--n", "6", "--r", "2", "--m", "3", "--trials", "0"],
                  ["concentration", "--N", "6", "--E", "5", "--n", "3", "--trials", "0"],
                  ["exceptional", "--n", "10", "--sum-cap", "-1"],
-                 ["repcount", "--n", "10", "--N", "2", "--sum-cap", "-1"]):
+                 ["repcount", "--n", "10", "--N", "2", "--sum-cap", "-1"],
+                 # asymptotic mode sets N and the margins itself
+                 ["exceptional", "--n", "400", "--N", "5", "--asymptotic"],
+                 ["exceptional", "--n", "400", "--hi-margin", "100", "--asymptotic"]):
         code, out, err = run_cli(capsys, argv)
         assert code == 2 and out == "", argv
         assert "error: ValueError:" in err, argv
@@ -455,6 +491,8 @@ def test_cli_fuzz_keeps_exit_contract(capsys):
             value = argv[argv.index(option) + 1] if option in argv else ""
             if value.lstrip("-").isdigit() and int(value) < least:
                 assert code == 2, argv  # no draw or a negative cap certifies nothing
+        if "--asymptotic" in argv and "--N" in argv:
+            assert code == 2, argv  # asymptotic mode sets N itself
         if code and not (code == 1 and out):  # a negative verdict prints its payload
             assert any(line.startswith(("error: ", "check failed: ")) or ": error: " in line
                        for line in lines[:-1]), argv

@@ -108,6 +108,14 @@ def test_asymptotic_mode_small_n():
     assert rep.range_empty and rep.log_base == "e"
 
 
+def test_asymptotic_mode_rejects_explicit_inputs():
+    # asymptotic mode sets N and both margins itself; it used to drop them
+    for N, margins in ((5, (0.0, 0.0)), (None, (100.0, 0.0)), (None, (0.0, -1.0)),
+                       (5, (100.0, 100.0))):
+        with pytest.raises(ValueError, match="asymptotic"):
+            exceptional_count(400, N, *margins, None, asymptotic=True)
+
+
 def test_asymptotic_mode_mid_n():
     rep = exceptional_count(400, asymptotic=True)
     assert rep.log_base == "e"

@@ -3,6 +3,7 @@ import random
 import numpy as np
 import pytest
 
+from edgespectra import squares
 from edgespectra.squares import (
     PreconditionViolated,
     WindowExhausted,
@@ -135,12 +136,26 @@ def test_witness7_sampling_campaign():
 
 
 def test_witness7_t0_search_modes_agree():
-    n = 50000
-    lo, hi = r7_interval(n)
+    lo, hi = r7_interval(30000)
+    pairs = [(30000, lo), (30000, hi)]
+    lo, hi = r7_interval(50000)
     rng = random.Random(11)
-    for _ in range(25):
-        m = rng.randint(lo, hi)
-        assert witness7(n, m) == witness7_linear_t0(n, m)
+    pairs += [(50000, rng.randint(lo, hi)) for _ in range(25)]
+    for n, m in pairs:
+        assert witness7(n, m) == witness7_linear_t0(n, m), (n, m)
+
+
+@pytest.mark.parametrize("n", [30_000, 10 ** 6, 10 ** 9, 10 ** 12])
+def test_witness7_pivots_by_substitution(n):
+    # the closed-form pivot is the sign change of f, and the anchor is the
+    # first pivot above it congruent to -n mod 8
+    lo, hi = r7_interval(n)
+    rng = random.Random(n)
+    for m in [lo, hi] + [rng.randint(lo, hi) for _ in range(200)]:
+        t0 = squares._find_t0(n, m)
+        assert squares._f_of_t(t0, m, n) <= 0 < squares._f_of_t(t0 + 1, m, n), m
+        anchor = witness7(n, m).t_anchor
+        assert t0 + 1 <= anchor <= t0 + 8 and (anchor + n) % 8 == 0, m
 
 
 def test_witness7_endpoints():
