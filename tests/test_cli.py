@@ -549,7 +549,8 @@ def test_spectrum_check_builds_each_layer_once(capsys, monkeypatch):
     monkeypatch.setattr(cliquespec, "_layer", lambda prev, k, cap: built.append(k) or real(prev, k, cap))
     code, out, _ = run_cli(capsys, ["spectrum", "--n", "60", "--r", "5", "--check"])
     assert code == 0 and json.loads(out)["count"] == 893
-    assert sorted(built) == [1, 2, 3, 4]
+    assert sorted(built) == [1, 2, 3]  # layer r - 1 = 4 is streamed into the top row
+    assert 4 not in built
 
 
 # Calls that set different options of one subparser, an argparse error and

@@ -18,6 +18,7 @@ from edgespectra.cliquespec import (
     _layer_caps,
     _row,
     _rows_bits,
+    _top,
     bounded_partitions,
     bounds_sweep,
     density_and_bounds,
@@ -178,20 +179,24 @@ def test_witness_guard_is_the_spectrum_guard(table_cap):
 
 
 def test_spectrum_guard_counts_built_rows(table_cap):
-    # spectrum builds layers 1..r-1 up to their caps, two alive at a time,
-    # then the top row n
-    for n, r in ((0, 1), (9, 1), (40, 5), (57, 7), (100, 2)):
+    # spectrum stores layers 1..r-2 up to their caps, two alive at a time,
+    # then streams layer r-1 one row at a time (at most row cap_{r-1}) into
+    # the top row n
+    for n, r in ((0, 1), (9, 1), (40, 5), (57, 7), (100, 2), (30, 3)):
         k_eff = min(r, max(n, 1))
         caps = _layer_caps(n, k_eff)
-        built = sorted(sum(tri(v) + 1 for v in range(c + 1)) for c in caps[:-1])
-        assert _estimate_bits(caps) == sum(built[-2:]) + tri(n) + 1, (n, r)
+        stored = sorted(sum(tri(v) + 1 for v in range(c + 1)) for c in caps[:-2])
+        streamed_row = tri(caps[-2]) + 1
+        assert _estimate_bits(caps) == sum(stored[-2:]) + streamed_row + tri(n) + 1, (n, r)
         table_cap(_estimate_bits(caps))
         spectrum(n, r)
         table_cap(_estimate_bits(caps) - 1)
         with pytest.raises(SpectrumMemoryError):
             spectrum(n, r)
-    # n = 4000, r = 5 fits the default guard
-    assert _estimate_bits(_layer_caps(4000, 5)) <= _DEFAULT_MAX_TABLE_BITS
+    # at r = 5 the default guard admits n up to 5549 (4038 while layer r-1
+    # was stored)
+    assert _estimate_bits(_layer_caps(5549, 5)) <= _DEFAULT_MAX_TABLE_BITS
+    assert _estimate_bits(_layer_caps(5550, 5)) > _DEFAULT_MAX_TABLE_BITS
 
 
 def test_bounds_sweep_guard_counts_two_layers(table_cap):
@@ -206,14 +211,15 @@ def test_bounds_sweep_guard_counts_two_layers(table_cap):
 
 
 def test_blocked_spectrum_matches_unblocked():
-    # n = 0..3B puts the part sizes of the top rows across block edges
+    # n = 0..3B puts the part sizes of the top rows, and of the streamed
+    # rows of layer r-1, across block edges
     n_max = 3 * _BLOCK
     uncapped = witness_tables_uncapped(n_max, 7)
     for r in range(1, 8):
         for n in range(n_max + 1):
-            assert spectrum(n, r).mask == uncapped[r - 1][n], (n, r)
-        for n in (0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1, n_max):
-            assert spectrum(n, r).mask == spectrum_unblocked(n, r).mask, (n, r)
+            mask = spectrum(n, r).mask
+            assert mask == uncapped[r - 1][n], (n, r)
+            assert mask == spectrum_unblocked(n, r).mask, (n, r)
     assert spectrum(400, 5).mask == spectrum_unblocked(400, 5).mask
 
 
@@ -240,6 +246,8 @@ def test_capped_witness_rows_match_uncapped():
         for k in range(1, r):
             assert layers[k] == uncapped[k - 1][:caps[k] + 1], (n, r, k)
         assert top == uncapped[r - 1][n]
+        if r > 1:  # the same row with layer r - 1 streamed
+            assert _top(layers[-2], n, r, caps[r - 1]) == top, (n, r)
 
 
 # Layers built past the split threshold: caps odd and even, and across
@@ -287,6 +295,29 @@ def test_split_layer_matches_serial(monkeypatch, forks, workers):
     assert_reaped(forks)
 
 
+@pytest.mark.parametrize("workers", [2, 3])
+def test_split_top_matches_serial(monkeypatch, forks, workers):
+    # the streamed layer k - 1 split over the workers, each returning one
+    # partial top row; n runs over SPLIT_CAPS, so the streamed rows do too
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(workers)))
+    serial = serial_layers(max(SPLIT_CAPS), 3)
+    for n in SPLIT_CAPS:
+        for k in (2, 3, 4):
+            top = _top(serial[k - 2], n, k, n * (k - 1) // k)
+            assert top == _row(serial[k - 1], n, k), (workers, n, k)
+    assert len(forks) == (workers - 1) * len(SPLIT_CAPS) * 3
+    del forks[:]
+    assert spectrum(3 * _BLOCK, 5).mask == spectrum_unblocked(3 * _BLOCK, 5).mask
+    assert len(forks) == (workers - 1) * 4  # layers 1, 2, 3 and the streamed 4
+    # this process builds the streamed rows of its own residue class only
+    built, real_row = [], cliquespec._row
+    monkeypatch.setattr(cliquespec, "_row", lambda prev, v, k: built.append((v, k)) or real_row(prev, v, k))
+    n = 2 * _BLOCK + 1
+    assert _top(serial[1], n, 3, n * 2 // 3) == real_row(serial[2], n, 3)
+    assert sorted(v for v, k in built if k == 2) == list(range(0, n * 2 // 3 + 1, workers))
+    assert_reaped(forks)
+
+
 def _exit_by_signal(*args):
     os.kill(os.getpid(), signal.SIGKILL)
 
@@ -299,9 +330,11 @@ def _raise(*args):
 def test_failed_worker_gives_serial_layer(monkeypatch, forks, failure):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
     monkeypatch.setattr(cliquespec, "_write_rows", failure)
-    serial = serial_layers(2 * _BLOCK + 1, 3)
-    assert _layer(serial[2], 3, 2 * _BLOCK + 1) == serial[3]
-    assert len(forks) == 2
+    n = 2 * _BLOCK + 1
+    serial = serial_layers(n, 3)
+    assert _layer(serial[2], 3, n) == serial[3]
+    assert _top(serial[1], n, 3, n * 2 // 3) == _row(serial[2], n, 3)
+    assert len(forks) == 4
     assert_reaped(forks)
 
 
@@ -311,14 +344,17 @@ def test_no_fork_without_a_second_cpu_or_with_a_live_thread(monkeypatch, forks):
     def forbidden_fork():
         raise AssertionError("forked")
     monkeypatch.setattr(os, "fork", forbidden_fork)
+    top = _row(serial[1], _BLOCK + 1, 2)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     assert _layer(serial[1], 2, _BLOCK + 1) == serial[2]
+    assert _top(serial[0], _BLOCK + 1, 2, (_BLOCK + 1) // 2) == top
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     release = threading.Event()
     thread = threading.Thread(target=release.wait)
     thread.start()
     try:
         assert _layer(serial[1], 2, _BLOCK + 1) == serial[2]
+        assert _top(serial[0], _BLOCK + 1, 2, (_BLOCK + 1) // 2) == top
     finally:
         release.set()
         thread.join()
@@ -341,6 +377,7 @@ def test_refused_worker_gives_serial_layer(monkeypatch, forks, refused):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
     serial = serial_layers(_BLOCK + 1, 2)
     assert _layer(serial[1], 2, _BLOCK + 1) == serial[2]
+    assert _top(serial[0], _BLOCK + 1, 2, (_BLOCK + 1) // 2) == _row(serial[1], _BLOCK + 1, 2)
     assert forks == []
 
 
