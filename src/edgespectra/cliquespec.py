@@ -14,8 +14,9 @@ floor(nk/r), and the top layer only row n.  That row is the OR, over
 a >= ceil(n/r), of row n - a of layer r - 1 shifted by tri(a), so spectrum
 stores layers 1..r-2 only and streams layer r - 1, its largest: each of its
 rows is built, OR-ed into the top row and dropped (_top).  Alive at a time
-are the two largest stored layers, one streamed row and the top row, and
-the memory guard is charged for them before the first layer is built.
+are the two largest stored layers and, in each process streaming layer
+r - 1, a few ints the size of its rows and of the top row; the memory guard
+is charged for them before the first layer is built.
 bounds_sweep reads every row of every layer, so it stores full layers.
 member_witness reads no layer (it is triangles.clique_parts, a recursion
 over the largest part), but it is guarded as spectrum(n, r) is.
@@ -182,10 +183,15 @@ def _rows_bits(cap: int) -> int:
 
 def _estimate_bits(caps: list[int]) -> int:
     # alive at once: the two largest stored layers (the one being built and
-    # the one it reads; layers r - 3 and r - 2), one row of the streamed
-    # layer r - 1, and the top row
+    # the one it reads; layers r - 3 and r - 2), and in each of the
+    # processes that stream layer r - 1 three ints the size of one of its
+    # rows and four the size of the top row: _row's row, shifted block and
+    # OR result, in the top row and in the streamed row it reads, plus the
+    # partial top row handed back.  At r = 2 no layer is stored, and these
+    # ints are the whole charge.
     stored = sorted(_rows_bits(c) for c in caps[:-2])
-    return sum(stored[-2:]) + (tri(caps[-2]) + 1) + (tri(caps[-1]) + 1)
+    streamed_row, top_row = tri(caps[-2]) + 1, tri(caps[-1]) + 1
+    return sum(stored[-2:]) + _processes(caps[-2]) * (3 * streamed_row + 4 * top_row)
 
 
 # Part sizes are OR-ed into a row in blocks of _BLOCK consecutive sizes a:
@@ -242,6 +248,12 @@ def _workers() -> int:
     return len(os.sched_getaffinity(0))
 
 
+def _processes(cap: int) -> int:
+    """Processes that build the rows 0..cap of a layer: 1 below
+    _SPLIT_MIN_BITS row bits and _workers() from there on."""
+    return _workers() if _rows_bits(cap) >= _SPLIT_MIN_BITS else 1
+
+
 def _write_rows(fh, rows) -> None:
     for row in rows:
         data = row.to_bytes((row.bit_length() + 7) // 8, "little")
@@ -262,7 +274,7 @@ def _split(build: Callable[[range], Iterable[int]], cap: int) -> list[list[int]]
     """[list(build(vs)) for each residue class vs = range(i, cap + 1, W)],
     in the order of i, for the rows 0..cap of a layer.
 
-    W is 1 below _SPLIT_MIN_BITS row bits and _workers() from there on.
+    W is _processes(cap).
     W - 1 forked children write build(vs) for the residues 1..W-1, an int
     at a time as built, to their own unlinked temporary files while this
     process builds residue 0, then reads theirs back.  A residue whose
@@ -271,7 +283,7 @@ def _split(build: Callable[[range], Iterable[int]], cap: int) -> list[list[int]]
     """
     import tempfile
 
-    workers = _workers() if _rows_bits(cap) >= _SPLIT_MIN_BITS else 1
+    workers = _processes(cap)
     residues = [range(i, cap + 1, workers) for i in range(workers)]
     parts: list = [None] * workers
     children = {}  # residue -> (pid, temp file)

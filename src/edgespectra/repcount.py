@@ -137,8 +137,7 @@ def exceptional_count(
     so an explicit N or a nonzero margin is then a ValueError; that
     asymptotic regime degenerates for small and moderate n and may produce
     an empty range or coordinate cap, or a range wholly below the smallest
-    reachable m (then reported as its lower end), which is flagged as an
-    empty range rather than hidden.
+    reachable m, which is flagged as an empty range rather than hidden.
     """
     if not (math.isfinite(lo_margin) and math.isfinite(hi_margin)):
         raise ValueError(f"margins must be finite, got {lo_margin} and {hi_margin}")
@@ -160,16 +159,10 @@ def exceptional_count(
     hist = rep_histogram(n, N, sum_cap)
     lo = math.ceil(n * n / 10 + lo_margin)
     hi = math.floor((n * n - n) / 2 - hi_margin)
-    if asymptotic:
-        # the cap N keeps every reachable m at or above tri(n - 4N), which at
-        # moderate n lies above the whole range: the scan then starts at the
-        # smallest reachable m and is flagged empty, instead of counting
-        # every value a zero
-        support = hist.support()
-        least = int(support[0]) if support.size else tri(n) + 1
-        if least > hi:
-            lo = least
-    if lo > hi:
+    # the asymptotic cap N keeps every reachable m at or above tri(n - 4N),
+    # which at moderate n lies above the whole range: that range is flagged
+    # empty instead of counting every value a zero
+    if lo > hi or (asymptotic and not hist.counts[:hi + 1].any()):
         return ExceptionalReport(n=n, N=N, sum_cap=hist.sum_cap, lo=lo, hi=hi,
                                  zeros=0, total=0, range_empty=True, log_base=log_base)
     window = hist.counts[lo:hi + 1]

@@ -178,25 +178,35 @@ def test_witness_guard_is_the_spectrum_guard(table_cap):
             member_witness(n, r, tri(n) - (n - 1))
 
 
-def test_spectrum_guard_counts_built_rows(table_cap):
+def test_spectrum_guard_counts_built_rows(table_cap, monkeypatch):
     # spectrum stores layers 1..r-2 up to their caps, two alive at a time,
     # then streams layer r-1 one row at a time (at most row cap_{r-1}) into
-    # the top row n
+    # the top row n; each process streaming it holds three ints of a
+    # streamed row's size and four of the top row's
     for n, r in ((0, 1), (9, 1), (40, 5), (57, 7), (100, 2), (30, 3)):
         k_eff = min(r, max(n, 1))
         caps = _layer_caps(n, k_eff)
         stored = sorted(sum(tri(v) + 1 for v in range(c + 1)) for c in caps[:-2])
         streamed_row = tri(caps[-2]) + 1
-        assert _estimate_bits(caps) == sum(stored[-2:]) + streamed_row + tri(n) + 1, (n, r)
+        assert _estimate_bits(caps) == sum(stored[-2:]) + 3 * streamed_row + 4 * (tri(n) + 1), (n, r)
         table_cap(_estimate_bits(caps))
         spectrum(n, r)
         table_cap(_estimate_bits(caps) - 1)
         with pytest.raises(SpectrumMemoryError):
             spectrum(n, r)
-    # at r = 5 the default guard admits n up to 5549 (4038 while layer r-1
-    # was stored)
-    assert _estimate_bits(_layer_caps(5549, 5)) <= _DEFAULT_MAX_TABLE_BITS
-    assert _estimate_bits(_layer_caps(5550, 5)) > _DEFAULT_MAX_TABLE_BITS
+    # the largest n the default guard admits, with one process and with two
+    # (4038 at r = 5 while layer r-1 was stored); at r = 2 no layer is
+    # stored and the top row's ints are the whole charge
+    for workers, r, limit in ((1, 5, 5534), (2, 5, 5514), (1, 2, 58038), (2, 2, 41039)):
+        monkeypatch.setattr(cliquespec, "_workers", lambda: workers)
+        assert (_estimate_bits(_layer_caps(limit, r)) <= _DEFAULT_MAX_TABLE_BITS
+                < _estimate_bits(_layer_caps(limit + 1, r))), (workers, r)
+    # spectrum(16000, 2) peaked 136 MB above the interpreter's own resident
+    # memory split over two processes (parent 80, child 56) and 65 MB in
+    # one, on a 2-core x86-64 VM: the charge covers both
+    for workers, peak_mb in ((2, 136), (1, 65)):
+        monkeypatch.setattr(cliquespec, "_workers", lambda: workers)
+        assert _estimate_bits(_layer_caps(16000, 2)) >= peak_mb * 8_000_000, workers
 
 
 def test_bounds_sweep_guard_counts_two_layers(table_cap):
