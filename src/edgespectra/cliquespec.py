@@ -13,11 +13,24 @@ layer k - 1.  So a target (n, r) needs layer k only up to the cap
 floor(nk/r), and the top layer only row n.  That row is the OR, over
 a >= ceil(n/r), of row n - a of layer r - 1 shifted by tri(a), so spectrum
 stores layers 1..r-2 only and streams layer r - 1, its largest: each of its
-rows is built, OR-ed into the top row and dropped (_top).  Alive at a time
-are the two largest stored layers and, in each process streaming layer
-r - 1, a few ints the size of its rows and of the top row; the memory guard
-is charged for them before the first layer is built.
-bounds_sweep reads every row of every layer, so it stores full layers.
+rows is built, OR-ed into the top row and dropped (_top).
+
+Nor does row n need every partition of v into k parts in row v of layer
+k < r: only the canonical tails, the k smallest parts of a partition of n
+into r parts p_1 >= ... >= p_r >= 0.  Their largest part a is at most each
+of the r - k larger parts, which sum to n - v, so toward (n, r) row v of
+layer k takes a <= floor((n - v)/(r - k)) only (n - w for row w of the
+streamed layer).  The rest v - a still fits the bound of row v - a of
+layer k - 1, since a <= floor((n - v)/(r - k)) gives
+a <= floor((n - v + a)/(r - k + 1)).  So, by induction on k, every row
+holds every canonical tail and stays a subset of C(v, k), and row n is
+C(n, r) bit for bit.
+
+Alive at a time are the two largest stored layers and, in each process
+streaming layer r - 1, a few ints the size of its rows and of the top row;
+the memory guard is charged for them, at the size of full rows, before the
+first layer is built.  bounds_sweep reads every row of every layer, so it
+stores full layers of full rows.
 member_witness reads no layer (it is triangles.clique_parts, a recursion
 over the largest part), but it is guarded as spectrum(n, r) is.
 
@@ -188,7 +201,8 @@ def _estimate_bits(caps: list[int]) -> int:
     # rows and four the size of the top row: _row's row, shifted block and
     # OR result, in the top row and in the streamed row it reads, plus the
     # partial top row handed back.  At r = 2 no layer is stored, and these
-    # ints are the whole charge.
+    # ints are the whole charge.  Each is charged at its full row's size; a
+    # row bounded toward (n, r) is no longer, and most are shorter.
     stored = sorted(_rows_bits(c) for c in caps[:-2])
     streamed_row, top_row = tri(caps[-2]) + 1, tri(caps[-1]) + 1
     return sum(stored[-2:]) + _processes(caps[-2]) * (3 * streamed_row + 4 * top_row)
@@ -202,15 +216,19 @@ def _estimate_bits(caps: list[int]) -> int:
 _BLOCK = 64
 
 
-def _row(prev: list[int] | _StreamedLayer, v: int, k: int) -> int:
-    """Row v of layer k (edge sums of at most k cliques on v vertices), from
-    layer k - 1, which it reads at rows up to floor(v(k-1)/k) only, each
-    once, in decreasing order."""
+def _row(prev: list[int] | _StreamedLayer, v: int, k: int, hi: int | None = None) -> int:
+    """Row v of layer k from layer k - 1: the OR, over largest parts a with
+    ceil(v/k) <= a <= min(v, hi) (a <= v without hi), of row v - a shifted
+    by tri(a).  It holds the edge sums of every partition of v into at most
+    k parts no larger than hi whose rest layer k - 1 holds, and none outside
+    C(v, k); over full rows without hi it is C(v, k).  It reads layer k - 1
+    at rows up to floor(v(k-1)/k) only, each once, in decreasing order."""
     row = 0
+    stop = v + 1 if hi is None else min(v, hi) + 1
     # largest part first: a >= ceil(v/k) covers every partition once
-    for a0 in range(-(-v // k), v + 1, _BLOCK):
+    for a0 in range(-(-v // k), stop, _BLOCK):
         block, offset = 0, 0
-        for a in range(a0, min(a0 + _BLOCK, v + 1)):
+        for a in range(a0, min(a0 + _BLOCK, stop)):
             block |= prev[v - a] << offset
             offset += a  # tri(a + 1) - tri(a)
         row |= block << tri(a0)
@@ -218,21 +236,24 @@ def _row(prev: list[int] | _StreamedLayer, v: int, k: int) -> int:
 
 
 class _StreamedLayer:
-    """Layer k as _row reads it, with no row stored: row w is built from
-    layer k - 1 (prev) when read, if w is in ws, and reads 0 otherwise."""
+    """Layer k = r - 1 as _row reads it toward row n of layer r, with no row
+    stored: row w, its largest part bounded by n - w, is built from layer
+    k - 1 (prev) when read, if w is in ws, and reads 0 otherwise."""
 
-    def __init__(self, prev: list[int], k: int, ws: range):
-        self.prev, self.k, self.ws = prev, k, ws
+    def __init__(self, prev: list[int], k: int, ws: range, n: int):
+        self.prev, self.k, self.ws, self.n = prev, k, ws, n
 
     def __getitem__(self, w: int) -> int:
-        return _row(self.prev, w, self.k) if w in self.ws else 0
+        return _row(self.prev, w, self.k, self.n - w) if w in self.ws else 0
 
 
 # A layer of fewer row bits than this is built in this process alone: below
-# it a fork costs more than the other CPUs save.  On a 2-core x86-64 VM the
-# split broke even at about 7 * 10^6 bits (cap 350) and took 1.5 to 1.9
-# times the serial time at 2.6 * 10^6 (cap 250).  The layers of every
-# spectrum with n below about 370 stay under it.
+# it a fork costs more than the other CPUs save.  On a 2-core x86-64 VM, with
+# the bounded rows spectrum builds, the split took 0.86 to 1.00 times the
+# serial time at 1.07 * 10^7 bits (the top row at n = 500 and layer 2 at
+# n = 1000, r = 5; cap 400), 1.1 to 1.2 times at 4.5 to 5.5 * 10^6 (cap 300
+# to 320) and 0.65 to 0.74 times from 1.5 * 10^7 (cap 450) up.  The layers
+# of every spectrum with n below about 370 stay under it.
 _SPLIT_MIN_BITS = 1 << 23
 
 
@@ -324,16 +345,21 @@ def _split(build: Callable[[range], Iterable[int]], cap: int) -> list[list[int]]
     return parts
 
 
-def _layer(prev: list[int], k: int, cap: int) -> list[int]:
-    """Rows 0..cap of layer k from layer k - 1; layer 0 is [1].  A large
-    layer is split by v mod W over W processes (_split); the rows are the
-    same on either path."""
+def _layer(prev: list[int], k: int, cap: int, target: tuple[int, int] | None = None) -> list[int]:
+    """Rows 0..cap of layer k from layer k - 1; layer 0 is [1].  Toward row n
+    of layer r (target (n, r), k < r) row v takes largest parts up to
+    floor((n - v)/(r - k)) only, which keeps every canonical tail; without a
+    target rows are full, C(v, k).  A large layer is split by v mod W over W
+    processes (_split); the rows are the same on either path."""
     # Each residue class is built, and read back, largest row first: the
     # temporaries of a row then fit in the heap holes the larger row before
     # it left, where in increasing order none would.  At n = 2000, r = 5, on
     # a 2-core x86-64 VM, the peak RSS fell from 84 MB serial and 92 MB
     # split to 76 MB both.
-    parts = _split(lambda vs: (_row(prev, v, k) for v in reversed(vs)), cap)
+    def hi(v: int) -> int | None:
+        return None if target is None else (target[0] - v) // (target[1] - k)
+
+    parts = _split(lambda vs: (_row(prev, v, k, hi(v)) for v in reversed(vs)), cap)
     rows = [0] * (cap + 1)
     for i, part in enumerate(parts):
         rows[i::len(parts)] = part[::-1]
@@ -341,12 +367,14 @@ def _layer(prev: list[int], k: int, cap: int) -> list[int]:
 
 
 def _top(prev: list[int], n: int, k: int, cap: int) -> int:
-    """Row n of layer k, streaming layer k - 1: each of its rows 0..cap is
-    built from layer k - 2 (prev), OR-ed into the top row at its shift and
-    dropped.  On the split path each process ORs its residue class's rows
-    into one partial top row, and the parent ORs those."""
+    """Row n of layer k, streaming layer k - 1: each of its rows w in 0..cap
+    is built from layer k - 2 (prev) with largest parts up to n - w, the
+    largest part a = n - w of the top row that reads it, OR-ed into the top
+    row at its shift and dropped.  On the split path each process ORs its
+    residue class's rows into one partial top row, and the parent ORs
+    those."""
     top = 0
-    for (part,) in _split(lambda ws: [_row(_StreamedLayer(prev, k - 1, ws), n, k)], cap):
+    for (part,) in _split(lambda ws: [_row(_StreamedLayer(prev, k - 1, ws, n), n, k)], cap):
         top |= part
     return top
 
@@ -375,7 +403,7 @@ def spectrum(n: int, r: int) -> EdgeSpectrum:
         return EdgeSpectrum(n=n, r=r, mask=1 << tri(n))
     prev = [1]
     for k in range(1, k_eff - 1):
-        prev = _layer(prev, k, caps[k])
+        prev = _layer(prev, k, caps[k], (n, k_eff))
     return EdgeSpectrum(n=n, r=r, mask=_top(prev, n, k_eff, caps[k_eff - 1]))
 
 

@@ -546,7 +546,8 @@ def test_spectrum_check_builds_each_layer_once(capsys, monkeypatch):
     from edgespectra import cliquespec
 
     built, real = [], cliquespec._layer
-    monkeypatch.setattr(cliquespec, "_layer", lambda prev, k, cap: built.append(k) or real(prev, k, cap))
+    monkeypatch.setattr(cliquespec, "_layer",
+                        lambda prev, k, cap, target: built.append(k) or real(prev, k, cap, target))
     code, out, _ = run_cli(capsys, ["spectrum", "--n", "60", "--r", "5", "--check"])
     assert code == 0 and json.loads(out)["count"] == 893
     assert sorted(built) == [1, 2, 3]  # layer r - 1 = 4 is streamed into the top row

@@ -1,3 +1,4 @@
+import functools
 import os
 import random
 import signal
@@ -13,6 +14,7 @@ from edgespectra.cliquespec import (
     CliquePartition,
     EdgeSpectrum,
     SpectrumMemoryError,
+    _StreamedLayer,
     _estimate_bits,
     _layer,
     _layer_caps,
@@ -260,6 +262,61 @@ def test_capped_witness_rows_match_uncapped():
             assert _top(layers[-2], n, r, caps[r - 1]) == top, (n, r)
 
 
+@functools.cache
+def tail_sums(v, k, largest):
+    return frozenset(sum(tri(p) for p in parts) for parts in bounded_partitions(v, k, largest))
+
+
+def bits(row):
+    return {e for e in range(row.bit_length()) if row >> e & 1}
+
+
+def test_bounded_rows_hold_every_canonical_tail():
+    # toward row n of layer r, row v of stored layer k takes largest parts
+    # up to M = floor((n - v)/(r - k)) and streamed row w of layer r - 1 up
+    # to M = n - w: each row holds the edge sums of every partition of its
+    # budget into at most k parts no larger than M, and lies inside C(v, k)
+    for n in range(41):
+        for r in range(2, 8):
+            caps = _layer_caps(n, r)
+            layers = [[1]]
+            for k in range(1, r - 1):
+                layers.append(_layer(layers[-1], k, caps[k], (n, r)))
+            streamed = _StreamedLayer(layers[-1], r - 1, range(caps[r - 1] + 1), n)
+            rows = [(v, k, layers[k][v], (n - v) // (r - k)) for k in range(1, r - 1) for v in range(caps[k] + 1)]
+            rows += [(w, r - 1, streamed[w], n - w) for w in range(caps[r - 1] + 1)]
+            for v, k, row, largest in rows:
+                assert tail_sums(v, k, largest) <= bits(row) <= tail_sums(v, k, v), (n, r, k, v)
+
+
+def test_bounded_rows_read_count(monkeypatch):
+    # every read _row makes of the layer below is one (k, v, a) with
+    # ceil(v/k) <= a <= min(v, M), M the row's bound: count spectrum(200, 5)'s
+    monkeypatch.setattr(cliquespec, "_workers", lambda: 1)
+    reads, real_row = [0], cliquespec._row
+
+    class Counted:
+        def __init__(self, prev):
+            self.prev = prev
+
+        def __getitem__(self, v):
+            reads[0] += 1
+            return self.prev[v]
+    monkeypatch.setattr(cliquespec, "_row", lambda prev, v, k, hi=None: real_row(Counted(prev), v, k, hi))
+    n, r = 200, 5
+    caps = _layer_caps(n, r)
+
+    def count(bounded):
+        def parts(v, k, largest):
+            return max(0, min(v, largest if bounded else v) - -(-v // k) + 1)
+        stored = sum(parts(v, k, (n - v) // (r - k)) for k in range(1, r - 1) for v in range(caps[k] + 1))
+        streamed = sum(parts(w, r - 1, n - w) for w in range(caps[r - 1] + 1))
+        return stored + streamed + parts(n, r, n)
+    assert spectrum(n, r).mask == spectrum_unblocked(n, r).mask
+    assert reads[0] == count(bounded=True) == 10_088
+    assert count(bounded=False) > 1.5 * reads[0]
+
+
 # Layers built past the split threshold: caps odd and even, and across
 # block edges, so a residue class holds rows on both sides of them.
 SPLIT_CAPS = (0, 1, 2, 7, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1)
@@ -321,7 +378,7 @@ def test_split_top_matches_serial(monkeypatch, forks, workers):
     assert len(forks) == (workers - 1) * 4  # layers 1, 2, 3 and the streamed 4
     # this process builds the streamed rows of its own residue class only
     built, real_row = [], cliquespec._row
-    monkeypatch.setattr(cliquespec, "_row", lambda prev, v, k: built.append((v, k)) or real_row(prev, v, k))
+    monkeypatch.setattr(cliquespec, "_row", lambda prev, v, k, hi=None: built.append((v, k)) or real_row(prev, v, k, hi))
     n = 2 * _BLOCK + 1
     assert _top(serial[1], n, 3, n * 2 // 3) == real_row(serial[2], n, 3)
     assert sorted(v for v, k in built if k == 2) == list(range(0, n * 2 // 3 + 1, workers))
