@@ -14,22 +14,20 @@ can be tested on the pair as given.
 Verdict.validate re-checks a verdict by substitution into the rules that
 fired.
 
-The minimal clique rank comes from one search, min_r_witness.  It first
-decides whether f is the edge sum of any partition of m, by
-triangles.clique_parts, a recursion over the largest part a, which the
-deficit d = tri(m) - f confines to a >= m - 2d/m; a pair with no
-representation is answered there.  Then one loop over the part count j
-calls _find_rep.  That gives one and two parts
-by closed forms, three by three_part_witness (a loop over the smallest
-part within a closed-form window), the fewest edges by the balanced
-partition, and more by trying largest parts from the top, recursing down
-to three_part_witness with the largest part capped.  The three-part
-windows of one search share a budget of z-steps, charged per window in
-closed form, so a search that cannot decide in time raises
-RankBudgetExceeded instead of running on.  min_r is the
-witness's part count less one, so the rank and its certificate never
-disagree.  Every step is exact integer arithmetic: the quadratics are
-solved with triangles.int_roots, and nothing here is fixed-width.
+The minimal clique rank comes from one search, min_r_witness, built on
+triangles.clique_parts, the recursion over the largest part a, which the
+deficit d = tri(m) - f confines to a >= m - 2d/m.  The search first
+decides whether f is the edge sum of any partition of m; a pair with no
+representation is answered there.  Then it runs at part counts j = 1,
+2, ... with three_part_witness (a loop over the smallest part within a
+closed-form window) as its three-part step, and the first j that admits
+a partition gives the witness.  The three-part windows of one search
+share a budget of z-steps, charged per window in closed form, so a
+search that cannot decide in time raises RankBudgetExceeded instead of
+running on.  min_r is the witness's part count less one, so the rank and
+its certificate never disagree.  Every step is exact integer arithmetic:
+the quadratics are solved with triangles.int_roots, and nothing here is
+fixed-width.
 """
 
 from __future__ import annotations
@@ -39,8 +37,8 @@ from fractions import Fraction
 from math import isqrt
 from typing import Optional
 
-from .triangles import (clique_parts, decompose_lower, decompose_upper, int_roots,
-                        min_clique_edges, tri, tri_floor_root, tri_root, two_part_witness)
+from .triangles import (clique_parts, decompose_lower, decompose_upper, int_roots, tri,
+                        tri_root, two_part_witness)
 
 #: The five pairs whose density is exactly 1.
 SPECIAL_PAIRS = frozenset({(2, 0), (2, 1), (4, 3), (5, 4), (5, 6)})
@@ -230,9 +228,9 @@ class RankBudgetExceeded(Exception):
     without deciding the pair."""
 
 
-#: z-steps of three-part windows one min_r_witness call may walk: about
-#: 1.6 s (2-core x86-64 VM), and 26 times the most that any of 2400 seeded
-#: pairs with m <= 3000 walks.
+#: z-steps of three-part windows one min_r_witness call may walk: 1 to
+#: 1.8 s (2-core x86-64 VM), and 20 times the most that any of 2400 seeded
+#: pairs with m <= 3000 walks (95,656 steps, at (2942, 1718353)).
 _RANK_STEPS = 2_000_000
 
 
@@ -302,45 +300,6 @@ def three_part_witness(m: int, f: int, cap: Optional[int] = None,
     return None
 
 
-def _parts_max_edges(v: int, j: int, cap: int) -> int:
-    if cap <= 1:
-        return 0
-    t = min(j, (v - j) // (cap - 1))
-    rest = j - t
-    if rest == 0:
-        return t * tri(cap)
-    big = v - t * cap - (rest - 1)
-    return t * tri(cap) + tri(big)
-
-
-def _find_rep(f: int, v: int, j: int, cap: int, budget: _Budget) -> Optional[tuple[int, ...]]:
-    """A partition of v into exactly j >= 1 parts in [1, cap] with edge sum
-    f >= 0, nonincreasing; None if there is none.  The parts before the last
-    three are the lexicographically largest that admit a completion, and
-    the last three are three_part_witness's, the smallest smallest part.
-    Its three-part windows are charged to budget."""
-    if j == 1:
-        return (v,) if v <= cap and tri(v) == f else None
-    fewest = min_clique_edges(v, j)
-    if f < fewest or f > _parts_max_edges(v, j, cap):
-        return None
-    if f == fewest:  # the balanced partition, the only one with this few edges
-        q, rem = divmod(v, j)
-        return (q + 1,) * rem + (q,) * (j - rem)
-    if j == 2:
-        w = two_part_witness(v, f)
-        return w if w is not None and w[0] <= cap else None
-    if j == 3:
-        return three_part_witness(v, f, cap, budget)
-    # a part with tri(a) > f would leave a negative rest: start below those
-    top = min(cap, v - (j - 1), tri_floor_root(f))
-    for a in range(top, -(-v // j) - 1, -1):
-        rest = _find_rep(f - tri(a), v - a, j - 1, a, budget)
-        if rest is not None:
-            return (a,) + rest
-    return None
-
-
 def min_r_witness(m: int, f: int) -> Optional[tuple[int, ...]]:
     """A partition realizing min_r(m, f), nonincreasing; None if absent.
 
@@ -350,19 +309,22 @@ def min_r_witness(m: int, f: int) -> Optional[tuple[int, ...]]:
 
     triangles.clique_parts first decides whether any partition of m has
     edge sum f, by a recursion over the largest part; a pair without one
-    returns None there.  Otherwise the part counts j are tried in turn with
-    _find_rep, and the first that admits a partition gives the witness.
-    The three-part windows of one call share one budget of _RANK_STEPS
+    returns None there.  Otherwise the part counts j = 1, 2, ... are tried
+    in turn by the same recursion with three_part_witness as its k = 3
+    step, and the first that admits a partition gives the witness: at the
+    least such j every partition into at most j parts has exactly j.  The
+    three-part windows of one call share one budget of _RANK_STEPS
     z-steps; RankBudgetExceeded is raised once they have walked it.
     """
     PairMF(m, f)
     if clique_parts(m, f, m) is None:
         return None
     budget = _Budget(m, f)
+    triple = lambda v, g: three_part_witness(v, g, None, budget)
     for j in range(1, m + 1):
-        w = _find_rep(f, m, j, m, budget)
-        if w is not None:
-            return w
+        parts = clique_parts(m, f, j, triple)
+        if parts is not None:
+            return parts + (1,) * (m - sum(parts))
     raise AssertionError(f"({m},{f}) is representable but no part count admits it")
 
 

@@ -6,7 +6,8 @@ call.  Exit status: 0 on success; 1 on a verification failure (an interval
 gap, "check failed: ..." from a re-validation) or a named package failure
 (PreconditionViolated, WindowExhausted, ScaleRejected, SpectrumMemoryError,
 TupleBudgetExceeded, RankBudgetExceeded, OverflowError, RecursionError); 2 on
-a usage error (argparse, or a ValueError for a bad value).  Failures print
+a usage error (argparse, or a ValueError for a bad value, such as an
+--export or --csv path that cannot be written).  Failures print
 "error: <ExceptionName>: <message>".
 
 --check, offered where it re-validates the result by an independent
@@ -59,6 +60,15 @@ def _require(ok: bool, failure: str) -> None:
         raise CheckFailure(failure)
 
 
+def _write(path: str, text: str) -> None:
+    """Write an output file; a path that cannot be written is a bad value."""
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ValueError(f"{type(exc).__name__}: {exc}") from exc
+
+
 # The run functions of the COMMANDS rows below.
 
 def _cmd_spectrum(args) -> dict:
@@ -72,8 +82,7 @@ def _cmd_spectrum(args) -> dict:
                "min": spec.min_element, "max": spec.max_element}
     if not args.export:
         return {**payload, "members": spec.members()}
-    with open(args.export, "w") as fh:
-        fh.write("\n".join(spec.export_lines()) + "\n")
+    _write(args.export, "\n".join(spec.export_lines()) + "\n")
     return {**payload, "exported_to": args.export}
 
 def _cmd_witness(args) -> dict:
@@ -131,6 +140,8 @@ def _cmd_pell(args) -> dict:
     return {**vars(fp), "triple_witness": list(w)}
 
 def _cmd_abc(args) -> tuple[list, int]:
+    if args.k_max < 1:  # an empty table would certify nothing
+        raise ValueError(f"need k-max >= 1, got {args.k_max}")
     rows, ok = [], True
     for k in range(1, args.k_max + 1):
         rep = pell.verify_ABC(pell.family_pair(k))
@@ -219,8 +230,7 @@ def _cmd_repcount(args) -> dict:
         missing = [int(m) for m in support if int(m) not in spec]
         _require(not missing, f"support escapes the 5-clique spectrum: {missing[:3]}")
     if args.csv:
-        with open(args.csv, "w") as fh:
-            fh.write("m,R\n" + "".join(f"{m},{c}\n" for m, c in hist.csv_rows()))
+        _write(args.csv, "m,R\n" + "".join(f"{m},{c}\n" for m, c in hist.csv_rows()))
         payload["csv"] = args.csv
     return payload
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import isqrt
+from typing import Callable
 
 
 def tri(x: int) -> int:
@@ -70,7 +71,9 @@ def two_part_witness(m: int, f: int) -> tuple[int, int] | None:
     return None
 
 
-def clique_parts(v: int, g: int, k: int) -> tuple[int, ...] | None:
+def clique_parts(v: int, g: int, k: int,
+                 triple: Callable[[int, int], tuple[int, ...] | None] | None = None
+                 ) -> tuple[int, ...] | None:
     """The parts >= 2, nonincreasing, of the lexicographically largest
     partition of v >= 0 into at most k >= 1 parts whose cliques span g
     edges, or None.  The rest of v is singletons, never listed, so v may
@@ -82,8 +85,17 @@ def clique_parts(v: int, g: int, k: int) -> tuple[int, ...] | None:
     >= ((v - a)^2/(k - 1) - (v - a))/2 edges, so a^2 + (v - a)^2/(k - 1)
     <= 2g + v.  Each a between is tried, largest first, on the rest
     (v - a, g - tri(a), k - 1), so the first that succeeds is the largest
-    part of any such partition.  k = 2 is two_part_witness, and the failed
-    keys, with k past v taken as v, are remembered for the rest of the call.
+    part of any such partition, and no part of its rest exceeds a.  The
+    balanced partition, the only one with min_clique_edges(v, k) edges, is
+    returned at once, and k = 2 is two_part_witness.  The failed keys, with
+    k past v taken as v, are remembered for the rest of the call.
+
+    With triple given, the k = 3 step is triple(v, g), three parts that
+    the caller picks (min_r_witness: the smallest smallest part), or
+    two_part_witness's when it returns None.  Where v has no partition
+    into fewer than k parts, the parts above that step are still the
+    lexicographically largest, and by the argument above none of the
+    step's parts exceeds the part above it.
     """
     if v < 0 or k < 1:
         raise ValueError(f"need v >= 0 and k >= 1, got v={v}, k={k}")
@@ -94,12 +106,15 @@ def clique_parts(v: int, g: int, k: int) -> tuple[int, ...] | None:
         if g <= 0:
             return () if g == 0 and k == v else None
         d = tri(v) - g
-        if d < 0 or (k < v and g < min_clique_edges(v, k)) or (v, g, k) in failed:
+        if d < 0 or g < (fewest := min_clique_edges(v, k)) or (v, g, k) in failed:
             return None
-        if k == 1 or d == 0:  # one part: min_clique_edges(v, 1) = tri(v) = g
+        if d == 0:  # one part; with k = 1 no other g gets here
             return (v,)
-        if k == 2:
-            w = two_part_witness(v, g)
+        if g == fewest:  # the balanced partition; q = 1 leaves singletons
+            q, rem = divmod(v, k)
+            return (q + 1,) * rem + (q,) * (k - rem) if q > 1 else (2,) * rem
+        if k == 2 or (k == 3 and triple is not None):
+            w = (triple(v, g) if k == 3 else None) or two_part_witness(v, g)
             return None if w is None else tuple(p for p in w if p > 1)
         j = k - 1  # the larger root of j a^2 + (v - a)^2 = j (2g + v), floored
         top = min(v, tri_floor_root(g), (v + isqrt(j * (k * (2 * g + v) - v * v))) // k)

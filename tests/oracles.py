@@ -12,7 +12,7 @@ from unittest import mock
 import numpy as np
 
 from edgespectra import squares
-from edgespectra.certify import PairMF, _parts_max_edges, three_part_witness, two_part_witness
+from edgespectra.certify import PairMF, three_part_witness, two_part_witness
 from edgespectra.cliquespec import EdgeSpectrum
 from edgespectra.graphs import _achieved, canonical_reps, subset_pair_mask
 from edgespectra.repcount import RepHistogram
@@ -201,9 +201,24 @@ def induced_edge_total_per_subset(adj: np.ndarray, n: int) -> int:
     return total
 
 
+def _parts_max_edges(v: int, j: int, cap: int) -> int:
+    """The most edges a partition of v into j parts in [1, cap] spans: as
+    many parts of cap as leave room, one part for what is left, singletons."""
+    if cap <= 1:
+        return 0
+    t = min(j, (v - j) // (cap - 1))
+    rest = j - t
+    if rest == 0:
+        return t * tri(cap)
+    big = v - t * cap - (rest - 1)
+    return t * tri(cap) + tri(big)
+
+
 def _find_rep_per_part(f: int, v: int, j: int, cap: int) -> Optional[tuple[int, ...]]:
-    """certify._find_rep as it was before the balanced partition was
-    returned at once: one recursion level per part, whatever the parts."""
+    """A partition of v into exactly j parts in [1, cap] with edge sum f,
+    nonincreasing, by the recursion the rank search once ran on its own:
+    one level per part, whatever the parts, the largest parts first and
+    three_part_witness under the cap for the last three."""
     if j == 1:
         return (v,) if v <= cap and tri(v) == f else None
     if f < min_clique_edges(v, j) or f > _parts_max_edges(v, j, cap):

@@ -160,6 +160,28 @@ def test_min_r_witness_matches_search_near_complete():
             assert min_r_witness(m, f) == min_r_witness_search(m, f), (m, f)
 
 
+def test_min_r_witness_matches_search_below_larger_parts():
+    # f is the edge sum of a partition of m into 4 to 7 parts, moved off
+    # the balanced one by random amounts, and f + 1 beside it, so the
+    # three-part step runs below one to four larger parts
+    rng = random.Random(22)
+    ranks = set()
+    for _ in range(200):
+        m, k = rng.randint(200, 3000), rng.randint(4, 7)
+        parts = [m // k + (i < m % k) for i in range(k)]
+        spread = m // rng.choice((1, 4, 16, 64)) // k
+        for _ in range(rng.randint(0, 2 * k)):
+            i, j = rng.sample(range(k), 2)
+            d = rng.randint(0, min(spread, parts[i] - 1))
+            parts[i], parts[j] = parts[i] - d, parts[j] + d
+        f = sum(tri(p) for p in parts)
+        for g in (f, f + 1):
+            w = min_r_witness(m, g)
+            assert w == min_r_witness_search(m, g), (m, g)
+            ranks.add(None if w is None else len(w) - 1)
+    assert {2, 3, 4, 5, 6} <= ranks, ranks
+
+
 def test_representable_matches_spectrum():
     # f has a partition of m into at most k cliques exactly when it is in
     # C(m, k); k = m is the rank search's representability test
@@ -173,11 +195,12 @@ def test_representable_matches_spectrum():
 def test_no_representation_skips_part_count_search(monkeypatch):
     # pairs without a representation, from m = 2554 to m = 622856, are
     # answered before any part count is tried
-    calls, real = [], certify._find_rep
-    monkeypatch.setattr(certify, "_find_rep", lambda *a: calls.append(a) or real(*a))
-    for m, f in ((2554, 3195938), (13898, 94084537), (622856, 193768603283)):
+    calls, real = [], certify.clique_parts
+    monkeypatch.setattr(certify, "clique_parts", lambda *a: calls.append(a) or real(*a))
+    pairs = ((2554, 3195938), (13898, 94084537), (622856, 193768603283))
+    for m, f in pairs:
         assert min_r_witness(m, f) is None, (m, f)
-    assert calls == []
+    assert calls == [(m, f, m) for m, f in pairs]
 
 
 def test_min_r_witness_length_is_rank():
@@ -277,12 +300,12 @@ def test_three_part_budget_charges_window_and_refunds_hit(monkeypatch):
 
 
 def test_rank_budget_bounds_the_search(monkeypatch):
-    # the pair walks 75773 z-steps to its answer, r = 4
+    # the pair walks 95656 z-steps to its answer, r = 4
     assert min_r(2942, 1718353) == 4
-    monkeypatch.setattr(certify, "_RANK_STEPS", 75773)
+    monkeypatch.setattr(certify, "_RANK_STEPS", 95656)
     assert min_r(2942, 1718353) == 4
-    monkeypatch.setattr(certify, "_RANK_STEPS", 75772)
-    with pytest.raises(RankBudgetExceeded, match=r"\(2942, 1718353\) walked all 75772 z-steps"):
+    monkeypatch.setattr(certify, "_RANK_STEPS", 95655)
+    with pytest.raises(RankBudgetExceeded, match=r"\(2942, 1718353\) walked all 95655 z-steps"):
         min_r(2942, 1718353)
     # a window cut by the budget still answers when it hits within the cut
     monkeypatch.setattr(certify, "_RANK_STEPS", 1)

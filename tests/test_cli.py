@@ -332,8 +332,15 @@ def test_concentration_scale_rejected_exits_1(capsys):
     assert _manifest(err)["subcommand"] == "concentration"
 
 
-def test_bad_value_exits_2_with_manifest(capsys):
+def test_bad_value_exits_2_with_manifest(capsys, tmp_path):
+    unwritable = str(tmp_path / "missing" / "x")
     for argv in (["spectrum", "--n", "-1", "--r", "2"],
+                 # a path that cannot be written, after the result is computed
+                 ["spectrum", "--n", "5", "--r", "2", "--export", unwritable],
+                 ["repcount", "--n", "10", "--N", "2", "--csv", unwritable],
+                 # an empty family table would certify nothing
+                 ["abc", "--k-max", "0"],
+                 ["abc", "--k-max", "-1"],
                  # no random draw, or a negative tuple cap, would certify nothing
                  ["closure", "--n", "6", "--r", "2", "--m", "3", "--trials", "-1"],
                  ["closure", "--n", "6", "--r", "2", "--m", "3", "--trials", "0"],
