@@ -16,13 +16,14 @@ fired.
 
 The minimal clique rank comes from one search, min_r_witness, built on
 triangles.clique_parts, the recursion over the largest part a, which the
-deficit d = tri(m) - f confines to a >= m - 2d/m.  The search first
-decides whether f is the edge sum of any partition of m; a pair with no
-representation is answered there.  Then it runs at part counts j = 1,
-2, ... with three_part_witness (a loop over the smallest part within a
-closed-form window) as its three-part step, and the first j that admits
-a partition gives the witness.  The three-part windows of one search
-share a budget of z-steps, charged per window in closed form, so a
+deficit d = tri(m) - f confines to a >= m - 2d/m.  One and two parts
+are answered first, by f = tri(m) and by the roots of a quadratic.  Next
+the search decides whether f is the edge sum of any partition of m; a
+pair with no representation is answered there.  Then it runs at part
+counts j = 3, 4, ... with three_part_witness (a loop over the smallest
+part within a closed-form window) as its three-part step, and the first
+j that admits a partition gives the witness.  The three-part windows of
+one search share a budget of z-steps, charged per window in closed form, so a
 search that cannot decide in time raises RankBudgetExceeded instead of
 running on.  min_r is the witness's part count less one, so the rank and
 its certificate never disagree.  Every step is exact integer arithmetic:
@@ -258,43 +259,40 @@ class _Budget:
             f"budget in {self.windows} three-part windows without a decision")
 
 
-def _z_window(m: int, f: int, cap: int) -> range:
+def _z_window(m: int, f: int) -> range:
     """The smallest parts z that three_part_witness tries; see there."""
     n = 12 * f + 6 * m - 2 * m * m
-    if m < 3 or n < 0 or 3 * cap < m or 4 * (3 * cap - m) ** 2 < n:
+    if m < 3 or n < 0:
         return range(0)
     root = isqrt(n)
     t = (root + (root * root < n) + 1) // 2  # the least t >= 0 with 4t^2 >= n
     return range(max(1, -(-(m - root) // 3)), (m - t) // 3 + 1)
 
 
-def three_part_witness(m: int, f: int, cap: Optional[int] = None,
+def three_part_witness(m: int, f: int, *,
                        budget: Optional[_Budget] = None) -> Optional[tuple[int, int, int]]:
-    """(x, y, z) with cap >= x >= y >= z >= 1, x+y+z = m, tri sums to f,
-    and z smallest; None if there is none.  cap defaults to m.
+    """(x, y, z) with x >= y >= z >= 1, x+y+z = m, tri sums to f, and z
+    smallest; None if there is none.
 
     Every such triple satisfies (3z - m)^2 + 3(x - y)^2 = N with
     N = 12f + 6m - 2m^2, so the smallest part z starts where
     (m - 3z)^2 <= N first holds, and y >= z holds only while
-    4(m - 3z)^2 >= N; by the same identity in x, y <= x needs
-    4(3x - m)^2 >= N, so a cap below that admits nothing.  The loop walks
-    z upward through the window and solves for the other two parts with
-    two_part_witness.  Along the window x grows with z, so the first hit
-    decides: it fits under the cap or no later hit does.  Exact at any size.
+    4(m - 3z)^2 >= N.  The loop walks z upward through the window and
+    solves for the other two parts with two_part_witness.  Exact at any
+    size.
 
     A budget is charged the window's length before the walk and refunded
     the steps a hit leaves unwalked; RankBudgetExceeded is raised when the
     budget ends the walk before the window does.
     """
-    cap = m if cap is None else cap
-    window = _z_window(m, f, cap)
+    window = _z_window(m, f)
     walk = window if budget is None else budget.charge(window)
     for z in walk:
         w = two_part_witness(m - z, f - tri(z))
         if w is not None and w[1] >= z:
             if budget is not None:
                 budget.refund(walk.stop - z - 1)
-            return (w[0], w[1], z) if w[0] <= cap else None
+            return (w[0], w[1], z)
     if len(walk) < len(window):
         raise budget.exceeded()
     return None
@@ -307,9 +305,10 @@ def min_r_witness(m: int, f: int) -> Optional[tuple[int, ...]]:
     lexicographically largest possible, and the last three are the triple
     with the smallest smallest part.
 
+    One part is f = tri(m), and two parts are two_part_witness.  Otherwise
     triangles.clique_parts first decides whether any partition of m has
     edge sum f, by a recursion over the largest part; a pair without one
-    returns None there.  Otherwise the part counts j = 1, 2, ... are tried
+    returns None there.  Then the part counts j = 3, 4, ... are tried
     in turn by the same recursion with three_part_witness as its k = 3
     step, and the first that admits a partition gives the witness: at the
     least such j every partition into at most j parts has exactly j.  The
@@ -317,11 +316,16 @@ def min_r_witness(m: int, f: int) -> Optional[tuple[int, ...]]:
     z-steps; RankBudgetExceeded is raised once they have walked it.
     """
     PairMF(m, f)
+    if f == tri(m):
+        return (m,)
+    pair = two_part_witness(m, f)
+    if pair is not None:
+        return pair
     if clique_parts(m, f, m) is None:
         return None
     budget = _Budget(m, f)
-    triple = lambda v, g: three_part_witness(v, g, None, budget)
-    for j in range(1, m + 1):
+    triple = lambda v, g: three_part_witness(v, g, budget=budget)
+    for j in range(3, m + 1):
         parts = clique_parts(m, f, j, triple)
         if parts is not None:
             return parts + (1,) * (m - sum(parts))

@@ -26,13 +26,35 @@ a <= floor((n - v + a)/(r - k + 1)).  So, by induction on k, every row
 holds every canonical tail and stays a subset of C(v, k), and row n is
 C(n, r) bit for bit.
 
+At r = 5 and n >= 288 (and n = 275, 281-285) C(n, 5) is built from three
+exact pieces instead (_cover_plan):
+- the cover: for odd v, the three-square theorem puts a run of
+  consecutive values in C(v, 4) (_cover_run), and these runs, shifted by
+  tri(n - v), merge into one run [lo, hi] inside C(n, 5);
+- the values from min_clique_edges(n, 5) up to lo, each decided by
+  triangles.clique_parts: one where 5 divides n, none otherwise, at every
+  n up to 6000 and at every n sampled up to 10^5;
+- the top band above hi: a partition with deficit tri(n) - e <= D =
+  tri(n) - hi - 1 has a largest part n - s with s(n - s) <= D, so s <= S,
+  and there the band is the OR over s <= S of C(s, 4) shifted by
+  tri(n - s).  That is the DP above with the layer caps of (S, 4) and the
+  top row n: every partition of s <= S < n/2 is a canonical tail of one
+  of n with largest part n - s, so the streamed rows 0..S are C(s, 4).
+S is about 5 sqrt(n), so the band's layers are small; at n = 10^4 (S =
+679) the route takes 0.3 to 0.5 s.  Where the plan's preconditions fail
+(every n below 275, and 276-280, 286, 287), or at any other r, the DP
+builds the whole spectrum, and the DP is what the tests check the route
+against.
+
 Alive at a time are the two largest stored layers and, in each process
 streaming layer r - 1, a few ints the size of its rows and of the top row;
 the memory guard is charged for them, at the size of full rows, before the
-first layer is built.  bounds_sweep reads every row of every layer, so it
-stores full layers of full rows.
-member_witness reads no layer (it is triangles.clique_parts, a recursion
-over the largest part), but it is guarded as spectrum(n, r) is.
+first layer is built.  On the r = 5 route these are the band's layers,
+and the cover's run is OR-ed into the top row within the same charge.
+bounds_sweep reads every row of every layer, so it stores full layers of
+full rows.  member_witness reads no layer (it is triangles.clique_parts,
+a recursion over the largest part), but it is guarded as spectrum(n, r)
+is, from the same cover plan, which each process makes once per n.
 
 The rows of a layer depend only on the layer below, so a large layer,
 stored or streamed, is built on every CPU the process may use: _split
@@ -49,13 +71,14 @@ memory, not disk, where the temporary directory is a tmpfs.
 
 from __future__ import annotations
 
+import functools
 import os
 import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator
 
-from .triangles import clique_parts, tri
+from .triangles import clique_parts, min_clique_edges, tri
 
 ENV_MAX_TABLE_BITS = "EDGESPECTRA_MAX_TABLE_BITS"
 _DEFAULT_MAX_TABLE_BITS = 8_000_000_000  # ~1 GB of row storage
@@ -386,25 +409,88 @@ def _check_n_r(n: int, r: int) -> None:
         raise ValueError(f"r must be >= 1, got {r}")
 
 
-def _guarded_caps(n: int, r: int) -> tuple[int, list[int]]:
-    """The layer count spectrum(n, r) builds and its layer caps, after the
-    memory guard has been charged for them."""
+def _cover_run(v: int) -> tuple[int, int]:
+    """(lo, hi) with [lo, hi] inside C(v, 4) for odd v, empty when lo > hi.
+
+    Over the parts of v, 4 sum p_i^2 = v^2 + y_1^2 + y_2^2 + y_3^2 with
+    y_1 = p_1 + p_2 - p_3 - p_4 (y_2 and y_3 likewise), so e is in C(v, 4)
+    when N = 8e + 4v - v^2 is y_1^2 + y_2^2 + y_3^2 with every
+    p_i = (v +- y_1 +- y_2 +- y_3)/4 a non-negative integer.  For odd v,
+    N is 3 mod 8, a sum of three odd squares by Gauss, and signs make every
+    p_i an integer; 3N < v^2, that is e <= hi, makes every p_i positive."""
+    return min_clique_edges(v, 4), (4 * v * v - 12 * v - 1) // 24
+
+
+@functools.lru_cache(maxsize=256)
+def _cover_plan(n: int) -> tuple[int, int, int] | None:
+    """(lo, hi, s), where [lo, hi] lies inside C(n, 5) and every partition
+    of n whose deficit tri(n) - e is at most D = tri(n) - hi - 1 has a
+    largest part of at least n - s; None where the cover gives no such
+    plan (every n below 275, and 276-280, 286 and 287).
+
+    [lo, hi] is the run that the intervals tri(n - v) + _cover_run(v),
+    over odd v, form from the lowest up; lo is the edge sum of a
+    partition, so it is at least min_clique_edges(n, 5).  The deficit of a
+    partition is at least s(n - s) for its largest part n - s, and above
+    n^2/4 when every part is below n/2.  So s is the largest s with
+    s(n - s) <= D, when s + 1 <= n/2 and (s + 1)(n - s - 1) > D; where no
+    s + 1 <= n/2 has that, D is at least floor(n/2) ceil(n/2) and there
+    is no plan."""
+    runs = []
+    for v in range(1, n + 1, 2):
+        lo, hi = _cover_run(v)
+        if lo <= hi:
+            runs.append((tri(n - v) + lo, tri(n - v) + hi))
+    runs.sort()
+    if not runs:
+        return None
+    lo, hi = runs[0]
+    for a, b in runs[1:]:
+        if a > hi + 1:
+            break
+        hi = max(hi, b)
+    deficit = tri(n) - hi - 1
+    s = 0
+    while 2 * (s + 1) <= n and (s + 1) * (n - s - 1) <= deficit:
+        s += 1
+    if 2 * (s + 1) > n:
+        return None
+    return lo, hi, s
+
+
+def _guarded_caps(n: int, r: int) -> tuple[int, list[int], tuple[int, int, int] | None]:
+    """The layer count spectrum(n, r) builds, its layer caps and, at r = 5
+    where the cover applies, its cover plan, after the memory guard has
+    been charged for them."""
     _check_n_r(n, r)
     k_eff = min(r, max(n, 1))  # more than n parts only adds empty cliques
-    caps = _layer_caps(n, k_eff)
+    plan = None
+    if k_eff == 5:
+        _check_cap(4 * (tri(n) + 1))  # below either route's charge: refused before planning
+        plan = _cover_plan(n)
+    caps = _layer_caps(n, k_eff) if plan is None else _layer_caps(plan[2], 4) + [n]
     _check_cap(_estimate_bits(caps))
-    return k_eff, caps
+    return k_eff, caps, plan
 
 
 def spectrum(n: int, r: int) -> EdgeSpectrum:
-    """Exact C(n, r): edge sums of unions of at most r cliques on n vertices."""
-    k_eff, caps = _guarded_caps(n, r)
+    """Exact C(n, r): edge sums of unions of at most r cliques on n vertices.
+    Built from the cover plan where _cover_plan(n) gives one at r = 5, and
+    by the DP everywhere else; both give the same mask."""
+    k_eff, caps, plan = _guarded_caps(n, r)
     if k_eff == 1:  # one clique on all n vertices
         return EdgeSpectrum(n=n, r=r, mask=1 << tri(n))
     prev = [1]
     for k in range(1, k_eff - 1):
         prev = _layer(prev, k, caps[k], (n, k_eff))
-    return EdgeSpectrum(n=n, r=r, mask=_top(prev, n, k_eff, caps[k_eff - 1]))
+    mask = _top(prev, n, k_eff, caps[k_eff - 1])
+    if plan is not None:  # the top band is built; add the cover's run and the values below it
+        lo, hi, _ = plan
+        mask |= (1 << (hi + 1)) - (1 << lo)
+        for e in range(min_clique_edges(n, 5), lo):
+            if clique_parts(n, e, 5) is not None:
+                mask |= 1 << e
+    return EdgeSpectrum(n=n, r=r, mask=mask)
 
 
 def member_witness(n: int, r: int, m: int) -> CliquePartition | None:

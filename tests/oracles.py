@@ -12,11 +12,11 @@ from unittest import mock
 import numpy as np
 
 from edgespectra import squares
-from edgespectra.certify import PairMF, three_part_witness, two_part_witness
+from edgespectra.certify import PairMF, _Budget, three_part_witness, two_part_witness
 from edgespectra.cliquespec import EdgeSpectrum
 from edgespectra.graphs import _achieved, canonical_reps, subset_pair_mask
 from edgespectra.repcount import RepHistogram
-from edgespectra.triangles import min_clique_edges, tri
+from edgespectra.triangles import clique_parts, min_clique_edges, tri
 
 
 def rep_histogram_naive(n: int, N: int, sum_cap: Optional[int] = None) -> RepHistogram:
@@ -141,14 +141,12 @@ def _np_square_roots(vals: np.ndarray) -> np.ndarray:
     return out
 
 
-def three_part_witness_scan(m: int, f: int, cap: Optional[int] = None) -> Optional[tuple[int, int, int]]:
+def three_part_witness_scan(m: int, f: int) -> Optional[tuple[int, int, int]]:
     """certify.three_part_witness by a scan of every smallest part z from 1
     to m // 3 in int64 numpy chunks: the rest has two parts only where
     4(f - tri(z)) - (m - z)(m - z - 2) is a perfect square of the parity
-    of m - z, and two_part_witness confirms each such z.  A hit whose
-    largest part exceeds cap is skipped and the scan goes on, so it does
-    not rely on the largest part growing with z.  Exact only while the
-    discriminants fit in int64 (m below about 2 * 10^9)."""
+    of m - z, and two_part_witness confirms each such z.  Exact only while
+    the discriminants fit in int64 (m below about 2 * 10^9)."""
     if m < 3:
         return None
     chunk = 1 << 20  # smallest parts scanned per numpy pass
@@ -161,7 +159,7 @@ def three_part_witness_scan(m: int, f: int, cap: Optional[int] = None) -> Option
         ok = (roots >= 0) & ((rest_m + roots) % 2 == 0)
         for zi in z[ok].tolist():
             w = two_part_witness(m - zi, f - tri(zi))
-            if w is not None and w[1] >= zi and (cap is None or w[0] <= cap):
+            if w is not None and w[1] >= zi:
                 return (w[0], w[1], zi)
     return None
 
@@ -218,7 +216,9 @@ def _find_rep_per_part(f: int, v: int, j: int, cap: int) -> Optional[tuple[int, 
     """A partition of v into exactly j parts in [1, cap] with edge sum f,
     nonincreasing, by the recursion the rank search once ran on its own:
     one level per part, whatever the parts, the largest parts first and
-    three_part_witness under the cap for the last three."""
+    the triple with the smallest smallest part for the last three, refused
+    when its largest part exceeds the cap: along the z-window the largest
+    part grows with z, so no later triple fits under the cap."""
     if j == 1:
         return (v,) if v <= cap and tri(v) == f else None
     if f < min_clique_edges(v, j) or f > _parts_max_edges(v, j, cap):
@@ -227,7 +227,8 @@ def _find_rep_per_part(f: int, v: int, j: int, cap: int) -> Optional[tuple[int, 
         w = two_part_witness(v, f)
         return w if w is not None and w[0] <= cap else None
     if j == 3:
-        return three_part_witness(v, f, cap)
+        w = three_part_witness(v, f)
+        return w if w is not None and w[0] <= cap else None
     # a part with tri(a) > f would leave a negative rest: start below those
     top = min(cap, v - (j - 1), (1 + isqrt(1 + 8 * f)) // 2)
     for a in range(top, -(-v // j) - 1, -1):
@@ -248,6 +249,21 @@ def min_r_witness_search(m: int, f: int) -> Optional[tuple[int, ...]]:
         w = _find_rep_per_part(f, m, j, m)
         if w is not None:
             return w
+    return None
+
+
+def min_r_witness_loop(m: int, f: int) -> Optional[tuple[int, ...]]:
+    """certify.min_r_witness with every part count j = 1, 2, ... tried by
+    clique_parts, j = 1 and j = 2 included, after the representability test."""
+    PairMF(m, f)
+    if clique_parts(m, f, m) is None:
+        return None
+    budget = _Budget(m, f)
+    triple = lambda v, g: three_part_witness(v, g, budget=budget)
+    for j in range(1, m + 1):
+        parts = clique_parts(m, f, j, triple)
+        if parts is not None:
+            return parts + (1,) * (m - sum(parts))
     return None
 
 

@@ -23,7 +23,8 @@ from edgespectra.certify import (
 )
 from edgespectra.cliquespec import spectrum
 from edgespectra.triangles import clique_parts, tri
-from oracles import brute_dm_witness, min_r_witness_search, three_part_witness_scan
+from oracles import (brute_dm_witness, min_r_witness_loop, min_r_witness_search,
+                     three_part_witness_scan)
 
 HALF = Fraction(1, 2)
 
@@ -182,6 +183,16 @@ def test_min_r_witness_matches_search_below_larger_parts():
     assert {2, 3, 4, 5, 6} <= ranks, ranks
 
 
+def test_min_r_witness_one_and_two_parts_match_loop():
+    # one and two parts are answered before the recursion; the witnesses
+    # are the ones the part-count loop over clique_parts finds, on all
+    # 4,088 pairs with m <= 29
+    pairs = [(m, f) for m in range(2, 30) for f in range(tri(m) + 1)]
+    assert len(pairs) == 4088
+    for m, f in pairs:
+        assert min_r_witness(m, f) == min_r_witness_loop(m, f), (m, f)
+
+
 def test_representable_matches_spectrum():
     # f has a partition of m into at most k cliques exactly when it is in
     # C(m, k); k = m is the rank search's representability test
@@ -260,29 +271,6 @@ def test_three_part_witness_matches_scan():
     assert 100 < hits < 400  # both hits and misses are covered
 
 
-def test_three_part_witness_cap_matches_brute():
-    for m in range(2, 26):
-        for f in range(tri(m) + 1):
-            triples = [p for p in brute_partitions(m, 3, m) if sum(tri(x) for x in p) == f]
-            for cap in range(m + 2):
-                fits = [p for p in triples if p[0] <= cap]
-                expect = min(fits, key=lambda p: p[2]) if fits else None
-                assert three_part_witness(m, f, cap) == expect, (m, f, cap)
-
-
-def test_three_part_witness_cap_matches_scan():
-    rng = random.Random(9)
-    hits = capped = 0
-    for m, f in _seeded_three_part_pairs(300, seed=10):
-        cap = rng.randint(-(-m // 3), m)
-        w = three_part_witness(m, f, cap)
-        assert w == three_part_witness_scan(m, f, cap), (m, f, cap)
-        hits += w is not None
-        capped += w is None and three_part_witness(m, f) is not None
-    # hits, misses and triples that only the cap rules out are all covered
-    assert 30 < hits < 270 and capped > 10
-
-
 def test_three_part_budget_charges_window_and_refunds_hit(monkeypatch):
     monkeypatch.setattr(certify, "_RANK_STEPS", 10 ** 6)
     # (18270687362, f) of the Pell family: a window of about 1.2 * 10^9
@@ -293,7 +281,7 @@ def test_three_part_budget_charges_window_and_refunds_hit(monkeypatch):
     assert (budget.left, budget.windows) == (10 ** 6 - 1, 1)
     # a miss is charged its whole window
     m, f = 3000, 2037210
-    window = certify._z_window(m, f, m)
+    window = certify._z_window(m, f)
     budget = _Budget(m, f)
     assert three_part_witness(m, f, budget=budget) is None
     assert budget.left == 10 ** 6 - len(window) and len(window) > 100

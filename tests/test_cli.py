@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import random
@@ -608,3 +609,68 @@ def test_main_builds_the_parser_once(capsys, monkeypatch):
     finally:
         cli._shared_parser.cache_clear()
     assert len(built) == 1
+
+
+# One argv per COMMANDS row, with its options, flags and choices set.
+ONE_PER_COMMAND = {
+    "spectrum": "spectrum --n 12 --r 3 --export out.txt --check",
+    "witness": "witness --n 12 --r 3 --m 30 --check",
+    "density": "density --n 50 --r 4",
+    "interval": "interval --n 30 --r 3 --c-low 0.5 --c-high 1e-3 --clip",
+    "classify": "classify --m 7 --f 12 --check",
+    "minr": "minr --m 40 --f 300",
+    "dm": "dm --m 8 --f 17 --check",
+    "pell": "pell --k 3",
+    "abc": "abc --k-max 2",
+    "three-squares": "three-squares --v 1000003 --check",
+    "bennett": "bennett --y-limit 50",
+    "witness7": "witness7 --n 30000 --samples 3 --seed 3 --threads 1",
+    "arrow": "arrow --n 5 --e 6 --m 3 --f 3 --dedup --check",
+    "snm": "snm --n 6 --m 3 --f 1",
+    "turan": "turan --n 7 --m 4",
+    "runs": "runs --n 5 --m 3 --f 2",
+    "closure": "closure --n 6 --r 2 --m 3 --trials 5",
+    "concentration": "concentration --N 8 --E 10 --n 4 --trials 50",
+    "repcount": "repcount --n 30 --N 8 --sum-cap 20 --csv out.csv",
+    "exceptional": "exceptional --n 30 --N 9 --lo-margin 0.5 --asymptotic",
+}
+
+# Usage errors of a subcommand: a missing or unknown option, a bad value,
+# a choice set twice, an extra word, and options before the name.
+USAGE_ERRORS = [
+    "spectrum --n 5",
+    "spectrum --n 5 --r 2 --bogus",
+    "spectrum --n 5 --r 2 extra words",
+    "spectrum --n five --r 2",
+    "interval --n 30 --r 3 --c-low 0 --c-high nan",
+    "witness7 --n 30000 --m 1 --samples 3",
+    "witness7 --n 30000",
+    "dm --m 8 --f 17 --version",
+    "--n 5 spectrum --r 2",
+    "nonsense --n 5",
+]
+
+
+def test_subcommand_parse_matches_top_parser():
+    from edgespectra import cli
+
+    parser = cli.build_parser()
+    assert set(ONE_PER_COMMAND) == set(cli.COMMANDS)
+    for name, argv in ONE_PER_COMMAND.items():
+        args = cli._parse(parser, argv.split())
+        assert args == parser.parse_args(argv.split()) and args.cmd == name, argv
+
+
+@pytest.mark.parametrize("argv", USAGE_ERRORS)
+def test_subcommand_parse_usage_errors_match_top_parser(capsys, argv):
+    from edgespectra import cli
+
+    parser = cli.build_parser()
+    outcomes = []
+    for parse in (cli._parse, argparse.ArgumentParser.parse_args):
+        with pytest.raises(SystemExit) as exc:
+            parse(parser, argv.split())
+        outcomes.append((exc.value.code, capsys.readouterr()))
+    assert outcomes[0] == outcomes[1]
+    code, captured = outcomes[0]
+    assert code == 2 and captured.err.startswith("usage: edgespectra")

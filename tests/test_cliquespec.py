@@ -15,6 +15,8 @@ from edgespectra.cliquespec import (
     EdgeSpectrum,
     SpectrumMemoryError,
     _StreamedLayer,
+    _cover_plan,
+    _cover_run,
     _estimate_bits,
     _layer,
     _layer_caps,
@@ -29,7 +31,7 @@ from edgespectra.cliquespec import (
     spectrum,
     verify_interval,
 )
-from edgespectra.triangles import tri
+from edgespectra.triangles import clique_parts, min_clique_edges, tri
 from oracles import spectrum_unblocked, witness_tables_uncapped
 
 
@@ -196,8 +198,8 @@ def test_spectrum_guard_counts_built_rows(table_cap, monkeypatch):
         table_cap(_estimate_bits(caps) - 1)
         with pytest.raises(SpectrumMemoryError):
             spectrum(n, r)
-    # the largest n the default guard admits, with one process and with two
-    # (4038 at r = 5 while layer r-1 was stored); at r = 2 no layer is
+    # the largest n the default guard admits the DP at, with one process and
+    # with two (4038 at r = 5 while layer r-1 was stored); at r = 2 no layer is
     # stored and the top row's ints are the whole charge
     for workers, r, limit in ((1, 5, 5534), (2, 5, 5514), (1, 2, 58038), (2, 2, 41039)):
         monkeypatch.setattr(cliquespec, "_workers", lambda: workers)
@@ -211,6 +213,41 @@ def test_spectrum_guard_counts_built_rows(table_cap, monkeypatch):
         assert _estimate_bits(_layer_caps(16000, 2)) >= peak_mb * 8_000_000, workers
 
 
+def route_caps(n):
+    """The layer caps of the r = 5 route: the band's layers toward (S, 4),
+    then the top row n."""
+    return _layer_caps(_cover_plan(n)[2], 4) + [n]
+
+
+def test_route_guard_counts_band_layers(table_cap, monkeypatch):
+    # the route stores the band's layers 1..3 up to S/4, S/2 and 3S/4, two
+    # alive at a time, streams rows 0..S of layer 4 into the top row, and
+    # ORs the cover's run into the top row within its four ints
+    monkeypatch.setattr(cliquespec, "_workers", lambda: 1)
+    for n in (300, 700, 1001):
+        s = _cover_plan(n)[2]
+        charge = _rows_bits(s // 2) + _rows_bits(3 * s // 4) + 3 * (tri(s) + 1) + 4 * (tri(n) + 1)
+        assert _estimate_bits(route_caps(n)) == charge < _estimate_bits(_layer_caps(n, 5)), n
+        table_cap(charge)
+        spectrum(n, 5)
+        assert member_witness(n, 5, tri(n) - (n - 1)) is not None
+        table_cap(charge - 1)
+        with pytest.raises(SpectrumMemoryError):
+            spectrum(n, 5)
+        with pytest.raises(SpectrumMemoryError):
+            member_witness(n, 5, tri(n) - (n - 1))
+    # the largest n the default guard admits the route at, with one process
+    # and with two: the top row's ints are most of the charge
+    for workers, limit in ((1, 61424), (2, 43943)):
+        monkeypatch.setattr(cliquespec, "_workers", lambda: workers)
+        assert (_estimate_bits(route_caps(limit)) <= _DEFAULT_MAX_TABLE_BITS
+                < _estimate_bits(route_caps(limit + 1))), workers
+    # spectrum(20000, 5) held at most 89 MB of Python objects at a time in
+    # one process (tracemalloc, x86-64): the charge covers it
+    monkeypatch.setattr(cliquespec, "_workers", lambda: 1)
+    assert _estimate_bits(route_caps(20000)) >= 89 * 8_000_000
+
+
 def test_bounds_sweep_guard_counts_two_layers(table_cap):
     # the sweep is a generator: the guard is met on its first report
     first = next(bounds_sweep(400, 9))
@@ -220,6 +257,76 @@ def test_bounds_sweep_guard_counts_two_layers(table_cap):
     table_cap(2 * _rows_bits(60) - 1)
     with pytest.raises(SpectrumMemoryError):
         next(bounds_sweep(60, 3))
+
+
+def test_cover_runs_lie_in_four_clique_spectra():
+    # the three-square cover: for odd v, [min_clique_edges(v, 4),
+    # floor((4v^2 - 12v - 1)/24)] lies inside C(v, 4)
+    nonempty = 0
+    for v in range(1, 301, 2):
+        lo, hi = _cover_run(v)
+        assert lo == min_clique_edges(v, 4), v
+        if lo <= hi:
+            window = (1 << (hi - lo + 1)) - 1
+            assert spectrum(v, 4).mask >> lo & window == window, v
+            nonempty += 1
+    assert nonempty > 120
+
+
+@pytest.fixture
+def dp_only(monkeypatch):
+    """spectrum(n, 5) by the DP at every n: no cover plan."""
+    def dp(n):
+        with monkeypatch.context() as patch:
+            patch.setattr(cliquespec, "_cover_plan", lambda n: None)
+            return spectrum(n, 5).mask
+    return dp
+
+
+# n <= 420 at which the cover plan holds; at every other n <= 420 the DP
+# builds C(n, 5)
+ROUTE_NS = {275, *range(281, 286), *range(288, 421)}
+
+
+def test_route_matches_dp(dp_only):
+    assert {n for n in range(421) if _cover_plan(n) is not None} == ROUTE_NS
+    for n in (*range(421), 500, 501, 1000, 1001):
+        assert spectrum(n, 5).mask == dp_only(n), n
+
+
+def test_route_plan_preconditions():
+    # where the plan holds: [lo, hi] starts at or above the minimum, and
+    # every largest part n - s with s(n - s) <= D has s <= S < n/2
+    for n in (*sorted(ROUTE_NS), 1000, 4000, 10_000):
+        lo, hi, s = _cover_plan(n)
+        deficit = tri(n) - hi - 1
+        assert min_clique_edges(n, 5) <= lo <= hi, n
+        assert s * (n - s) <= deficit < (s + 1) * (n - s - 1) and 2 * (s + 1) <= n, n
+
+
+def test_route_count_at_four_thousand():
+    # the count the DP gave (35 s at n = 4000); 1,464,440 at n = 2000 is
+    # pinned by the acceptance criteria
+    assert spectrum(4000, 5).count == 6_020_371
+
+
+def test_route_at_ten_thousand_agrees_with_recursion(monkeypatch):
+    # refused by the guard while the DP built it; under the default cap the
+    # route answers, and seeded edge counts across the range and in the
+    # band agree with the recursion over the largest part
+    monkeypatch.delenv(ENV_MAX_TABLE_BITS, raising=False)
+    n = 10_000
+    spec = spectrum(n, 5)
+    assert spec.count == 38_531_317
+    lo, hi, _ = _cover_plan(n)
+    rng = random.Random(n)
+    es = [rng.randint(0, tri(n)) for _ in range(100)] + [rng.randint(hi + 1, tri(n)) for _ in range(100)]
+    es += [min_clique_edges(n, 5) + d for d in (-1, 0, 1)] + [lo - 1, lo, hi, hi + 1]
+    members = 0
+    for e in es:
+        assert (e in spec) == (clique_parts(n, e, 5) is not None), e
+        members += e in spec
+    assert 100 < members < len(es)
 
 
 def test_blocked_spectrum_matches_unblocked():
