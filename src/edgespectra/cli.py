@@ -73,10 +73,19 @@ def _write(path: str, text: str) -> None:
         raise ValueError(f"{type(exc).__name__}: {exc}") from exc
 
 
+# Peak memory per member of a spectrum call's output, charged to the same
+# cap as the tables.  Measured above the spectrum's own peak RSS at
+# n = 2000 and 4000, r = 5: the payload's list and its JSON take 58.5
+# bytes a member, the export's lines and file text 114.
+_PAYLOAD_MEMBER_BYTES, _EXPORT_MEMBER_BYTES = 64, 120
+
+
 # The run functions of the COMMANDS rows below.
 
 def _cmd_spectrum(args) -> dict:
     spec = cliquespec.spectrum(args.n, args.r)
+    per_member = _EXPORT_MEMBER_BYTES if args.export else _PAYLOAD_MEMBER_BYTES
+    cliquespec._check_cap(8 * per_member * spec.count, "listed members")
     if args.check:  # the probes' witnesses come from a recursion, not from the DP
         for probe in (spec.min_element, spec.max_element):
             w = cliquespec.member_witness(args.n, args.r, probe)

@@ -202,12 +202,12 @@ def _layer_caps(n: int, r: int) -> list[int]:
     return [0] + [(n * k) // r for k in range(1, r)] + [n]
 
 
-def _check_cap(bits_estimate: int):
+def _check_cap(bits_estimate: int, what: str = "DP tables"):
     env = os.environ.get(ENV_MAX_TABLE_BITS)
     limit = int(env) if env else _DEFAULT_MAX_TABLE_BITS
     if bits_estimate > limit:
         raise SpectrumMemoryError(
-            f"DP tables need ~{bits_estimate} bits, cap is {limit} "
+            f"{what} need ~{bits_estimate} bits, cap is {limit} "
             f"(raise via {ENV_MAX_TABLE_BITS})"
         )
 

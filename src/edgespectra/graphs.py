@@ -11,10 +11,13 @@ Each augmentation candidate is keyed by its edge count and its deck (the
 class ids of its vertex-deleted subgraphs), all candidates of a level at
 once in numpy; the number of distinct keys is checked against the exact
 Polya count, which proves that the keys separate the classes.  The class
-ids come from relabelling every representative under all k! permutations,
-which also gives each class's lowest labeled mask: a labeled query
-(n <= 7) returns the lowest over the failing classes, a dedup query
-(n <= 8) the first failing representative.
+ids of all labeled k-vertex graphs (k <= 7) are built one vertex up: a
+labeled graph is a relabelled (k-1)-vertex representative plus vertex 0,
+so its class is that of a catalogue candidate, which the catalogue has
+already classed; only the (k-1)-vertex representatives are relabelled, under
+all (k-1)! permutations.  The same pass gives each class's lowest labeled
+mask: a labeled query (n <= 7) returns the lowest over the failing
+classes, a dedup query (n <= 8) the first failing representative.
 """
 
 from __future__ import annotations
@@ -401,8 +404,9 @@ def concentration_experiment(
 # Isomorphism-reduced catalogue (augmentation + deck keys + Polya count)
 # ---------------------------------------------------------------------------
 
-_CHUNK_BITS = 7     # bit moves go through one 128-entry table per 7-bit chunk
-_PERM_CHUNK = 360   # permutations relabelled at once while building class ids
+_CHUNK_BITS = 7       # bit moves go through one 128-entry table per 7-bit chunk
+_PERM_CHUNK = 360     # permutations relabelled at once by _relabelled
+_ROW_CHUNK = 1 << 12  # labeled (k-1)-vertex graphs extended at once by _class_ids
 
 
 def _graph_count(n: int) -> int:
@@ -454,40 +458,86 @@ def _move_bits(dest: np.ndarray, words: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _class_ids(k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Index into canonical_reps(k) of the class of every labeled k-vertex
-    graph, and the lowest labeled mask of each class, found by relabelling
-    each representative under all k! permutations."""
+def _relabelled(k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every labeled k-vertex graph g as its class and one relabelling that
+    reaches it: ids[g] indexes canonical_reps(k), and the row perms[index[g]]
+    sends vertex u of that representative to vertex perms[index[g], u] of g.
+    Found by relabelling each representative under all k! permutations."""
     reps = canonical_reps(k)
-    ids = np.zeros(1 << tri(k), dtype=np.uint16)
-    words = np.array(reps, dtype=np.uint32)
-    lowest = words.copy()
-    cls = np.arange(len(reps), dtype=np.uint16)
     perms = np.array(list(permutations(range(k))), dtype=np.intp)
+    ids = np.zeros(1 << tri(k), dtype=np.uint16)
+    index = np.zeros(1 << tri(k), dtype=np.uint16)
+    words = np.array(reps, dtype=np.uint32)
+    cls = np.arange(len(reps), dtype=np.uint16)
     for lo in range(0, len(perms), _PERM_CHUNK):
-        moved = _move_bits(_pair_dest(perms[lo:lo + _PERM_CHUNK], k), words)
+        chunk = perms[lo:lo + _PERM_CHUNK]
+        moved = _move_bits(_pair_dest(chunk, k), words)
+        # an automorphism sends a representative to one g twice; either
+        # relabelling is as good, so which write lands does not matter
         ids[moved] = cls
-        lowest = np.minimum(lowest, moved.min(axis=0))
-    return ids, lowest
+        index[moved] = np.arange(lo, lo + len(chunk), dtype=np.uint16)[:, None]
+    return ids, index, perms
 
 
 @lru_cache(maxsize=None)
-def canonical_reps(n: int) -> tuple[int, ...]:
-    """One labeled representative per isomorphism class of n-vertex graphs,
-    built by augmenting the (n-1)-vertex catalogue with all neighborhoods
-    of a new vertex.
+def _class_ids(k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Index into canonical_reps(k) of the class of every labeled k-vertex
+    graph, and the lowest labeled mask of each class (k <= MAX_LABELED_N).
 
-    Candidates come parent-major, neighborhood ascending, and the first of
-    each key is kept.  The key is the edge count plus the sorted deck: the
-    class ids of the n vertex-deleted subgraphs.  Keys are isomorphism
-    invariants, so #keys <= #classes <= _graph_count(n); the catalogue is
-    returned only when the first equals the last, which proves the keys
-    separate the classes.
+    Built one vertex up from _relabelled(k - 1).  A labeled mask is
+    N | H << (k - 1): bits 0..k-2 are the neighbourhood N of vertex 0, and
+    the rest, in the pair order, is the graph H on vertices 1..k-1 numbered
+    from 0.  When a relabelling p sends representative R to H, the mask is
+    isomorphic to R plus a vertex joined to p^-1(N), which is the candidate
+    (R, p^-1(N)) that _catalogue(k) has already classed.
     """
+    if not 1 <= k <= MAX_LABELED_N:
+        raise ScaleRejected(f"labeled class ids support 1 <= k <= {MAX_LABELED_N}, got {k}")
+    if k == 1:
+        return np.zeros(1, dtype=np.uint16), np.zeros(1, dtype=np.uint32)
+    reps, cand_class = _catalogue(k)
+    sub_ids, sub_index, perms = _relabelled(k - 1)
+    width = k - 1
+    nbhd = np.arange(1 << width, dtype=np.uint32)
+    # back[p, N] = p^-1(N): bit i of N moves to the vertex that p sends to i
+    back = _move_bits(np.argsort(perms, axis=1), nbhd)
+    ids = np.empty(1 << tri(k), dtype=np.uint16)
+    lowest = np.full(len(reps), np.iinfo(np.uint32).max, dtype=np.uint32)
+    for lo in range(0, sub_ids.size, _ROW_CHUNK):
+        hi = min(lo + _ROW_CHUNK, sub_ids.size)
+        cand = (sub_ids[lo:hi].astype(np.intp)[:, None] << width) | back[sub_index[lo:hi]]
+        block = cand_class[cand].ravel()
+        ids[lo << width:hi << width] = block
+        masks = (np.arange(lo, hi, dtype=np.uint32)[:, None] << np.uint32(width)) | nbhd
+        np.minimum.at(lowest, block, masks.ravel())
+    return ids, lowest
+
+
+def canonical_reps(n: int) -> tuple[int, ...]:
+    """One labeled representative per isomorphism class of n-vertex graphs
+    (see _catalogue)."""
     if not 1 <= n <= MAX_DEDUP_N:
         raise ScaleRejected(f"catalogue supports 1 <= n <= {MAX_DEDUP_N}, got {n}")
+    return _catalogue(n)[0]
+
+
+@lru_cache(maxsize=None)
+def _catalogue(n: int) -> tuple[tuple[int, ...], np.ndarray]:
+    """The representatives of the n-vertex classes, built by augmenting the
+    (n-1)-vertex catalogue with all neighborhoods of a new vertex, and the
+    class of every candidate as an index into them.
+
+    Candidate c = (parent, N) is the parent joined to a new vertex n - 1
+    with neighbourhood N, at c = parent_index << (n - 1) | N.  Candidates
+    come parent-major, neighborhood ascending, and the first of each key is
+    kept.  The key is the edge count plus the sorted deck: the class ids of
+    the n vertex-deleted subgraphs.  Keys are isomorphism invariants, so
+    #keys <= #classes <= _graph_count(n); the catalogue is returned only
+    when the first equals the last, which proves the keys separate the
+    classes.
+    """
     if n == 1:
-        return (0,)
+        return (0,), np.zeros(1, dtype=np.uint16)
     prev = canonical_reps(n - 1)
     base = _move_bits(_pair_dest(np.arange(n - 1)[None], n), np.array(prev, dtype=np.uint32))
     star = np.array([[_pair_index(n)[(u, n - 1)] for u in range(n - 1)]])
@@ -499,6 +549,7 @@ def canonical_reps(n: int) -> tuple[int, ...]:
                           for v in range(n)])
     deck = _class_ids(n - 1)[0][_move_bits(_pair_dest(deletions, n - 1), cand)]
     keys = np.column_stack([np.bitwise_count(cand).astype(np.uint16), np.sort(deck.T, axis=1)])
+    del deck
     # rows by edge count, then deck (lexsort's last key is its primary); a
     # stable sort puts the first candidate of each key at the head of its
     # run.  np.unique(axis=0) finds the same heads but sorts rows as raw
@@ -506,9 +557,16 @@ def canonical_reps(n: int) -> tuple[int, ...]:
     order = np.lexsort(keys.T[::-1])
     ranked = keys[order]
     heads = np.r_[True, (ranked[1:] != ranked[:-1]).any(axis=1)]
-    reps = tuple(cand[np.sort(order[heads])].tolist())
-    expected = _graph_count(n)
-    if len(reps) != expected:
+    del keys, ranked
+    expected, found = _graph_count(n), int(heads.sum())
+    if found != expected:
         raise AssertionError(
-            f"catalogue for n={n} has {len(reps)} deck classes, Polya count is {expected}")
-    return reps
+            f"catalogue for n={n} has {found} deck classes, Polya count is {expected}")
+    # classes are numbered in the order of their first candidates
+    first = order[heads]
+    by_index = np.argsort(first)
+    run_class = np.empty(len(first), dtype=np.uint16)
+    run_class[by_index] = np.arange(len(first), dtype=np.uint16)
+    cand_class = np.empty(len(cand), dtype=np.uint16)
+    cand_class[order] = run_class[np.cumsum(heads) - 1]
+    return tuple(cand[first[by_index]].tolist()), cand_class

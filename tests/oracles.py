@@ -4,7 +4,7 @@ Each one computes what a package function computes by a plainer, slower
 route; the tests require equal results.
 """
 
-from itertools import combinations
+from itertools import combinations, permutations
 from math import isqrt
 from typing import Optional
 from unittest import mock
@@ -14,7 +14,8 @@ import numpy as np
 from edgespectra import squares
 from edgespectra.certify import PairMF, _Budget, three_part_witness, two_part_witness
 from edgespectra.cliquespec import EdgeSpectrum
-from edgespectra.graphs import _achieved, canonical_reps, subset_pair_mask
+from edgespectra.graphs import (_achieved, _move_bits, _pair_dest, canonical_reps,
+                                subset_pair_mask)
 from edgespectra.repcount import RepHistogram
 from edgespectra.triangles import clique_parts, min_clique_edges, tri
 
@@ -123,6 +124,23 @@ def dedup_counterexamples(n: int, m: int) -> dict[tuple[int, int], int]:
             if f not in achieved:
                 first.setdefault((g.bit_count(), f), g)
     return first
+
+
+def class_ids_by_relabelling(k: int) -> tuple[np.ndarray, np.ndarray]:
+    """graphs._class_ids by relabelling each representative under all k!
+    permutations: the class of every labeled k-vertex graph, and the
+    lowest labeled mask of each class."""
+    reps = canonical_reps(k)
+    ids = np.zeros(1 << tri(k), dtype=np.uint16)
+    words = np.array(reps, dtype=np.uint32)
+    lowest = words.copy()
+    cls = np.arange(len(reps), dtype=np.uint16)
+    perms = np.array(list(permutations(range(k))), dtype=np.intp)
+    for lo in range(0, len(perms), 360):
+        moved = _move_bits(_pair_dest(perms[lo:lo + 360], k), words)
+        ids[moved] = cls
+        lowest = np.minimum(lowest, moved.min(axis=0))
+    return ids, lowest
 
 
 def _np_square_roots(vals: np.ndarray) -> np.ndarray:

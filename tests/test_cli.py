@@ -324,6 +324,22 @@ def test_rank_budget_overrun_exits_1_with_manifest(capsys):
     assert _manifest(err)["subcommand"] == "minr"
 
 
+@pytest.mark.parametrize("export", [False, True])
+def test_spectrum_member_list_charged_to_guard(capsys, monkeypatch, tmp_path, export):
+    # C(300, 5)'s tables need ~0.4M bits and its 28,435 members ~15M as a
+    # payload (~27M as export lines): a 1M-bit cap admits the tables only
+    path = tmp_path / "spec.txt"
+    argv = ["spectrum", "--n", "300", "--r", "5"] + (["--export", str(path)] if export else [])
+    monkeypatch.setenv("EDGESPECTRA_MAX_TABLE_BITS", str(10 ** 6))
+    code, out, err = run_cli(capsys, argv)
+    assert code == 1 and out == "" and not path.exists()
+    assert "error: SpectrumMemoryError: listed members need" in err
+    assert _manifest(err)["subcommand"] == "spectrum"
+    monkeypatch.setenv("EDGESPECTRA_MAX_TABLE_BITS", str(28 * 10 ** 6))
+    code, out, err = run_cli(capsys, argv)
+    assert code == 0 and (path.exists() if export else json.loads(out)["count"] == 28435)
+
+
 def test_concentration_scale_rejected_exits_1(capsys):
     # N = 300000 would need a 90 GB adjacency matrix
     code, out, err = run_cli(capsys, ["concentration", "--N", "300000", "--E", "1",

@@ -23,7 +23,8 @@ from edgespectra.graphs import (
     turan_number,
 )
 from edgespectra.triangles import tri
-from oracles import dedup_counterexamples, induced_edge_total_per_subset, labeled_counterexamples
+from oracles import (class_ids_by_relabelling, dedup_counterexamples,
+                     induced_edge_total_per_subset, labeled_counterexamples)
 
 # isomorphism-class counts of simple graphs on 1..10 vertices (OEIS A000088)
 ISO_COUNTS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044, 8: 12346,
@@ -261,7 +262,8 @@ def test_graph_count_is_A000088():
 def graph_count_off_at_5(monkeypatch):
     real = graphs._graph_count
     # every table derived from the catalogue
-    caches = (canonical_reps, graphs._class_ids, graphs._rep_tables, graphs._snm_table)
+    caches = (graphs._catalogue, graphs._relabelled, graphs._class_ids, graphs._rep_tables,
+              graphs._snm_table)
     for cache in caches:
         cache.cache_clear()
     monkeypatch.setattr(graphs, "_graph_count", lambda n: real(n) + (n == 5))
@@ -280,6 +282,53 @@ def test_catalogue_fails_closed_on_count_mismatch(graph_count_off_at_5, capsys):
         assert code == 1, dedup
         assert "check failed: catalogue for n=5" in err
         assert json.loads(err.strip().splitlines()[-1])["subcommand"] == "snm"
+
+
+@pytest.mark.parametrize("k", range(1, 8))
+def test_class_ids_match_relabelling(k):
+    ids, lowest = graphs._class_ids(k)
+    want_ids, want_lowest = class_ids_by_relabelling(k)
+    assert ids.dtype == want_ids.dtype and ids.tobytes() == want_ids.tobytes()
+    assert lowest.dtype == want_lowest.dtype and lowest.tobytes() == want_lowest.tobytes()
+
+
+def test_catalogue_classes_own_candidates():
+    # representative i is the candidate (parent, N) = (i-th parent, its new
+    # vertex's neighbourhood), and the candidate table sends it to i
+    for n in range(2, 9):
+        reps, cand_class = graphs._catalogue(n)
+        parents = {g: i for i, g in enumerate(canonical_reps(n - 1))}
+        for i, g in enumerate(reps):
+            nbhd = sum(1 << u for u in range(n - 1)
+                       if (g >> graphs._pair_index(n)[(u, n - 1)]) & 1)
+            below = sum(1 << graphs._pair_index(n - 1)[p]
+                        for j, p in enumerate(pair_list(n)) if (g >> j) & 1 and p[1] < n - 1)
+            assert cand_class[parents[below] << (n - 1) | nbhd] == i, (n, i)
+
+
+def test_class_ids_relabel_one_level_down(monkeypatch):
+    # with the catalogue built, the labeled n = 7 table relabels the n = 6
+    # representatives (6! rows), not the n = 7 ones (7! rows)
+    canonical_reps(7)
+    rows = []
+    real = graphs._pair_dest
+
+    def counting(maps, k):
+        rows.append(len(maps))
+        return real(maps, k)
+
+    for cache in (graphs._relabelled, graphs._class_ids):
+        cache.cache_clear()
+    monkeypatch.setattr(graphs, "_pair_dest", counting)
+    graphs._class_ids(7)
+    assert sum(rows) == 720
+
+
+def test_class_ids_refused_above_labeled_range():
+    # the n = 8 table would take 2^28 entries (512 MB)
+    for k in (0, graphs.MAX_LABELED_N + 1):
+        with pytest.raises(ScaleRejected):
+            graphs._class_ids(k)
 
 
 def test_catalogue_edge_count_distribution():
