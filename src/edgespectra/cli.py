@@ -17,9 +17,9 @@ re-validates.  EDGESPECTRA_MAX_TABLE_BITS overrides the spectrum memory cap.
 
 Clique spectra (spectrum, density, interval) at r = 5 and n from 288 up
 are built from the three-square cover and a top band of small DP layers,
-and otherwise by the whole DP; a DP layer of at least 2^23 row bits is
-built on every CPU the process may use, in forked worker processes.  The
-output depends on neither the route nor the number of processes.
+and otherwise by the whole DP, every layer in the calling process.  The
+output does not depend on the route.  spectrum --export writes its lines
+as it reads them off the spectrum, holding no member list.
 Witnesses (witness, the probes of spectrum --check) come from a
 recursion, not from the spectrum.
 A witness7 campaign runs its samples in the calling thread, in sorted
@@ -43,7 +43,7 @@ import random
 import sys
 import time
 from fractions import Fraction
-from typing import Callable, NamedTuple
+from typing import Callable, Iterable, NamedTuple
 
 from . import __version__, certify, cliquespec, graphs, pell, repcount, squares
 from .triangles import tri
@@ -64,28 +64,29 @@ def _require(ok: bool, failure: str) -> None:
         raise CheckFailure(failure)
 
 
-def _write(path: str, text: str) -> None:
+def _write(path: str, lines: Iterable[str]) -> None:
     """Write an output file; a path that cannot be written is a bad value."""
     try:
         with open(path, "w") as fh:
-            fh.write(text)
+            fh.writelines(lines)
     except OSError as exc:
         raise ValueError(f"{type(exc).__name__}: {exc}") from exc
 
 
-# Peak memory per member of a spectrum call's output, charged to the same
+# Peak memory per member of a spectrum call's payload, charged to the same
 # cap as the tables.  Measured above the spectrum's own peak RSS at
 # n = 2000 and 4000, r = 5: the payload's list and its JSON take 58.5
-# bytes a member, the export's lines and file text 114.
-_PAYLOAD_MEMBER_BYTES, _EXPORT_MEMBER_BYTES = 64, 120
+# bytes a member.  An export is written as it is read off the mask, so it
+# holds no list and is not charged.
+_PAYLOAD_MEMBER_BYTES = 64
 
 
 # The run functions of the COMMANDS rows below.
 
 def _cmd_spectrum(args) -> dict:
     spec = cliquespec.spectrum(args.n, args.r)
-    per_member = _EXPORT_MEMBER_BYTES if args.export else _PAYLOAD_MEMBER_BYTES
-    cliquespec._check_cap(8 * per_member * spec.count, "listed members")
+    if not args.export:
+        cliquespec._check_cap(8 * _PAYLOAD_MEMBER_BYTES * spec.count, "listed members")
     if args.check:  # the probes' witnesses come from a recursion, not from the DP
         for probe in (spec.min_element, spec.max_element):
             w = cliquespec.member_witness(args.n, args.r, probe)
@@ -95,7 +96,7 @@ def _cmd_spectrum(args) -> dict:
                "min": spec.min_element, "max": spec.max_element}
     if not args.export:
         return {**payload, "members": spec.members()}
-    _write(args.export, "\n".join(spec.export_lines()) + "\n")
+    _write(args.export, spec.export_lines())
     return {**payload, "exported_to": args.export}
 
 def _cmd_witness(args) -> dict:
@@ -243,7 +244,7 @@ def _cmd_repcount(args) -> dict:
         missing = [int(m) for m in support if int(m) not in spec]
         _require(not missing, f"support escapes the 5-clique spectrum: {missing[:3]}")
     if args.csv:
-        _write(args.csv, "m,R\n" + "".join(f"{m},{c}\n" for m, c in hist.csv_rows()))
+        _write(args.csv, ["m,R\n"] + [f"{m},{c}\n" for m, c in hist.csv_rows()])
         payload["csv"] = args.csv
     return payload
 

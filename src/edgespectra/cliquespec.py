@@ -46,37 +46,24 @@ S is about 5 sqrt(n), so the band's layers are small; at n = 10^4 (S =
 builds the whole spectrum, and the DP is what the tests check the route
 against.
 
-Alive at a time are the two largest stored layers and, in each process
-streaming layer r - 1, a few ints the size of its rows and of the top row;
+Alive at a time are the two largest stored layers and, while layer r - 1
+is streamed, a few ints the size of its rows and of the top row;
 the memory guard is charged for them, at the size of full rows, before the
 first layer is built.  On the r = 5 route these are the band's layers,
 and the cover's run is OR-ed into the top row within the same charge.
 bounds_sweep reads every row of every layer, so it stores full layers of
 full rows.  member_witness reads no layer (it is triangles.clique_parts,
 a recursion over the largest part), but it is guarded as spectrum(n, r)
-is, from the same cover plan, which each process makes once per n.
-
-The rows of a layer depend only on the layer below, so a large layer,
-stored or streamed, is built on every CPU the process may use: _split
-forks one child per extra CPU, each child builds the rows of one residue
-class of v, and the parent builds the first class meanwhile.  A child of
-a stored layer writes its rows to its own unlinked temporary file, which
-the parent reads back; a child of the streamed layer ORs its rows into one
-partial top row and writes only that.  Each child holds one row at a time
-(and, streaming, its partial top row) besides the pages of the layer below
-that it touches (copy-on-write), and the temporary files hold up to
-(W - 1)/W of the stored layer being built for W processes, which is
-memory, not disk, where the temporary directory is a tmpfs.
+is, from the same cover plan, which is made once per n and cached.
 """
 
 from __future__ import annotations
 
 import functools
 import os
-import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator
+from typing import Iterator
 
 from .triangles import clique_parts, min_clique_edges, tri
 
@@ -112,6 +99,9 @@ class CliquePartition:
                 and self.edge_sum() == m)
 
 
+_EXPORT_CHUNK_BYTES = 1 << 16  # bytes of the mask export_lines turns into bits at a time
+
+
 @dataclass(frozen=True)
 class EdgeSpectrum:
     """Membership table over edge counts 0..n(n-1)/2, packed into one int."""
@@ -143,17 +133,24 @@ class EdgeSpectrum:
             raise ValueError("empty spectrum")
         return self.mask.bit_length() - 1
 
-    def export_lines(self) -> list[str]:
-        """Line format: a JSON header, then one decimal member per line."""
+    def export_lines(self) -> Iterator[str]:
+        """Line format: a JSON header, then one decimal member per line, each
+        line ending in a newline.  The members are read off the mask's bytes
+        a chunk at a time, so no list of them is held."""
         import json
 
         empty = self.mask == 0
-        header = json.dumps(
+        yield json.dumps(
             {"n": self.n, "r": self.r, "count": self.count,
              "min": None if empty else self.min_element,
              "max": None if empty else self.max_element}
-        )
-        return [header] + [str(e) for e in self.members()]
+        ) + "\n"
+        data = self.mask.to_bytes((self.mask.bit_length() + 7) // 8, "little")
+        for start in range(0, len(data), _EXPORT_CHUNK_BYTES):
+            bits = bin(int.from_bytes(data[start:start + _EXPORT_CHUNK_BYTES], "little"))[:1:-1]
+            for e, bit in enumerate(bits, 8 * start):
+                if bit == "1":
+                    yield f"{e}\n"
 
     @classmethod
     def from_members(cls, n: int, r: int | None, members) -> "EdgeSpectrum":
@@ -170,9 +167,15 @@ class EdgeSpectrum:
         import json
 
         it = iter(lines)
-        header = json.loads(next(it))
-        spec = cls.from_members(header["n"], header.get("r"), (int(s) for s in it))
-        if spec.count != header["count"]:
+        try:
+            header = json.loads(next(it))
+            n, count = header["n"], header["count"]
+        except (StopIteration, TypeError, KeyError) as exc:
+            raise ValueError(f"no export header with n and count: {exc!r}") from exc
+        if not (type(n) is int and n >= 0 and type(count) is int):
+            raise ValueError(f"export header needs integers n >= 0 and count, got {n!r} and {count!r}")
+        spec = cls.from_members(n, header.get("r"), (int(s) for s in it))
+        if spec.count != count:
             raise ValueError("member count disagrees with header")
         return spec
 
@@ -219,16 +222,16 @@ def _rows_bits(cap: int) -> int:
 
 def _estimate_bits(caps: list[int]) -> int:
     # alive at once: the two largest stored layers (the one being built and
-    # the one it reads; layers r - 3 and r - 2), and in each of the
-    # processes that stream layer r - 1 three ints the size of one of its
-    # rows and four the size of the top row: _row's row, shifted block and
-    # OR result, in the top row and in the streamed row it reads, plus the
-    # partial top row handed back.  At r = 2 no layer is stored, and these
-    # ints are the whole charge.  Each is charged at its full row's size; a
-    # row bounded toward (n, r) is no longer, and most are shorter.
+    # the one it reads; layers r - 3 and r - 2), and, while layer r - 1 is
+    # streamed, three ints the size of one of its rows (_row's row, shifted
+    # block and OR result) and four the size of the top row: the same three
+    # in the top row, and on the r = 5 route the mask and the three ints
+    # that OR the cover's run into it.  At r = 2 no layer is stored, and
+    # these ints are the whole charge.  Each is charged at its full row's
+    # size; a row bounded toward (n, r) is no longer, and most are shorter.
     stored = sorted(_rows_bits(c) for c in caps[:-2])
     streamed_row, top_row = tri(caps[-2]) + 1, tri(caps[-1]) + 1
-    return sum(stored[-2:]) + _processes(caps[-2]) * (3 * streamed_row + 4 * top_row)
+    return sum(stored[-2:]) + 3 * streamed_row + 4 * top_row
 
 
 # Part sizes are OR-ed into a row in blocks of _BLOCK consecutive sizes a:
@@ -261,131 +264,29 @@ def _row(prev: list[int] | _StreamedLayer, v: int, k: int, hi: int | None = None
 class _StreamedLayer:
     """Layer k = r - 1 as _row reads it toward row n of layer r, with no row
     stored: row w, its largest part bounded by n - w, is built from layer
-    k - 1 (prev) when read, if w is in ws, and reads 0 otherwise."""
+    k - 1 (prev) when read, if w <= cap, and reads 0 otherwise."""
 
-    def __init__(self, prev: list[int], k: int, ws: range, n: int):
-        self.prev, self.k, self.ws, self.n = prev, k, ws, n
+    def __init__(self, prev: list[int], k: int, cap: int, n: int):
+        self.prev, self.k, self.cap, self.n = prev, k, cap, n
 
     def __getitem__(self, w: int) -> int:
-        return _row(self.prev, w, self.k, self.n - w) if w in self.ws else 0
-
-
-# A layer of fewer row bits than this is built in this process alone: below
-# it a fork costs more than the other CPUs save.  On a 2-core x86-64 VM, with
-# the bounded rows spectrum builds, the split took 0.86 to 1.00 times the
-# serial time at 1.07 * 10^7 bits (the top row at n = 500 and layer 2 at
-# n = 1000, r = 5; cap 400), 1.1 to 1.2 times at 4.5 to 5.5 * 10^6 (cap 300
-# to 320) and 0.65 to 0.74 times from 1.5 * 10^7 (cap 450) up.  The layers
-# of every spectrum with n below about 370 stay under it.
-_SPLIT_MIN_BITS = 1 << 23
-
-
-def _workers() -> int:
-    """Processes to build a large layer with: the CPUs this process may run
-    on, or 1 where it cannot fork, or while another thread is alive (a
-    child forked then could inherit a lock that thread holds).  The package
-    starts no threads itself, so that thread is always one of the caller's."""
-    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
-        return 1
-    if threading.active_count() > 1:
-        return 1
-    return len(os.sched_getaffinity(0))
-
-
-def _processes(cap: int) -> int:
-    """Processes that build the rows 0..cap of a layer: 1 below
-    _SPLIT_MIN_BITS row bits and _workers() from there on."""
-    return _workers() if _rows_bits(cap) >= _SPLIT_MIN_BITS else 1
-
-
-def _write_rows(fh, rows) -> None:
-    for row in rows:
-        data = row.to_bytes((row.bit_length() + 7) // 8, "little")
-        fh.write(len(data).to_bytes(8, "little"))
-        fh.write(data)
-    fh.flush()
-
-
-def _read_rows(fh) -> list[int]:
-    fh.seek(0)
-    rows = []
-    while size := fh.read(8):
-        rows.append(int.from_bytes(fh.read(int.from_bytes(size, "little")), "little"))
-    return rows
-
-
-def _split(build: Callable[[range], Iterable[int]], cap: int) -> list[list[int]]:
-    """[list(build(vs)) for each residue class vs = range(i, cap + 1, W)],
-    in the order of i, for the rows 0..cap of a layer.
-
-    W is _processes(cap).
-    W - 1 forked children write build(vs) for the residues 1..W-1, an int
-    at a time as built, to their own unlinked temporary files while this
-    process builds residue 0, then reads theirs back.  A residue whose
-    child could not be forked or did not exit 0 is built here instead, so
-    a failed child costs time, not the answer.
-    """
-    import tempfile
-
-    workers = _processes(cap)
-    residues = [range(i, cap + 1, workers) for i in range(workers)]
-    parts: list = [None] * workers
-    children = {}  # residue -> (pid, temp file)
-    try:
-        for i in range(1, workers):
-            fh = None
-            try:
-                fh = tempfile.TemporaryFile()
-                pid = os.fork()
-            except OSError:  # no temporary file or no process: the rest is built here
-                if fh is not None:
-                    fh.close()
-                break
-            if pid == 0:  # the child leaves by os._exit, never through the caller
-                code = 1
-                try:
-                    _write_rows(fh, build(residues[i]))
-                    code = 0
-                finally:
-                    os._exit(code)
-            children[i] = (pid, fh)
-        for i in range(workers):
-            if i not in children:
-                parts[i] = list(build(residues[i]))
-        for i in list(children):
-            pid, fh = children.pop(i)
-            with fh:
-                ok = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) == 0
-                parts[i] = _read_rows(fh) if ok else list(build(residues[i]))
-    finally:  # only left non-empty by an exception: stop and reap the rest
-        if children:
-            import signal
-
-            for pid, fh in children.values():
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
-                fh.close()
-    return parts
+        return _row(self.prev, w, self.k, self.n - w) if w <= self.cap else 0
 
 
 def _layer(prev: list[int], k: int, cap: int, target: tuple[int, int] | None = None) -> list[int]:
     """Rows 0..cap of layer k from layer k - 1; layer 0 is [1].  Toward row n
     of layer r (target (n, r), k < r) row v takes largest parts up to
     floor((n - v)/(r - k)) only, which keeps every canonical tail; without a
-    target rows are full, C(v, k).  A large layer is split by v mod W over W
-    processes (_split); the rows are the same on either path."""
-    # Each residue class is built, and read back, largest row first: the
-    # temporaries of a row then fit in the heap holes the larger row before
-    # it left, where in increasing order none would.  At n = 2000, r = 5, on
-    # a 2-core x86-64 VM, the peak RSS fell from 84 MB serial and 92 MB
-    # split to 76 MB both.
+    target rows are full, C(v, k)."""
+    # Rows are built largest first: the temporaries of a row then fit in the
+    # heap holes the larger row before it left, where in increasing order
+    # none would.  At n = 2000, r = 5, on a 2-core x86-64 VM, the peak RSS
+    # fell from 84 MB to 76 MB.
     def hi(v: int) -> int | None:
         return None if target is None else (target[0] - v) // (target[1] - k)
 
-    parts = _split(lambda vs: (_row(prev, v, k, hi(v)) for v in reversed(vs)), cap)
-    rows = [0] * (cap + 1)
-    for i, part in enumerate(parts):
-        rows[i::len(parts)] = part[::-1]
+    rows = [_row(prev, v, k, hi(v)) for v in range(cap, -1, -1)]
+    rows.reverse()
     return rows
 
 
@@ -393,13 +294,8 @@ def _top(prev: list[int], n: int, k: int, cap: int) -> int:
     """Row n of layer k, streaming layer k - 1: each of its rows w in 0..cap
     is built from layer k - 2 (prev) with largest parts up to n - w, the
     largest part a = n - w of the top row that reads it, OR-ed into the top
-    row at its shift and dropped.  On the split path each process ORs its
-    residue class's rows into one partial top row, and the parent ORs
-    those."""
-    top = 0
-    for (part,) in _split(lambda ws: [_row(_StreamedLayer(prev, k - 1, ws, n), n, k)], cap):
-        top |= part
-    return top
+    row at its shift and dropped."""
+    return _row(_StreamedLayer(prev, k - 1, cap, n), n, k)
 
 
 def _check_n_r(n: int, r: int) -> None:

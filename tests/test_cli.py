@@ -327,12 +327,19 @@ def test_rank_budget_overrun_exits_1_with_manifest(capsys):
 @pytest.mark.parametrize("export", [False, True])
 def test_spectrum_member_list_charged_to_guard(capsys, monkeypatch, tmp_path, export):
     # C(300, 5)'s tables need ~0.4M bits and its 28,435 members ~15M as a
-    # payload (~27M as export lines): a 1M-bit cap admits the tables only
+    # payload: a 1M-bit cap admits the tables only.  An export is written
+    # as it is read off the mask, holds no list and is admitted.
     path = tmp_path / "spec.txt"
     argv = ["spectrum", "--n", "300", "--r", "5"] + (["--export", str(path)] if export else [])
     monkeypatch.setenv("EDGESPECTRA_MAX_TABLE_BITS", str(10 ** 6))
     code, out, err = run_cli(capsys, argv)
-    assert code == 1 and out == "" and not path.exists()
+    if export:
+        from edgespectra.cliquespec import EdgeSpectrum
+
+        assert code == 0 and json.loads(out)["exported_to"] == str(path)
+        assert EdgeSpectrum.parse_export(path.read_text().splitlines()).count == 28435
+        return
+    assert code == 1 and out == ""
     assert "error: SpectrumMemoryError: listed members need" in err
     assert _manifest(err)["subcommand"] == "spectrum"
     monkeypatch.setenv("EDGESPECTRA_MAX_TABLE_BITS", str(28 * 10 ** 6))

@@ -1,8 +1,6 @@
 import functools
 import os
 import random
-import signal
-import threading
 
 import pytest
 
@@ -121,8 +119,7 @@ def test_witness_soundness():
 @pytest.mark.parametrize("n,r", [(400, 5), (150, 8)])
 def test_witness_route_agrees_with_spectrum(n, r):
     # member_witness reads none of the DP, so the two routes check each
-    # other: on every non-member from the minimum up (at (400, 5) layers
-    # fork) and on seeded members
+    # other: on every non-member from the minimum up and on seeded members
     spec = spectrum(n, r)
     members = spec.members()
     gaps = sorted(set(range(spec.min_element, tri(n) + 1)) - set(members))
@@ -182,11 +179,11 @@ def test_witness_guard_is_the_spectrum_guard(table_cap):
             member_witness(n, r, tri(n) - (n - 1))
 
 
-def test_spectrum_guard_counts_built_rows(table_cap, monkeypatch):
+def test_spectrum_guard_counts_built_rows(table_cap):
     # spectrum stores layers 1..r-2 up to their caps, two alive at a time,
     # then streams layer r-1 one row at a time (at most row cap_{r-1}) into
-    # the top row n; each process streaming it holds three ints of a
-    # streamed row's size and four of the top row's
+    # the top row n, holding three ints of a streamed row's size and four of
+    # the top row's
     for n, r in ((0, 1), (9, 1), (40, 5), (57, 7), (100, 2), (30, 3)):
         k_eff = min(r, max(n, 1))
         caps = _layer_caps(n, k_eff)
@@ -198,19 +195,15 @@ def test_spectrum_guard_counts_built_rows(table_cap, monkeypatch):
         table_cap(_estimate_bits(caps) - 1)
         with pytest.raises(SpectrumMemoryError):
             spectrum(n, r)
-    # the largest n the default guard admits the DP at, with one process and
-    # with two (4038 at r = 5 while layer r-1 was stored); at r = 2 no layer is
-    # stored and the top row's ints are the whole charge
-    for workers, r, limit in ((1, 5, 5534), (2, 5, 5514), (1, 2, 58038), (2, 2, 41039)):
-        monkeypatch.setattr(cliquespec, "_workers", lambda: workers)
+    # the largest n the default guard admits the DP at (4038 at r = 5 while
+    # layer r-1 was stored); at r = 2 no layer is stored and the top row's
+    # ints are the whole charge
+    for r, limit in ((5, 5534), (2, 58038)):
         assert (_estimate_bits(_layer_caps(limit, r)) <= _DEFAULT_MAX_TABLE_BITS
-                < _estimate_bits(_layer_caps(limit + 1, r))), (workers, r)
-    # spectrum(16000, 2) peaked 136 MB above the interpreter's own resident
-    # memory split over two processes (parent 80, child 56) and 65 MB in
-    # one, on a 2-core x86-64 VM: the charge covers both
-    for workers, peak_mb in ((2, 136), (1, 65)):
-        monkeypatch.setattr(cliquespec, "_workers", lambda: workers)
-        assert _estimate_bits(_layer_caps(16000, 2)) >= peak_mb * 8_000_000, workers
+                < _estimate_bits(_layer_caps(limit + 1, r))), r
+    # spectrum(16000, 2) peaked 65 MB above the interpreter's own resident
+    # memory on a 2-core x86-64 VM: the charge covers it
+    assert _estimate_bits(_layer_caps(16000, 2)) >= 65 * 8_000_000
 
 
 def route_caps(n):
@@ -219,11 +212,10 @@ def route_caps(n):
     return _layer_caps(_cover_plan(n)[2], 4) + [n]
 
 
-def test_route_guard_counts_band_layers(table_cap, monkeypatch):
+def test_route_guard_counts_band_layers(table_cap):
     # the route stores the band's layers 1..3 up to S/4, S/2 and 3S/4, two
     # alive at a time, streams rows 0..S of layer 4 into the top row, and
     # ORs the cover's run into the top row within its four ints
-    monkeypatch.setattr(cliquespec, "_workers", lambda: 1)
     for n in (300, 700, 1001):
         s = _cover_plan(n)[2]
         charge = _rows_bits(s // 2) + _rows_bits(3 * s // 4) + 3 * (tri(s) + 1) + 4 * (tri(n) + 1)
@@ -236,16 +228,26 @@ def test_route_guard_counts_band_layers(table_cap, monkeypatch):
             spectrum(n, 5)
         with pytest.raises(SpectrumMemoryError):
             member_witness(n, 5, tri(n) - (n - 1))
-    # the largest n the default guard admits the route at, with one process
-    # and with two: the top row's ints are most of the charge
-    for workers, limit in ((1, 61424), (2, 43943)):
-        monkeypatch.setattr(cliquespec, "_workers", lambda: workers)
-        assert (_estimate_bits(route_caps(limit)) <= _DEFAULT_MAX_TABLE_BITS
-                < _estimate_bits(route_caps(limit + 1))), workers
-    # spectrum(20000, 5) held at most 89 MB of Python objects at a time in
-    # one process (tracemalloc, x86-64): the charge covers it
-    monkeypatch.setattr(cliquespec, "_workers", lambda: 1)
+    # the largest n the default guard admits the route at: the top row's
+    # ints are most of the charge
+    assert (_estimate_bits(route_caps(61424)) <= _DEFAULT_MAX_TABLE_BITS
+            < _estimate_bits(route_caps(61425)))
+    # spectrum(20000, 5) held at most 89 MB of Python objects at a time
+    # (tracemalloc, x86-64): the charge covers it
     assert _estimate_bits(route_caps(20000)) >= 89 * 8_000_000
+
+
+def test_guard_does_not_depend_on_cpu_count(monkeypatch):
+    # every layer is built in this process, so the charge and the limits it
+    # sets are the same whatever CPUs the process may run on
+    charges = set()
+    for cpus in (1, 64):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+        charges.add((_estimate_bits(route_caps(61424)), _estimate_bits(_layer_caps(5534, 5))))
+        assert member_witness(61424, 5, tri(61424)).parts == (61424,), cpus
+        with pytest.raises(SpectrumMemoryError):
+            member_witness(61425, 5, tri(61425))
+    assert len(charges) == 1
 
 
 def test_bounds_sweep_guard_counts_two_layers(table_cap):
@@ -389,7 +391,7 @@ def test_bounded_rows_hold_every_canonical_tail():
             layers = [[1]]
             for k in range(1, r - 1):
                 layers.append(_layer(layers[-1], k, caps[k], (n, r)))
-            streamed = _StreamedLayer(layers[-1], r - 1, range(caps[r - 1] + 1), n)
+            streamed = _StreamedLayer(layers[-1], r - 1, caps[r - 1], n)
             rows = [(v, k, layers[k][v], (n - v) // (r - k)) for k in range(1, r - 1) for v in range(caps[k] + 1)]
             rows += [(w, r - 1, streamed[w], n - w) for w in range(caps[r - 1] + 1)]
             for v, k, row, largest in rows:
@@ -399,7 +401,6 @@ def test_bounded_rows_hold_every_canonical_tail():
 def test_bounded_rows_read_count(monkeypatch):
     # every read _row makes of the layer below is one (k, v, a) with
     # ceil(v/k) <= a <= min(v, M), M the row's bound: count spectrum(200, 5)'s
-    monkeypatch.setattr(cliquespec, "_workers", lambda: 1)
     reads, real_row = [0], cliquespec._row
 
     class Counted:
@@ -424,9 +425,8 @@ def test_bounded_rows_read_count(monkeypatch):
     assert count(bounded=False) > 1.5 * reads[0]
 
 
-# Layers built past the split threshold: caps odd and even, and across
-# block edges, so a residue class holds rows on both sides of them.
-SPLIT_CAPS = (0, 1, 2, 7, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1)
+# Layer caps odd and even, and across block edges.
+LAYER_CAPS = (0, 1, 2, 7, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1)
 
 
 def serial_layers(cap, depth):
@@ -436,123 +436,33 @@ def serial_layers(cap, depth):
     return layers
 
 
-@pytest.fixture
-def forks(monkeypatch):
-    """Splits every layer over the CPUs os.sched_getaffinity reports, and
-    records the pid of each child forked."""
-    monkeypatch.setattr(cliquespec, "_SPLIT_MIN_BITS", 0)
-    pids, fork = [], os.fork
-
-    def recording_fork():
-        pid = fork()
-        if pid:
-            pids.append(pid)
-        return pid
-    monkeypatch.setattr(os, "fork", recording_fork)
-    return pids
-
-
-def assert_reaped(pids):
-    for pid in pids:
-        with pytest.raises(ChildProcessError):
-            os.waitpid(pid, os.WNOHANG)
-
-
 @pytest.mark.parametrize("workers", [2, 3])
-def test_split_layer_matches_serial(monkeypatch, forks, workers):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(workers)))
-    serial = serial_layers(max(SPLIT_CAPS), 3)
-    for cap in SPLIT_CAPS:
+def test_split_layer_matches_serial(monkeypatch, workers):
+    # _layer builds its rows largest first, in this process whatever the CPU
+    # count: it gives the rows built one by one in increasing order
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(workers)), raising=False)
+    serial = serial_layers(max(LAYER_CAPS), 3)
+    for cap in LAYER_CAPS:
         for k in (1, 2, 3):
             assert _layer(serial[k - 1], k, cap) == serial[k][:cap + 1], (workers, cap, k)
-    assert len(forks) == (workers - 1) * len(SPLIT_CAPS) * 3
-    assert_reaped(forks)
 
 
 @pytest.mark.parametrize("workers", [2, 3])
-def test_split_top_matches_serial(monkeypatch, forks, workers):
-    # the streamed layer k - 1 split over the workers, each returning one
-    # partial top row; n runs over SPLIT_CAPS, so the streamed rows do too
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(workers)))
-    serial = serial_layers(max(SPLIT_CAPS), 3)
-    for n in SPLIT_CAPS:
+def test_split_top_matches_serial(monkeypatch, workers):
+    # _top streams layer k - 1 whatever the CPU count; n runs over
+    # LAYER_CAPS, so the streamed rows do too
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(workers)), raising=False)
+    serial = serial_layers(max(LAYER_CAPS), 3)
+    for n in LAYER_CAPS:
         for k in (2, 3, 4):
-            top = _top(serial[k - 2], n, k, n * (k - 1) // k)
-            assert top == _row(serial[k - 1], n, k), (workers, n, k)
-    assert len(forks) == (workers - 1) * len(SPLIT_CAPS) * 3
-    del forks[:]
+            assert _top(serial[k - 2], n, k, n * (k - 1) // k) == _row(serial[k - 1], n, k), (workers, n, k)
     assert spectrum(3 * _BLOCK, 5).mask == spectrum_unblocked(3 * _BLOCK, 5).mask
-    assert len(forks) == (workers - 1) * 4  # layers 1, 2, 3 and the streamed 4
-    # this process builds the streamed rows of its own residue class only
+    # each streamed row 0..cap is built once, in this process
     built, real_row = [], cliquespec._row
     monkeypatch.setattr(cliquespec, "_row", lambda prev, v, k, hi=None: built.append((v, k)) or real_row(prev, v, k, hi))
     n = 2 * _BLOCK + 1
     assert _top(serial[1], n, 3, n * 2 // 3) == real_row(serial[2], n, 3)
-    assert sorted(v for v, k in built if k == 2) == list(range(0, n * 2 // 3 + 1, workers))
-    assert_reaped(forks)
-
-
-def _exit_by_signal(*args):
-    os.kill(os.getpid(), signal.SIGKILL)
-
-
-def _raise(*args):
-    raise RuntimeError("worker fails")
-
-
-@pytest.mark.parametrize("failure", [_raise, _exit_by_signal])
-def test_failed_worker_gives_serial_layer(monkeypatch, forks, failure):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
-    monkeypatch.setattr(cliquespec, "_write_rows", failure)
-    n = 2 * _BLOCK + 1
-    serial = serial_layers(n, 3)
-    assert _layer(serial[2], 3, n) == serial[3]
-    assert _top(serial[1], n, 3, n * 2 // 3) == _row(serial[2], n, 3)
-    assert len(forks) == 4
-    assert_reaped(forks)
-
-
-def test_no_fork_without_a_second_cpu_or_with_a_live_thread(monkeypatch, forks):
-    serial = serial_layers(_BLOCK + 1, 2)
-
-    def forbidden_fork():
-        raise AssertionError("forked")
-    monkeypatch.setattr(os, "fork", forbidden_fork)
-    top = _row(serial[1], _BLOCK + 1, 2)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-    assert _layer(serial[1], 2, _BLOCK + 1) == serial[2]
-    assert _top(serial[0], _BLOCK + 1, 2, (_BLOCK + 1) // 2) == top
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-    release = threading.Event()
-    thread = threading.Thread(target=release.wait)
-    thread.start()
-    try:
-        assert _layer(serial[1], 2, _BLOCK + 1) == serial[2]
-        assert _top(serial[0], _BLOCK + 1, 2, (_BLOCK + 1) // 2) == top
-    finally:
-        release.set()
-        thread.join()
-    monkeypatch.delattr(os, "fork")
-    assert cliquespec._workers() == 1
-
-
-@pytest.mark.parametrize("refused", ["fork", "temporary file"])
-def test_refused_worker_gives_serial_layer(monkeypatch, forks, refused):
-    # the process limit reached, or no writable temporary directory: the
-    # parent builds every residue itself
-    import tempfile
-
-    def refuse(*args):
-        raise OSError("refused")
-    if refused == "fork":
-        monkeypatch.setattr(os, "fork", refuse)
-    else:
-        monkeypatch.setattr(tempfile, "TemporaryFile", refuse)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
-    serial = serial_layers(_BLOCK + 1, 2)
-    assert _layer(serial[1], 2, _BLOCK + 1) == serial[2]
-    assert _top(serial[0], _BLOCK + 1, 2, (_BLOCK + 1) // 2) == _row(serial[1], _BLOCK + 1, 2)
-    assert forks == []
+    assert sorted(v for v, k in built if k == 2) == list(range(n * 2 // 3 + 1))
 
 
 def test_interval_vacuous_case():
@@ -612,20 +522,36 @@ def test_export_roundtrip():
     lines = spec.export_lines()
     back = EdgeSpectrum.parse_export(lines)
     assert back.mask == spec.mask and back.n == spec.n
+    # members read off the mask a chunk of bytes at a time, across chunk edges
+    chunk = 8 * cliquespec._EXPORT_CHUNK_BYTES
+    members = [0, 5, chunk - 1, chunk, chunk + 1, 2 * chunk + 7]
+    spec = EdgeSpectrum.from_members(1500, None, members)
+    lines = list(spec.export_lines())
+    assert lines[1:] == [f"{e}\n" for e in members] == [f"{e}\n" for e in spec.members()]
+    assert EdgeSpectrum.parse_export(lines).mask == spec.mask
 
 
 def test_export_header_fields():
     import json
 
-    header = json.loads(spectrum(5, 2).export_lines()[0])
+    header = json.loads(next(spectrum(5, 2).export_lines()))
     assert header == {"n": 5, "r": 2, "count": 3, "min": 4, "max": 10}
 
 
 def test_export_empty_set():
     empty = EdgeSpectrum.from_members(4, None, [])
-    lines = empty.export_lines()
+    lines = list(empty.export_lines())
     assert len(lines) == 1
     assert EdgeSpectrum.parse_export(lines).mask == 0
+
+
+@pytest.mark.parametrize("lines", [[], [""], ["[4]"], ['{"r": 2, "count": 0}'],
+                                   ['{"n": 4, "r": 2}', "6"], ['{"n": 4, "count": 2}', "6"],
+                                   ['{"n": "4", "count": 0}'], ['{"n": -3, "count": 0}'],
+                                   ['{"n": 4.0, "count": 0}'], ['{"n": 4, "count": "0"}']])
+def test_export_malformed_input_is_a_value_error(lines):
+    with pytest.raises(ValueError):
+        EdgeSpectrum.parse_export(lines)
 
 
 def _from_members_by_or(n, members):

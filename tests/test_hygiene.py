@@ -1,6 +1,7 @@
 """Every name a package module imports is used in that module, every
 private module-level function and constant is read somewhere in the
-package, and the modules of the certified integer paths import no numpy.
+package, the modules of the certified integer paths import no numpy, and
+no module starts a thread or a process.
 
 No linter ships with the package, so this walks the syntax tree instead.
 `from __future__` imports and the re-exports of `__init__.py` are exempt.
@@ -124,3 +125,42 @@ def test_numpy_import_is_reported():
     source = ("import math\nimport numpy as np\nfrom numpy.linalg import norm\n"
               "from .triangles import tri\nfrom .graphs import arrow\n")
     assert fixed_width_imports(source) == ["numpy", "numpy.linalg", ".graphs"]
+
+
+# Every layer, table and campaign is built in the calling process and
+# thread, so its output and its memory charge do not depend on the machine.
+CONCURRENCY_MODULES = ("threading", "multiprocessing", "subprocess", "concurrent")
+PROCESS_CALLS = ("fork", "sched_getaffinity")
+
+
+def concurrency_uses(source: str) -> list[str]:
+    """Imports of CONCURRENCY_MODULES, and reads of os.fork or
+    os.sched_getaffinity, in the given module source."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found += [a.name for a in node.names if a.name.split(".")[0] in CONCURRENCY_MODULES]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            root = (node.module or "").split(".")[0]
+            if root in CONCURRENCY_MODULES:
+                found.append(node.module)
+            elif root == "os":
+                found += [f"os.{a.name}" for a in node.names if a.name in PROCESS_CALLS]
+        elif (isinstance(node, ast.Attribute) and node.attr in PROCESS_CALLS
+              and isinstance(node.value, ast.Name) and node.value.id == "os"):
+            found.append(f"os.{node.attr}")
+    return found
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_package_starts_no_threads_or_processes(path):
+    assert concurrency_uses(path.read_text()) == []
+
+
+def test_concurrency_use_is_reported():
+    source = ("import os\nimport threading\nimport concurrent.futures\n"
+              "from multiprocessing import Pool\nfrom subprocess import run\n"
+              "from os import fork, getpid\n"
+              "def f():\n    return os.fork() or len(os.sched_getaffinity(0)) or os.getpid()\n")
+    assert concurrency_uses(source) == ["threading", "concurrent.futures", "multiprocessing",
+                                        "subprocess", "os.fork", "os.fork", "os.sched_getaffinity"]
