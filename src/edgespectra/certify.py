@@ -8,11 +8,13 @@ The result is a Verdict: a certified interval for the asymptotic density
 of good edge counts, never a computed limit, together with a trace of
 every rule that fired.
 
-The special set SPECIAL_PAIRS is closed under complement, so membership
-can be tested on the pair as given.
-
-Verdict.validate re-checks a verdict by substitution into the rules that
-fired.
+Each rule is stated once, in the table _RULES: its parameter names,
+whether it speaks of the pair or of one side, the density cap it
+certifies, and its condition.  classify_pair searches each rule's
+parameters and fires an entry when that condition holds;
+Verdict.validate re-checks every entry by the same condition, and both
+take the bounds from _bounds(trace).  The special set SPECIAL_PAIRS is
+closed under complement, so membership can be tested on the pair as given.
 
 The minimal clique rank comes from one search, min_r_witness, built on
 triangles.clique_parts, the recursion over the largest part a, which the
@@ -36,7 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import isqrt
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 from .triangles import (clique_parts, decompose_lower, decompose_upper, int_roots, tri,
                         tri_root, two_part_witness)
@@ -96,92 +98,129 @@ class Verdict:
             raise ValueError("exact verdict must collapse the interval")
 
     def rule_upper(self) -> Fraction:
-        """Upper bound certified by the mechanical rules alone."""
-        best = Fraction(1)
-        for t in self.trace:
-            if t.rule == "iv":
-                best = min(best, Fraction(0))
-            elif t.rule in ("ii", "iii", "v"):
-                best = min(best, Fraction(1, 2))
-        return best
+        """Upper bound certified by the mechanical rules alone: the least
+        _RULES cap among the entries that are not cited facts."""
+        return _least_cap({t.rule for t in self.trace if not t.rule.startswith("thm-")})
 
     def fired(self, rule: str) -> list[TraceEntry]:
         return [t for t in self.trace if t.rule == rule]
 
     def validate(self, m: int, f: int) -> None:
         """Re-check the verdict on (m, f) by substitution; AssertionError if
-        it fails.  Each entry's parameters must satisfy its rule's condition
-        against m and its side's edge count g (f, or tri(m) - f on the
-        complement), rule (i) must be present exactly when an entry is on
-        the complement, and exact, upper and lower must follow from the
-        entries.  Rule (v) (g has no D(m) witness) and the minimality of r
-        in a thm-exact/thm-lower entry are non-existence claims, which
+        it fails.  Every entry must pass _entry_holds, rule (i) must be
+        present exactly when an entry is on the complement, and the bounds
+        must be _bounds(trace).  Rule (v) (g has no D(m) witness) and the
+        minimality of r in a thm-* entry are non-existence claims, which
         substitution cannot re-check: only their edge counts are checked.
         """
-        half = any(t.rule in ("ii", "iii", "v") for t in self.trace)
         for t in self.trace:
-            if not _entry_holds(t, m, f, half):
+            if not _entry_holds(t, m, f):
                 raise AssertionError(f"trace entry {t.as_dict()} does not hold for ({m},{f})")
-        rules = {t.rule for t in self.trace}
-        if ("i" in rules) != any(t.side == "complement" for t in self.trace):
+        if any(t.rule == "i" for t in self.trace) != any(t.side == "complement" for t in self.trace):
             raise AssertionError(f"rule (i) entry disagrees with the complement entries for ({m},{f})")
-        exact = {Fraction(1, dict(t.params)["r"]) for t in self.fired("thm-exact-1/r")}
-        lower = max((Fraction(1, dict(t.params)["r"]) for t in self.fired("thm-lower-1/r")), default=None)
-        upper = Fraction(1, 2) if half else Fraction(2, 3)
-        if len(exact) > 1 or any(e > upper for e in exact) or ("iv" in rules and (exact or lower)):
-            raise AssertionError(f"conflicting bounds in the trace for ({m},{f})")
-        if "A" in rules:
-            expect = (Fraction(1),) * 3
-        elif "iv" in rules:
-            expect = (Fraction(0),) * 3
-        elif exact:
-            expect = (min(exact),) * 3
-        else:
-            expect = (None, upper, lower)
+        expect = _bounds(self.trace)
         if (self.exact, self.upper, self.lower) != expect:
             raise AssertionError(f"bounds {(self.exact, self.upper, self.lower)} do not follow "
                                  f"from the trace for ({m},{f}): expected {expect}")
 
 
-#: The parameter names of each trace rule, and whether it speaks of the
-#: pair (True) or of one side, f or its complement (False).
-_RULE_PARAMS = {
-    "A": ({"m", "f"}, True), "i": ({"f", "complement"}, True),
-    "iv": ({"l", "lp"}, False), "ii": ({"f", "window"}, False),
-    "iii": ({"b", "bp"}, False), "v": ({"f"}, False),
-    "thm-exact-1/r": ({"r", "a", "b", "c"}, False), "thm-lower-1/r": ({"r", "a", "b", "c"}, False),
-    "thm-upper-2/3": (set(), True), "thm-upper-1/2": (set(), True),
+_ZERO, _HALF, _TWO_THIRDS, _ONE = Fraction(0), Fraction(1, 2), Fraction(2, 3), Fraction(1)
+
+
+class _Rule(NamedTuple):
+    names: tuple[str, ...]       # parameter names, in trace order
+    on_pair: bool                # speaks of the pair, not of one side
+    cap: Optional[Fraction]      # the density cap it certifies
+    holds: Callable[..., bool]   # its condition on (m, g, *parameter values)
+
+
+def _triple(m: int, g: int, a: int, b: int, c: int) -> bool:
+    return g == tri(a) == tri(m) - tri(b) == c * (m - c)
+
+
+#: Every trace rule.  A condition reads m, the edge count g of the entry's
+#: side (f, or tri(m) - f on the complement) and the parameter values.
+_RULES = {
+    # (m, f) is special: density exactly 1
+    "A": _Rule(("m", "f"), True, None,
+               lambda m, f, pm, pf: (pm, pf) == (m, f) and (m, f) in SPECIAL_PAIRS),
+    # whatever holds for the complement holds for the pair
+    "i": _Rule(("f", "complement"), True, None, lambda m, f, pf, pc: (pf, pc) == (f, tri(m) - f)),
+    # g = tri(l) + lp with excess lp >= m - l
+    "iv": _Rule(("l", "lp"), False, _ZERO,
+                lambda m, g, l, lp: g == tri(l) + lp and 0 <= lp < l < m and lp >= m - l),
+    # g outside the middle window
+    "ii": _Rule(("f", "window"), False, _HALF,
+                lambda m, g, pf, w: pf == g and w == _window(m) and not w[0] <= g <= w[1]),
+    # g = tri(b) - bp with b/2 < bp < b - 1
+    "iii": _Rule(("b", "bp"), False, _HALF,
+                 lambda m, g, b, bp: g == tri(b) - bp and b < 2 * bp < 2 * b - 2),
+    # g has no D(m) witness, a claim of dm_witness that substitution cannot re-check
+    "v": _Rule(("f",), False, _HALF, lambda m, g, pf: pf == g),
+    # g = tri(a) = tri(m) - tri(b) = c(m - c) with minimal clique rank r: 1/r exactly, or at least
+    "thm-exact-1/r": _Rule(("r", "a", "b", "c"), False, None,
+                           lambda m, g, r, a, b, c: (r == 2 or r >= 5) and _triple(m, g, a, b, c)),
+    "thm-lower-1/r": _Rule(("r", "a", "b", "c"), False, None,
+                           lambda m, g, r, a, b, c: r in (3, 4) and _triple(m, g, a, b, c)),
+    # the universal bounds off the special set; 1/2 is recorded, not folded into upper
+    "thm-upper-2/3": _Rule((), True, _TWO_THIRDS, lambda m, f: (m, f) not in SPECIAL_PAIRS),
+    "thm-upper-1/2": _Rule((), True, None, lambda m, f: (m, f) not in SPECIAL_PAIRS),
 }
 
 
-def _entry_holds(t: TraceEntry, m: int, f: int, half: bool) -> bool:
-    """Whether trace entry t satisfies its rule's condition on (m, f);
-    half says whether a rule capping the density at 1/2 fired."""
-    keys, on_pair = _RULE_PARAMS.get(t.rule, (None, None))
-    p = dict(t.params)
-    if set(p) != keys or t.side not in (("pair",) if on_pair else ("f", "complement")):
+#: Each cap of _RULES with the rules that certify it, least cap first.
+_CAPS = sorted((cap, frozenset(k for k, rule in _RULES.items() if rule.cap == cap))
+               for cap in {rule.cap for rule in _RULES.values()} - {None})
+
+
+def _least_cap(rules: set[str]) -> Fraction:
+    """The least cap that one of the named rules certifies; 1 if none does."""
+    for cap, names in _CAPS:
+        if not names.isdisjoint(rules):
+            return cap
+    return _ONE
+
+
+def _entry_holds(t: TraceEntry, m: int, f: int) -> bool:
+    """Whether trace entry t has its rule's shape (parameter names and a
+    side of the rule's scope) and satisfies the rule's condition on (m, f)."""
+    rule = _RULES.get(t.rule)
+    names, values = tuple(zip(*t.params)) or ((), ())
+    if (rule is None or names != rule.names
+            or t.side not in (("pair",) if rule.on_pair else ("f", "complement"))):
         return False
-    g = f if t.side == "f" else tri(m) - f
-    if t.rule == "A":
-        return p == {"m": m, "f": f} and (m, f) in SPECIAL_PAIRS
-    if t.rule == "i":
-        return p == {"f": f, "complement": tri(m) - f}
-    if t.rule == "iv":
-        return g == tri(p["l"]) + p["lp"] and 0 <= p["lp"] < p["l"] < m and p["lp"] >= m - p["l"]
-    if t.rule == "ii":
-        wlo, whi = _window(m)
-        return p["f"] == g and p["window"] == (wlo, whi) and not wlo <= g <= whi
-    if t.rule == "iii":
-        return g == tri(p["b"]) - p["bp"] and p["b"] < 2 * p["bp"] < 2 * p["b"] - 2
-    if t.rule == "v":
-        return p["f"] == g
-    if t.rule in ("thm-exact-1/r", "thm-lower-1/r"):
-        r = p["r"]
-        return (g == tri(p["a"]) == tri(m) - tri(p["b"]) == p["c"] * (m - p["c"]) and r >= 2
-                and (r == 2 or r >= 5) == (t.rule == "thm-exact-1/r"))
-    if t.rule == "thm-upper-2/3":
-        return not half
-    return (m, f) not in SPECIAL_PAIRS  # thm-upper-1/2, the universal bound off the special set
+    return rule.holds(m, tri(m) - f if t.side == "complement" else f, *values)
+
+
+def _bounds(trace) -> tuple[Optional[Fraction], Fraction, Optional[Fraction]]:
+    """(exact, upper, lower) that the entries of trace certify: 1 on a
+    special pair, else upper is the least cap (0 settles the pair), and
+    thm-exact gives the exact value 1/r, thm-lower the lower bound.
+    AssertionError on conflicting entries; a 2/3 entry must be the least cap.
+    """
+    rules = {t.rule for t in trace}
+    if "A" in rules:
+        return _ONE, _ONE, _ONE
+    upper = _least_cap(rules)
+    exact = {Fraction(1, dict(t.params)["r"]) for t in trace if t.rule == "thm-exact-1/r"}
+    lower = max([Fraction(1, dict(t.params)["r"]) for t in trace if t.rule == "thm-lower-1/r"],
+                default=None)
+    if (len(exact) > 1 or (exact and max(exact) > upper) or (upper == 0 and (exact or lower))
+            or ("thm-upper-2/3" in rules and upper != _TWO_THIRDS)):
+        raise AssertionError(f"conflicting bounds in the trace {[t.as_dict() for t in trace]}")
+    if upper == 0:
+        return _ZERO, _ZERO, _ZERO
+    if exact:
+        (e,) = exact
+        return e, e, e
+    return None, upper, lower
+
+
+def _fired(rule: str, side: str, m: int, g: int, *values) -> list[TraceEntry]:
+    """[the entry of rule on side with these parameter values] when the
+    rule's condition holds on (m, g), else []."""
+    spec = _RULES[rule]
+    return [TraceEntry(rule, side, tuple(zip(spec.names, values)))] if spec.holds(m, g, *values) else []
 
 
 # ---------------------------------------------------------------------------
@@ -377,81 +416,41 @@ def _window(m: int) -> tuple[int, int]:
 
 
 def classify_pair(m: int, f: int) -> Verdict:
-    """Evaluate every certification rule on (m, f) and its complement and
-    return the resulting verdict with a full trace."""
-    pair = PairMF(m, f)
-    fc = pair.complement_f
-    trace: list[TraceEntry] = []
+    """Evaluate every rule of _RULES on (m, f) and its complement and
+    return the verdict its trace certifies.  Only the parameter searches
+    and the entry order live here; an entry fires by its _RULES condition.
+    The order: (A) alone; else (iv) per side, (ii), (iii) and (v) per side,
+    thm-exact/lower per side, (i) first when an entry is on the complement,
+    and unless a cap of 0 fired, thm-upper-2/3 (when no cap did) and 1/2.
+    """
+    fc = PairMF(m, f).complement_f
+    trace = _fired("A", "pair", m, f, m, f)
+    if trace:
+        return Verdict(*_bounds(trace), trace=tuple(trace))
     sides = (("f", f), ("complement", fc))
-
-    if (m, f) in SPECIAL_PAIRS:
-        trace.append(TraceEntry("A", "pair", (("m", m), ("f", f))))
-        one = Fraction(1)
-        return Verdict(exact=one, upper=one, lower=one, trace=tuple(trace))
-
-    # rule (iv): decompose upward; excess at least m - ell forces density 0
-    exact_zero = False
     for side, g in sides:
         dec = decompose_upper(g)
-        if dec.ell < m and dec.ellp >= m - dec.ell:
-            trace.append(TraceEntry("iv", side, (("l", dec.ell), ("lp", dec.ellp))))
-            exact_zero = True
-
-    # rules (ii), (iii), (v): each caps the density at 1/2
-    half = False
-    wlo, whi = _window(m)
+        trace += _fired("iv", side, m, g, dec.ell, dec.ellp)
+    window = _window(m)
     for side, g in sides:
-        if not wlo <= g <= whi:
-            trace.append(TraceEntry("ii", side, (("f", g), ("window", (wlo, whi)))))
-            half = True
-        if g >= 1:
+        trace += _fired("ii", side, m, g, g, window)
+        if g >= 1:  # decompose_lower needs an edge
             dec = decompose_lower(g)
-            if 2 * dec.bp > dec.b and dec.bp < dec.b - 1:
-                trace.append(TraceEntry("iii", side, (("b", dec.b), ("bp", dec.bp))))
-                half = True
+            trace += _fired("iii", side, m, g, dec.b, dec.bp)
         if dm_witness(g, m) is None:
-            trace.append(TraceEntry("v", side, (("f", g),)))
-            half = True
-
-    # lower bounds / exactness from the minimal clique rank, on either side
-    exact_val: Optional[Fraction] = None
-    lower: Optional[Fraction] = None
+            trace += _fired("v", side, m, g, g)
     for side, g in sides:
         rep = triple_identity(m, g)
-        if rep is None:
-            continue
-        r = min_r(m, g)
-        if r is None or r < 2:
-            continue
-        params = (("r", r), ("a", rep.a), ("b", rep.b), ("c", rep.c))
-        if r == 2 or r >= 5:
-            trace.append(TraceEntry("thm-exact-1/r", side, params))
-            val = Fraction(1, r)
-            if exact_val is not None and exact_val != val:
-                raise AssertionError(f"conflicting exact values for ({m},{f})")
-            exact_val = val
-        else:
-            trace.append(TraceEntry("thm-lower-1/r", side, params))
-            lower = max(lower or Fraction(0), Fraction(1, r))
-
-    # rule (i): whatever fired on the complement holds for the pair
+        r = None if rep is None else min_r(m, g)
+        if r is not None:
+            rabc = (r, rep.a, rep.b, rep.c)
+            trace += (_fired("thm-exact-1/r", side, m, g, *rabc)
+                      or _fired("thm-lower-1/r", side, m, g, *rabc))
     if any(t.side == "complement" for t in trace):
-        trace.insert(0, TraceEntry("i", "pair", (("f", f), ("complement", fc))))
-
-    if exact_zero:
-        if exact_val is not None or lower is not None:
-            raise AssertionError(f"rule (iv) zero conflicts with a positive lower bound for ({m},{f})")
-        zero = Fraction(0)
-        return Verdict(exact=zero, upper=zero, lower=zero, trace=tuple(trace))
-
-    upper = Fraction(1, 2) if half else Fraction(2, 3)
-    if not half:
-        trace.append(TraceEntry("thm-upper-2/3", "pair", ()))
-    # universal literature bound off the special set, recorded but separate
-    trace.append(TraceEntry("thm-upper-1/2", "pair", ()))
-
-    if exact_val is not None:
-        if exact_val > upper:
-            raise AssertionError(f"exact {exact_val} above certified upper {upper} for ({m},{f})")
-        return Verdict(exact=exact_val, upper=exact_val, lower=exact_val, trace=tuple(trace))
-    return Verdict(exact=None, upper=upper, lower=lower, trace=tuple(trace))
+        trace[:0] = _fired("i", "pair", m, f, f, fc)
+    cap = _least_cap({t.rule for t in trace})
+    if cap != 0:
+        if cap == 1:
+            trace += _fired("thm-upper-2/3", "pair", m, f)
+        trace += _fired("thm-upper-1/2", "pair", m, f)
+    return Verdict(*_bounds(trace), trace=tuple(trace))

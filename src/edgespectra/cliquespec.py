@@ -463,15 +463,26 @@ def verify_interval(n: int, r: int, c_low: float, c_high: float, *, clip: bool =
     belongs to C(n, r); on failure report the smallest missing integer.
 
     An empty interval (including a negative upper endpoint) is vacuously
-    true and flagged as such.  c_low and c_high must be finite.
+    true and flagged as such.  c_low and c_high must be finite; each is
+    read as the decimal it prints as (0.1 is 1/10), an exact rational, so
+    the endpoints are exact at any magnitude: with c_high = p/q,
+    c_high * n^1.5 = +-sqrt(p^2 n^3)/q is rounded through isqrt.  Nothing
+    above tri(n) is in C(n, r), so the scan stops at tri(n) + 1 (at lo, if
+    that is higher).
     """
     import math
 
     _check_n_r(n, r)
     if not (math.isfinite(c_low) and math.isfinite(c_high)):
         raise ValueError(f"c_low and c_high must be finite, got {c_low} and {c_high}")
-    lo = math.ceil(n * n / (2 * r) + c_low * n)
-    hi = math.floor((n * n - n) / 2 - c_high * n * math.sqrt(n))
+    lo = math.ceil(Fraction(n * n, 2 * r) + Fraction(repr(c_low)) * n)
+    p, q = Fraction(repr(c_high)).as_integer_ratio()
+    square = p * p * n ** 3
+    root = math.isqrt(square)  # floor(|c_high| n^1.5) = root // q
+    if p < 0:
+        hi = tri(n) + root // q
+    else:
+        hi = tri(n) - root // q - (root * root != square or root % q != 0)
     spec = spectrum(n, r)
     if clip and spec.mask:
         lo = max(lo, spec.min_element)
@@ -479,7 +490,7 @@ def verify_interval(n: int, r: int, c_low: float, c_high: float, *, clip: bool =
     if lo > hi:
         return IntervalReport(ok=True, first_gap=None, vacuous=True, lo=lo, hi=hi)
     lo = max(lo, 0)
-    width = hi - lo + 1
+    width = min(hi, max(lo, tri(n) + 1)) - lo + 1
     window = (spec.mask >> lo) & ((1 << width) - 1)
     missing = ~window & ((1 << width) - 1)
     if missing == 0:

@@ -138,15 +138,9 @@ def _rep_tables(n: int, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return reps, np.bitwise_count(reps), _achieved(reps, n, m)
 
 
-@lru_cache(maxsize=8)
-def _snm_table(n: int, m: int) -> np.ndarray:
-    """good[f, e] = every graph with e edges achieves f on some m-subset."""
-    _, pc, ach = _rep_tables(n, m)
-    good = np.ones((tri(m) + 1, tri(n) + 1), dtype=bool)
-    for f in range(tri(m) + 1):
-        lacking = (ach >> np.uint32(f)) & np.uint32(1) == 0
-        good[f, np.unique(pc[lacking])] = False
-    return good
+def _lacking(ach: np.ndarray, f: int) -> np.ndarray:
+    """Per representative, whether no m-subset of it spans f edges."""
+    return (ach >> np.uint32(f)) & np.uint32(1) == 0
 
 
 @dataclass(frozen=True)
@@ -173,7 +167,7 @@ def arrow(n: int, e: int, m: int, f: int, *, dedup: bool = False) -> ArrowResult
     dedup): the smallest of the lowest labeled masks of the lacking classes."""
     _validate_arrow_args(n, e, m, f, dedup)
     reps, pc, ach = _rep_tables(n, m)
-    lacking = (pc == e) & ((ach >> np.uint32(f)) & np.uint32(1) == 0)
+    lacking = (pc == e) & _lacking(ach, f)
     if not lacking.any():
         return ArrowResult(holds=True, counterexample=None)
     edges = reps[lacking.argmax()] if dedup else _class_ids(n)[1][lacking].min()
@@ -183,8 +177,10 @@ def arrow(n: int, e: int, m: int, f: int, *, dedup: bool = False) -> ArrowResult
 def compute_Snm(n: int, m: int, f: int, *, dedup: bool = False) -> EdgeSpectrum:
     """The exact set of edge counts e for which arrow(n, e, m, f) holds."""
     _validate_arrow_args(n, 0, m, f, dedup)
-    members = np.flatnonzero(_snm_table(n, m)[f]).tolist()
-    return EdgeSpectrum.from_members(n, None, members)
+    _, pc, ach = _rep_tables(n, m)
+    good = np.ones(tri(n) + 1, dtype=bool)
+    good[pc[_lacking(ach, f)]] = False
+    return EdgeSpectrum.from_members(n, None, np.flatnonzero(good).tolist())
 
 
 def turan_number(n: int, p: int) -> int:

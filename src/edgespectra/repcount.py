@@ -19,6 +19,7 @@ from typing import Optional
 
 import numpy as np
 
+from .cliquespec import _check_cap
 from .triangles import tri
 
 _MAX_TUPLES = 50_000_000
@@ -78,7 +79,9 @@ def _sum_cap(n: int, sum_cap: Optional[int]) -> int:
 
 
 def rep_histogram(n: int, N: int, sum_cap: Optional[int] = None) -> RepHistogram:
-    """Counts of ordered 4-tuples per realized edge count m."""
+    """Counts of ordered 4-tuples per realized edge count m.  The histogram's
+    tri(n) + 1 cells are charged to the table cap of cliquespec first:
+    SpectrumMemoryError above it."""
     if n < 0:
         raise ValueError(f"need n >= 0, got {n}")
     if N < 1:
@@ -87,6 +90,7 @@ def rep_histogram(n: int, N: int, sum_cap: Optional[int] = None) -> RepHistogram
     estimate = math.comb(N + 3, 4)
     if estimate > _MAX_TUPLES:
         raise TupleBudgetExceeded(f"~{estimate} sorted tuples exceeds cap {_MAX_TUPLES}")
+    _check_cap(64 * (tri(n) + 1), "histogram cells")  # one int64 cell per m
     counts = np.zeros(tri(n) + 1, dtype=np.int64)
     for x in combinations_with_replacement(range(1, N + 1), 4):
         s = x[0] + x[1] + x[2] + x[3]

@@ -57,14 +57,20 @@ def three_square_decomp(v: int) -> Optional[ThreeSquareDecomp]:
     Deterministic: largest feasible x, then largest y.  The residue test
     short-circuits excluded values; for admissible v the descent always
     finds a witness, and a miss would surface as a None mismatching
-    is_three_square in the cross-check suites.
+    is_three_square in the cross-check suites.  A sum of three squares
+    divisible by 4 has all three even, so every decomposition of 4u is
+    twice one of u: the descent runs on v with its factors of 4 stripped,
+    and its answer is scaled back.
     """
     if v < 0:
         raise ValueError(f"need v >= 0, got {v}")
     if not is_three_square(v):
         return None
-    for x in range(isqrt(v), -1, -1):
-        w = v - x * x
+    u, k = v, 0
+    while u and u % 4 == 0:
+        u, k = u // 4, k + 1
+    for x in range(isqrt(u), -1, -1):
+        w = u - x * x
         if w > 2 * x * x:  # y, z <= x unreachable
             break
         y = min(x, isqrt(w))
@@ -72,7 +78,7 @@ def three_square_decomp(v: int) -> Optional[ThreeSquareDecomp]:
             z2 = w - y * y
             z = isqrt(z2)
             if z * z == z2:
-                return ThreeSquareDecomp(target=v, x=x, y=y, z=z)
+                return ThreeSquareDecomp(target=v, x=x << k, y=y << k, z=z << k)
             y -= 1
     return None
 

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import random
 from fractions import Fraction
 from math import isqrt
@@ -415,6 +416,21 @@ def test_classify_verdicts_validate():
             classify_pair(m, f).validate(m, f)
 
 
+def test_classify_pinned():
+    # every bound, trace and rule-only bound of classify_pair on every
+    # (m, f) with m <= 30 and on 1000 seeded pairs with 3 <= m <= 3000
+    pairs = [(m, f) for m in range(2, 31) for f in range(tri(m) + 1)]
+    rng = random.Random(24)
+    for _ in range(1000):
+        m = rng.randint(3, 3000)
+        pairs.append((m, rng.randint(0, tri(m))))
+    digest = hashlib.sha256()
+    for m, f in pairs:
+        v = classify_pair(m, f)
+        digest.update(repr((m, f, v.exact, v.upper, v.lower, v.trace, v.rule_upper())).encode())
+    assert digest.hexdigest() == "60a9937e864c0b070c99ed58e09689421dc5dc4ec400742a8fd0b88891913543"
+
+
 def _tampered(v, rule, side=None, **params):
     """v with its first `rule` entry's side and params overridden."""
     i = next(i for i, t in enumerate(v.trace) if t.rule == rule)
@@ -437,6 +453,9 @@ def _tampered(v, rule, side=None, **params):
     (38, 325, lambda v: dataclasses.replace(v, lower=Fraction(1, 3))),
     (38, 325, lambda v: dataclasses.replace(v, upper=Fraction(2, 3))),
     (38, 325, lambda v: dataclasses.replace(
+        v, trace=v.trace + (TraceEntry("thm-upper-2/3", "pair"),))),
+    # the 2/3 bound is recorded only where it is the least cap, not beside rule (iv)'s 0
+    (7, 12, lambda v: dataclasses.replace(
         v, trace=v.trace + (TraceEntry("thm-upper-2/3", "pair"),))),
     (7, 10, lambda v: dataclasses.replace(
         v, trace=(TraceEntry("A", "pair", (("m", 7), ("f", 10))),) + v.trace)),

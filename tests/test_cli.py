@@ -159,6 +159,17 @@ def test_interval_gap_exit_code(capsys):
     assert payload["ok"] is False and payload["first_gap"] == 150
 
 
+def test_interval_huge_finite_coefficients(capsys):
+    # an empty interval is vacuous however large c_low is, and a huge
+    # negative c_high puts hi far above tri(n) without a mask that wide
+    code, out, _ = run_cli(capsys, ["interval", "--n", "10", "--r", "2",
+                                    "--c-low", "1e308", "--c-high", "0"])
+    assert code == 0 and json.loads(out)["vacuous"] is True
+    code, out, _ = run_cli(capsys, ["interval", "--n", "10", "--r", "2",
+                                    "--c-low", "0", "--c-high=-1e20"])
+    assert code == 1 and json.loads(out)["first_gap"] == 25
+
+
 def test_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["spectrum", "--n", "5"])  # missing --r
@@ -316,6 +327,15 @@ def test_budget_overrun_exits_1_with_manifest(capsys):
     assert _manifest(err)["subcommand"] == "repcount"
 
 
+@pytest.mark.parametrize("cmd", ["repcount", "exceptional"])
+def test_histogram_cells_charged_to_table_cap(capsys, cmd):
+    # tri(10^7) + 1 int64 cells would be 364 TiB: refused before numpy is asked
+    code, out, err = run_cli(capsys, [cmd, "--n", "10000000", "--N", "3"])
+    assert code == 1 and out == ""
+    assert "error: SpectrumMemoryError: histogram cells need" in err
+    assert _manifest(err)["subcommand"] == cmd
+
+
 def test_rank_budget_overrun_exits_1_with_manifest(capsys):
     # a pair whose rank search would walk far more than two million z-steps
     code, out, err = run_cli(capsys, ["minr", "--m", "146714", "--f", "5165649739"])
@@ -463,7 +483,7 @@ def _fuzz_argvs(count, seed):
     def maybe(option, value):
         return [option, value] if rng.random() < 0.5 else []
 
-    floats = [-1, 0, 0.5, 2, "inf", "-inf", "nan"]
+    floats = [-1, 0, 0.5, 2, "1e308", "-1e20", "inf", "-inf", "nan"]
     argvs = []
     for _ in range(count):
         cmd = rng.choice(["classify", "minr", "dm", "witness", "interval",

@@ -1,6 +1,7 @@
 import functools
 import os
 import random
+from math import isqrt
 
 import pytest
 
@@ -436,26 +437,22 @@ def serial_layers(cap, depth):
     return layers
 
 
-@pytest.mark.parametrize("workers", [2, 3])
-def test_split_layer_matches_serial(monkeypatch, workers):
-    # _layer builds its rows largest first, in this process whatever the CPU
-    # count: it gives the rows built one by one in increasing order
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(workers)), raising=False)
+def test_layer_matches_serial():
+    # _layer builds its rows largest first: it gives the rows built one by
+    # one in increasing order
     serial = serial_layers(max(LAYER_CAPS), 3)
     for cap in LAYER_CAPS:
         for k in (1, 2, 3):
-            assert _layer(serial[k - 1], k, cap) == serial[k][:cap + 1], (workers, cap, k)
+            assert _layer(serial[k - 1], k, cap) == serial[k][:cap + 1], (cap, k)
 
 
-@pytest.mark.parametrize("workers", [2, 3])
-def test_split_top_matches_serial(monkeypatch, workers):
-    # _top streams layer k - 1 whatever the CPU count; n runs over
-    # LAYER_CAPS, so the streamed rows do too
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(workers)), raising=False)
+def test_top_matches_serial(monkeypatch):
+    # _top streams layer k - 1; n runs over LAYER_CAPS, so the streamed
+    # rows do too
     serial = serial_layers(max(LAYER_CAPS), 3)
     for n in LAYER_CAPS:
         for k in (2, 3, 4):
-            assert _top(serial[k - 2], n, k, n * (k - 1) // k) == _row(serial[k - 1], n, k), (workers, n, k)
+            assert _top(serial[k - 2], n, k, n * (k - 1) // k) == _row(serial[k - 1], n, k), (n, k)
     assert spectrum(3 * _BLOCK, 5).mask == spectrum_unblocked(3 * _BLOCK, 5).mask
     # each streamed row 0..cap is built once, in this process
     built, real_row = [], cliquespec._row
@@ -482,6 +479,21 @@ def test_interval_direct_cases():
     rep = verify_interval(30, 3, 0, 0, clip=True)
     assert rep.ok is False and rep.first_gap == 150  # pinned from first verified run
     assert rep.first_gap not in spectrum(30, 3)
+
+
+def test_interval_endpoints_exact():
+    # finite coefficients of any size: an empty interval is vacuous, and a
+    # top far above tri(n) is scanned only up to tri(n) + 1
+    rep = verify_interval(10, 2, 1e308, 0)
+    assert rep.vacuous and rep.ok and (rep.lo, rep.hi) == (10 ** 309 + 25, 45)
+    rep = verify_interval(10, 2, 0, -1e20)
+    assert (rep.ok, rep.first_gap, rep.lo, rep.hi) == (False, 25, 25, 45 + isqrt(10 ** 43))
+    # a coefficient is read as the decimal it prints as: 9/10 + 3 * 4.7 is
+    # 15 and 16/10 + 4 * 0.1 is 2, where float sums give 15.000000000000002
+    assert verify_interval(3, 5, 4.7, 0).lo == 15
+    assert verify_interval(4, 5, 0.1, 0).lo == 2
+    # the scan runs past tri(n) only to reach lo
+    assert verify_interval(1, 2, 1, -3.3).first_gap == 2
 
 
 def test_interval_rejects_bad_n_r():

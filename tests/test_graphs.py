@@ -262,8 +262,7 @@ def test_graph_count_is_A000088():
 def graph_count_off_at_5(monkeypatch):
     real = graphs._graph_count
     # every table derived from the catalogue
-    caches = (graphs._catalogue, graphs._relabelled, graphs._class_ids, graphs._rep_tables,
-              graphs._snm_table)
+    caches = (graphs._catalogue, graphs._relabelled, graphs._class_ids, graphs._rep_tables)
     for cache in caches:
         cache.cache_clear()
     monkeypatch.setattr(graphs, "_graph_count", lambda n: real(n) + (n == 5))

@@ -1,3 +1,4 @@
+import math
 import random
 
 import numpy as np
@@ -48,6 +49,24 @@ def test_decomp_examples():
     assert three_square_decomp(7) is None
     d = three_square_decomp(0)
     assert (d.x, d.y, d.z) == (0, 0, 0)
+
+
+def test_decomp_strips_factors_of_four(monkeypatch):
+    # the three squares of 4u are all even, so 4^k u is answered by 2^k
+    # times u's triple after u's own descent, and 2 * 4^40 stays instant
+    roots = []
+    monkeypatch.setattr(squares, "isqrt", lambda n: roots.append(n) or math.isqrt(n))
+    for u in (1, 2, 3, 5, 6, 33, 1000, 12345):
+        roots.clear()
+        d = three_square_decomp(u)
+        steps = len(roots)
+        for k in (1, 3, 8):
+            roots.clear()
+            w = three_square_decomp(4 ** k * u)
+            assert (w.x, w.y, w.z) == (d.x << k, d.y << k, d.z << k), (u, k)
+            assert len(roots) == steps, (u, k)
+    d = three_square_decomp(2 * 4 ** 40)
+    assert (d.x, d.y, d.z) == (2 ** 40, 2 ** 40, 0)
 
 
 def test_formula_matches_sieve():
