@@ -437,22 +437,26 @@ def serial_layers(cap, depth):
     return layers
 
 
-def test_layer_matches_serial():
-    # _layer builds its rows largest first: it gives the rows built one by
-    # one in increasing order
+@pytest.mark.parametrize("workers", [2, 3])
+def test_split_layer_matches_serial(monkeypatch, workers):
+    # _layer builds its rows largest first, in this process whatever the CPU
+    # count: it gives the rows built one by one in increasing order
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(workers)), raising=False)
     serial = serial_layers(max(LAYER_CAPS), 3)
     for cap in LAYER_CAPS:
         for k in (1, 2, 3):
-            assert _layer(serial[k - 1], k, cap) == serial[k][:cap + 1], (cap, k)
+            assert _layer(serial[k - 1], k, cap) == serial[k][:cap + 1], (workers, cap, k)
 
 
-def test_top_matches_serial(monkeypatch):
-    # _top streams layer k - 1; n runs over LAYER_CAPS, so the streamed
-    # rows do too
+@pytest.mark.parametrize("workers", [2, 3])
+def test_split_top_matches_serial(monkeypatch, workers):
+    # _top streams layer k - 1 whatever the CPU count; n runs over
+    # LAYER_CAPS, so the streamed rows do too
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(workers)), raising=False)
     serial = serial_layers(max(LAYER_CAPS), 3)
     for n in LAYER_CAPS:
         for k in (2, 3, 4):
-            assert _top(serial[k - 2], n, k, n * (k - 1) // k) == _row(serial[k - 1], n, k), (n, k)
+            assert _top(serial[k - 2], n, k, n * (k - 1) // k) == _row(serial[k - 1], n, k), (workers, n, k)
     assert spectrum(3 * _BLOCK, 5).mask == spectrum_unblocked(3 * _BLOCK, 5).mask
     # each streamed row 0..cap is built once, in this process
     built, real_row = [], cliquespec._row
