@@ -22,15 +22,17 @@ deficit d = tri(m) - f confines to a >= m - 2d/m.  One and two parts
 are answered first, by f = tri(m) and by the roots of a quadratic.  Next
 the search decides whether f is the edge sum of any partition of m; a
 pair with no representation is answered there.  Then it runs at part
-counts j = 3, 4, ... with three_part_witness (a loop over the smallest
-part within a closed-form window) as its three-part step, and the first
-j that admits a partition gives the witness.  The three-part windows of
+counts j = 3, 4, ... with three_part_witness (a walk over the smallest
+part within a closed-form window, keeping the discriminant of the other
+two parts as a running sum) as its three-part step, and the first j that
+admits a partition gives the witness.  The three-part windows of
 one search share a budget of z-steps, charged per window in closed form, so a
 search that cannot decide in time raises RankBudgetExceeded instead of
 running on.  min_r is the witness's part count less one, so the rank and
 its certificate never disagree.  Every step is exact integer arithmetic:
-the quadratics are solved with triangles.int_roots, and nothing here is
-fixed-width.
+the one- and two-part quadratics are solved with triangles.int_roots,
+the three-part walk tests each discriminant with isqrt, and nothing here
+is fixed-width.
 """
 
 from __future__ import annotations
@@ -268,9 +270,10 @@ class RankBudgetExceeded(Exception):
     without deciding the pair."""
 
 
-#: z-steps of three-part windows one min_r_witness call may walk: 1 to
-#: 1.8 s (2-core x86-64 VM), and 20 times the most that any of 2400 seeded
-#: pairs with m <= 3000 walks (95,656 steps, at (2942, 1718353)).
+#: z-steps of three-part windows one min_r_witness call may walk: 0.2 to
+#: 0.3 s (2-core x86-64 VM, seven pairs near m = 1.5 * 10^5 that spend it),
+#: and 20 times the most that any of 2400 seeded pairs with m <= 3000 walks
+#: (95,656 steps, at (2942, 1718353)).
 _RANK_STEPS = 2_000_000
 
 
@@ -308,6 +311,12 @@ def _z_window(m: int, f: int) -> range:
     return range(max(1, -(-(m - root) // 3)), (m - t) // 3 + 1)
 
 
+#: Which residues mod 64 and mod 63 a square can leave: d passes both only
+#: when it may be a square, about 1 value in 21, and only then is isqrt run.
+_SQUARE_MOD64 = bytes(r in {i * i % 64 for i in range(64)} for r in range(64))
+_SQUARE_MOD63 = bytes(r in {i * i % 63 for i in range(63)} for r in range(63))
+
+
 def three_part_witness(m: int, f: int, *,
                        budget: Optional[_Budget] = None) -> Optional[tuple[int, int, int]]:
     """(x, y, z) with x >= y >= z >= 1, x+y+z = m, tri sums to f, and z
@@ -317,8 +326,11 @@ def three_part_witness(m: int, f: int, *,
     N = 12f + 6m - 2m^2, so the smallest part z starts where
     (m - 3z)^2 <= N first holds, and y >= z holds only while
     4(m - 3z)^2 >= N.  The loop walks z upward through the window and
-    solves for the other two parts with two_part_witness.  Exact at any
-    size.
+    keeps d = (x - y)^2 = (N - (m - 3z)^2) / 3, which the window keeps
+    >= 0, in one running sum: d(z + 1) - d(z) = 2m - 6z - 3.  A d that
+    passes the square residues mod 64 and mod 63 is tested by isqrt, and
+    a square s^2 gives x, y = (m - z +- s) / 2.  Exact integer arithmetic
+    at any size.
 
     A budget is charged the window's length before the walk and refunded
     the steps a hit leaves unwalked; RankBudgetExceeded is raised when the
@@ -326,12 +338,18 @@ def three_part_witness(m: int, f: int, *,
     """
     window = _z_window(m, f)
     walk = window if budget is None else budget.charge(window)
+    z = walk.start
+    d = (m - z) * (2 - m + z) + 4 * f - 2 * z * (z - 1)
+    step = 2 * m - 6 * z - 3
     for z in walk:
-        w = two_part_witness(m - z, f - tri(z))
-        if w is not None and w[1] >= z:
-            if budget is not None:
-                budget.refund(walk.stop - z - 1)
-            return (w[0], w[1], z)
+        if _SQUARE_MOD64[d & 63] and _SQUARE_MOD63[d % 63]:
+            s = isqrt(d)
+            if s * s == d:  # the window's end keeps y >= z
+                if budget is not None:
+                    budget.refund(walk.stop - z - 1)
+                return ((m - z + s) // 2, (m - z - s) // 2, z)
+        d += step
+        step -= 6
     if len(walk) < len(window):
         raise budget.exceeded()
     return None

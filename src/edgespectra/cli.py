@@ -40,6 +40,7 @@ import hashlib
 import json
 import math
 import random
+import re
 import sys
 import time
 from fractions import Fraction
@@ -274,6 +275,10 @@ class Command(NamedTuple):
     args: dict
 
 
+#: The values a subparser reads as a negative number, not an option name:
+#: argparse's own pattern takes -12 and -.5 but not -1e20 or -1.5E-3.
+_NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
+
 FLAG = {"action": "store_true"}
 CHECK = {"action": "store_true", "help": "re-validate the result by substitution before printing"}
 OPT_INT = {"type": int}
@@ -334,6 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = top.add_subparsers(dest="cmd", required=True)
     for name, cmd in COMMANDS.items():
         p = sub.add_parser(name, help=cmd.help)
+        p._negative_number_matcher = _NEGATIVE_NUMBER
         for key, spec in cmd.args.items():
             one_of = " | " in key
             group = p.add_mutually_exclusive_group(required=True) if one_of else p

@@ -7,14 +7,15 @@ Q(x) = x_1^2+..+x_4^2 + (x_1+..+x_4 - n)^2.  Any m with a positive count
 is therefore realizable by five cliques on n vertices.
 
 The histogram is accumulated over sorted tuples with permutation
-multiplicities; the tests compare it against a plain 4-loop count.
+multiplicities, read by tie pattern from a table; the tests compare it
+against a plain 4-loop count.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import combinations_with_replacement
+from itertools import accumulate, combinations_with_replacement
 from typing import Optional
 
 import numpy as np
@@ -70,6 +71,14 @@ def _perm_weight(x: tuple[int, ...]) -> int:
     return w
 
 
+#: _perm_weight of a sorted 4-tuple (a, b, c, d), indexed by its tie
+#: pattern (a == b) << 2 | (b == c) << 1 | (c == d), from one tuple of
+#: each pattern.
+_TIE_WEIGHTS = tuple(
+    _perm_weight(tuple(accumulate((not key & bit for bit in (4, 2, 1)), initial=0)))
+    for key in range(8))
+
+
 def _sum_cap(n: int, sum_cap: Optional[int]) -> int:
     """sum_cap, n by default, checked to lie in [0, n]."""
     sum_cap = n if sum_cap is None else sum_cap
@@ -92,12 +101,13 @@ def rep_histogram(n: int, N: int, sum_cap: Optional[int] = None) -> RepHistogram
         raise TupleBudgetExceeded(f"~{estimate} sorted tuples exceeds cap {_MAX_TUPLES}")
     _check_cap(64 * (tri(n) + 1), "histogram cells")  # one int64 cell per m
     counts = np.zeros(tri(n) + 1, dtype=np.int64)
-    for x in combinations_with_replacement(range(1, N + 1), 4):
-        s = x[0] + x[1] + x[2] + x[3]
+    tris = [tri(x) for x in range(n + 1)]  # every part and n - s of a kept tuple is <= n
+    for a, b, c, d in combinations_with_replacement(range(1, N + 1), 4):
+        s = a + b + c + d
         if s > sum_cap:
             continue
-        m = tri(x[0]) + tri(x[1]) + tri(x[2]) + tri(x[3]) + tri(n - s)
-        counts[m] += _perm_weight(x)
+        m = tris[a] + tris[b] + tris[c] + tris[d] + tris[n - s]
+        counts[m] += _TIE_WEIGHTS[(a == b) << 2 | (b == c) << 1 | (c == d)]
     return RepHistogram(n=n, N=N, sum_cap=sum_cap, counts=counts)
 
 

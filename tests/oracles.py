@@ -12,7 +12,8 @@ from unittest import mock
 import numpy as np
 
 from edgespectra import squares
-from edgespectra.certify import PairMF, _Budget, three_part_witness, two_part_witness
+from edgespectra.certify import (PairMF, _Budget, _z_window, three_part_witness,
+                                 two_part_witness)
 from edgespectra.cliquespec import EdgeSpectrum
 from edgespectra.graphs import (_achieved, _move_bits, _pair_dest, canonical_reps,
                                 subset_pair_mask)
@@ -179,6 +180,24 @@ def three_part_witness_scan(m: int, f: int) -> Optional[tuple[int, int, int]]:
             w = two_part_witness(m - zi, f - tri(zi))
             if w is not None and w[1] >= zi:
                 return (w[0], w[1], zi)
+    return None
+
+
+def three_part_witness_walk(m: int, f: int, *,
+                            budget: Optional[_Budget] = None) -> Optional[tuple[int, int, int]]:
+    """certify.three_part_witness without its running sum: the same
+    window, z order and budget, but each z solved afresh for the two
+    larger parts by two_part_witness.  Exact at any size."""
+    window = _z_window(m, f)
+    walk = window if budget is None else budget.charge(window)
+    for z in walk:
+        w = two_part_witness(m - z, f - tri(z))
+        if w is not None and w[1] >= z:
+            if budget is not None:
+                budget.refund(walk.stop - z - 1)
+            return (w[0], w[1], z)
+    if len(walk) < len(window):
+        raise budget.exceeded()
     return None
 
 

@@ -23,9 +23,10 @@ from edgespectra.certify import (
     two_part_witness,
 )
 from edgespectra.cliquespec import spectrum
+from edgespectra.pell import family_pair
 from edgespectra.triangles import clique_parts, tri
 from oracles import (brute_dm_witness, min_r_witness_loop, min_r_witness_search,
-                     three_part_witness_scan)
+                     three_part_witness_scan, three_part_witness_walk)
 
 HALF = Fraction(1, 2)
 
@@ -270,6 +271,48 @@ def test_three_part_witness_matches_scan():
         assert w == three_part_witness_scan(m, f), (m, f)
         hits += w is not None
     assert 100 < hits < 400  # both hits and misses are covered
+
+
+def test_three_part_witness_matches_walk_past_int64():
+    # m in [10^9, 10^12], where the int64 scan would wrap, and f within
+    # 600m of tri(m), so windows of up to 300 z-steps: triples with two
+    # small parts, the pairs beside them, and any f in that band
+    rng = random.Random(12)
+    pairs = []
+    for _ in range(100):
+        m = rng.randint(10 ** 9, 10 ** 12)
+        y, z = sorted((rng.randint(1, 300), rng.randint(1, 300)), reverse=True)
+        f = tri(m - y - z) + tri(y) + tri(z)
+        pairs += [(m, f - 1), (m, f), (m, f + 1), (m, tri(m) - rng.randint(0, 600 * m))]
+    hits = 0
+    for m, f in pairs:
+        w = three_part_witness(m, f)
+        assert w == three_part_witness_walk(m, f), (m, f)
+        hits += w is not None
+    assert 100 <= hits < 200  # each drawn triple's f hits, most of the rest miss
+    # the Pell family pairs, m up to 1.2 * 10^15, hit at the window's first z
+    for k in range(1, 7):
+        pair = family_pair(k)
+        w = three_part_witness(pair.m, pair.f)
+        assert w is not None and w == three_part_witness_walk(pair.m, pair.f), k
+
+
+def test_three_part_budget_matches_walk(monkeypatch):
+    # equal budgets are left equal, on hits, misses and windows the budget cuts
+    monkeypatch.setattr(certify, "_RANK_STEPS", 300)
+    outcomes = set()
+    for m, f in _seeded_three_part_pairs(200, seed=13)[:200]:
+        left = []
+        for fn in (three_part_witness, three_part_witness_walk):
+            budget = _Budget(m, f)
+            try:
+                result = fn(m, f, budget=budget)
+            except RankBudgetExceeded as exc:
+                result = str(exc)
+            left.append((result, budget.left, budget.windows))
+        assert left[0] == left[1], (m, f)
+        outcomes.add(type(left[0][0]))
+    assert outcomes == {tuple, type(None), str}
 
 
 def test_three_part_budget_charges_window_and_refunds_hit(monkeypatch):

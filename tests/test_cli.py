@@ -170,6 +170,19 @@ def test_interval_huge_finite_coefficients(capsys):
     assert code == 1 and json.loads(out)["first_gap"] == 25
 
 
+@pytest.mark.parametrize("argv", [
+    ["interval", "--n", "10", "--r", "2", "--c-low", "0", "--c-high", "-1e20"],
+    ["interval", "--n", "10", "--r", "2", "--c-low", "-1.5E-3", "--c-high", "-.5"],
+    ["exceptional", "--n", "30", "--lo-margin", "-1e1", "--hi-margin", "-2.5E+1"],
+])
+def test_negative_exponent_float_options(capsys, argv):
+    # a negative value in exponent form is a value, not an option name, as
+    # it is when joined to its option by "="
+    joined = argv[:3] + [f"{opt}={value}" for opt, value in zip(argv[3::2], argv[4::2])]
+    runs = [run_cli(capsys, a) for a in (argv, joined)]
+    assert runs[0][:2] == runs[1][:2] and runs[0][0] in (0, 1)
+
+
 def test_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["spectrum", "--n", "5"])  # missing --r

@@ -47,6 +47,15 @@ def test_weighted_equals_naive():
         assert np.array_equal(fast.counts, slow.counts), (n, N)
 
 
+def test_weighted_equals_naive_past_sum_cap():
+    # tuples over the sum cap are skipped, also where N exceeds n
+    for n, N, sum_cap in ((10, 6, 9), (6, 8, None), (25, 7, 13)):
+        fast = rep_histogram(n, N, sum_cap)
+        slow = rep_histogram_naive(n, N, sum_cap)
+        assert np.array_equal(fast.counts, slow.counts), (n, N, sum_cap)
+        assert fast.total_tuples > 0
+
+
 def test_sum_cap_restricts():
     full = rep_histogram(30, 6)
     capped = rep_histogram(30, 6, sum_cap=10)
