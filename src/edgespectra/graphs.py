@@ -7,17 +7,20 @@ popcount(edges & subset_pair_mask) and vectorized with numpy.
 
 Whether a graph hits (m, f) depends only on its isomorphism class, so arrow
 queries run the kernel over a catalogue of one representative per class.
-Each augmentation candidate is keyed by its edge count and its deck (the
-class ids of its vertex-deleted subgraphs), all candidates of a level at
-once in numpy; the number of distinct keys is checked against the exact
-Polya count, which proves that the keys separate the classes.  The class
-ids of all labeled k-vertex graphs (k <= 7) are built one vertex up: a
-labeled graph is a relabelled (k-1)-vertex representative plus vertex 0,
-so its class is that of a catalogue candidate, which the catalogue has
-already classed; only the (k-1)-vertex representatives are relabelled, under
-all (k-1)! permutations.  The same pass gives each class's lowest labeled
-mask: a labeled query (n <= 7) returns the lowest over the failing
-classes, a dedup query (n <= 8) the first failing representative.
+Each augmentation candidate is keyed by one uint64 that hashes its edge
+count and its deck (the class ids of its vertex-deleted subgraphs, each a
+few shift-and-mask bit runs of the candidate), all candidates of a level
+at once in numpy; the number of distinct keys is checked against the exact
+Polya count, which proves that the keys separate the classes.  A hash
+collision can only lower that number, so it raises instead of passing
+silently.  The class ids of all labeled k-vertex graphs (k <= 7) are built
+one vertex up: a labeled graph is a relabelled (k-1)-vertex representative
+plus vertex 0, so its class is that of a catalogue candidate, which the
+catalogue has already classed; only the (k-1)-vertex representatives are
+relabelled, under all (k-1)! permutations.  The same pass gives each
+class's lowest labeled mask: a labeled query (n <= 7) returns the lowest
+over the failing classes, a dedup query (n <= 8) the first failing
+representative.
 """
 
 from __future__ import annotations
@@ -94,7 +97,7 @@ class GraphMask:
         return (self.edges & subset_pair_mask(self.n, subset)).bit_count()
 
     def achieved_counts(self, m: int) -> set[int]:
-        return {self.induced_count(s) for s in combinations(range(self.n), m)}
+        return {(self.edges & s).bit_count() for s in _subset_masks(self.n, m)}
 
     @classmethod
     def from_edges(cls, n: int, edges) -> "GraphMask":
@@ -322,17 +325,28 @@ def _decode_pairs(N: int, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return u, idx - starts[u] + u + 1
 
 
+def _subsets_per_pass(n: int) -> int:
+    """n-subsets counted per numpy pass: as many as fit in _ENUM_CELLS
+    adjacency cells (n*n each), so a pass's memory is bounded whatever n
+    is."""
+    return max(1, _ENUM_CELLS // (n * n))
+
+
+def _induced_counts(adj: np.ndarray, subsets: np.ndarray) -> np.ndarray:
+    """Edges the graph adj induces on each row of the vertex array subsets."""
+    cells = adj[subsets[:, :, None], subsets[:, None, :]]
+    return cells.sum(axis=(1, 2), dtype=np.int64) // 2  # each edge sits in adj twice
+
+
 def _induced_edge_total(adj: np.ndarray, n: int) -> int:
     """Edges induced by every n-subset of the graph adj, summed over all
-    C(len(adj), n) subsets.  Each numpy pass takes as many subsets as fit
-    in _ENUM_CELLS adjacency cells (n*n each), so its memory is bounded
-    whatever n is."""
+    C(len(adj), n) subsets, _subsets_per_pass(n) subsets per numpy pass."""
     subsets = combinations(range(len(adj)), n)
-    rows = max(1, _ENUM_CELLS // (n * n))
+    rows = _subsets_per_pass(n)
     total = 0
     while len(s := np.fromiter(islice(subsets, rows), dtype=(np.intp, n))):
-        total += int(adj[s[:, :, None], s[:, None, :]].sum())
-    return total // 2  # each edge sits in adj twice
+        total += int(_induced_counts(adj, s).sum())
+    return total
 
 
 def concentration_experiment(
@@ -371,10 +385,13 @@ def concentration_experiment(
         enum_mean = Fraction(_induced_edge_total(adj, n), math.comb(N, n))
         identity_ok = enum_mean == expected_mean
 
+    # the samples are drawn one trial at a time, as a seeded run always
+    # drew them, and counted _subsets_per_pass(n) trials per numpy pass
     counts = np.empty(trials, dtype=np.int64)
-    for i in range(trials):
-        s = rng.choice(N, size=n, replace=False)
-        counts[i] = int(adj[np.ix_(s, s)].sum()) // 2
+    rows = _subsets_per_pass(n)
+    for lo in range(0, trials, rows):
+        drawn = [rng.choice(N, size=n, replace=False) for _ in range(min(rows, trials - lo))]
+        counts[lo:lo + len(drawn)] = _induced_counts(adj, np.array(drawn))
     emp_mean = float(counts.mean())
     emp_std = float(counts.std())
 
@@ -397,7 +414,7 @@ def concentration_experiment(
 
 
 # ---------------------------------------------------------------------------
-# Isomorphism-reduced catalogue (augmentation + deck keys + Polya count)
+# Isomorphism-reduced catalogue (augmentation + hashed deck keys + Polya count)
 # ---------------------------------------------------------------------------
 
 _CHUNK_BITS = 7       # bit moves go through one 128-entry table per 7-bit chunk
@@ -517,6 +534,30 @@ def canonical_reps(n: int) -> tuple[int, ...]:
     return _catalogue(n)[0]
 
 
+def _class_weights(count: int) -> np.ndarray:
+    """A fixed 64-bit weight per class index 0..count-1: splitmix64's
+    outputs for the states 1..count, in wrapping uint64 arithmetic."""
+    z = np.arange(1, count + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+    z = (z ^ (z >> 30)) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> 27)) * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> 31)
+
+
+@lru_cache(maxsize=None)
+def _deletion_runs(n: int, v: int) -> tuple[tuple[int, int, int], ...]:
+    """The n-vertex mask minus vertex v, as (source bit, width, target bit)
+    runs: the kept pairs keep their order, so the (n-1)-vertex mask is at
+    most v + 2 contiguous bit runs of the n-vertex one."""
+    runs: list[list[int]] = []
+    kept = (i for i, p in enumerate(pair_list(n)) if v not in p)
+    for dst, src in enumerate(kept):
+        if runs and runs[-1][0] + runs[-1][1] == src:
+            runs[-1][1] += 1
+        else:
+            runs.append([src, 1, dst])
+    return tuple(map(tuple, runs))
+
+
 @lru_cache(maxsize=None)
 def _catalogue(n: int) -> tuple[tuple[int, ...], np.ndarray]:
     """The representatives of the n-vertex classes, built by augmenting the
@@ -526,11 +567,16 @@ def _catalogue(n: int) -> tuple[tuple[int, ...], np.ndarray]:
     Candidate c = (parent, N) is the parent joined to a new vertex n - 1
     with neighbourhood N, at c = parent_index << (n - 1) | N.  Candidates
     come parent-major, neighborhood ascending, and the first of each key is
-    kept.  The key is the edge count plus the sorted deck: the class ids of
-    the n vertex-deleted subgraphs.  Keys are isomorphism invariants, so
-    #keys <= #classes <= _graph_count(n); the catalogue is returned only
-    when the first equals the last, which proves the keys separate the
-    classes.
+    kept, so classes are numbered in the order of their first candidates.
+    The key hashes the edge count and the deck (the classes of the n
+    vertex-deleted subgraphs) into one uint64: the edge count plus the sum
+    of _class_weights over the deck.  A sum does not see the order of the
+    deck, so the key is an isomorphism invariant and #keys <= #classes <=
+    _graph_count(n); the catalogue is returned only when the first equals
+    the last, which proves the keys separate the classes.  The uint64
+    arithmetic wraps, but only inside the hash: a collision merges two
+    keys, which lowers #keys and raises AssertionError, so it never
+    passes silently, and no certified count is ever computed in it.
     """
     if n == 1:
         return (0,), np.zeros(1, dtype=np.uint16)
@@ -540,26 +586,23 @@ def _catalogue(n: int) -> tuple[tuple[int, ...], np.ndarray]:
     nbhd = _move_bits(star, np.arange(1 << (n - 1), dtype=np.uint32))
     cand = (base.reshape(-1, 1) | nbhd).ravel()
 
-    # row v maps the n vertices onto n - 1 with v dropped (sent to n - 1)
-    deletions = np.array([[u - (u > v) if u != v else n - 1 for u in range(n)]
-                          for v in range(n)])
-    deck = _class_ids(n - 1)[0][_move_bits(_pair_dest(deletions, n - 1), cand)]
-    keys = np.column_stack([np.bitwise_count(cand).astype(np.uint16), np.sort(deck.T, axis=1)])
-    del deck
-    # rows by edge count, then deck (lexsort's last key is its primary); a
-    # stable sort puts the first candidate of each key at the head of its
-    # run.  np.unique(axis=0) finds the same heads but sorts rows as raw
-    # bytes, ~18x slower at n = 8.
-    order = np.lexsort(keys.T[::-1])
-    ranked = keys[order]
-    heads = np.r_[True, (ranked[1:] != ranked[:-1]).any(axis=1)]
-    del keys, ranked
-    expected, found = _graph_count(n), int(heads.sum())
+    sub_ids, weights = _class_ids(n - 1)[0], _class_weights(len(prev))
+    key = np.bitwise_count(cand).astype(np.uint64)
+    for v in range(n):
+        sub = np.zeros_like(cand)
+        for src, width, dst in _deletion_runs(n, v):
+            sub |= ((cand >> src) & ((1 << width) - 1)) << dst
+        key += weights[sub_ids[sub]]
+    order = np.argsort(key)
+    ranked = key[order]
+    heads = np.r_[True, ranked[1:] != ranked[:-1]]
+    del key, ranked
+    starts = np.flatnonzero(heads)
+    expected, found = _graph_count(n), len(starts)
     if found != expected:
         raise AssertionError(
-            f"catalogue for n={n} has {found} deck classes, Polya count is {expected}")
-    # classes are numbered in the order of their first candidates
-    first = order[heads]
+            f"catalogue for n={n} has {found} deck keys, Polya count is {expected}")
+    first = np.minimum.reduceat(order, starts)
     by_index = np.argsort(first)
     run_class = np.empty(len(first), dtype=np.uint16)
     run_class[by_index] = np.arange(len(first), dtype=np.uint16)

@@ -145,7 +145,9 @@ def exceptional_count(
 ) -> ExceptionalReport:
     """Count scan-range values m with no representation.
 
-    The scan range is [n^2/10 + lo_margin, (n^2-n)/2 - hi_margin].  With
+    The scan range is [n^2/10 + lo_margin, (n^2-n)/2 - hi_margin], clamped
+    to the edge counts [0, tri(n)]; the report's range and total are those
+    of the clamped window.  With
     asymptotic=True (n >= 2) the margins become n^2/log(n) and the coordinate
     cap n/5 - n/log(n), with natural logarithm (recorded in the report),
     so an explicit N or a nonzero margin is then a ValueError; that
@@ -171,8 +173,9 @@ def exceptional_count(
     if N is None:
         N = n // 5
     hist = rep_histogram(n, N, sum_cap)
-    lo = math.ceil(n * n / 10 + lo_margin)
-    hi = math.floor((n * n - n) / 2 - hi_margin)
+    # the window never leaves the edge counts [0, tri(n)] that hist covers
+    lo = max(0, math.ceil(n * n / 10 + lo_margin))
+    hi = min(tri(n), math.floor((n * n - n) / 2 - hi_margin))
     # the asymptotic cap N keeps every reachable m at or above tri(n - 4N),
     # which at moderate n lies above the whole range: that range is flagged
     # empty instead of counting every value a zero

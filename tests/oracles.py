@@ -4,6 +4,8 @@ Each one computes what a package function computes by a plainer, slower
 route; the tests require equal results.
 """
 
+import math
+from fractions import Fraction
 from itertools import combinations, permutations
 from math import isqrt
 from typing import Optional
@@ -11,7 +13,7 @@ from unittest import mock
 
 import numpy as np
 
-from edgespectra import squares
+from edgespectra import graphs, squares
 from edgespectra.certify import (PairMF, _Budget, _z_window, three_part_witness,
                                  two_part_witness)
 from edgespectra.cliquespec import EdgeSpectrum
@@ -114,9 +116,7 @@ def dedup_counterexamples(n: int, m: int) -> dict[tuple[int, int], int]:
     one Python set of induced edge counts per catalogue rep: for each
     (e, f), the first rep with e edges on none of whose m-subsets f edges
     are induced.  arrow(n, e, m, f, dedup=True) holds exactly when (e, f)
-    is missing, and compute_Snm(n, m, f, dedup=True) is the set of such e.
-    The subset masks are built once per call, not once per rep as
-    GraphMask.achieved_counts builds them, which would cost ~5 s at n = 8."""
+    is missing, and compute_Snm(n, m, f, dedup=True) is the set of such e."""
     smasks = [subset_pair_mask(n, s) for s in combinations(range(n), m)]
     first: dict[tuple[int, int], int] = {}
     for g in canonical_reps(n):
@@ -234,6 +234,41 @@ def induced_edge_total_per_subset(adj: np.ndarray, n: int) -> int:
     for s in combinations(range(len(adj)), n):
         total += int(adj[np.ix_(s, s)].sum()) // 2
     return total
+
+
+def concentration_per_trial(N: int, E: int, n: int, trials: int,
+                            seed: int = 0) -> graphs.ConcentrationReport:
+    """graphs.concentration_experiment as it counted each sample: one
+    np.ix_ submatrix sum per trial, and the exact mean subset by subset."""
+    rng = np.random.default_rng(seed)
+    chosen = rng.choice(tri(N), size=E, replace=False) if E else np.empty(0, dtype=int)
+    u, v = graphs._decode_pairs(N, chosen)
+    adj = np.zeros((N, N), dtype=bool)
+    adj[u, v] = adj[v, u] = True
+    expected_mean = Fraction(E) * tri(n) / tri(N) if tri(N) else Fraction(0)
+    enum_mean = identity_ok = None
+    if math.comb(N, n) <= graphs._ENUM_LIMIT:
+        enum_mean = Fraction(induced_edge_total_per_subset(adj, n), math.comb(N, n))
+        identity_ok = enum_mean == expected_mean
+    counts = np.empty(trials, dtype=np.int64)
+    for i in range(trials):
+        s = rng.choice(N, size=n, replace=False)
+        counts[i] = int(adj[np.ix_(s, s)].sum()) // 2
+    mu = float(expected_mean)
+    denom = min(n, N - n) * (n - 1) ** 2
+    tails = []
+    for cscale in graphs._TAIL_GRID:
+        t = cscale * (n - 1) * math.sqrt(min(n, N - n))
+        bound = 2.0 * math.exp(-2.0 * t * t / denom) if denom else 2.0
+        observed = float(np.mean(np.abs(counts - mu) >= t))
+        se = math.sqrt(max(bound * (1 - bound), 1e-12) / trials)
+        tails.append(graphs.TailCheck(t=t, bound=bound, observed=observed, slack=3 * se))
+    return graphs.ConcentrationReport(
+        N=N, E=E, n=n, trials=trials, seed=seed,
+        expected_mean=mu, empirical_mean=float(counts.mean()),
+        empirical_std=float(counts.std()), tails=tuple(tails),
+        enum_mean=enum_mean, expectation_identity_ok=identity_ok,
+    )
 
 
 def _parts_max_edges(v: int, j: int, cap: int) -> int:

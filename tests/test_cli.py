@@ -7,6 +7,7 @@ import threading
 import pytest
 
 from edgespectra.cli import main
+from edgespectra.repcount import rep_histogram
 from edgespectra.triangles import tri
 
 
@@ -181,6 +182,20 @@ def test_negative_exponent_float_options(capsys, argv):
     joined = argv[:3] + [f"{opt}={value}" for opt, value in zip(argv[3::2], argv[4::2])]
     runs = [run_cli(capsys, a) for a in (argv, joined)]
     assert runs[0][:2] == runs[1][:2] and runs[0][0] in (0, 1)
+
+
+@pytest.mark.parametrize("argv,lo,hi", [
+    (["exceptional", "--n", "30", "--lo-margin=-150"], 0, 435),
+    (["exceptional", "--n", "30", "--hi-margin=-25"], 90, 435),
+])
+def test_exceptional_window_clamped_to_edge_counts(capsys, argv, lo, hi):
+    # a negative margin cannot push the scan window past the edge counts
+    # [0, tri(30)]: the report counts the zeros of exactly the cells it names
+    code, out, _ = run_cli(capsys, argv)
+    rep = json.loads(out)
+    counts = rep_histogram(30, 6).counts
+    assert code == 0 and rep["range"] == [lo, hi] and rep["total"] == hi - lo + 1
+    assert rep["zeros_in_range"] == sum(counts[m] == 0 for m in range(lo, hi + 1))
 
 
 def test_usage_error_exit_code(capsys):

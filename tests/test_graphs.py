@@ -23,8 +23,9 @@ from edgespectra.graphs import (
     turan_number,
 )
 from edgespectra.triangles import tri
-from oracles import (class_ids_by_relabelling, dedup_counterexamples,
-                     induced_edge_total_per_subset, labeled_counterexamples)
+from oracles import (class_ids_by_relabelling, concentration_per_trial,
+                     dedup_counterexamples, induced_edge_total_per_subset,
+                     labeled_counterexamples)
 
 # isomorphism-class counts of simple graphs on 1..10 vertices (OEIS A000088)
 ISO_COUNTS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044, 8: 12346,
@@ -259,17 +260,21 @@ def test_graph_count_is_A000088():
 
 
 @pytest.fixture
-def graph_count_off_at_5(monkeypatch):
-    real = graphs._graph_count
-    # every table derived from the catalogue
+def fresh_catalogue():
+    """Every table derived from the catalogue, built anew in the test and
+    dropped after it."""
     caches = (graphs._catalogue, graphs._relabelled, graphs._class_ids, graphs._rep_tables)
     for cache in caches:
         cache.cache_clear()
-    monkeypatch.setattr(graphs, "_graph_count", lambda n: real(n) + (n == 5))
     yield
-    monkeypatch.undo()
     for cache in caches:
         cache.cache_clear()
+
+
+@pytest.fixture
+def graph_count_off_at_5(fresh_catalogue, monkeypatch):
+    real = graphs._graph_count
+    monkeypatch.setattr(graphs, "_graph_count", lambda n: real(n) + (n == 5))
 
 
 def test_catalogue_fails_closed_on_count_mismatch(graph_count_off_at_5, capsys):
@@ -281,6 +286,53 @@ def test_catalogue_fails_closed_on_count_mismatch(graph_count_off_at_5, capsys):
         assert code == 1, dedup
         assert "check failed: catalogue for n=5" in err
         assert json.loads(err.strip().splitlines()[-1])["subcommand"] == "snm"
+
+
+def test_catalogue_fails_closed_on_key_collision(fresh_catalogue, monkeypatch, capsys):
+    # one weight for all 11 four-vertex classes leaves only the edge count
+    # to key the five-vertex candidates on: 11 keys for 34 classes
+    real = graphs._class_weights
+    monkeypatch.setattr(graphs, "_class_weights",
+                        lambda count: np.ones(count, np.uint64) if count == 11 else real(count))
+    with pytest.raises(AssertionError, match="n=5 has 11 deck keys, Polya count is 34"):
+        canonical_reps(5)
+    assert main(["snm", "--n", "5", "--m", "3", "--f", "1", "--dedup"]) == 1
+    assert "check failed: catalogue for n=5" in capsys.readouterr().err
+
+
+# sha256 of repr(reps), the dtype string and the bytes of the candidate
+# class table of _catalogue(n), taken from the sorted-deck build that the
+# hashed deck key replaced
+CATALOGUE_SHA256 = {
+    1: "dfe41ca6f440533050ecc5077217825333cbf51d36ba75cfd0793b9d428f658a",
+    2: "d0fab4be83b46b477b317361c3d932f4e4d57de4b055801f340a414b8f189e7c",
+    3: "3c770f5afe41898014ec0b28b46b77428fe8c25db82248f5b7c2805282b861ed",
+    4: "d04027c97c4f5c20a44845de48adb67a71b18c50112e488280b5f7533d5179fe",
+    5: "a33fa96ba26ad278918a0c50ff0a705b73e6326f84cdd19902d590e5c632a34e",
+    6: "434dd298b7d2fa948f4e29ac9f215aaeea0a0dbc5ecf00e9a8bba05a1b90652b",
+    7: "fdcec184cb6d2b00c6a14042a121b84bda29868ce671b15a5a10d967e66736da",
+    8: "3378d412c911150bac092c80093703f1be392136d50803a76c3acc8a3df131bf",
+}
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_catalogue_pinned(n):
+    reps, cand_class = graphs._catalogue(n)
+    blob = repr(reps).encode() + cand_class.dtype.str.encode() + cand_class.tobytes()
+    assert hashlib.sha256(blob).hexdigest() == CATALOGUE_SHA256[n]
+
+
+def test_deletion_runs_drop_one_vertex():
+    # the runs move bit (u, w) of the n-vertex mask to the bit of the pair
+    # renumbered without v, and there are at most v + 2 of them
+    for n in range(2, 10):
+        for v in range(n):
+            runs = graphs._deletion_runs(n, v)
+            moved = [(src + i, dst + i) for src, width, dst in runs for i in range(width)]
+            renumbered = {p: i for i, p in enumerate(pair_list(n - 1))}
+            want = [(i, renumbered[(u - (u > v), w - (w > v))])
+                    for i, (u, w) in enumerate(pair_list(n)) if v not in (u, w)]
+            assert moved == want and len(runs) <= v + 2, (n, v)
 
 
 @pytest.mark.parametrize("k", range(1, 8))
@@ -464,6 +516,23 @@ def test_induced_edge_total_pass_boundaries(monkeypatch, N, n, cells):
     expected = induced_edge_total_per_subset(adj, n)
     monkeypatch.setattr(graphs, "_ENUM_CELLS", cells)
     assert graphs._induced_edge_total(adj, n) == expected
+
+
+@pytest.mark.parametrize("N,E,n,trials,seed", [
+    (6, 5, 3, 500, 0), (12, 30, 5, 200, 1), (12, 66, 5, 200, 2),
+    (12, 0, 4, 50, 3),  # no edges
+    (7, 10, 7, 40, 4),  # every sample is the whole graph
+    (50, 600, 10, 300, 5),
+    (40, 300, 30, 1500, 6)])  # 1500 * 30^2 cells: two passes, the second partial
+def test_concentration_matches_per_trial_oracle(N, E, n, trials, seed):
+    assert concentration_experiment(N, E, n, trials, seed) == \
+        concentration_per_trial(N, E, n, trials, seed)
+
+
+def test_concentration_pass_boundaries(monkeypatch):
+    # two subsets of 25 cells per pass: 101 trials end on a partial pass
+    monkeypatch.setattr(graphs, "_ENUM_CELLS", 2 * 25 + 3)
+    assert concentration_experiment(12, 30, 5, 101, 7) == concentration_per_trial(12, 30, 5, 101, 7)
 
 
 def test_concentration_reproducible():
