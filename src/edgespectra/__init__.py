@@ -70,6 +70,7 @@ from .repcount import (
     rep_histogram,
 )
 from .squares import (
+    DescentBudgetExceeded,
     PreconditionViolated,
     ThreeSquareDecomp,
     WindowExhausted,

@@ -4,11 +4,11 @@ Results go to standard output as JSON (JSON lines for sampling campaigns);
 diagnostics and a reproducibility manifest go to standard error, on every
 call.  Exit status: 0 on success; 1 on a verification failure (an interval
 gap, "check failed: ..." from a re-validation) or a named package failure
-(PreconditionViolated, WindowExhausted, ScaleRejected, SpectrumMemoryError,
-TupleBudgetExceeded, RankBudgetExceeded, OverflowError, RecursionError); 2 on
-a usage error (argparse, or a ValueError for a bad value, such as an
---export or --csv path that cannot be written).  Failures print
-"error: <ExceptionName>: <message>".
+(PreconditionViolated, WindowExhausted, DescentBudgetExceeded, ScaleRejected,
+SpectrumMemoryError, TupleBudgetExceeded, RankBudgetExceeded, OverflowError,
+RecursionError); 2 on a usage error (argparse, or a ValueError for a bad
+value, such as an --export or --csv path that cannot be written).  Failures
+print "error: <ExceptionName>: <message>".
 
 --check, offered where it re-validates the result by an independent
 substitution, is accepted by spectrum, witness, density, classify, minr, dm,
@@ -327,9 +327,10 @@ COMMANDS = {
 }
 
 # Named failures of the package; a ValueError (a bad value) exits 2 instead.
-_FAILURES = (squares.PreconditionViolated, squares.WindowExhausted, graphs.ScaleRejected,
-             cliquespec.SpectrumMemoryError, repcount.TupleBudgetExceeded,
-             certify.RankBudgetExceeded, OverflowError, RecursionError)
+_FAILURES = (squares.PreconditionViolated, squares.WindowExhausted,
+             squares.DescentBudgetExceeded, graphs.ScaleRejected, cliquespec.SpectrumMemoryError,
+             repcount.TupleBudgetExceeded, certify.RankBudgetExceeded, OverflowError,
+             RecursionError)
 
 
 def build_parser() -> argparse.ArgumentParser:

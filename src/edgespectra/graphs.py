@@ -21,6 +21,14 @@ relabelled, under all (k-1)! permutations.  The same pass gives each
 class's lowest labeled mask: a labeled query (n <= 7) returns the lowest
 over the failing classes, a dedup query (n <= 8) the first failing
 representative.
+
+Pair bits move by two idioms (best of 5, 2-core x86-64 VM).  A relabelling
+permutes the pairs, so relabel maps, many rows at once, go through
+_move_bits, one shift-and-OR per source bit: its 26 calls in a cold
+canonical_reps(8) take 3.2 ms.  Deleting a vertex keeps the other pairs in
+order, so the deck reads each vertex-deleted subgraph as at most v + 2 bit
+runs (_deletion_runs): 6.2 ms for n = 8's 133,632 candidates, 24 ms by
+_move_bits.
 """
 
 from __future__ import annotations
@@ -231,12 +239,9 @@ def interval_runs(n: int, m: int, f: int) -> RunReport:
 # ---------------------------------------------------------------------------
 
 def _clique_union_mask(n: int, parts: tuple[int, ...]) -> int:
-    idx = _pair_index(n)
-    mask = 0
-    start = 0
+    mask = start = 0
     for p in parts:
-        for u, v in combinations(range(start, start + p), 2):
-            mask |= 1 << idx[(u, v)]
+        mask |= subset_pair_mask(n, tuple(range(start, start + p)))
         start += p
     return mask
 
@@ -417,9 +422,9 @@ def concentration_experiment(
 # Isomorphism-reduced catalogue (augmentation + hashed deck keys + Polya count)
 # ---------------------------------------------------------------------------
 
-_CHUNK_BITS = 7       # bit moves go through one 128-entry table per 7-bit chunk
-_PERM_CHUNK = 360     # permutations relabelled at once by _relabelled
-_ROW_CHUNK = 1 << 12  # labeled (k-1)-vertex graphs extended at once by _class_ids
+# labeled (k-1)-vertex graphs extended at once by _class_ids; unchunked,
+# the candidate index array of _class_ids(7) would be 2^21 intp (16 MB)
+_ROW_CHUNK = 1 << 12
 
 
 def _graph_count(n: int) -> int:
@@ -445,11 +450,11 @@ def _graph_count(n: int) -> int:
 def _pair_dest(maps: np.ndarray, k: int) -> np.ndarray:
     """Pair bit positions under vertex maps.
 
-    Row p of maps sends vertex u to maps[p, u] in range(k), or drops it
-    when maps[p, u] == k.  The result holds, per row, the bit of each pair
-    of range(maps.shape[1]) in the k-vertex pair order, -1 where dropped.
+    Row p of maps sends vertex u to maps[p, u] in range(k).  The result
+    holds, per row, the bit of each pair of range(maps.shape[1]) in the
+    k-vertex pair order.
     """
-    index = np.full((k + 1, k + 1), -1, dtype=np.intp)
+    index = np.zeros((k, k), dtype=np.intp)
     for i, (u, v) in enumerate(pair_list(k)):
         index[u, v] = index[v, u] = i
     pairs = np.array(pair_list(maps.shape[1]), dtype=np.intp).reshape(-1, 2)
@@ -457,16 +462,11 @@ def _pair_dest(maps: np.ndarray, k: int) -> np.ndarray:
 
 
 def _move_bits(dest: np.ndarray, words: np.ndarray) -> np.ndarray:
-    """out[p, j] sets bit dest[p, i] for every set bit i of words[j]
-    (bits with dest -1 are dropped)."""
-    weight = np.where(dest >= 0, np.left_shift(1, np.maximum(dest, 0)), 0).astype(np.uint32)
-    chunk = np.arange(1 << _CHUNK_BITS, dtype=np.uint32)
+    """out[p, j] sets bit dest[p, i] for every set bit i of words[j]."""
+    shifts = dest.astype(np.uint32)
     out = np.zeros((dest.shape[0], words.size), dtype=np.uint32)
-    for lo in range(0, dest.shape[1], _CHUNK_BITS):
-        w = weight[:, lo:lo + _CHUNK_BITS]
-        bits = (chunk[:, None] >> np.arange(w.shape[1], dtype=np.uint32)) & 1
-        table = np.bitwise_or.reduce(w[:, None, :] * bits, axis=2)
-        out |= table[:, (words >> lo) & ((1 << _CHUNK_BITS) - 1)]
+    for i in range(dest.shape[1]):
+        out |= ((words >> i) & 1) << shifts[:, i, None]
     return out
 
 
@@ -475,20 +475,17 @@ def _relabelled(k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Every labeled k-vertex graph g as its class and one relabelling that
     reaches it: ids[g] indexes canonical_reps(k), and the row perms[index[g]]
     sends vertex u of that representative to vertex perms[index[g], u] of g.
-    Found by relabelling each representative under all k! permutations."""
+    One scatter moves every representative under all k! permutations: only
+    _class_ids(k + 1) calls this, so k <= 6 and the moved masks fill 450 KB."""
     reps = canonical_reps(k)
     perms = np.array(list(permutations(range(k))), dtype=np.intp)
+    moved = _move_bits(_pair_dest(perms, k), np.array(reps, dtype=np.uint32))
     ids = np.zeros(1 << tri(k), dtype=np.uint16)
     index = np.zeros(1 << tri(k), dtype=np.uint16)
-    words = np.array(reps, dtype=np.uint32)
-    cls = np.arange(len(reps), dtype=np.uint16)
-    for lo in range(0, len(perms), _PERM_CHUNK):
-        chunk = perms[lo:lo + _PERM_CHUNK]
-        moved = _move_bits(_pair_dest(chunk, k), words)
-        # an automorphism sends a representative to one g twice; either
-        # relabelling is as good, so which write lands does not matter
-        ids[moved] = cls
-        index[moved] = np.arange(lo, lo + len(chunk), dtype=np.uint16)[:, None]
+    # an automorphism sends a representative to one g twice; either
+    # relabelling is as good, so which write lands does not matter
+    ids[moved] = np.arange(len(reps), dtype=np.uint16)
+    index[moved] = np.arange(len(perms), dtype=np.uint16)[:, None]
     return ids, index, perms
 
 
@@ -521,8 +518,7 @@ def _class_ids(k: int) -> tuple[np.ndarray, np.ndarray]:
         cand = (sub_ids[lo:hi].astype(np.intp)[:, None] << width) | back[sub_index[lo:hi]]
         block = cand_class[cand].ravel()
         ids[lo << width:hi << width] = block
-        masks = (np.arange(lo, hi, dtype=np.uint32)[:, None] << np.uint32(width)) | nbhd
-        np.minimum.at(lowest, block, masks.ravel())
+        np.minimum.at(lowest, block, np.arange(lo << width, hi << width, dtype=np.uint32))
     return ids, lowest
 
 

@@ -6,6 +6,7 @@ import threading
 
 import pytest
 
+from edgespectra import squares
 from edgespectra.cli import main
 from edgespectra.repcount import rep_histogram
 from edgespectra.triangles import tri
@@ -370,6 +371,15 @@ def test_rank_budget_overrun_exits_1_with_manifest(capsys):
     assert code == 1 and out == ""
     assert "error: RankBudgetExceeded:" in err and "three-part windows" in err
     assert _manifest(err)["subcommand"] == "minr"
+
+
+def test_descent_budget_overrun_exits_1_with_manifest(capsys, monkeypatch):
+    # a budget of 1000 y-steps refuses 10^30 + 3 at once
+    monkeypatch.setattr(squares, "_DESCENT_STEPS", 1000)
+    code, out, err = run_cli(capsys, ["three-squares", "--v", str(10 ** 30 + 3)])
+    assert code == 1 and out == ""
+    assert "error: DescentBudgetExceeded:" in err and "walked all 1000 y-steps" in err
+    assert _manifest(err)["subcommand"] == "three-squares"
 
 
 @pytest.mark.parametrize("export", [False, True])

@@ -2,6 +2,7 @@ import hashlib
 import json
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations, permutations
 
 import numpy as np
 import pytest
@@ -333,6 +334,34 @@ def test_deletion_runs_drop_one_vertex():
             want = [(i, renumbered[(u - (u > v), w - (w > v))])
                     for i, (u, w) in enumerate(pair_list(n)) if v not in (u, w)]
             assert moved == want and len(runs) <= v + 2, (n, v)
+
+
+def _relabel(g: int, perm: tuple[int, ...], k: int) -> int:
+    """The k-vertex mask g with each vertex u renamed perm[u], pair by pair."""
+    pairs = list(combinations(range(k), 2))
+    bit = {p: i for i, p in enumerate(pairs)}
+    return sum(1 << bit[tuple(sorted((perm[u], perm[v])))]
+               for i, (u, v) in enumerate(pairs) if g >> i & 1)
+
+
+@pytest.mark.parametrize("k", range(1, 6))
+def test_move_bits_matches_python_relabelling(k):
+    # the bit mover the catalogue and its oracle share, against a plain
+    # relabelling: every pair map on every k-vertex mask, the vertex-bit
+    # map _class_ids builds back[p, N] = p^-1(N) with, and the relabelling
+    # _relabelled records for every labeled graph
+    perms = list(permutations(range(k)))
+    maps = np.array(perms, dtype=np.intp)
+    masks = range(1 << tri(k))
+    moved = graphs._move_bits(graphs._pair_dest(maps, k), np.array(masks, dtype=np.uint32))
+    assert moved.tolist() == [[_relabel(g, p, k) for g in masks] for p in perms]
+    back = graphs._move_bits(np.argsort(maps, axis=1), np.arange(1 << k, dtype=np.uint32))
+    assert back.tolist() == [[sum(1 << u for u in range(k) if nbhd >> p[u] & 1)
+                              for nbhd in range(1 << k)] for p in perms]
+    ids, index, rows = graphs._relabelled(k)
+    reps = canonical_reps(k)
+    for g in masks:
+        assert _relabel(reps[ids[g]], tuple(rows[index[g]]), k) == g, (k, g)
 
 
 @pytest.mark.parametrize("k", range(1, 8))

@@ -1,11 +1,13 @@
 import math
 import random
+import time
 
 import numpy as np
 import pytest
 
 from edgespectra import squares
 from edgespectra.squares import (
+    DescentBudgetExceeded,
     PreconditionViolated,
     WindowExhausted,
     bennett_search,
@@ -67,6 +69,26 @@ def test_decomp_strips_factors_of_four(monkeypatch):
             assert len(roots) == steps, (u, k)
     d = three_square_decomp(2 * 4 ** 40)
     assert (d.x, d.y, d.z) == (2 ** 40, 2 ** 40, 0)
+
+
+def test_decomp_budget_refuses_huge_v():
+    # unbudgeted, the descent of 10^30 + 3 did not return in 30 s
+    start = time.perf_counter()
+    with pytest.raises(DescentBudgetExceeded,
+                       match=f"walked all {squares._DESCENT_STEPS} y-steps"):
+        three_square_decomp(10 ** 30 + 3)
+    assert time.perf_counter() - start < 10
+
+
+def test_decomp_budget_counts_inner_steps(monkeypatch):
+    # 935332294 is decomposed on its 352nd y-step: a budget of 352 answers
+    # it unchanged, one of 351 refuses it
+    want = three_square_decomp(935332294)
+    monkeypatch.setattr(squares, "_DESCENT_STEPS", 352)
+    assert three_square_decomp(935332294) == want
+    monkeypatch.setattr(squares, "_DESCENT_STEPS", 351)
+    with pytest.raises(DescentBudgetExceeded, match="walked all 351 y-steps"):
+        three_square_decomp(935332294)
 
 
 def test_formula_matches_sieve():
