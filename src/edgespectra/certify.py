@@ -24,15 +24,16 @@ the search decides whether f is the edge sum of any partition of m; a
 pair with no representation is answered there.  Then it runs at part
 counts j = 3, 4, ... with three_part_witness (a walk over the smallest
 part within a closed-form window, keeping the discriminant of the other
-two parts as a running sum) as its three-part step, and the first j that
-admits a partition gives the witness.  The three-part windows of
-one search share a budget of z-steps, charged per window in closed form, so a
-search that cannot decide in time raises RankBudgetExceeded instead of
-running on.  min_r is the witness's part count less one, so the rank and
-its certificate never disagree.  Every step is exact integer arithmetic:
-the one- and two-part quadratics are solved with triangles.int_roots,
-the three-part walk tests each discriminant with isqrt, and nothing here
-is fixed-width.
+two parts as a running sum in triangles.first_square, the kernel the
+three-square descent of squares runs on too) as its three-part step, and
+the first j that admits a partition gives the witness.  The three-part
+windows of one search share a budget of z-steps, charged per window in
+closed form, so a search that cannot decide in time raises
+RankBudgetExceeded instead of running on.  min_r is the witness's part
+count less one, so the rank and its certificate never disagree.  Every
+step is exact integer arithmetic: the one- and two-part quadratics are
+solved with triangles.int_roots, the three-part walk tests each
+discriminant with isqrt, and nothing here is fixed-width.
 """
 
 from __future__ import annotations
@@ -42,8 +43,8 @@ from fractions import Fraction
 from math import isqrt
 from typing import Callable, NamedTuple, Optional
 
-from .triangles import (clique_parts, decompose_lower, decompose_upper, int_roots, tri,
-                        tri_root, two_part_witness)
+from .triangles import (ceil_sqrt, clique_parts, decompose_lower, decompose_upper,
+                        first_square, int_roots, tri, tri_root, two_part_witness)
 
 #: The five pairs whose density is exactly 1.
 SPECIAL_PAIRS = frozenset({(2, 0), (2, 1), (4, 3), (5, 4), (5, 6)})
@@ -307,14 +308,8 @@ def _z_window(m: int, f: int) -> range:
     if m < 3 or n < 0:
         return range(0)
     root = isqrt(n)
-    t = (root + (root * root < n) + 1) // 2  # the least t >= 0 with 4t^2 >= n
+    t = (ceil_sqrt(n) + 1) // 2  # the least t >= 0 with 4t^2 >= n
     return range(max(1, -(-(m - root) // 3)), (m - t) // 3 + 1)
-
-
-#: Which residues mod 64 and mod 63 a square can leave: d passes both only
-#: when it may be a square, about 1 value in 21, and only then is isqrt run.
-_SQUARE_MOD64 = bytes(r in {i * i % 64 for i in range(64)} for r in range(64))
-_SQUARE_MOD63 = bytes(r in {i * i % 63 for i in range(63)} for r in range(63))
 
 
 def three_part_witness(m: int, f: int, *,
@@ -325,12 +320,13 @@ def three_part_witness(m: int, f: int, *,
     Every such triple satisfies (3z - m)^2 + 3(x - y)^2 = N with
     N = 12f + 6m - 2m^2, so the smallest part z starts where
     (m - 3z)^2 <= N first holds, and y >= z holds only while
-    4(m - 3z)^2 >= N.  The loop walks z upward through the window and
-    keeps d = (x - y)^2 = (N - (m - 3z)^2) / 3, which the window keeps
-    >= 0, in one running sum: d(z + 1) - d(z) = 2m - 6z - 3.  A d that
-    passes the square residues mod 64 and mod 63 is tested by isqrt, and
-    a square s^2 gives x, y = (m - z +- s) / 2.  Exact integer arithmetic
-    at any size.
+    4(m - 3z)^2 >= N.  triangles.first_square walks z upward through the
+    window and keeps d = (x - y)^2 = (N - (m - 3z)^2) / 3, which the
+    window keeps >= 0, in one running sum: d(z + 1) - d(z) = 2m - 6z - 3,
+    a step that falls by 6 per z.  Only a d that passes the square
+    residues mod 64 and mod 63 is tested by isqrt, and the first square
+    s^2 gives x, y = (m - z +- s) / 2.  Exact integer arithmetic at any
+    size.
 
     A budget is charged the window's length before the walk and refunded
     the steps a hit leaves unwalked; RankBudgetExceeded is raised when the
@@ -339,17 +335,14 @@ def three_part_witness(m: int, f: int, *,
     window = _z_window(m, f)
     walk = window if budget is None else budget.charge(window)
     z = walk.start
-    d = (m - z) * (2 - m + z) + 4 * f - 2 * z * (z - 1)
-    step = 2 * m - 6 * z - 3
-    for z in walk:
-        if _SQUARE_MOD64[d & 63] and _SQUARE_MOD63[d % 63]:
-            s = isqrt(d)
-            if s * s == d:  # the window's end keeps y >= z
-                if budget is not None:
-                    budget.refund(walk.stop - z - 1)
-                return ((m - z + s) // 2, (m - z - s) // 2, z)
-        d += step
-        step -= 6
+    hit = first_square((m - z) * (2 - m + z) + 4 * f - 2 * z * (z - 1),
+                       2 * m - 6 * z - 3, -6, len(walk))
+    if hit is not None:  # the window's end keeps y >= z
+        i, s = hit
+        if budget is not None:
+            budget.refund(len(walk) - i - 1)
+        z += i
+        return ((m - z + s) // 2, (m - z - s) // 2, z)
     if len(walk) < len(window):
         raise budget.exceeded()
     return None

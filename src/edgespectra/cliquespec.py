@@ -65,7 +65,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator
 
-from .triangles import clique_parts, min_clique_edges, tri
+from .triangles import ceil_sqrt, clique_parts, min_clique_edges, tri
 
 ENV_MAX_TABLE_BITS = "EDGESPECTRA_MAX_TABLE_BITS"
 _DEFAULT_MAX_TABLE_BITS = 8_000_000_000  # ~1 GB of row storage
@@ -466,9 +466,10 @@ def verify_interval(n: int, r: int, c_low: float, c_high: float, *, clip: bool =
     true and flagged as such.  c_low and c_high must be finite; each is
     read as the decimal it prints as (0.1 is 1/10), an exact rational, so
     the endpoints are exact at any magnitude: with c_high = p/q,
-    c_high * n^1.5 = +-sqrt(p^2 n^3)/q is rounded through isqrt.  Nothing
-    above tri(n) is in C(n, r), so the scan stops at tri(n) + 1 (at lo, if
-    that is higher).
+    c_high * n^1.5 = +-sqrt(p^2 n^3)/q, and hi is tri(n) plus
+    floor(sqrt(p^2 n^3)) // q or minus the least integer >= sqrt(p^2 n^3)/q.
+    Nothing above tri(n) is in C(n, r), so the scan stops at tri(n) + 1
+    (at lo, if that is higher).
     """
     import math
 
@@ -477,12 +478,8 @@ def verify_interval(n: int, r: int, c_low: float, c_high: float, *, clip: bool =
         raise ValueError(f"c_low and c_high must be finite, got {c_low} and {c_high}")
     lo = math.ceil(Fraction(n * n, 2 * r) + Fraction(repr(c_low)) * n)
     p, q = Fraction(repr(c_high)).as_integer_ratio()
-    square = p * p * n ** 3
-    root = math.isqrt(square)  # floor(|c_high| n^1.5) = root // q
-    if p < 0:
-        hi = tri(n) + root // q
-    else:
-        hi = tri(n) - root // q - (root * root != square or root % q != 0)
+    square = p * p * n ** 3  # (q c_high n^1.5)^2
+    hi = tri(n) + (math.isqrt(square) if p < 0 else -ceil_sqrt(square)) // q
     spec = spectrum(n, r)
     if clip and spec.mask:
         lo = max(lo, spec.min_element)

@@ -101,9 +101,6 @@ class GraphMask:
         pl = pair_list(self.n)
         return [pl[i] for i in range(tri(self.n)) if (self.edges >> i) & 1]
 
-    def induced_count(self, subset: tuple[int, ...]) -> int:
-        return (self.edges & subset_pair_mask(self.n, subset)).bit_count()
-
     def achieved_counts(self, m: int) -> set[int]:
         return {(self.edges & s).bit_count() for s in _subset_masks(self.n, m)}
 

@@ -1,10 +1,12 @@
 """Three-square machinery and the constructive 7-clique witness solver.
 
 A non-negative integer is a sum of three squares exactly when stripping
-every factor of 4 leaves a residue other than 7 mod 8.  witness7 uses that
-fact to build, for an admissible (n, m), seven clique sizes summing to n
-whose edge counts sum to m: three symmetric pairs t +- s_i around a pivot
-t plus one remainder clique of n - 6t vertices.
+every factor of 4 leaves a residue other than 7 mod 8.  three_square_decomp
+finds the squares, walking each window of its descent with
+triangles.first_square under a budget charged per window.  witness7 uses
+the decomposition to build, for an admissible (n, m), seven clique sizes
+summing to n whose edge counts sum to m: three symmetric pairs t +- s_i
+around a pivot t plus one remainder clique of n - 6t vertices.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from dataclasses import dataclass
 from math import isqrt
 from typing import Optional
 
-from .triangles import int_roots, tri
+from .triangles import ceil_sqrt, first_square, int_roots, tri
 
 
 class PreconditionViolated(Exception):
@@ -33,10 +35,11 @@ class DescentBudgetExceeded(Exception):
     finding a decomposition."""
 
 
-#: y-steps one three_square_decomp descent may walk: about 0.5 s at v near
-#: 10^18 and 0.9 s at 10^30 (2-core x86-64 VM; a step's isqrt grows with
-#: v).  The most that any seeded v walked: 358,196 of 10,000 v <= 10^15,
-#: 1,390,295 of 2,000 v <= 10^18, so every one of them is answered.
+#: y-steps one three_square_decomp descent may walk: 0.3 to 0.55 s, both
+#: for 729555738377712073 and for 10^30 + 3, which spend it (2-core x86-64
+#: VM; a step runs isqrt only past the square residues).  The most that any
+#: seeded v walked: 358,196 of 10,000 v <= 10^15, 1,390,295 of 2,000
+#: v <= 10^18, so every one of them is answered.
 _DESCENT_STEPS = 2_000_000
 
 
@@ -66,42 +69,41 @@ class ThreeSquareDecomp:
 def three_square_decomp(v: int) -> Optional[ThreeSquareDecomp]:
     """A decomposition v = x^2 + y^2 + z^2 with x >= y >= z, or None.
 
-    Deterministic: largest feasible x, then largest y.  The residue test
-    short-circuits excluded values; for admissible v the descent always
-    finds a witness, and a miss would surface as a None mismatching
-    is_three_square in the cross-check suites.  A sum of three squares
-    divisible by 4 has all three even, so every decomposition of 4u is
-    twice one of u: the descent runs on v with its factors of 4 stripped,
-    and its answer is scaled back.
+    Deterministic: largest feasible x, then largest y.  A sum of three
+    squares divisible by 4 has all three even, so the factors of 4 are
+    stripped once, u = 8k + 7 is answered None, and the descent runs on u
+    and scales its answer back; for admissible u it always finds a witness.
+    For each x, triangles.first_square walks z^2 = w - y^2, w = u - x^2,
+    for y from min(x, isqrt(w)) down to the least y with 2y^2 >= w.
 
-    The descent's inner y-steps are charged to a budget of _DESCENT_STEPS;
-    DescentBudgetExceeded is raised once it is spent, so a huge v is
+    The y-steps are charged to a budget of _DESCENT_STEPS a window at a
+    time, as the rank search charges its windows, and a window the budget
+    cuts short without a hit raises DescentBudgetExceeded, so a huge v is
     refused in bounded time: unbudgeted, 10^30 + 3 was not answered in 30 s.
     """
     if v < 0:
         raise ValueError(f"need v >= 0, got {v}")
-    if not is_three_square(v):
-        return None
     u, k = v, 0
     while u and u % 4 == 0:
         u, k = u // 4, k + 1
+    if u % 8 == 7:
+        return None
     left = _DESCENT_STEPS
     for x in range(isqrt(u), -1, -1):
         w = u - x * x
         if w > 2 * x * x:  # y, z <= x unreachable
             break
-        y = min(x, isqrt(w))
-        while 2 * y * y >= w:
-            if not left:
-                raise DescentBudgetExceeded(
-                    f"three-square descent of v = {v} walked all {_DESCENT_STEPS} "
-                    f"y-steps of its budget, down to x = {x}")
-            left -= 1
-            z2 = w - y * y
-            z = isqrt(z2)
-            if z * z == z2:
-                return ThreeSquareDecomp(target=v, x=x << k, y=y << k, z=z << k)
-            y -= 1
+        y = x if x * x <= w else isqrt(w)  # min(x, isqrt(w)), without a call per x
+        count = y - isqrt((w - 1) // 2) if w else 1  # y down to the least with 2y^2 >= w
+        hit = first_square(w - y * y, 2 * y - 1, -2, count if count < left else left)
+        if hit is not None:
+            i, z = hit
+            return ThreeSquareDecomp(target=v, x=x << k, y=(y - i) << k, z=z << k)
+        if left < count:
+            raise DescentBudgetExceeded(
+                f"three-square descent of v = {v} walked all {_DESCENT_STEPS} "
+                f"y-steps of its budget, down to x = {x}")
+        left -= count
     return None
 
 
@@ -168,15 +170,8 @@ def r7_interval(n: int) -> tuple[int, int]:
     lo = -(-(n * n + 7 * n + 29400) // 14)
     top = (n * n - n) // 2
     # largest m with (top - m)^2 >= 66^2 n^3, i.e. m <= top - 66 n^1.5
-    hi = top - _ceil_mul_sqrt(66, n)
+    hi = top - ceil_sqrt(66 * 66 * n ** 3)
     return lo, hi
-
-
-def _ceil_mul_sqrt(c: int, n: int) -> int:
-    """ceil(c * n^(3/2)) in exact integer arithmetic."""
-    val = c * c * n ** 3
-    root = isqrt(val)
-    return root if root * root == val else root + 1
 
 
 def _f_of_t(t: int, m: int, n: int) -> int:
@@ -188,8 +183,7 @@ def _find_t0(n: int, m: int) -> int:
     from negative to positive on [0, n/7], so t0 is the floor of its smaller
     root (6n - sqrt(D))/42, D = 84m + 42n - 6n^2 > 0: (6n - s) // 42 with
     s = ceil(sqrt(D)), since 6n - s is an integer and sqrt(D) > s - 1."""
-    s = isqrt(84 * m + 42 * n - 6 * n * n - 1) + 1  # ceil(sqrt(D)) for D >= 1
-    return (6 * n - s) // 42
+    return (6 * n - ceil_sqrt(84 * m + 42 * n - 6 * n * n)) // 42
 
 
 _BAD_RESIDUES = frozenset({0, 7, 12, 15})

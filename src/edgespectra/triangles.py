@@ -5,7 +5,8 @@ differences of triangular numbers are the basic currency of everything in
 this package.  The two decompositions expose an edge count f either as
 "largest triangular number below, plus excess" or as "smallest triangular
 number above, minus deficit"; both are unique in the stated ranges.
-clique_parts splits an edge count over a partition of the vertices.
+clique_parts splits an edge count over a partition of the vertices, and
+first_square finds the first perfect square along a quadratic sequence.
 """
 
 from __future__ import annotations
@@ -35,6 +36,32 @@ def int_roots(p: int, q: int) -> tuple[int, ...]:
     if s * s != disc:
         return ()
     return ((p - s) // 2, (p + s) // 2)
+
+
+def ceil_sqrt(n: int) -> int:
+    """The least s >= 0 with s^2 >= n."""
+    return isqrt(n - 1) + 1 if n > 0 else 0
+
+
+#: Which residues mod 64 and mod 63 a square can leave: d passes both only
+#: when it may be a square, about 1 value in 21, and only then is isqrt run.
+_SQUARE_MOD64 = bytes(r in {i * i % 64 for i in range(64)} for r in range(64))
+_SQUARE_MOD63 = bytes(r in {i * i % 63 for i in range(63)} for r in range(63))
+
+
+def first_square(d: int, step: int, turn: int, count: int) -> tuple[int, int] | None:
+    """(i, s) for the least 0 <= i < count at which d_i = s^2, where d_0 = d
+    and d_(i+1) - d_i = step + i * turn; None if there is none.  The caller
+    keeps those d_i >= 0.  Only a term that passes both residue tables
+    goes to isqrt."""
+    for i in range(count):
+        if _SQUARE_MOD64[d & 63] and _SQUARE_MOD63[d % 63]:
+            s = isqrt(d)
+            if s * s == d:
+                return i, s
+        d += step
+        step += turn
+    return None
 
 
 def tri_root(f: int) -> int | None:

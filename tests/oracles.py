@@ -54,6 +54,38 @@ def witness7_linear_t0(n: int, m: int) -> squares.Witness7:
         return squares.witness7(n, m)
 
 
+def three_square_decomp_descent(v: int) -> Optional[squares.ThreeSquareDecomp]:
+    """squares.three_square_decomp by the per-step descent it ran before
+    the first_square kernel: the same x order and y-windows, each y-step
+    charged to the budget of squares._DESCENT_STEPS and tested by its own
+    isqrt, and DescentBudgetExceeded raised on the first step past it."""
+    if v < 0:
+        raise ValueError(f"need v >= 0, got {v}")
+    if not squares.is_three_square(v):
+        return None
+    u, k = v, 0
+    while u and u % 4 == 0:
+        u, k = u // 4, k + 1
+    left = squares._DESCENT_STEPS
+    for x in range(isqrt(u), -1, -1):
+        w = u - x * x
+        if w > 2 * x * x:
+            break
+        y = min(x, isqrt(w))
+        while 2 * y * y >= w:
+            if not left:
+                raise squares.DescentBudgetExceeded(
+                    f"three-square descent of v = {v} walked all {squares._DESCENT_STEPS} "
+                    f"y-steps of its budget, down to x = {x}")
+            left -= 1
+            z2 = w - y * y
+            z = isqrt(z2)
+            if z * z == z2:
+                return squares.ThreeSquareDecomp(target=v, x=x << k, y=y << k, z=z << k)
+            y -= 1
+    return None
+
+
 def spectrum_unblocked(n: int, r: int) -> EdgeSpectrum:
     """cliquespec.spectrum with one shift-OR per part size, no blocks."""
     k_eff = min(r, max(n, 1))

@@ -1,6 +1,7 @@
 import functools
 import os
 import random
+from fractions import Fraction
 from math import isqrt
 
 import pytest
@@ -437,28 +438,26 @@ def serial_layers(cap, depth):
     return layers
 
 
-@pytest.mark.parametrize("workers", [2, 3])
-def test_split_layer_matches_serial(monkeypatch, workers):
-    # _layer builds its rows largest first, in this process whatever the CPU
-    # count: it gives the rows built one by one in increasing order
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(workers)), raising=False)
-    serial = serial_layers(max(LAYER_CAPS), 3)
+@pytest.mark.parametrize("depth", [2, 3])
+def test_split_layer_matches_serial(depth):
+    # _layer builds its rows largest first: it gives the rows built one by
+    # one in increasing order, for every layer up to depth
+    serial = serial_layers(max(LAYER_CAPS), depth)
     for cap in LAYER_CAPS:
-        for k in (1, 2, 3):
-            assert _layer(serial[k - 1], k, cap) == serial[k][:cap + 1], (workers, cap, k)
+        for k in range(1, depth + 1):
+            assert _layer(serial[k - 1], k, cap) == serial[k][:cap + 1], (cap, k)
 
 
-@pytest.mark.parametrize("workers", [2, 3])
-def test_split_top_matches_serial(monkeypatch, workers):
-    # _top streams layer k - 1 whatever the CPU count; n runs over
-    # LAYER_CAPS, so the streamed rows do too
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(workers)), raising=False)
-    serial = serial_layers(max(LAYER_CAPS), 3)
+@pytest.mark.parametrize("depth", [2, 3])
+def test_split_top_matches_serial(monkeypatch, depth):
+    # _top streams layer k - 1 for every top layer k up to depth + 1; n runs
+    # over LAYER_CAPS, so the streamed rows do too
+    serial = serial_layers(max(LAYER_CAPS), depth)
     for n in LAYER_CAPS:
-        for k in (2, 3, 4):
-            assert _top(serial[k - 2], n, k, n * (k - 1) // k) == _row(serial[k - 1], n, k), (workers, n, k)
+        for k in range(2, depth + 2):
+            assert _top(serial[k - 2], n, k, n * (k - 1) // k) == _row(serial[k - 1], n, k), (n, k)
     assert spectrum(3 * _BLOCK, 5).mask == spectrum_unblocked(3 * _BLOCK, 5).mask
-    # each streamed row 0..cap is built once, in this process
+    # each streamed row 0..cap is built once
     built, real_row = [], cliquespec._row
     monkeypatch.setattr(cliquespec, "_row", lambda prev, v, k, hi=None: built.append((v, k)) or real_row(prev, v, k, hi))
     n = 2 * _BLOCK + 1
@@ -498,6 +497,26 @@ def test_interval_endpoints_exact():
     assert verify_interval(4, 5, 0.1, 0).lo == 2
     # the scan runs past tri(n) only to reach lo
     assert verify_interval(1, 2, 1, -3.3).first_gap == 2
+
+
+def test_interval_hi_is_exact_floor():
+    # hi is the largest integer h with c_high n^1.5 <= tri(n) - h, decided
+    # exactly by squares, for c_high read as the decimal it prints as
+    def below(h, n, c):
+        t = tri(n) - h
+        return t >= 0 and t * t >= c * c * n ** 3 if c >= 0 else t >= 0 or t * t <= c * c * n ** 3
+
+    rng = random.Random(150)
+    cases = [(4, 0.5), (4, -0.5), (16, 0.25), (9, 2.0), (9, -2.0), (25, 0.0), (1, 7.5)]
+    cases += [(rng.randrange(1, 60), round(rng.uniform(-8, 8), rng.randrange(4)))
+              for _ in range(300)]
+    for n, c_high in cases:
+        hi = verify_interval(n, 2, 0, c_high).hi
+        c = Fraction(repr(c_high))
+        assert below(hi, n, c) and not below(hi + 1, n, c), (n, c_high, hi)
+    # 0.5 * 4^1.5 = 4 is whole: hi is tri(4) - 4, not one less
+    assert verify_interval(4, 2, 0, 0.5).hi == 2
+    assert verify_interval(4, 2, 0, -0.5).hi == 10
 
 
 def test_interval_rejects_bad_n_r():

@@ -17,7 +17,7 @@ from edgespectra.squares import (
     witness7,
 )
 from edgespectra.triangles import tri
-from oracles import witness7_linear_t0
+from oracles import three_square_decomp_descent, witness7_linear_t0
 
 
 def sieve_three_squares(limit):
@@ -89,6 +89,36 @@ def test_decomp_budget_counts_inner_steps(monkeypatch):
     monkeypatch.setattr(squares, "_DESCENT_STEPS", 351)
     with pytest.raises(DescentBudgetExceeded, match="walked all 351 y-steps"):
         three_square_decomp(935332294)
+
+
+def _descent_outcome(decomp, v):
+    try:
+        return decomp(v)
+    except DescentBudgetExceeded as exc:
+        return str(exc)
+
+
+def test_decomp_matches_descent_oracle(monkeypatch):
+    # the per-window budget refuses exactly where the per-step one did, at
+    # the same x and with the same message, and answers alike elsewhere
+    for v in range(30_001):
+        assert three_square_decomp(v) == three_square_decomp_descent(v), v
+    rng = random.Random(28)
+    seeded = [rng.randrange(10 ** e) for e in (6, 9, 12, 15, 18) for _ in range(40)]
+    fours = [4 ** k * rng.randrange(1, 10 ** 9) for k in (1, 2, 5, 13, 30) for _ in range(8)]
+    for v in seeded + fours:
+        assert three_square_decomp(v) == three_square_decomp_descent(v), v
+    small = range(0, 30_001, 97)
+    for steps in (1, 2, 5, 37, 351, 352, 1000):
+        monkeypatch.setattr(squares, "_DESCENT_STEPS", steps)
+        for v in [*small, *seeded, *fours, 935332294]:
+            assert (_descent_outcome(three_square_decomp, v)
+                    == _descent_outcome(three_square_decomp_descent, v)), (steps, v)
+    # 19: x = 4 leaves w = 3, whose y-window is empty and charges nothing,
+    # so one step answers it at x = 3
+    monkeypatch.setattr(squares, "_DESCENT_STEPS", 1)
+    d = three_square_decomp(19)
+    assert (d.x, d.y, d.z) == (3, 3, 1)
 
 
 def test_formula_matches_sieve():

@@ -1,13 +1,16 @@
 import random
+from math import isqrt
 
 import pytest
 
 from edgespectra.triangles import (
     LowerDecomp,
     UpperDecomp,
+    ceil_sqrt,
     clique_parts,
     decompose_lower,
     decompose_upper,
+    first_square,
     int_roots,
     min_clique_edges,
     tri,
@@ -59,6 +62,55 @@ def test_int_roots_beyond_64_bits():
     assert int_roots(2 * k, 1) == ()
     assert int_roots(2 * k, k * k) == (k, k)
     assert int_roots(0, 1) == ()
+
+
+def first_square_brute(d, step, turn, count):
+    """first_square from the closed form of each term, every term by isqrt."""
+    for i in range(count):
+        term = d + i * step + turn * i * (i - 1) // 2
+        s = isqrt(term)
+        if s * s == term:
+            return i, s
+    return None
+
+
+@pytest.mark.parametrize("turn", [-6, -2, 0, 2])
+def test_first_square_matches_brute_walk(turn):
+    # seeded sequences at three scales, past 2^64 too, half of them with a
+    # planted square; count is cut where a falling sequence goes negative
+    rng = random.Random(turn)
+    hits = 0
+    for scale in (10, 2 ** 40, 2 ** 70):
+        for _ in range(300):
+            count, step = rng.randrange(60), rng.randrange(-scale, scale)
+            d = rng.randrange(scale * scale)
+            if rng.random() < 0.5 and count:  # make term i0 the square s^2
+                i0, s = rng.randrange(count), rng.randrange(scale)
+                d = s * s - i0 * step - turn * i0 * (i0 - 1) // 2
+            count = next((i for i in range(count)
+                          if d + i * step + turn * i * (i - 1) // 2 < 0), count)
+            want = first_square_brute(d, step, turn, count)
+            assert first_square(d, step, turn, count) == want, (d, step, turn, count)
+            hits += want is not None
+    assert hits > 300
+    assert first_square(5, 1, turn, 0) is None
+    assert first_square(0, 3, turn, 4) == (0, 0)
+    assert first_square(2, 2, 0, 5) == (1, 2) and first_square(2, 2, 0, 1) is None
+    big = 2 ** 64 + 1  # no square; one step of 2^33 reaches (2^32 + 1)^2
+    assert first_square(big, 2 ** 33, turn, 2) == (1, 2 ** 32 + 1)
+
+
+def test_ceil_sqrt_matches_brute_force():
+    s = 0
+    for n in range(100_001):
+        while s * s < n:
+            s += 1
+        assert ceil_sqrt(n) == s, n
+    rng = random.Random(80)
+    for s in [2 ** k for k in range(81)] + [rng.randrange(2 ** 80) for _ in range(200)]:
+        assert ceil_sqrt(s * s) == s
+        assert ceil_sqrt(s * s + 1) == s + 1
+        assert ceil_sqrt(s * s - 1) == s - (s == 1), s
 
 
 def test_min_clique_edges_is_the_fewest_over_all_partitions():
