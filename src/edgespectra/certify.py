@@ -13,8 +13,10 @@ whether it speaks of the pair or of one side, the density cap it
 certifies, and its condition.  classify_pair searches each rule's
 parameters and fires an entry when that condition holds;
 Verdict.validate re-checks every entry by the same condition, and both
-take the bounds from _bounds(trace).  The special set SPECIAL_PAIRS is
-closed under complement, so membership can be tested on the pair as given.
+take the bounds from _bounds(trace).  The one claim a condition does not
+re-check is the minimality of the clique rank r in a thm-* entry.  The
+special set SPECIAL_PAIRS is closed under complement, so membership can
+be tested on the pair as given.
 
 The minimal clique rank comes from one search, min_r_witness, built on
 triangles.clique_parts, the recursion over the largest part a, which the
@@ -44,7 +46,7 @@ from math import isqrt
 from typing import Callable, NamedTuple, Optional
 
 from .triangles import (ceil_sqrt, clique_parts, decompose_lower, decompose_upper,
-                        first_square, int_roots, tri, tri_root, two_part_witness)
+                        first_square, int_roots, is_triple, tri, tri_root, two_part_witness)
 
 #: The five pairs whose density is exactly 1.
 SPECIAL_PAIRS = frozenset({(2, 0), (2, 1), (4, 3), (5, 4), (5, 6)})
@@ -109,12 +111,12 @@ class Verdict:
         return [t for t in self.trace if t.rule == rule]
 
     def validate(self, m: int, f: int) -> None:
-        """Re-check the verdict on (m, f) by substitution; AssertionError if
-        it fails.  Every entry must pass _entry_holds, rule (i) must be
-        present exactly when an entry is on the complement, and the bounds
-        must be _bounds(trace).  Rule (v) (g has no D(m) witness) and the
-        minimality of r in a thm-* entry are non-existence claims, which
-        substitution cannot re-check: only their edge counts are checked.
+        """Re-check the verdict on (m, f); AssertionError if it fails.  Every
+        entry must pass _entry_holds, rule (i) must be present exactly when
+        an entry is on the complement, and the bounds must be _bounds(trace).
+        Each entry's condition is decided again, rule (v)'s by dm_witness;
+        only the minimality of r in a thm-* entry, a non-existence claim,
+        is not re-checked: its triple identity is.
         """
         for t in self.trace:
             if not _entry_holds(t, m, f):
@@ -137,10 +139,6 @@ class _Rule(NamedTuple):
     holds: Callable[..., bool]   # its condition on (m, g, *parameter values)
 
 
-def _triple(m: int, g: int, a: int, b: int, c: int) -> bool:
-    return g == tri(a) == tri(m) - tri(b) == c * (m - c)
-
-
 #: Every trace rule.  A condition reads m, the edge count g of the entry's
 #: side (f, or tri(m) - f on the complement) and the parameter values.
 _RULES = {
@@ -158,13 +156,13 @@ _RULES = {
     # g = tri(b) - bp with b/2 < bp < b - 1
     "iii": _Rule(("b", "bp"), False, _HALF,
                  lambda m, g, b, bp: g == tri(b) - bp and b < 2 * bp < 2 * b - 2),
-    # g has no D(m) witness, a claim of dm_witness that substitution cannot re-check
-    "v": _Rule(("f",), False, _HALF, lambda m, g, pf: pf == g),
+    # g has no D(m) witness
+    "v": _Rule(("f",), False, _HALF, lambda m, g, pf: pf == g and dm_witness(g, m) is None),
     # g = tri(a) = tri(m) - tri(b) = c(m - c) with minimal clique rank r: 1/r exactly, or at least
     "thm-exact-1/r": _Rule(("r", "a", "b", "c"), False, None,
-                           lambda m, g, r, a, b, c: (r == 2 or r >= 5) and _triple(m, g, a, b, c)),
+                           lambda m, g, r, a, b, c: (r == 2 or r >= 5) and is_triple(m, g, a, b, c)),
     "thm-lower-1/r": _Rule(("r", "a", "b", "c"), False, None,
-                           lambda m, g, r, a, b, c: r in (3, 4) and _triple(m, g, a, b, c)),
+                           lambda m, g, r, a, b, c: r in (3, 4) and is_triple(m, g, a, b, c)),
     # the universal bounds off the special set; 1/2 is recorded, not folded into upper
     "thm-upper-2/3": _Rule((), True, _TWO_THIRDS, lambda m, f: (m, f) not in SPECIAL_PAIRS),
     "thm-upper-1/2": _Rule((), True, None, lambda m, f: (m, f) not in SPECIAL_PAIRS),
@@ -448,8 +446,7 @@ def classify_pair(m: int, f: int) -> Verdict:
         if g >= 1:  # decompose_lower needs an edge
             dec = decompose_lower(g)
             trace += _fired("iii", side, m, g, dec.b, dec.bp)
-        if dm_witness(g, m) is None:
-            trace += _fired("v", side, m, g, g)
+        trace += _fired("v", side, m, g, g)
     for side, g in sides:
         rep = triple_identity(m, g)
         r = None if rep is None else min_r(m, g)

@@ -47,7 +47,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, NamedTuple
 
 from . import __version__, certify, cliquespec, graphs, pell, repcount, squares
-from .triangles import tri
+from .triangles import realizes, tri
 
 
 def _frac(x: Fraction | None):
@@ -131,7 +131,7 @@ def _cmd_classify(args) -> dict:
 def _cmd_minr(args) -> dict:
     parts = certify.min_r_witness(args.m, args.f)
     if args.check and parts is not None:
-        _require(min(parts) >= 1 and sum(parts) == args.m and sum(tri(p) for p in parts) == args.f,
+        _require(min(parts) >= 1 and realizes(parts, args.m, args.f),
                  "minimal-rank witness does not re-validate")
     return {"m": args.m, "f": args.f, "r": None if parts is None else len(parts) - 1}
 
@@ -145,14 +145,11 @@ def _cmd_dm(args) -> dict:
 
 def _cmd_pell(args) -> dict:
     fp = pell.family_pair(args.k)
-    w = fp.triple_witness()
     if args.check:  # by substitution into what is printed
-        m, f = fp.m, fp.f
-        _require(sum(w) == m and min(w) >= 1 and sum(tri(q) for q in w) == f,
-                 "triple witness does not re-validate")
-        _require(f == tri(fp.a) == tri(m) - tri(fp.b) == fp.c * (m - fp.c),
-                 "triple identity fails")
-    return {**vars(fp), "triple_witness": list(w)}
+        rep = pell.verify_ABC(fp)
+        _require(rep.b_ok, "triple witness does not re-validate")
+        _require(rep.a_ok, "triple identity fails")
+    return {**vars(fp), "triple_witness": list(fp.triple_witness())}
 
 def _cmd_abc(args) -> tuple[list, int]:
     if args.k_max < 1:  # an empty table would certify nothing

@@ -104,14 +104,6 @@ class GraphMask:
     def achieved_counts(self, m: int) -> set[int]:
         return {(self.edges & s).bit_count() for s in _subset_masks(self.n, m)}
 
-    @classmethod
-    def from_edges(cls, n: int, edges) -> "GraphMask":
-        idx = _pair_index(n)
-        mask = 0
-        for u, v in edges:
-            mask |= 1 << idx[(min(u, v), max(u, v))]
-        return cls(n=n, edges=mask)
-
 
 def _validate_arrow_args(n: int, e: int, m: int, f: int, dedup: bool):
     limit = MAX_DEDUP_N if dedup else MAX_LABELED_N

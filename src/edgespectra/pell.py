@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .triangles import tri, two_part_witness
+from .triangles import is_triple, realizes, tri, two_part_witness
 
 
 @dataclass(frozen=True)
@@ -52,12 +52,8 @@ class FamilyPair:
     def __post_init__(self):
         if self.m != 5 * self.t + 2 or self.f != tri(3 * self.t + 1):
             raise ValueError("pair does not match its parameter t")
-        if self.f != tri(self.a):
-            raise ValueError("identity f = tri(a) fails")
-        if self.f != tri(self.m) - tri(self.b):
-            raise ValueError("identity f = tri(m) - tri(b) fails")
-        if self.f != self.c * (self.m - self.c):
-            raise ValueError("identity f = c(m - c) fails")
+        if not is_triple(self.m, self.f, self.a, self.b, self.c):
+            raise ValueError("triple identity f = tri(a) = tri(m) - tri(b) = c(m - c) fails")
 
     def triple_witness(self) -> tuple[int, int, int]:
         """Three clique sizes summing to m whose edge counts sum to f."""
@@ -105,9 +101,8 @@ def verify_ABC(pair: FamilyPair) -> ABCReport:
         square with both roots >= 1.  Exact at every k.
     """
     m, f = pair.m, pair.f
-    a_ok = f == tri(pair.a) == tri(m) - tri(pair.b) == pair.c * (m - pair.c)
     w = pair.triple_witness()
-    b_ok = sum(w) == m and sum(tri(q) for q in w) == f and all(q >= 1 for q in w)
     hit = two_part_witness(m, f)
-    return ABCReport(pair=pair, a_ok=a_ok, b_ok=b_ok, b_witness=w,
+    return ABCReport(pair=pair, a_ok=is_triple(m, f, pair.a, pair.b, pair.c),
+                     b_ok=min(w) >= 1 and realizes(w, m, f), b_witness=w,
                      c_ok=hit is None, c_scanned=m // 2 if hit is None else hit[1])

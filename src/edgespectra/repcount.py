@@ -37,11 +37,6 @@ class RepHistogram:
     sum_cap: int
     counts: np.ndarray = field(repr=False)
 
-    def R(self, m: int) -> int:
-        if not 0 <= m < self.counts.size:
-            return 0
-        return int(self.counts[m])
-
     def support(self) -> np.ndarray:
         return np.flatnonzero(self.counts)
 
@@ -57,11 +52,6 @@ class RepHistogram:
         return {"n": self.n, "N": self.N, "sum_cap": self.sum_cap,
                 "support_size": int(self.support().size),
                 "total_tuples": self.total_tuples}
-
-
-def q_form(x: tuple[int, int, int, int], n: int) -> int:
-    s = sum(x)
-    return sum(v * v for v in x) + (s - n) ** 2
 
 
 def _perm_weight(x: tuple[int, ...]) -> int:

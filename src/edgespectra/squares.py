@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from math import isqrt
 from typing import Optional
 
-from .triangles import ceil_sqrt, first_square, int_roots, tri
+from .triangles import ceil_sqrt, first_square, int_roots, realizes
 
 
 class PreconditionViolated(Exception):
@@ -148,20 +148,11 @@ class Witness7:
         )
         if p != expect:
             raise AssertionError("parts do not match pivot/offsets")
-        if any(not 0 <= q <= self.n for q in p):
-            raise AssertionError("part outside [0, n]")
-        if sum(p) != self.n:
-            raise AssertionError("parts do not sum to n")
-        if sum(tri(q) for q in p) != self.m:
-            raise AssertionError("edge sum mismatch")
+        if not realizes(p, self.n, self.m):
+            raise AssertionError("parts do not realize m on n vertices")
         ft = _f_of_t(self.t, self.m, self.n)
         if 2 * (self.s1 ** 2 + self.s2 ** 2 + self.s3 ** 2) != ft:
             raise AssertionError("offsets do not account for the even gap")
-
-    def to_partition(self):
-        from .cliquespec import CliquePartition
-
-        return CliquePartition(parts=self.parts, n=self.n)
 
 
 def r7_interval(n: int) -> tuple[int, int]:

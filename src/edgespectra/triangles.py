@@ -7,6 +7,11 @@ this package.  The two decompositions expose an edge count f either as
 number above, minus deficit"; both are unique in the stated ranges.
 clique_parts splits an edge count over a partition of the vertices, and
 first_square finds the first perfect square along a quadratic sequence.
+
+Two certificates are stated here once, for every check in the package to
+read: realizes, a clique partition of an edge count, and is_triple, the
+triple identity of the special pairs.  This module imports only the
+standard library, so a checker can import it alone.
 """
 
 from __future__ import annotations
@@ -19,6 +24,16 @@ from typing import Callable
 def tri(x: int) -> int:
     """Edge count of a clique on x vertices: x(x-1)/2."""
     return x * (x - 1) // 2
+
+
+def realizes(parts: tuple[int, ...], v: int, g: int) -> bool:
+    """Whether the parts, each >= 0, sum to v and their cliques span g edges."""
+    return all(p >= 0 for p in parts) and sum(parts) == v and sum(tri(p) for p in parts) == g
+
+
+def is_triple(m: int, g: int, a: int, b: int, c: int) -> bool:
+    """Whether g = tri(a) = tri(m) - tri(b) = c(m - c)."""
+    return g == tri(a) == tri(m) - tri(b) == c * (m - c)
 
 
 def int_roots(p: int, q: int) -> tuple[int, ...]:

@@ -488,6 +488,8 @@ def _tampered(v, rule, side=None, **params):
     (7, 12, lambda v: _tampered(v, "i", complement=8)),
     (7, 10, lambda v: _tampered(v, "iii", bp=3)),
     (7, 10, lambda v: _tampered(v, "v", f=10)),
+    # rule (v) moved onto a side that has a D(m) witness: dm_witness(1, 4) = (0, 0, 1)
+    (4, 1, lambda v: _tampered(v, "v", side="f", f=1)),
     (38, 325, lambda v: _tampered(v, "ii", window=(341, 361))),
     (38, 325, lambda v: _tampered(v, "thm-lower-1/r", r=5)),
     (38, 325, lambda v: _tampered(v, "thm-lower-1/r", c=12)),

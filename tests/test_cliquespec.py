@@ -1,5 +1,4 @@
 import functools
-import os
 import random
 from fractions import Fraction
 from math import isqrt
@@ -31,7 +30,7 @@ from edgespectra.cliquespec import (
     spectrum,
     verify_interval,
 )
-from edgespectra.triangles import clique_parts, min_clique_edges, tri
+from edgespectra.triangles import clique_parts, min_clique_edges, realizes, tri
 from oracles import spectrum_unblocked, witness_tables_uncapped
 
 
@@ -50,7 +49,7 @@ def test_spectrum_examples():
 def test_partition_type():
     p = CliquePartition(parts=(2, 3), n=5)
     assert p.parts == (3, 2)  # canonical nonincreasing
-    assert p.edge_sum() == 4
+    assert realizes(p.parts, 5, 4)
     with pytest.raises(ValueError):
         CliquePartition(parts=(3, 3), n=5)
 
@@ -239,17 +238,13 @@ def test_route_guard_counts_band_layers(table_cap):
     assert _estimate_bits(route_caps(20000)) >= 89 * 8_000_000
 
 
-def test_guard_does_not_depend_on_cpu_count(monkeypatch):
-    # every layer is built in this process, so the charge and the limits it
-    # sets are the same whatever CPUs the process may run on
-    charges = set()
-    for cpus in (1, 64):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
-        charges.add((_estimate_bits(route_caps(61424)), _estimate_bits(_layer_caps(5534, 5))))
-        assert member_witness(61424, 5, tri(61424)).parts == (61424,), cpus
-        with pytest.raises(SpectrumMemoryError):
-            member_witness(61425, 5, tri(61425))
-    assert len(charges) == 1
+def test_guard_does_not_depend_on_cpu_count():
+    # every layer is built in this process, and the package never reads its
+    # CPU set (test_hygiene), so one pass checks the limits on any machine:
+    # the r = 5 route up to n = 61,424
+    assert member_witness(61424, 5, tri(61424)).parts == (61424,)
+    with pytest.raises(SpectrumMemoryError):
+        member_witness(61425, 5, tri(61425))
 
 
 def test_bounds_sweep_guard_counts_two_layers(table_cap):

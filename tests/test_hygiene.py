@@ -1,13 +1,15 @@
 """Every name a package module imports is used in that module, every
 private module-level function and constant is read somewhere in the
-package, the modules of the certified integer paths import no numpy, and
-no module starts a thread or a process.
+package, the modules of the certified integer paths import no numpy,
+triangles imports only the standard library, and no module starts a
+thread or a process.
 
 No linter ships with the package, so this walks the syntax tree instead.
 `from __future__` imports and the re-exports of `__init__.py` are exempt.
 """
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
@@ -119,6 +121,34 @@ def fixed_width_imports(source: str) -> list[str]:
 @pytest.mark.parametrize("module", EXACT_MODULES)
 def test_exact_modules_import_no_numpy(module):
     assert fixed_width_imports((PACKAGE / f"{module}.py").read_text()) == []
+
+
+def non_stdlib_imports(source: str) -> list[str]:
+    """Relative imports, and imports of modules outside the standard
+    library, in the given module source."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found += [a.name for a in node.names
+                      if a.name.split(".")[0] not in sys.stdlib_module_names]
+        elif isinstance(node, ast.ImportFrom):
+            if node.level:
+                found.append("." * node.level + (node.module or ""))
+            elif node.module.split(".")[0] not in sys.stdlib_module_names:
+                found.append(node.module)
+    return found
+
+
+def test_triangles_imports_only_the_standard_library():
+    # the predicates every certificate is re-checked by live here, so a
+    # checker can import this one module without the rest of the package
+    assert non_stdlib_imports((PACKAGE / "triangles.py").read_text()) == []
+
+
+def test_non_stdlib_import_is_reported():
+    source = ("from __future__ import annotations\nimport math, numpy\n"
+              "from typing import Callable\nfrom .certify import tri\nfrom . import pell\n")
+    assert non_stdlib_imports(source) == ["numpy", ".certify", "."]
 
 
 def test_numpy_import_is_reported():

@@ -7,16 +7,21 @@ from edgespectra.cliquespec import spectrum
 from edgespectra.repcount import (
     TupleBudgetExceeded,
     exceptional_count,
-    q_form,
     rep_histogram,
 )
 from edgespectra.triangles import tri
 from oracles import rep_histogram_naive
 
 
+def q_form(x, n):
+    """Q(x) = x_1^2 + .. + x_4^2 + (x_1 + .. + x_4 - n)^2, the oracle of the
+    identity m = (Q(x) - n)/2 that places a tuple in the histogram."""
+    return sum(v * v for v in x) + (sum(x) - n) ** 2
+
+
 def test_single_tuple_histogram():
     h = rep_histogram(10, 1, 10)
-    assert h.R(15) == 1 and h.total_tuples == 1
+    assert h.counts[15] == 1 and h.total_tuples == 1
     assert list(h.support()) == [15]
 
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from edgespectra import squares
+from edgespectra.cliquespec import CliquePartition
 from edgespectra.squares import (
     DescentBudgetExceeded,
     PreconditionViolated,
@@ -178,8 +179,7 @@ def test_witness7_example():
     assert sum(w.parts) == 30000
     assert sum(tri(p) for p in w.parts) == 100_000_000
     assert len(w.parts) == 7
-    part = w.to_partition()
-    assert part.edge_sum() == 100_000_000
+    assert CliquePartition(parts=w.parts, n=30000).realizes(30000, 7, 100_000_000)
 
 
 def test_witness7_preconditions():

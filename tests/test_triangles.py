@@ -3,6 +3,7 @@ from math import isqrt
 
 import pytest
 
+from edgespectra.pell import family_pair
 from edgespectra.triangles import (
     LowerDecomp,
     UpperDecomp,
@@ -12,7 +13,9 @@ from edgespectra.triangles import (
     decompose_upper,
     first_square,
     int_roots,
+    is_triple,
     min_clique_edges,
+    realizes,
     tri,
     tri_floor_root,
     tri_root,
@@ -40,6 +43,33 @@ def test_tri_floor_root():
     big = tri(10 ** 30)
     assert [tri_floor_root(g) for g in (big - 1, big, big + 10 ** 30 - 1, big + 10 ** 30)] == [
         10 ** 30 - 1, 10 ** 30, 10 ** 30, 10 ** 30 + 1]
+
+
+def test_realizes():
+    assert realizes((3, 2), 5, 4)
+    assert realizes((3, 2, 0, 0), 5, 4)  # empty parts are allowed
+    assert realizes((), 0, 0)
+    assert not realizes((3, 3, -1), 5, 7)  # sums to 5 with tri(-1) = 1, but a part is < 0
+    assert not realizes((3, 2), 6, 4)  # wrong vertex count
+    assert not realizes((3, 2), 5, 5)  # wrong edge count
+
+
+# (m, f) and (a, b, c): the Pell family pairs k = 1..6, then the rank-4
+# pair (38, 325) and the rank-3 pair (59, 630)
+TRIPLES = {**{f"pell-k{fp.k}": ((fp.m, fp.f), (fp.a, fp.b, fp.c))
+              for fp in map(family_pair, range(1, 7))},
+           "38-325": ((38, 325), (26, 28, 13)), "59-630": ((59, 630), (36, 47, 14))}
+
+
+@pytest.mark.parametrize("name", TRIPLES)
+def test_is_triple_and_its_mutants(name):
+    pair, abc = TRIPLES[name]
+    assert is_triple(*pair, *abc)
+    for i in range(3):
+        for delta in (-1, 1):
+            mutant = list(abc)
+            mutant[i] += delta
+            assert not is_triple(*pair, *mutant), (pair, mutant)
 
 
 def test_int_roots_small_by_definition():
