@@ -2,11 +2,11 @@
 
 classify_pair applies a small battery of mechanical rules to a pair
 (vertex count m, edge count f) and to its complement (m, tri(m) - f), and
-combines them with two literature-grade facts (a universal 2/3 bound off a
-finite special set, exactness of 1/r for qualifying minimal clique ranks).
-The result is a Verdict: a certified interval for the asymptotic density
-of good edge counts, never a computed limit, together with a trace of
-every rule that fired.
+combines them with cited facts (the universal 1/2 bound off a finite
+special set, recorded; exactness of 1/r for qualifying minimal clique
+ranks).  The result is a Verdict: a certified interval for the asymptotic
+density of good edge counts, never a computed limit, together with a
+trace of every rule that fired.
 
 Each rule is stated once, in the table _RULES: its parameter names,
 whether it speaks of the pair or of one side, the density cap it
@@ -17,6 +17,21 @@ take the bounds from _bounds(trace).  The one claim a condition does not
 re-check is the minimality of the clique rank r in a thm-* entry.  The
 special set SPECIAL_PAIRS is closed under complement, so membership can
 be tested on the pair as given.
+
+Off the special set rules (ii)-(v) alone cap every pair at 0 or 1/2, so
+the weaker cited cap 2/3 (Erdos, Furedi, Rothschild, Sos) is not kept;
+test_mechanical_rules_cap_every_pair checks each step.  (ii) fires unless
+both sides lie in W = _window(m).  For g in W, with l = tri_floor_root(g)
+and lp = g - tri(l), a non-triangular g fires (iii) when 1 <= lp and
+2lp < l - 1 and (iv) when lp >= m - l, which leave no gap once
+l + floor(l/2) >= m: l > (m - 1)/sqrt(2) - 1 gives that for m >= 51, and
+smaller m are checked pair by pair.  Then l > floor(m/2), the width of W,
+so both sides triangular means f = tri(m)/2, above the bottom of W, where
+every D(m) witness has z = 0 and x + y = m (m >= 5): (v) misses f only if
+(m - 2x)^2 = m = y^2 and 2 tri(a) = tri(y^2).  Its solution (3, 2) is the
+special pair (4, 3), bennett_search finds no other for y <= 10^4, and past
+m = 10^8 this rests on there being none: another would leave its pair at
+upper = 1, not 2/3, a looser bound but never an unsound one.
 
 The minimal clique rank comes from one search, min_r_witness, built on
 triangles.clique_parts, the recursion over the largest part a, which the
@@ -107,9 +122,6 @@ class Verdict:
         _RULES cap among the entries that are not cited facts."""
         return _least_cap({t.rule for t in self.trace if not t.rule.startswith("thm-")})
 
-    def fired(self, rule: str) -> list[TraceEntry]:
-        return [t for t in self.trace if t.rule == rule]
-
     def validate(self, m: int, f: int) -> None:
         """Re-check the verdict on (m, f); AssertionError if it fails.  Every
         entry must pass _entry_holds, rule (i) must be present exactly when
@@ -129,7 +141,7 @@ class Verdict:
                                  f"from the trace for ({m},{f}): expected {expect}")
 
 
-_ZERO, _HALF, _TWO_THIRDS, _ONE = Fraction(0), Fraction(1, 2), Fraction(2, 3), Fraction(1)
+_ZERO, _HALF, _ONE = Fraction(0), Fraction(1, 2), Fraction(1)
 
 
 class _Rule(NamedTuple):
@@ -163,8 +175,7 @@ _RULES = {
                            lambda m, g, r, a, b, c: (r == 2 or r >= 5) and is_triple(m, g, a, b, c)),
     "thm-lower-1/r": _Rule(("r", "a", "b", "c"), False, None,
                            lambda m, g, r, a, b, c: r in (3, 4) and is_triple(m, g, a, b, c)),
-    # the universal bounds off the special set; 1/2 is recorded, not folded into upper
-    "thm-upper-2/3": _Rule((), True, _TWO_THIRDS, lambda m, f: (m, f) not in SPECIAL_PAIRS),
+    # the universal bound off the special set, recorded, not folded into upper
     "thm-upper-1/2": _Rule((), True, None, lambda m, f: (m, f) not in SPECIAL_PAIRS),
 }
 
@@ -197,7 +208,7 @@ def _bounds(trace) -> tuple[Optional[Fraction], Fraction, Optional[Fraction]]:
     """(exact, upper, lower) that the entries of trace certify: 1 on a
     special pair, else upper is the least cap (0 settles the pair), and
     thm-exact gives the exact value 1/r, thm-lower the lower bound.
-    AssertionError on conflicting entries; a 2/3 entry must be the least cap.
+    AssertionError on conflicting entries.
     """
     rules = {t.rule for t in trace}
     if "A" in rules:
@@ -206,8 +217,7 @@ def _bounds(trace) -> tuple[Optional[Fraction], Fraction, Optional[Fraction]]:
     exact = {Fraction(1, dict(t.params)["r"]) for t in trace if t.rule == "thm-exact-1/r"}
     lower = max([Fraction(1, dict(t.params)["r"]) for t in trace if t.rule == "thm-lower-1/r"],
                 default=None)
-    if (len(exact) > 1 or (exact and max(exact) > upper) or (upper == 0 and (exact or lower))
-            or ("thm-upper-2/3" in rules and upper != _TWO_THIRDS)):
+    if len(exact) > 1 or (exact and max(exact) > upper) or (upper == 0 and (exact or lower)):
         raise AssertionError(f"conflicting bounds in the trace {[t.as_dict() for t in trace]}")
     if upper == 0:
         return _ZERO, _ZERO, _ZERO
@@ -326,19 +336,19 @@ def three_part_witness(m: int, f: int, *,
     s^2 gives x, y = (m - z +- s) / 2.  Exact integer arithmetic at any
     size.
 
-    A budget is charged the window's length before the walk and refunded
-    the steps a hit leaves unwalked; RankBudgetExceeded is raised when the
-    budget ends the walk before the window does.
+    The budget, a fresh _Budget(m, f) by default, is charged the window's
+    length before the walk and refunded the steps a hit leaves unwalked;
+    RankBudgetExceeded is raised when it ends the walk before the window.
     """
     window = _z_window(m, f)
-    walk = window if budget is None else budget.charge(window)
+    budget = _Budget(m, f) if budget is None else budget
+    walk = budget.charge(window)
     z = walk.start
     hit = first_square((m - z) * (2 - m + z) + 4 * f - 2 * z * (z - 1),
                        2 * m - 6 * z - 3, -6, len(walk))
     if hit is not None:  # the window's end keeps y >= z
         i, s = hit
-        if budget is not None:
-            budget.refund(len(walk) - i - 1)
+        budget.refund(len(walk) - i - 1)
         z += i
         return ((m - z + s) // 2, (m - z - s) // 2, z)
     if len(walk) < len(window):
@@ -430,7 +440,7 @@ def classify_pair(m: int, f: int) -> Verdict:
     and the entry order live here; an entry fires by its _RULES condition.
     The order: (A) alone; else (iv) per side, (ii), (iii) and (v) per side,
     thm-exact/lower per side, (i) first when an entry is on the complement,
-    and unless a cap of 0 fired, thm-upper-2/3 (when no cap did) and 1/2.
+    and thm-upper-1/2 unless a cap of 0 fired.
     """
     fc = PairMF(m, f).complement_f
     trace = _fired("A", "pair", m, f, m, f)
@@ -456,9 +466,6 @@ def classify_pair(m: int, f: int) -> Verdict:
                       or _fired("thm-lower-1/r", side, m, g, *rabc))
     if any(t.side == "complement" for t in trace):
         trace[:0] = _fired("i", "pair", m, f, f, fc)
-    cap = _least_cap({t.rule for t in trace})
-    if cap != 0:
-        if cap == 1:
-            trace += _fired("thm-upper-2/3", "pair", m, f)
+    if _least_cap({t.rule for t in trace}) != 0:
         trace += _fired("thm-upper-1/2", "pair", m, f)
     return Verdict(*_bounds(trace), trace=tuple(trace))

@@ -20,8 +20,9 @@ are built from the three-square cover and a top band of small DP layers,
 and otherwise by the whole DP, every layer in the calling process.  The
 output does not depend on the route.  spectrum --export writes its lines
 as it reads them off the spectrum, holding no member list.
-Witnesses (witness, the probes of spectrum --check) come from a
-recursion, not from the spectrum.
+Witnesses (witness, the probes of spectrum and density --check) come from a
+recursion, not from the spectrum; density --check also checks min is exact.
+snm --check re-counts its extreme non-members' counterexamples by subset.
 A witness7 campaign runs its samples in the calling thread, in sorted
 order; its --threads option is accepted and ignored.
 
@@ -47,7 +48,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, NamedTuple
 
 from . import __version__, certify, cliquespec, graphs, pell, repcount, squares
-from .triangles import realizes, tri
+from .triangles import min_clique_edges, realizes, tri
 
 
 def _frac(x: Fraction | None):
@@ -84,15 +85,17 @@ _PAYLOAD_MEMBER_BYTES = 64
 
 # The run functions of the COMMANDS rows below.
 
+def _check_probes(n: int, r: int, *probes: int) -> None:
+    for probe in probes:  # the witnesses come from a recursion, not from the DP
+        w = cliquespec.member_witness(n, r, probe)
+        _require(w is not None and w.realizes(n, r, probe), f"witness recovery failed at {probe}")
+
 def _cmd_spectrum(args) -> dict:
     spec = cliquespec.spectrum(args.n, args.r)
     if not args.export:
         cliquespec._check_cap(8 * _PAYLOAD_MEMBER_BYTES * spec.count, "listed members")
-    if args.check:  # the probes' witnesses come from a recursion, not from the DP
-        for probe in (spec.min_element, spec.max_element):
-            w = cliquespec.member_witness(args.n, args.r, probe)
-            _require(w is not None and w.realizes(args.n, args.r, probe),
-                     f"witness recovery failed at {probe}")
+    if args.check:
+        _check_probes(args.n, args.r, spec.min_element, spec.max_element)
     payload = {"n": args.n, "r": args.r, "count": spec.count,
                "min": spec.min_element, "max": spec.max_element}
     if not args.export:
@@ -111,6 +114,9 @@ def _cmd_density(args) -> dict:
     rep = cliquespec.density_and_bounds(args.n, args.r)
     if args.check:
         _require(rep.bounds_ok, "density bounds violated")
+        _require(rep.min_element == min_clique_edges(args.n, max(1, min(args.r, args.n))),
+                 f"min {rep.min_element} is not the fewest edges")
+        _check_probes(args.n, args.r, rep.min_element, rep.max_element)
     return rep.__dict__.copy()
 
 def _cmd_interval(args) -> tuple[dict, int]:
@@ -203,12 +209,14 @@ def _cmd_arrow(args) -> dict:
             "counterexample": res.counterexample.edge_list() if res.counterexample else None}
 
 def _cmd_snm(args) -> dict:
-    s = graphs.compute_Snm(args.n, args.m, args.f, dedup=args.dedup)
-    if args.check:
-        for e in s.members()[:1] + s.members()[-1:]:
-            _require(graphs.arrow(args.n, e, args.m, args.f, dedup=args.dedup).holds,
-                     f"member e={e} fails arrow")
-    return {"n": args.n, "m": args.m, "f": args.f, "members": s.members()}
+    members = graphs.compute_Snm(args.n, args.m, args.f, dedup=args.dedup).members()
+    if args.check:  # the extreme non-members' counterexamples, counted subset by subset
+        outside = sorted(set(range(tri(args.n) + 1)).difference(members))
+        for e in outside[:1] + outside[-1:]:
+            res = graphs.arrow(args.n, e, args.m, args.f, dedup=args.dedup)
+            _require(not res.holds, f"non-member e={e} has no counterexample")
+            res.validate(e, args.m, args.f)
+    return {"n": args.n, "m": args.m, "f": args.f, "members": members}
 
 def _cmd_turan(args) -> tuple[dict, int]:
     ok = graphs.turan_check(args.n, args.m)

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import accumulate, combinations_with_replacement
+from itertools import combinations_with_replacement
 from typing import Optional
 
 import numpy as np
@@ -54,19 +54,9 @@ class RepHistogram:
                 "total_tuples": self.total_tuples}
 
 
-def _perm_weight(x: tuple[int, ...]) -> int:
-    w = math.factorial(len(x))
-    for v in set(x):
-        w //= math.factorial(x.count(v))
-    return w
-
-
-#: _perm_weight of a sorted 4-tuple (a, b, c, d), indexed by its tie
-#: pattern (a == b) << 2 | (b == c) << 1 | (c == d), from one tuple of
-#: each pattern.
-_TIE_WEIGHTS = tuple(
-    _perm_weight(tuple(accumulate((not key & bit for bit in (4, 2, 1)), initial=0)))
-    for key in range(8))
+#: The orderings of a sorted 4-tuple (a, b, c, d), 4! over the factorials of
+#: its tie sizes, by tie pattern (a == b) << 2 | (b == c) << 1 | (c == d).
+_TIE_WEIGHTS = (24, 12, 12, 4, 12, 6, 4, 1)
 
 
 def _sum_cap(n: int, sum_cap: Optional[int]) -> int:

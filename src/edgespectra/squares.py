@@ -35,11 +35,11 @@ class DescentBudgetExceeded(Exception):
     finding a decomposition."""
 
 
-#: y-steps one three_square_decomp descent may walk: 0.3 to 0.55 s, both
-#: for 729555738377712073 and for 10^30 + 3, which spend it (2-core x86-64
-#: VM; a step runs isqrt only past the square residues).  The most that any
-#: seeded v walked: 358,196 of 10,000 v <= 10^15, 1,390,295 of 2,000
-#: v <= 10^18, so every one of them is answered.
+#: y-steps one three_square_decomp descent may walk: 0.26 to 0.55 s (2-core
+#: x86-64 VM; a step runs isqrt only past the square residues).  Every one
+#: of 10,000 seeded v <= 10^15 (358,196 at most) and 2,000 v <= 10^18
+#: (1,390,295) is answered; 10^30 + 3 and 729555738377712073, the one
+#: refusal among 3,000 random v in [10^17, 10^18), spend it and are refused.
 _DESCENT_STEPS = 2_000_000
 
 

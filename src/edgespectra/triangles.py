@@ -177,9 +177,6 @@ class UpperDecomp:
     ell: int
     ellp: int
 
-    def value(self) -> int:
-        return tri(self.ell) + self.ellp
-
 
 @dataclass(frozen=True)
 class LowerDecomp:
@@ -187,9 +184,6 @@ class LowerDecomp:
 
     b: int
     bp: int
-
-    def value(self) -> int:
-        return tri(self.b) - self.bp
 
 
 def decompose_upper(f: int) -> UpperDecomp:

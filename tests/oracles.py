@@ -221,12 +221,12 @@ def three_part_witness_walk(m: int, f: int, *,
     window, z order and budget, but each z solved afresh for the two
     larger parts by two_part_witness.  Exact at any size."""
     window = _z_window(m, f)
-    walk = window if budget is None else budget.charge(window)
+    budget = _Budget(m, f) if budget is None else budget
+    walk = budget.charge(window)
     for z in walk:
         w = two_part_witness(m - z, f - tri(z))
         if w is not None and w[1] >= z:
-            if budget is not None:
-                budget.refund(walk.stop - z - 1)
+            budget.refund(walk.stop - z - 1)
             return (w[0], w[1], z)
     if len(walk) < len(window):
         raise budget.exceeded()

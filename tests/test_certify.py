@@ -14,6 +14,7 @@ from edgespectra.certify import (
     SPECIAL_PAIRS,
     TraceEntry,
     _Budget,
+    _window,
     classify_pair,
     dm_witness,
     triple_identity,
@@ -24,7 +25,9 @@ from edgespectra.certify import (
 )
 from edgespectra.cliquespec import spectrum
 from edgespectra.pell import family_pair
-from edgespectra.triangles import clique_parts, tri
+from edgespectra.squares import bennett_search
+from edgespectra.triangles import (clique_parts, decompose_lower, decompose_upper, tri,
+                                   tri_floor_root, tri_root)
 from oracles import (brute_dm_witness, min_r_witness_loop, min_r_witness_search,
                      three_part_witness_scan, three_part_witness_walk)
 
@@ -331,6 +334,22 @@ def test_three_part_budget_charges_window_and_refunds_hit(monkeypatch):
     assert budget.left == 10 ** 6 - len(window) and len(window) > 100
 
 
+def test_three_part_witness_alone_walks_under_a_budget(monkeypatch):
+    # without a budget passed, the walk is charged to a fresh _Budget(m, f),
+    # so a miss window longer than the budget raises instead of running on
+    monkeypatch.setattr(certify, "_RANK_STEPS", 400)
+    m = 2 ** 70 + 12345
+    big = [(3000, 2037210), (m, m * m // 6)]  # misses over 424 and 1.4 * 10^10 z-steps
+    assert [len(certify._z_window(m, f)) for m, f in big] == [424, 14027304449]
+    for m, f in big:
+        for fn in (three_part_witness, three_part_witness_walk):
+            with pytest.raises(RankBudgetExceeded, match=r"walked all 400 z-steps"):
+                fn(m, f)
+    monkeypatch.setattr(certify, "_RANK_STEPS", 424)
+    assert three_part_witness(3000, 2037210) is None
+    assert three_part_witness_walk(3000, 2037210) is None
+
+
 def test_rank_budget_bounds_the_search(monkeypatch):
     # the pair walks 95656 z-steps to its answer, r = 4
     assert min_r(2942, 1718353) == 4
@@ -373,19 +392,20 @@ def test_classify_worked_pairs():
     for m, f in ((7, 9), (7, 12)):
         v = classify_pair(m, f)
         assert v.exact == 0 and v.upper == 0 and v.lower == 0
-        assert v.fired("iv")
+        assert any(t.rule == "iv" for t in v.trace)
     for m, f in ((7, 10), (7, 11)):
         v = classify_pair(m, f)
         assert v.exact is None and v.upper <= HALF
-        assert v.fired("iii")
+        assert any(t.rule == "iii" for t in v.trace)
 
 
 def test_classify_rule_iv_trace_params():
     v = classify_pair(7, 12)
-    sides = {t.side: dict(t.params) for t in v.fired("iv")}
+    fired = [t for t in v.trace if t.rule == "iv"]
+    sides = {t.side: dict(t.params) for t in fired}
     assert sides["f"] == {"l": 5, "lp": 2}
     # the fired parameters satisfy the rule condition literally
-    for t in v.fired("iv"):
+    for t in fired:
         p = dict(t.params)
         assert p["lp"] >= 7 - p["l"]
 
@@ -394,7 +414,7 @@ def test_classify_special_pairs():
     for m, f in SPECIAL_PAIRS:
         v = classify_pair(m, f)
         assert v.exact == 1 and v.upper == 1 and v.lower == 1
-        assert v.fired("A")
+        assert any(t.rule == "A" for t in v.trace)
 
 
 def test_classify_small_zero_pairs():
@@ -406,7 +426,7 @@ def test_classify_small_zero_pairs():
 def test_classify_family_pair():
     v = classify_pair(1112, 222111)
     assert v.exact == HALF
-    (entry,) = v.fired("thm-exact-1/r")
+    (entry,) = [t for t in v.trace if t.rule == "thm-exact-1/r"]
     assert dict(entry.params)["r"] == 2
 
 
@@ -433,10 +453,11 @@ def test_classify_rule_iv_literal():
     for m in range(2, 25):
         for f in range(tri(m) + 1):
             v = classify_pair(m, f)
-            for t in v.fired("iv"):
-                p = dict(t.params)
-                assert p["lp"] >= m - p["l"]
-                assert v.exact == 0
+            for t in v.trace:
+                if t.rule == "iv":
+                    p = dict(t.params)
+                    assert p["lp"] >= m - p["l"]
+                    assert v.exact == 0
 
 
 def test_verdict_interval_sanity():
@@ -444,8 +465,7 @@ def test_verdict_interval_sanity():
         for f in range(tri(m) + 1):
             v = classify_pair(m, f)
             assert v.trace
-            assert v.upper in (Fraction(0), HALF, Fraction(2, 3), Fraction(1)) \
-                or v.exact is not None
+            assert v.upper in (Fraction(0), HALF, Fraction(1)) or v.exact is not None
             if v.lower is not None:
                 assert v.lower <= v.upper
             if v.exact is not None:
@@ -474,6 +494,54 @@ def test_classify_pinned():
     assert digest.hexdigest() == "60a9937e864c0b070c99ed58e09689421dc5dc4ec400742a8fd0b88891913543"
 
 
+def test_mechanical_rules_cap_every_pair():
+    # The certify docstring's proof that off SPECIAL_PAIRS rules (ii)-(v)
+    # cap every pair at 0 or 1/2, step by step.  W = _window(m); for g in
+    # W, l = tri_floor_root(g) and lp = g - tri(l).
+    assert [cap for cap, _ in certify._CAPS] == [0, HALF]
+    # (a) every pair with m <= 51, where the bound of (b) turns analytic
+    for m in range(2, 52):
+        for f in range(tri(m) + 1):
+            if (m, f) not in SPECIAL_PAIRS:
+                assert classify_pair(m, f).rule_upper() <= HALF, (m, f)
+    # (b) a non-triangular g in W fires (iii) exactly when 1 <= lp and
+    # 2lp < l - 1, and (iv) exactly when lp >= m - l; a triangular g fires
+    # neither
+    for m in range(3, 200):
+        lo, hi = _window(m)
+        for g in range(lo, hi + 1):
+            l, lp = dataclasses.astuple(decompose_upper(g))
+            assert certify._RULES["iii"].holds(m, g, *dataclasses.astuple(decompose_lower(g))) \
+                == (1 <= lp and 2 * lp < l - 1), (m, g)
+            assert certify._RULES["iv"].holds(m, g, l, lp) == (lp >= m - l > 0), (m, g)
+    # so no lp escapes both once l + l // 2 >= m; l is least at the bottom
+    # of W, and tri(l + 1) > (m - 1)^2 / 4 there gives l + 1 > (m - 1)/sqrt(2)
+    bottom = [tri_floor_root(_window(m)[0]) for m in range(10 ** 5)]
+    assert all(2 * (l + 1) ** 2 > (m - 1) ** 2 for m, l in enumerate(bottom))
+    assert [m for m in range(2, 10 ** 5) if bottom[m] + bottom[m] // 2 < m] \
+        == [2, 4, 5, 7, 8, 10, 11, 14, 17, 20]
+    # (m - 1)/sqrt(2) - 1 >= (2m + 1)/3, enough as l + l // 2 >= (3l - 1)/2,
+    # holds from m = 51 on (a slope 1/sqrt(2) > 2/3) and not at m = 50
+    assert 9 * 50 ** 2 >= 2 * 106 ** 2 and 9 * 49 ** 2 < 2 * 104 ** 2
+    # (c) l > floor(m/2), the width of W, so W holds at most one triangular
+    # number, and both sides triangular means f = tri(m)/2 (the same bound
+    # gives l > m/2 from m = 9 on)
+    assert all(_window(m)[1] - _window(m)[0] == m // 2 for m in range(2, 10 ** 5))
+    assert [m for m in range(2, 10 ** 5) if bottom[m] <= m // 2] == [2, 4]
+    # (d) from m = 5 on, x + y <= m - 1 with z = 0, and every witness with
+    # z >= 1 (x*y + z <= ((m - 1 - z)/2)^2 + z, convex in z), stay at or
+    # below the bottom of W, which tri(m)/2 exceeds: a D(m) witness of
+    # tri(m)/2 has z = 0 and x + y = m, so x(m - x) = tri(m)/2, that is
+    # (m - 2x)^2 = m = y^2 and 2 tri(a) = tri(y^2)
+    for m in range(5, 10 ** 4):
+        lo = _window(m)[0]
+        assert max((m - 2) ** 2 // 4 + 1, m - 1) <= lo < tri(m) / 2
+    assert bennett_search(10 ** 4) == [(3, 2)]  # the special pair (4, 3), m = y^2 = 4
+    for m in range(5, 10 ** 5):
+        if tri(m) % 2 == 0 and tri_root(tri(m) // 2) is not None:
+            assert dm_witness(tri(m) // 2, m) is None, m
+
+
 def _tampered(v, rule, side=None, **params):
     """v with its first `rule` entry's side and params overridden."""
     i = next(i for i, t in enumerate(v.trace) if t.rule == rule)
@@ -497,9 +565,10 @@ def _tampered(v, rule, side=None, **params):
     (38, 325, lambda v: dataclasses.replace(v, trace=v.trace[1:])),
     (38, 325, lambda v: dataclasses.replace(v, lower=Fraction(1, 3))),
     (38, 325, lambda v: dataclasses.replace(v, upper=Fraction(2, 3))),
+    # the cited 2/3 bound is no rule (the mechanical rules cap every
+    # non-special pair at 0 or 1/2), so its entry is an unknown rule
     (38, 325, lambda v: dataclasses.replace(
         v, trace=v.trace + (TraceEntry("thm-upper-2/3", "pair"),))),
-    # the 2/3 bound is recorded only where it is the least cap, not beside rule (iv)'s 0
     (7, 12, lambda v: dataclasses.replace(
         v, trace=v.trace + (TraceEntry("thm-upper-2/3", "pair"),))),
     (7, 10, lambda v: dataclasses.replace(

@@ -610,6 +610,7 @@ def test_usage_error_exits_2_with_manifest(capsys, argv):
 @pytest.mark.parametrize("argv", [
     ["witness", "--n", "12", "--r", "3", "--m", "18", "--check"],
     ["spectrum", "--n", "12", "--r", "3", "--check"],
+    ["density", "--n", "12", "--r", "3", "--check"],
 ])
 def test_check_rejects_witness_with_too_many_parts(capsys, monkeypatch, argv):
     from edgespectra import cliquespec
@@ -629,6 +630,58 @@ def test_check_rejects_witness_with_too_many_parts(capsys, monkeypatch, argv):
     assert code == 1 and out == ""
     assert "check failed:" in err
     assert _manifest(err)["subcommand"] == argv[0]
+
+
+@pytest.mark.parametrize("shift", [1, -1])
+def test_density_check_rejects_inexact_min(capsys, monkeypatch, shift):
+    import dataclasses
+
+    from edgespectra import cliquespec
+
+    real = cliquespec.density_and_bounds
+    monkeypatch.setattr(cliquespec, "density_and_bounds", lambda n, r: dataclasses.replace(
+        real(n, r), min_element=real(n, r).min_element + shift))
+    argv = ["density", "--n", "50", "--r", "4"]
+    code, out, _ = run_cli(capsys, argv)
+    assert code == 0 and json.loads(out)["bounds_ok"] is True  # bounds_ok alone misses it
+    code, out, err = run_cli(capsys, argv + ["--check"])
+    assert code == 1 and out == ""
+    assert "check failed:" in err
+
+
+def test_snm_check_rejects_dropped_member(capsys, monkeypatch):
+    from edgespectra import graphs
+    from edgespectra.cliquespec import EdgeSpectrum
+
+    real = graphs.compute_Snm
+
+    def drop_top(n, m, f, *, dedup=False):
+        return EdgeSpectrum.from_members(n, None, real(n, m, f, dedup=dedup).members()[:-1])
+
+    monkeypatch.setattr(graphs, "compute_Snm", drop_top)
+    argv = ["snm", "--n", "5", "--m", "3", "--f", "3"]
+    code, out, _ = run_cli(capsys, argv)
+    assert code == 0 and json.loads(out)["members"] == [7, 8, 9]
+    for dedup in ([], ["--dedup"]):
+        code, out, err = run_cli(capsys, argv + ["--check"] + dedup)
+        assert code == 1 and out == ""
+        assert "check failed: non-member e=10 has no counterexample" in err
+
+
+def test_snm_check_recounts_counterexample(capsys, monkeypatch):
+    from edgespectra import graphs
+
+    real = graphs.arrow
+
+    def first_pairs(n, e, m, f, *, dedup=False):
+        # the graph on the first e vertex pairs: for n = 5, e = 6 it holds a triangle
+        res = real(n, e, m, f, dedup=dedup)
+        return res if res.holds else graphs.ArrowResult(False, graphs.GraphMask(n, (1 << e) - 1))
+
+    monkeypatch.setattr(graphs, "arrow", first_pairs)
+    code, out, err = run_cli(capsys, ["snm", "--n", "5", "--m", "3", "--f", "3", "--check"])
+    assert code == 1 and out == ""
+    assert "check failed: counterexample achieves f after all" in err
 
 
 def test_spectrum_check_builds_each_layer_once(capsys, monkeypatch):

@@ -180,8 +180,8 @@ def test_decompositions_satisfy_their_inequalities():
     far = [rng.randrange(10 ** 39, 10 ** 40) for _ in range(2000)]
     for f in [*range(1, 100_001), *near, *far]:
         up, low = decompose_upper(f), decompose_lower(f)
-        assert tri(up.ell) <= f < tri(up.ell + 1) and up.value() == f
-        assert tri(low.b - 1) < f <= tri(low.b) and low.value() == f
+        assert tri(up.ell) <= f < tri(up.ell + 1) and tri(up.ell) + up.ellp == f
+        assert tri(low.b - 1) < f <= tri(low.b) and tri(low.b) - low.bp == f
 
 
 def test_upper_examples():
@@ -206,14 +206,14 @@ def test_lower_rejects_zero():
 def test_upper_roundtrip_and_range():
     for f in range(10_001):
         dec = decompose_upper(f)
-        assert dec.value() == f
+        assert tri(dec.ell) + dec.ellp == f
         assert 0 <= dec.ellp < dec.ell
 
 
 def test_lower_roundtrip_and_range():
     for f in range(1, 10_001):
         dec = decompose_lower(f)
-        assert dec.value() == f
+        assert tri(dec.b) - dec.bp == f
         assert 0 <= dec.bp < dec.b - 1
 
 
