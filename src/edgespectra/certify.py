@@ -29,9 +29,9 @@ smaller m are checked pair by pair.  Then l > floor(m/2), the width of W,
 so both sides triangular means f = tri(m)/2, above the bottom of W, where
 every D(m) witness has z = 0 and x + y = m (m >= 5): (v) misses f only if
 (m - 2x)^2 = m = y^2 and 2 tri(a) = tri(y^2).  Its solution (3, 2) is the
-special pair (4, 3), bennett_search finds no other for y <= 10^4, and past
-m = 10^8 this rests on there being none: another would leave its pair at
-upper = 1, not 2/3, a looser bound but never an unsound one.
+special pair (4, 3), bennett_search finds no other for y <= 10^100, and
+past m = 10^200 this rests on there being none: another would leave its
+pair at upper = 1, not 2/3, a looser bound but never an unsound one.
 
 The minimal clique rank comes from one search, min_r_witness, built on
 triangles.clique_parts, the recursion over the largest part a, which the

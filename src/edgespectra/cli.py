@@ -22,15 +22,18 @@ output does not depend on the route.  spectrum --export writes its lines
 as it reads them off the spectrum, holding no member list.
 Witnesses (witness, the probes of spectrum and density --check) come from a
 recursion, not from the spectrum; density --check also checks min is exact.
-snm --check re-counts its extreme non-members' counterexamples by subset.
+snm --check re-counts a counterexample of every non-member over its m-subsets.
 A witness7 campaign runs its samples in the calling thread, in sorted
 order; its --threads option is accepted and ignored.
 
 One process builds the argument parser once, on its first main call, and
-reuses it for every later call: building it takes about 4 ms, and a whole
-small call such as `dm --m 8 --f 17` about 0.08 ms after that (2-core
-x86-64 VM).  A call that names a subcommand first is parsed by that
-subcommand's parser alone, at less than half the cost of the top parser.
+reuses it for every later call: building it takes about 4 ms.  With it,
+each subparser's option table is read off its own actions.  A call that
+names a subcommand first and gives each of its options once, as an exact
+option string with a value that does not start with "-", is read in one
+pass over that table: 4-8 us a call, a sixth of what the subcommand's own
+argparse parser takes (2-core x86-64 VM).  Any other call is parsed by
+argparse, so the namespace and every usage error are argparse's own.
 """
 
 from __future__ import annotations
@@ -210,12 +213,12 @@ def _cmd_arrow(args) -> dict:
 
 def _cmd_snm(args) -> dict:
     members = graphs.compute_Snm(args.n, args.m, args.f, dedup=args.dedup).members()
-    if args.check:  # the extreme non-members' counterexamples, counted subset by subset
+    if args.check:  # a counterexample for every non-member, its induced edges counted afresh
+        found = graphs.counterexamples(args.n, args.m, args.f, dedup=args.dedup)
         outside = sorted(set(range(tri(args.n) + 1)).difference(members))
-        for e in outside[:1] + outside[-1:]:
-            res = graphs.arrow(args.n, e, args.m, args.f, dedup=args.dedup)
-            _require(not res.holds, f"non-member e={e} has no counterexample")
-            res.validate(e, args.m, args.f)
+        for e in outside:
+            _require(e in found, f"non-member e={e} has no counterexample")
+        graphs.validate_counterexamples(args.n, args.m, args.f, {e: found[e] for e in outside})
     return {"n": args.n, "m": args.m, "f": args.f, "members": members}
 
 def _cmd_turan(args) -> tuple[dict, int]:
@@ -338,6 +341,66 @@ _FAILURES = (squares.PreconditionViolated, squares.WindowExhausted,
              RecursionError)
 
 
+class _OptionTable(NamedTuple):
+    """One subparser's options, read off its own actions: each option string
+    of a store or store-const action (one value or none, no choices) with
+    the action and the type function argparse would call on its value; the
+    attributes a fresh namespace starts with; the required actions; and
+    the mutually exclusive groups as (required, actions) pairs."""
+
+    takes: dict
+    defaults: dict
+    required: tuple
+    groups: tuple
+
+    @classmethod
+    def of(cls, p: argparse.ArgumentParser) -> "_OptionTable":
+        takes = {}
+        for a in p._actions:
+            if isinstance(a, argparse._StoreConstAction) or (
+                    type(a) is argparse._StoreAction and a.nargs is None and a.choices is None):
+                convert = p._registry_get("type", a.type, a.type)
+                takes.update(dict.fromkeys(a.option_strings, (a, convert)))
+        defaults = {a.dest: a.default for a in p._actions
+                    if a.dest is not argparse.SUPPRESS and a.default is not argparse.SUPPRESS}
+        return cls(takes, defaults,
+                   tuple(a for a in p._actions if a.required),
+                   tuple((g.required, tuple(g._group_actions))
+                         for g in p._mutually_exclusive_groups))
+
+    def read(self, name: str, tokens: list[str]) -> argparse.Namespace | None:
+        """The namespace of `name` with `tokens`, when every token is an
+        exact option string of this table, seen once; a flag takes its
+        const, a valued option the next token, which must exist, must not
+        start with "-", and is converted by the action's own type.  Every
+        required action and one member of each required group must be
+        seen.  Anything else is None."""
+        values, seen, rest = {}, set(), iter(tokens)
+        for token in rest:
+            action, convert = self.takes.get(token, (None, None))
+            if action is None or action in seen:
+                return None
+            seen.add(action)
+            if action.nargs == 0:
+                values[action.dest] = action.const
+                continue
+            text = next(rest, "-")
+            if text.startswith("-"):
+                return None
+            try:
+                values[action.dest] = convert(text)
+            except (argparse.ArgumentTypeError, TypeError, ValueError):
+                return None
+        if not seen.issuperset(self.required):
+            return None
+        for required, group in self.groups:
+            hit = [a for a in group if a in seen]
+            # argparse counts a member given its default value as absent
+            if len(hit) > 1 or required and (not hit or values[hit[0].dest] is hit[0].default):
+                return None
+        return argparse.Namespace(cmd=name, **{**self.defaults, **values})
+
+
 def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="edgespectra", description=__doc__,
                                   formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -352,22 +415,20 @@ def build_parser() -> argparse.ArgumentParser:
             kwargs = spec if isinstance(spec, dict) else {"type": spec, "required": not one_of}
             for opt in key.replace(" | ", " ").split():
                 group.add_argument(f"--{opt}", **kwargs)
-    top.subparsers = sub.choices  # name -> subparser, for _parse
+    top.tables = {name: _OptionTable.of(p) for name, p in sub.choices.items()}  # for _parse
     return top
 
 
 def _parse(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.Namespace:
-    """parser.parse_args(argv), with a subcommand's options parsed by its
-    own subparser: the namespace, the exit status and the usage line of an
-    error are the same, at half the cost.  Anything else (no argv,
-    --version, --help, an unknown name) goes through the top parser."""
-    if not argv or argv[0] not in COMMANDS:
-        return parser.parse_args(argv)
-    args, rest = parser.subparsers[argv[0]].parse_known_args(argv[1:])
-    if rest:  # as the top parser reports them
-        parser.error(f"unrecognized arguments: {' '.join(rest)}")
-    args.cmd = argv[0]
-    return args
+    """parser.parse_args(argv), read in one pass over the option table of
+    the subcommand that argv names first.  An argv the table cannot take
+    token for token (no argv, --help, an unknown name, an abbreviation,
+    --n=5, a negative or bad value, a repeated option) goes to
+    parser.parse_args, so every namespace is the one argparse gives and
+    every usage error is argparse's own."""
+    table = parser.tables.get(argv[0]) if argv else None
+    args = None if table is None else table.read(argv[0], argv[1:])
+    return parser.parse_args(argv) if args is None else args
 
 
 @functools.cache

@@ -63,6 +63,7 @@ import functools
 import os
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import compress
 from typing import Iterator
 
 from .triangles import ceil_sqrt, clique_parts, min_clique_edges, realizes, tri
@@ -96,6 +97,13 @@ class CliquePartition:
 
 
 _EXPORT_CHUNK_BYTES = 1 << 16  # bytes of the mask export_lines turns into bits at a time
+_BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")  # a "0" or "1" to a false or true byte
+
+
+def _one_bits(mask: int, start: int = 0) -> Iterator[int]:
+    """start + i for each one bit i of mask, ascending, selected in C."""
+    bits = bin(mask)[:1:-1].encode().translate(_BIT_BYTES)  # byte i is bit i
+    return compress(range(start, start + len(bits)), bits)
 
 
 @dataclass(frozen=True)
@@ -110,8 +118,7 @@ class EdgeSpectrum:
         return 0 <= e <= tri(self.n) and bool((self.mask >> e) & 1)
 
     def members(self) -> list[int]:
-        bits = bin(self.mask)[:1:-1]  # character e is bit e
-        return [e for e, bit in enumerate(bits) if bit == "1"]
+        return list(_one_bits(self.mask))
 
     @property
     def count(self) -> int:
@@ -143,10 +150,9 @@ class EdgeSpectrum:
         ) + "\n"
         data = self.mask.to_bytes((self.mask.bit_length() + 7) // 8, "little")
         for start in range(0, len(data), _EXPORT_CHUNK_BYTES):
-            bits = bin(int.from_bytes(data[start:start + _EXPORT_CHUNK_BYTES], "little"))[:1:-1]
-            for e, bit in enumerate(bits, 8 * start):
-                if bit == "1":
-                    yield f"{e}\n"
+            chunk = int.from_bytes(data[start:start + _EXPORT_CHUNK_BYTES], "little")
+            for e in _one_bits(chunk, 8 * start):
+                yield f"{e}\n"
 
     @classmethod
     def from_members(cls, n: int, r: int | None, members) -> "EdgeSpectrum":

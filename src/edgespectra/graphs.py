@@ -183,6 +183,31 @@ def compute_Snm(n: int, m: int, f: int, *, dedup: bool = False) -> EdgeSpectrum:
     return EdgeSpectrum.from_members(n, None, np.flatnonzero(good).tolist())
 
 
+def counterexamples(n: int, m: int, f: int, *, dedup: bool = False) -> dict[int, int]:
+    """For every e at which arrow(n, e, m, f) fails, the edge mask of a graph
+    with e edges none of whose m-subsets spans f edges: the first such
+    catalogue representative, read off the tables for all e at once."""
+    _validate_arrow_args(n, 0, m, f, dedup)
+    reps, pc, ach = _rep_tables(n, m)
+    lacking = np.flatnonzero(_lacking(ach, f))
+    counts, first = np.unique(pc[lacking], return_index=True)
+    return dict(zip(counts.tolist(), reps[lacking[first]].tolist()))
+
+
+def validate_counterexamples(n: int, m: int, f: int, found: dict[int, int]) -> None:
+    """ArrowResult.validate for many graphs at once: each found[e] must be an
+    n-vertex graph with e edges inducing other than f edges on every
+    m-subset, counted afresh from its own mask, not read from the tables."""
+    masks = np.array(list(found.values()), dtype=np.uint32)
+    if (masks >> np.uint32(tri(n))).any():
+        raise AssertionError("edge bits beyond the pair range")
+    if (np.bitwise_count(masks) != np.fromiter(found, dtype=np.int64)).any():
+        raise AssertionError("counterexample has wrong edge count")
+    subsets = np.array(_subset_masks(n, m), dtype=np.uint32)
+    if (np.bitwise_count(masks[:, None] & subsets) == f).any():
+        raise AssertionError("counterexample achieves f after all")
+
+
 def turan_number(n: int, p: int) -> int:
     """Edge count of the complete balanced p-partite graph on n vertices."""
     if p < 1:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from math import isqrt
 from typing import Optional
 
-from .triangles import ceil_sqrt, first_square, int_roots, realizes
+from .triangles import ceil_sqrt, first_square, realizes
 
 
 class PreconditionViolated(Exception):
@@ -110,17 +110,22 @@ def three_square_decomp(v: int) -> Optional[ThreeSquareDecomp]:
 def bennett_search(y_limit: int) -> list[tuple[int, int]]:
     """All (x, y) with 2*tri(x) = tri(y^2), x >= 1 and 2 <= y <= y_limit.
 
-    For each y the equation is a quadratic in x, so only integrality is
-    checked.  y = 1 makes both sides vanish and is excluded as degenerate.
+    The equation is (2y^2 - 1)^2 - 2(2x - 1)^2 = -1, so u = 2y^2 - 1 and
+    w = 2x - 1 solve u^2 - 2w^2 = -1, whose positive solutions are the odd
+    powers u + w*sqrt(2) = (1 + sqrt(2))^(2k+1): (1, 1), (7, 5), (41, 29),
+    ...  The search walks that orbit up to u = 2*y_limit^2 - 1, O(log
+    y_limit) steps, and keeps each u with (u + 1)/2 a square.  y = 1
+    (u = 1) makes both sides vanish and is excluded as degenerate.
     """
     if y_limit < 2:
         raise ValueError(f"need y_limit >= 2, got {y_limit}")
     hits: list[tuple[int, int]] = []
-    for y in range(2, y_limit + 1):
-        # x(x-1) = y^2 (y^2 - 1) / 2; the larger root is the positive one
-        roots = int_roots(1, -(y * y * (y * y - 1) // 2))
-        if roots:
-            hits.append((roots[1], y))
+    u, w = 7, 5
+    while u < 2 * y_limit * y_limit:
+        y = isqrt((u + 1) // 2)
+        if 2 * y * y == u + 1:
+            hits.append(((w + 1) // 2, y))
+        u, w = 3 * u + 4 * w, 2 * u + 3 * w
     return hits
 
 

@@ -20,7 +20,7 @@ from edgespectra.cliquespec import EdgeSpectrum
 from edgespectra.graphs import (_achieved, _move_bits, _pair_dest, canonical_reps,
                                 subset_pair_mask)
 from edgespectra.repcount import RepHistogram
-from edgespectra.triangles import clique_parts, min_clique_edges, tri
+from edgespectra.triangles import clique_parts, int_roots, min_clique_edges, tri
 
 
 def rep_histogram_naive(n: int, N: int, sum_cap: Optional[int] = None) -> RepHistogram:
@@ -52,6 +52,17 @@ def witness7_linear_t0(n: int, m: int) -> squares.Witness7:
     """squares.witness7 with its pivot found by the linear scan."""
     with mock.patch.object(squares, "_find_t0", _find_t0_linear):
         return squares.witness7(n, m)
+
+
+def bennett_search_scan(y_limit: int) -> list[tuple[int, int]]:
+    """squares.bennett_search by one quadratic in x per y instead of the
+    negative Pell orbit: x(x - 1) = y^2 (y^2 - 1)/2, the larger root."""
+    hits = []
+    for y in range(2, y_limit + 1):
+        roots = int_roots(1, -(y * y * (y * y - 1) // 2))
+        if roots:
+            hits.append((roots[1], y))
+    return hits
 
 
 def three_square_decomp_descent(v: int) -> Optional[squares.ThreeSquareDecomp]:

@@ -536,7 +536,9 @@ def test_mechanical_rules_cap_every_pair():
     for m in range(5, 10 ** 4):
         lo = _window(m)[0]
         assert max((m - 2) ** 2 // 4 + 1, m - 1) <= lo < tri(m) / 2
-    assert bennett_search(10 ** 4) == [(3, 2)]  # the special pair (4, 3), m = y^2 = 4
+    # (3, 2), the special pair (4, 3) at m = y^2 = 4, is the only solution
+    # for y <= 10^100, that is m <= 10^200
+    assert bennett_search(10 ** 100) == [(3, 2)]
     for m in range(5, 10 ** 5):
         if tri(m) % 2 == 0 and tri_root(tri(m) // 2) is not None:
             assert dm_witness(tri(m) // 2, m) is None, m

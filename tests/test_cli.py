@@ -668,17 +668,47 @@ def test_snm_check_rejects_dropped_member(capsys, monkeypatch):
         assert "check failed: non-member e=10 has no counterexample" in err
 
 
+def test_snm_check_catches_every_dropped_run_end(capsys, monkeypatch):
+    # every nonempty S(n, m, f) with n <= 7, its top member dropped, and
+    # separately each run's lowest member: a dropped one-member run is next
+    # to no member, so only a re-count of every non-member can see it
+    from edgespectra import graphs
+    from edgespectra.cliquespec import EdgeSpectrum
+
+    real, dropped = graphs.compute_Snm, []
+
+    def drop(n, m, f, *, dedup=False):
+        members = real(n, m, f, dedup=dedup).members()
+        return EdgeSpectrum.from_members(n, None, [e for e in members if e not in dropped])
+
+    monkeypatch.setattr(graphs, "compute_Snm", drop)
+    sets = 0
+    for n in range(2, 8):
+        for m in range(2, n + 1):
+            for f in range(tri(m) + 1):
+                members = real(n, m, f).members()
+                if not members:
+                    continue
+                sets += 1
+                for e in sorted({members[-1]} | {e for e in members if e - 1 not in members}):
+                    dropped[:] = [e]
+                    code, out, err = run_cli(capsys, ["snm", "--n", str(n), "--m", str(m),
+                                                      "--f", str(f), "--check"])
+                    assert code == 1 and out == "", (n, m, f, e)
+                    assert f"check failed: non-member e={e} has no counterexample" in err
+    assert sets == 133  # 131 from n = 3 on
+
+
 def test_snm_check_recounts_counterexample(capsys, monkeypatch):
     from edgespectra import graphs
 
-    real = graphs.arrow
+    real = graphs.counterexamples
 
-    def first_pairs(n, e, m, f, *, dedup=False):
+    def first_pairs(n, m, f, *, dedup=False):
         # the graph on the first e vertex pairs: for n = 5, e = 6 it holds a triangle
-        res = real(n, e, m, f, dedup=dedup)
-        return res if res.holds else graphs.ArrowResult(False, graphs.GraphMask(n, (1 << e) - 1))
+        return {e: (1 << e) - 1 for e in real(n, m, f, dedup=dedup)}
 
-    monkeypatch.setattr(graphs, "arrow", first_pairs)
+    monkeypatch.setattr(graphs, "counterexamples", first_pairs)
     code, out, err = run_cli(capsys, ["snm", "--n", "5", "--m", "3", "--f", "3", "--check"])
     assert code == 1 and out == ""
     assert "check failed: counterexample achieves f after all" in err
@@ -808,3 +838,87 @@ def test_subcommand_parse_usage_errors_match_top_parser(capsys, argv):
     assert outcomes[0] == outcomes[1]
     code, captured = outcomes[0]
     assert code == 2 and captured.err.startswith("usage: edgespectra")
+
+
+def _parse_outcome(capsys, parse, parser, argv):
+    """The namespace parse gives argv, or its exit code and what it printed."""
+    try:
+        return parse(parser, argv)
+    except SystemExit as exc:
+        captured = capsys.readouterr()
+        return exc.code, captured.out, captured.err
+
+
+def test_parse_matches_parse_args_on_fuzz_and_usage_errors(capsys):
+    from edgespectra import cli
+
+    parser = cli.build_parser()
+    argvs = (_fuzz_argvs(2500, seed=11) + [a.split() for a in ONE_PER_COMMAND.values()]
+             + [a.split() for a in USAGE_ERRORS])
+    for argv in argvs:
+        outcomes = [_parse_outcome(capsys, parse, parser, argv)
+                    for parse in (cli._parse, argparse.ArgumentParser.parse_args)]
+        assert outcomes[0] == outcomes[1], argv
+
+
+# Forms the option table declines, each then parsed by argparse: a joined
+# value, an abbreviation, negative values, a repeated option, help, "--",
+# and an option whose value is missing.
+DECLINED = [
+    "spectrum --n=5 --r 2",
+    "classify --m 7 --f 12 --chec",
+    "classify --m 7 --f -2",
+    "interval --n 10 --r 2 --c-low -1e20 --c-high 0",
+    "interval --n 10 --r 2 --c-low 0 --c-high -.5",
+    "minr --m 4 --f 3 --m 5",
+    "arrow --n 5 --e 6 --m 3 --f 3 --check --check",
+    "dm --m 8 --f 17 -h",
+    "dm --m 8 --f 17 --",
+    "dm -- --m 8 --f 17",
+    "dm --m 8 --f",
+    "witness7 --n 30000 --m",
+]
+
+
+@pytest.mark.parametrize("argv", DECLINED)
+def test_parse_matches_parse_args_where_table_declines(capsys, argv):
+    from edgespectra import cli
+
+    parser = cli.build_parser()
+    argv = argv.split()
+    assert parser.tables[argv[0]].read(argv[0], argv[1:]) is None
+    outcomes = [_parse_outcome(capsys, parse, parser, argv)
+                for parse in (cli._parse, argparse.ArgumentParser.parse_args)]
+    assert outcomes[0] == outcomes[1]
+
+
+def test_parse_answers_every_command_without_argparse(monkeypatch):
+    from edgespectra import cli
+
+    parser = cli.build_parser()
+    expected = {name: parser.parse_args(argv.split()) for name, argv in ONE_PER_COMMAND.items()}
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("argparse was asked to parse")
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", unreachable)
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args", unreachable)
+    for name, argv in ONE_PER_COMMAND.items():
+        assert cli._parse(parser, argv.split()) == expected[name], argv
+
+
+def test_option_table_follows_argparse_on_defaults():
+    from edgespectra import cli
+
+    p = argparse.ArgumentParser()
+    one = p.add_mutually_exclusive_group(required=True)
+    one.add_argument("--a", type=int, default=0)
+    one.add_argument("--b", action="store_const", const="b")
+    p.add_argument("--c", nargs="?")  # takes zero or one value
+    table = cli._OptionTable.of(p)
+    assert set(table.takes) == {"--a", "--b"}  # not -h, --help or --c
+    for argv in (["--a", "5"], ["--b"]):
+        assert table.read("x", argv) == argparse.Namespace(cmd="x", **vars(p.parse_args(argv)))
+    # argparse counts a member given its default as absent, so the group is unmet
+    for argv in (["--a", "0"], ["--a", "5", "--b"], ["--c", "1", "--b"], []):
+        assert table.read("x", argv) is None, argv

@@ -604,3 +604,15 @@ def test_from_members_matches_or_loop():
         with pytest.raises(ValueError):
             EdgeSpectrum.from_members(4, None, bad)
 
+
+
+def test_members_match_per_bit_read():
+    def per_bit(mask):
+        return [e for e in range(mask.bit_length()) if mask >> e & 1]
+
+    specs = [spectrum(n, r) for n in range(61) for r in range(1, 7)]
+    # every mask below 2^11, and runs of ones of every length up to 300
+    masks = list(range(1 << 11)) + [(1 << k) - 1 for k in range(301)] + [((1 << 300) - 1) << 7]
+    specs += [EdgeSpectrum(30, None, mask) for mask in masks]  # tri(30) = 435
+    for spec in specs:
+        assert spec.members() == per_bit(spec.mask), (spec.n, spec.r, spec.mask)

@@ -246,6 +246,41 @@ def test_dedup_matches_per_rep_oracle(n, ms):
                 assert (res.holds, got) == (expected is None, expected), (e, m, f)
 
 
+def _rejects(check) -> bool:
+    try:
+        check()
+    except (AssertionError, ValueError):
+        return True
+    return False
+
+
+@pytest.mark.parametrize("n, ms", [(n, range(2, n + 1)) for n in range(2, 8)] + [(8, (3, 5))],
+                         ids=[f"n{n}" for n in range(2, 9)])
+def test_counterexamples_match_per_rep_oracle(n, ms):
+    # the first failing rep of every edge count, all e at once; the batch
+    # re-count accepts them, and of one edge flipped or the graph on the
+    # first e pairs it rejects what arrow's validate rejects
+    for m in ms:
+        first = dedup_counterexamples(n, m)
+        for f in range(tri(m) + 1):
+            found = graphs.counterexamples(n, m, f, dedup=True)
+            assert found == {e: g for (e, ff), g in first.items() if ff == f}, (m, f)
+            if n <= graphs.MAX_LABELED_N:
+                assert graphs.counterexamples(n, m, f) == found
+            graphs.validate_counterexamples(n, m, f, found)
+            for e, g in found.items():
+                for bad in (g ^ 1, (1 << e) - 1):
+                    def batch():
+                        graphs.validate_counterexamples(n, m, f, {**found, e: bad})
+
+                    def one():
+                        graphs.ArrowResult(False, GraphMask(n, bad)).validate(e, m, f)
+
+                    assert _rejects(batch) == _rejects(one), (m, f, e, bad)
+                with pytest.raises(AssertionError, match="beyond the pair range"):
+                    graphs.validate_counterexamples(n, m, f, {e: g | 1 << tri(n)})
+
+
 def test_iso_catalogue_counts():
     for n in range(1, 8):
         assert len(canonical_reps(n)) == ISO_COUNTS[n], n

@@ -18,7 +18,7 @@ from edgespectra.squares import (
     witness7,
 )
 from edgespectra.triangles import tri
-from oracles import three_square_decomp_descent, witness7_linear_t0
+from oracles import bennett_search_scan, three_square_decomp_descent, witness7_linear_t0
 
 
 def sieve_three_squares(limit):
@@ -152,6 +152,15 @@ def test_bennett_prefix_property():
         cur = bennett_search(y_limit)
         assert cur[: len(prev)] == prev
         prev = cur
+
+
+def test_bennett_orbit_matches_scan():
+    # the scan's hits at a limit are its hits at 10^4 up to that limit,
+    # as it appends them in y order
+    hits = bennett_search_scan(10 ** 4)
+    assert hits == [(3, 2)]
+    for y_limit in range(2, 10 ** 4 + 1):
+        assert bennett_search(y_limit) == [h for h in hits if h[1] <= y_limit], y_limit
 
 
 def test_bennett_rejects_tiny_limit():
