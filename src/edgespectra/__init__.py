@@ -81,6 +81,7 @@ from .squares import (
     three_square_decomp,
     witness7,
 )
-from .triangles import decompose_lower, decompose_upper, tri, tri_root, two_part_witness
+from .triangles import (EdgespectraError, decompose_lower, decompose_upper, tri, tri_root,
+                        two_part_witness)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -33,20 +33,22 @@ special pair (4, 3), bennett_search finds no other for y <= 10^100, and
 past m = 10^200 this rests on there being none: another would leave its
 pair at upper = 1, not 2/3, a looser bound but never an unsound one.
 
-The minimal clique rank comes from one search, min_r_witness, built on
+The minimal clique rank comes from one search, _min_rank_parts, built on
 triangles.clique_parts, the recursion over the largest part a, which the
 deficit d = tri(m) - f confines to a >= m - 2d/m.  One and two parts
 are answered first, by f = tri(m) and by the roots of a quadratic.  Next
 the search decides whether f is the edge sum of any partition of m; a
 pair with no representation is answered there.  Then it runs at part
-counts j = 3, 4, ... with three_part_witness (a walk over the smallest
-part within a closed-form window, keeping the discriminant of the other
-two parts as a running sum in triangles.first_square, the kernel the
-three-square descent of squares runs on too) as its three-part step, and
-the first j that admits a partition gives the witness.  The three-part
+counts j = 3, 4, ..., from the least j with min_clique_edges(m, j) <= f,
+with three_part_witness (a walk over the smallest part within a
+closed-form window, keeping the discriminant of the other two parts as a
+running sum in triangles.first_square, the kernel the three-square
+descent of squares runs on too) as its three-part step, and the first j
+that admits a partition gives the witness.  The three-part
 windows of one search share a budget of z-steps, charged per window in
 closed form, so a search that cannot decide in time raises
-RankBudgetExceeded instead of running on.  min_r is the witness's part
+RankBudgetExceeded instead of running on.  min_r_witness lists the
+witness's singletons; min_r counts them, its rank is the witness's part
 count less one, so the rank and its certificate never disagree.  Every
 step is exact integer arithmetic: the one- and two-part quadratics are
 solved with triangles.int_roots, the three-part walk tests each
@@ -55,13 +57,16 @@ discriminant with isqrt, and nothing here is fixed-width.
 
 from __future__ import annotations
 
+import functools
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import isqrt
 from typing import Callable, NamedTuple, Optional
 
-from .triangles import (ceil_sqrt, clique_parts, decompose_lower, decompose_upper,
-                        first_square, int_roots, is_triple, tri, tri_root, two_part_witness)
+from .triangles import (EdgespectraError, ceil_sqrt, clique_parts, decompose_lower,
+                        decompose_upper, first_square, int_roots, is_triple, min_clique_edges,
+                        tri, tri_root, two_part_witness)
 
 #: The five pairs whose density is exactly 1.
 SPECIAL_PAIRS = frozenset({(2, 0), (2, 1), (4, 3), (5, 4), (5, 6)})
@@ -120,7 +125,7 @@ class Verdict:
     def rule_upper(self) -> Fraction:
         """Upper bound certified by the mechanical rules alone: the least
         _RULES cap among the entries that are not cited facts."""
-        return _least_cap({t.rule for t in self.trace if not t.rule.startswith("thm-")})
+        return _least_cap(frozenset(t.rule for t in self.trace if not t.rule.startswith("thm-")))
 
     def validate(self, m: int, f: int) -> None:
         """Re-check the verdict on (m, f); AssertionError if it fails.  Every
@@ -180,17 +185,13 @@ _RULES = {
 }
 
 
-#: Each cap of _RULES with the rules that certify it, least cap first.
-_CAPS = sorted((cap, frozenset(k for k, rule in _RULES.items() if rule.cap == cap))
-               for cap in {rule.cap for rule in _RULES.values()} - {None})
-
-
-def _least_cap(rules: set[str]) -> Fraction:
-    """The least cap that one of the named rules certifies; 1 if none does."""
-    for cap, names in _CAPS:
-        if not names.isdisjoint(rules):
-            return cap
-    return _ONE
+@functools.lru_cache(maxsize=1 << len(_RULES))
+def _least_cap(rules: frozenset[str]) -> Fraction:
+    """The least cap that one of the named rules certifies; 1 if none does.
+    Kept per set of names, as a comparison of two Fractions costs about a
+    microsecond; there is room for every set of rules."""
+    return min((rule.cap for k, rule in _RULES.items() if k in rules and rule.cap is not None),
+               default=_ONE)
 
 
 def _entry_holds(t: TraceEntry, m: int, f: int) -> bool:
@@ -210,7 +211,7 @@ def _bounds(trace) -> tuple[Optional[Fraction], Fraction, Optional[Fraction]]:
     thm-exact gives the exact value 1/r, thm-lower the lower bound.
     AssertionError on conflicting entries.
     """
-    rules = {t.rule for t in trace}
+    rules = frozenset(t.rule for t in trace)
     if "A" in rules:
         return _ONE, _ONE, _ONE
     upper = _least_cap(rules)
@@ -274,7 +275,7 @@ def dm_witness(f: int, m: int) -> Optional[tuple[int, int, int]]:
 # whose vertex counts are positive and sum to m.
 # ---------------------------------------------------------------------------
 
-class RankBudgetExceeded(Exception):
+class RankBudgetExceeded(EdgespectraError):
     """The rank search walked its whole budget of three-part z-steps
     without deciding the pair."""
 
@@ -356,12 +357,10 @@ def three_part_witness(m: int, f: int, *,
     return None
 
 
-def min_r_witness(m: int, f: int) -> Optional[tuple[int, ...]]:
-    """A partition realizing min_r(m, f), nonincreasing; None if absent.
-
-    It has the fewest parts; the parts before the last three are the
-    lexicographically largest possible, and the last three are the triple
-    with the smallest smallest part.
+def _min_rank_parts(m: int, f: int) -> Optional[tuple[int, ...]]:
+    """min_r_witness(m, f) without the singletons that fill up the rest of
+    m (a one- or two-part witness lists all its parts); None if there is
+    no partition.
 
     One part is f = tri(m), and two parts are two_part_witness.  Otherwise
     triangles.clique_parts first decides whether any partition of m has
@@ -369,9 +368,12 @@ def min_r_witness(m: int, f: int) -> Optional[tuple[int, ...]]:
     returns None there.  Then the part counts j = 3, 4, ... are tried
     in turn by the same recursion with three_part_witness as its k = 3
     step, and the first that admits a partition gives the witness: at the
-    least such j every partition into at most j parts has exactly j.  The
-    three-part windows of one call share one budget of _RANK_STEPS
-    z-steps; RankBudgetExceeded is raised once they have walked it.
+    least such j every partition into at most j parts has exactly j.  No
+    j with min_clique_edges(m, j) > f admits one, and min_clique_edges
+    falls as j grows, so where j = 3 is such a j the search starts at the
+    least j that is not, found by bisection.  The three-part windows of
+    one call share one budget of _RANK_STEPS z-steps; RankBudgetExceeded
+    is raised once they have walked it.
     """
     PairMF(m, f)
     if f == tri(m):
@@ -381,13 +383,26 @@ def min_r_witness(m: int, f: int) -> Optional[tuple[int, ...]]:
         return pair
     if clique_parts(m, f, m) is None:
         return None
+    start = 3 if min_clique_edges(m, 3) <= f else bisect_left(
+        range(m + 1), -f, 4, key=lambda j: -min_clique_edges(m, j))
     budget = _Budget(m, f)
     triple = lambda v, g: three_part_witness(v, g, budget=budget)
-    for j in range(3, m + 1):
+    for j in range(start, m + 1):
         parts = clique_parts(m, f, j, triple)
         if parts is not None:
-            return parts + (1,) * (m - sum(parts))
+            return parts
     raise AssertionError(f"({m},{f}) is representable but no part count admits it")
+
+
+def min_r_witness(m: int, f: int) -> Optional[tuple[int, ...]]:
+    """A partition realizing min_r(m, f), nonincreasing; None if absent.
+
+    It has the fewest parts; the parts before the last three are the
+    lexicographically largest possible, and the last three are the triple
+    with the smallest smallest part.  See _min_rank_parts for the search.
+    """
+    parts = _min_rank_parts(m, f)
+    return None if parts is None else parts + (1,) * (m - sum(parts))
 
 
 def min_r(m: int, f: int) -> Optional[int]:
@@ -395,9 +410,11 @@ def min_r(m: int, f: int) -> Optional[int]:
     positive vertex counts summing to m; None when no representation exists.
 
     Equals (min k with f in C(m, k)) - 1, since empty parts are removable.
+    It is the part count of min_r_witness(m, f) less one, its singletons
+    counted, not listed.
     """
-    w = min_r_witness(m, f)
-    return None if w is None else len(w) - 1
+    parts = _min_rank_parts(m, f)
+    return None if parts is None else len(parts) + m - sum(parts) - 1
 
 
 # ---------------------------------------------------------------------------
@@ -466,6 +483,6 @@ def classify_pair(m: int, f: int) -> Verdict:
                       or _fired("thm-lower-1/r", side, m, g, *rabc))
     if any(t.side == "complement" for t in trace):
         trace[:0] = _fired("i", "pair", m, f, f, fc)
-    if _least_cap({t.rule for t in trace}) != 0:
+    if _least_cap(frozenset(t.rule for t in trace)) != 0:
         trace += _fired("thm-upper-1/2", "pair", m, f)
     return Verdict(*_bounds(trace), trace=tuple(trace))

@@ -3,10 +3,9 @@
 Results go to standard output as JSON (JSON lines for sampling campaigns);
 diagnostics and a reproducibility manifest go to standard error, on every
 call.  Exit status: 0 on success; 1 on a verification failure (an interval
-gap, "check failed: ..." from a re-validation) or a named package failure
-(PreconditionViolated, WindowExhausted, DescentBudgetExceeded, ScaleRejected,
-SpectrumMemoryError, TupleBudgetExceeded, RankBudgetExceeded, OverflowError,
-RecursionError); 2 on a usage error (argparse, or a ValueError for a bad
+gap, "check failed: ..." from a re-validation) or a named failure (an
+EdgespectraError, the base of every package failure, or an OverflowError
+or RecursionError); 2 on a usage error (argparse, or a ValueError for a bad
 value, such as an --export or --csv path that cannot be written).  Failures
 print "error: <ExceptionName>: <message>".
 
@@ -51,7 +50,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, NamedTuple
 
 from . import __version__, certify, cliquespec, graphs, pell, repcount, squares
-from .triangles import min_clique_edges, realizes, tri
+from .triangles import EdgespectraError, min_clique_edges, realizes, tri
 
 
 def _frac(x: Fraction | None):
@@ -60,13 +59,9 @@ def _frac(x: Fraction | None):
     return int(x) if x.denominator == 1 else float(x)
 
 
-class CheckFailure(Exception):
-    pass
-
-
 def _require(ok: bool, failure: str) -> None:
-    if not ok:
-        raise CheckFailure(failure)
+    if not ok:  # main prints it as "check failed: <failure>"
+        raise AssertionError(failure)
 
 
 def _write(path: str, lines: Iterable[str]) -> None:
@@ -334,11 +329,9 @@ COMMANDS = {
         "sum-cap": OPT_INT, "asymptotic": FLAG}),
 }
 
-# Named failures of the package; a ValueError (a bad value) exits 2 instead.
-_FAILURES = (squares.PreconditionViolated, squares.WindowExhausted,
-             squares.DescentBudgetExceeded, graphs.ScaleRejected, cliquespec.SpectrumMemoryError,
-             repcount.TupleBudgetExceeded, certify.RankBudgetExceeded, OverflowError,
-             RecursionError)
+# Named failures: the package's own and two of Python's; a ValueError (a
+# bad value) exits 2 instead.
+_FAILURES = (EdgespectraError, OverflowError, RecursionError)
 
 
 class _OptionTable(NamedTuple):
@@ -447,7 +440,7 @@ def main(argv: list[str] | None = None) -> int:
         result = COMMANDS[args.cmd].run(args)
         payload, code = result if isinstance(result, tuple) else (result, 0)
         output = payload if isinstance(payload, str) else json.dumps(payload) + "\n"
-    except (CheckFailure, AssertionError) as exc:
+    except AssertionError as exc:
         print(f"check failed: {exc}", file=sys.stderr)
         code = 1
     except (*_FAILURES, ValueError) as exc:

@@ -51,6 +51,10 @@ is streamed, a few ints the size of its rows and of the top row;
 the memory guard is charged for them, at the size of full rows, before the
 first layer is built.  On the r = 5 route these are the band's layers,
 and the cover's run is OR-ed into the top row within the same charge.
+The guard is charged in two steps: first the top row's four ints,
+4(tri(n) + 1) bits, a term of every route's charge, before a cover plan
+or a layer cap is made, so a refusal takes the same time at any n and r;
+then the whole charge, read off the route's layer caps.
 bounds_sweep reads every row of every layer, so it stores full layers of
 full rows.  member_witness reads no layer (it is triangles.clique_parts,
 a recursion over the largest part), but it is guarded as spectrum(n, r)
@@ -66,13 +70,14 @@ from fractions import Fraction
 from itertools import compress
 from typing import Iterator
 
-from .triangles import ceil_sqrt, clique_parts, min_clique_edges, realizes, tri
+from .triangles import (EdgespectraError, ceil_sqrt, clique_parts, min_clique_edges, realizes,
+                        tri)
 
 ENV_MAX_TABLE_BITS = "EDGESPECTRA_MAX_TABLE_BITS"
 _DEFAULT_MAX_TABLE_BITS = 8_000_000_000  # ~1 GB of row storage
 
 
-class SpectrumMemoryError(Exception):
+class SpectrumMemoryError(EdgespectraError):
     """Requested DP tables exceed the configured memory cap."""
 
 
@@ -154,33 +159,6 @@ class EdgeSpectrum:
             for e in _one_bits(chunk, 8 * start):
                 yield f"{e}\n"
 
-    @classmethod
-    def from_members(cls, n: int, r: int | None, members) -> "EdgeSpectrum":
-        cap = tri(n)
-        buf = bytearray(cap // 8 + 1)
-        for e in members:
-            if not 0 <= e <= cap:
-                raise ValueError(f"edge count {e} outside [0, {cap}]")
-            buf[e >> 3] |= 1 << (e & 7)
-        return cls(n=n, r=r, mask=int.from_bytes(buf, "little"))
-
-    @classmethod
-    def parse_export(cls, lines) -> "EdgeSpectrum":
-        import json
-
-        it = iter(lines)
-        try:
-            header = json.loads(next(it))
-            n, count = header["n"], header["count"]
-        except (StopIteration, TypeError, KeyError) as exc:
-            raise ValueError(f"no export header with n and count: {exc!r}") from exc
-        if not (type(n) is int and n >= 0 and type(count) is int):
-            raise ValueError(f"export header needs integers n >= 0 and count, got {n!r} and {count!r}")
-        spec = cls.from_members(n, header.get("r"), (int(s) for s in it))
-        if spec.count != count:
-            raise ValueError("member count disagrees with header")
-        return spec
-
 
 def bounded_partitions(n: int, max_parts: int, max_part: int | None = None) -> Iterator[tuple[int, ...]]:
     """All partitions of n into at most max_parts positive parts, nonincreasing."""
@@ -231,9 +209,9 @@ def _estimate_bits(caps: list[int]) -> int:
     # that OR the cover's run into it.  At r = 2 no layer is stored, and
     # these ints are the whole charge.  Each is charged at its full row's
     # size; a row bounded toward (n, r) is no longer, and most are shorter.
-    stored = sorted(_rows_bits(c) for c in caps[:-2])
+    # Caps are nondecreasing, so the two largest stored layers are the last.
     streamed_row, top_row = tri(caps[-2]) + 1, tri(caps[-1]) + 1
-    return sum(stored[-2:]) + 3 * streamed_row + 4 * top_row
+    return sum(_rows_bits(c) for c in caps[-4:-2]) + 3 * streamed_row + 4 * top_row
 
 
 # Part sizes are OR-ed into a row in blocks of _BLOCK consecutive sizes a:
@@ -359,13 +337,12 @@ def _cover_plan(n: int) -> tuple[int, int, int] | None:
 def _guarded_caps(n: int, r: int) -> tuple[int, list[int], tuple[int, int, int] | None]:
     """The layer count spectrum(n, r) builds, its layer caps and, at r = 5
     where the cover applies, its cover plan, after the memory guard has
-    been charged for them."""
+    been charged for them.  The top row's four ints, a term of every
+    route's charge, are charged first, so a refusal lists no cap."""
     _check_n_r(n, r)
+    _check_cap(4 * (tri(n) + 1))
     k_eff = min(r, max(n, 1))  # more than n parts only adds empty cliques
-    plan = None
-    if k_eff == 5:
-        _check_cap(4 * (tri(n) + 1))  # below either route's charge: refused before planning
-        plan = _cover_plan(n)
+    plan = _cover_plan(n) if k_eff == 5 else None
     caps = _layer_caps(n, k_eff) if plan is None else _layer_caps(plan[2], 4) + [n]
     _check_cap(_estimate_bits(caps))
     return k_eff, caps, plan

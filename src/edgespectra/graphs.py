@@ -43,7 +43,7 @@ from typing import Optional
 import numpy as np
 
 from .cliquespec import EdgeSpectrum, bounded_partitions, spectrum
-from .triangles import min_clique_edges, tri
+from .triangles import EdgespectraError, min_clique_edges, tri
 
 MAX_LABELED_N = 7
 MAX_DEDUP_N = 8
@@ -52,7 +52,7 @@ _ENUM_CELLS = 1 << 20  # adjacency cells read per numpy pass of that enumeration
 MAX_CONCENTRATION_N = 2000  # the N x N adjacency matrix takes N^2 bytes: 4 MB here
 
 
-class ScaleRejected(Exception):
+class ScaleRejected(EdgespectraError):
     """Vertex count outside the supported exhaustive range."""
 
 
@@ -180,7 +180,8 @@ def compute_Snm(n: int, m: int, f: int, *, dedup: bool = False) -> EdgeSpectrum:
     _, pc, ach = _rep_tables(n, m)
     good = np.ones(tri(n) + 1, dtype=bool)
     good[pc[_lacking(ach, f)]] = False
-    return EdgeSpectrum.from_members(n, None, np.flatnonzero(good).tolist())
+    mask = int.from_bytes(np.packbits(good, bitorder="little").tobytes(), "little")
+    return EdgeSpectrum(n=n, r=None, mask=mask)
 
 
 def counterexamples(n: int, m: int, f: int, *, dedup: bool = False) -> dict[int, int]:

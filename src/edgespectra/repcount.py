@@ -21,12 +21,12 @@ from typing import Optional
 import numpy as np
 
 from .cliquespec import _check_cap
-from .triangles import tri
+from .triangles import EdgespectraError, tri
 
 _MAX_TUPLES = 50_000_000
 
 
-class TupleBudgetExceeded(Exception):
+class TupleBudgetExceeded(EdgespectraError):
     """The sorted-tuple iteration estimate exceeds the resource guard."""
 
 

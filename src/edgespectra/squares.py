@@ -15,14 +15,14 @@ from dataclasses import dataclass
 from math import isqrt
 from typing import Optional
 
-from .triangles import ceil_sqrt, first_square, realizes
+from .triangles import EdgespectraError, ceil_sqrt, first_square, realizes
 
 
-class PreconditionViolated(Exception):
+class PreconditionViolated(EdgespectraError):
     """m lies outside the admissible interval for the given n."""
 
 
-class WindowExhausted(Exception):
+class WindowExhausted(EdgespectraError):
     """No pivot in the 10-wide scan window satisfied every condition.
 
     This signals an implementation or transcription bug: the window is
@@ -30,7 +30,7 @@ class WindowExhausted(Exception):
     """
 
 
-class DescentBudgetExceeded(Exception):
+class DescentBudgetExceeded(EdgespectraError):
     """three_square_decomp walked its whole budget of y-steps without
     finding a decomposition."""
 

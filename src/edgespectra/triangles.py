@@ -10,8 +10,10 @@ first_square finds the first perfect square along a quadratic sequence.
 
 Two certificates are stated here once, for every check in the package to
 read: realizes, a clique partition of an edge count, and is_triple, the
-triple identity of the special pairs.  This module imports only the
-standard library, so a checker can import it alone.
+triple identity of the special pairs.  EdgespectraError, the base of
+every named failure the package raises, is defined here too.  This
+module imports only the standard library, so a checker can import it
+alone.
 """
 
 from __future__ import annotations
@@ -19,6 +21,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import isqrt
 from typing import Callable
+
+
+class EdgespectraError(Exception):
+    """Base of every named package failure: a guard or budget that refuses
+    a call, or an input outside a routine's proven range."""
 
 
 def tri(x: int) -> int:

@@ -4,6 +4,7 @@ Each one computes what a package function computes by a plainer, slower
 route; the tests require equal results.
 """
 
+import json
 import math
 from fractions import Fraction
 from itertools import combinations, permutations
@@ -95,6 +96,36 @@ def three_square_decomp_descent(v: int) -> Optional[squares.ThreeSquareDecomp]:
                 return squares.ThreeSquareDecomp(target=v, x=x << k, y=y << k, z=z << k)
             y -= 1
     return None
+
+
+def from_members(n: int, r: Optional[int], members) -> EdgeSpectrum:
+    """The EdgeSpectrum on n vertices whose members are the given edge
+    counts, each in [0, tri(n)]; ValueError on one outside."""
+    cap = tri(n)
+    buf = bytearray(cap // 8 + 1)
+    for e in members:
+        if not 0 <= e <= cap:
+            raise ValueError(f"edge count {e} outside [0, {cap}]")
+        buf[e >> 3] |= 1 << (e & 7)
+    return EdgeSpectrum(n=n, r=r, mask=int.from_bytes(buf, "little"))
+
+
+def parse_export(lines) -> EdgeSpectrum:
+    """The EdgeSpectrum that EdgeSpectrum.export_lines wrote: a JSON header
+    with n and count, then one member per line.  ValueError on a missing
+    or malformed header or a member count that disagrees with it."""
+    it = iter(lines)
+    try:
+        header = json.loads(next(it))
+        n, count = header["n"], header["count"]
+    except (StopIteration, TypeError, KeyError) as exc:
+        raise ValueError(f"no export header with n and count: {exc!r}") from exc
+    if not (type(n) is int and n >= 0 and type(count) is int):
+        raise ValueError(f"export header needs integers n >= 0 and count, got {n!r} and {count!r}")
+    spec = from_members(n, header.get("r"), (int(s) for s in it))
+    if spec.count != count:
+        raise ValueError("member count disagrees with header")
+    return spec
 
 
 def spectrum_unblocked(n: int, r: int) -> EdgeSpectrum:

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import random
+import time
 from fractions import Fraction
 from math import isqrt
 
@@ -26,8 +27,8 @@ from edgespectra.certify import (
 from edgespectra.cliquespec import spectrum
 from edgespectra.pell import family_pair
 from edgespectra.squares import bennett_search
-from edgespectra.triangles import (clique_parts, decompose_lower, decompose_upper, tri,
-                                   tri_floor_root, tri_root)
+from edgespectra.triangles import (clique_parts, decompose_lower, decompose_upper,
+                                   min_clique_edges, tri, tri_floor_root, tri_root)
 from oracles import (brute_dm_witness, min_r_witness_loop, min_r_witness_search,
                      three_part_witness_scan, three_part_witness_walk)
 
@@ -217,6 +218,48 @@ def test_no_representation_skips_part_count_search(monkeypatch):
     for m, f in pairs:
         assert min_r_witness(m, f) is None, (m, f)
     assert calls == [(m, f, m) for m, f in pairs]
+
+
+def test_rank_search_starts_where_a_partition_can_exist(monkeypatch):
+    # f < min_clique_edges(m, 3) needs four parts or more: the search's
+    # first part count is the least j with min_clique_edges(m, j) <= f, and
+    # the witness, the rank and each budget's refusal (its message counts
+    # the windows charged) are the loop's over every j
+    rng = random.Random(32)
+    pairs = [(m, f) for m in range(4, 26) for f in range(min_clique_edges(m, 3))]
+    for _ in range(200):
+        m = rng.randint(26, 2000)
+        pairs.append((m, rng.randrange(min_clique_edges(m, 3))))
+    calls, real = [], certify.clique_parts
+    monkeypatch.setattr(certify, "clique_parts", lambda *a: calls.append(a) or real(*a))
+    ranks = set()
+    for steps in (certify._RANK_STEPS, 1, 30, 300):
+        monkeypatch.setattr(certify, "_RANK_STEPS", steps)
+        for m, f in pairs:
+            outcomes = []
+            for fn in (min_r_witness, min_r_witness_loop, min_r):
+                calls.clear()
+                try:
+                    outcomes.append(fn(m, f))
+                except RankBudgetExceeded as exc:
+                    outcomes.append(str(exc))
+                if fn is min_r_witness and len(calls) > 1:
+                    assert calls[1][2] == next(j for j in range(3, m + 1)
+                                               if min_clique_edges(m, j) <= f), (m, f)
+            w, loop, r = outcomes
+            assert w == loop, (m, f, steps)
+            assert r == (len(w) - 1 if isinstance(w, tuple) else w), (m, f, steps)
+            ranks.add(r if isinstance(r, int) else type(r))
+    assert {3, 4, 5, 10, str} <= ranks, ranks
+
+
+def test_min_r_with_many_singletons_is_fast():
+    # the least part count with f = 0 or 1 is found by bisection, and the
+    # singletons are counted, not listed
+    start = time.perf_counter()
+    assert min_r(10 ** 6, 0) == 999_999
+    assert min_r(10 ** 6, 1) == 999_998
+    assert time.perf_counter() - start < 1.0
 
 
 def test_min_r_witness_length_is_rank():
@@ -498,7 +541,7 @@ def test_mechanical_rules_cap_every_pair():
     # The certify docstring's proof that off SPECIAL_PAIRS rules (ii)-(v)
     # cap every pair at 0 or 1/2, step by step.  W = _window(m); for g in
     # W, l = tri_floor_root(g) and lp = g - tri(l).
-    assert [cap for cap, _ in certify._CAPS] == [0, HALF]
+    assert sorted({rule.cap for rule in certify._RULES.values()} - {None}) == [0, HALF]
     # (a) every pair with m <= 51, where the bound of (b) turns analytic
     for m in range(2, 52):
         for f in range(tri(m) + 1):

@@ -10,6 +10,7 @@ from edgespectra import squares
 from edgespectra.cli import main
 from edgespectra.repcount import rep_histogram
 from edgespectra.triangles import tri
+from oracles import from_members, parse_export
 
 
 def run_cli(capsys, argv):
@@ -257,9 +258,9 @@ def test_spectrum_export(tmp_path, capsys):
     code, out, _ = run_cli(capsys, ["spectrum", "--n", "6", "--r", "2",
                                     "--export", str(path)])
     assert code == 0
-    from edgespectra.cliquespec import EdgeSpectrum, spectrum
+    from edgespectra.cliquespec import spectrum
 
-    back = EdgeSpectrum.parse_export(path.read_text().strip().splitlines())
+    back = parse_export(path.read_text().strip().splitlines())
     assert back.mask == spectrum(6, 2).mask
 
 
@@ -392,10 +393,8 @@ def test_spectrum_member_list_charged_to_guard(capsys, monkeypatch, tmp_path, ex
     monkeypatch.setenv("EDGESPECTRA_MAX_TABLE_BITS", str(10 ** 6))
     code, out, err = run_cli(capsys, argv)
     if export:
-        from edgespectra.cliquespec import EdgeSpectrum
-
         assert code == 0 and json.loads(out)["exported_to"] == str(path)
-        assert EdgeSpectrum.parse_export(path.read_text().splitlines()).count == 28435
+        assert parse_export(path.read_text().splitlines()).count == 28435
         return
     assert code == 1 and out == ""
     assert "error: SpectrumMemoryError: listed members need" in err
@@ -651,12 +650,11 @@ def test_density_check_rejects_inexact_min(capsys, monkeypatch, shift):
 
 def test_snm_check_rejects_dropped_member(capsys, monkeypatch):
     from edgespectra import graphs
-    from edgespectra.cliquespec import EdgeSpectrum
 
     real = graphs.compute_Snm
 
     def drop_top(n, m, f, *, dedup=False):
-        return EdgeSpectrum.from_members(n, None, real(n, m, f, dedup=dedup).members()[:-1])
+        return from_members(n, None, real(n, m, f, dedup=dedup).members()[:-1])
 
     monkeypatch.setattr(graphs, "compute_Snm", drop_top)
     argv = ["snm", "--n", "5", "--m", "3", "--f", "3"]
@@ -673,13 +671,12 @@ def test_snm_check_catches_every_dropped_run_end(capsys, monkeypatch):
     # separately each run's lowest member: a dropped one-member run is next
     # to no member, so only a re-count of every non-member can see it
     from edgespectra import graphs
-    from edgespectra.cliquespec import EdgeSpectrum
 
     real, dropped = graphs.compute_Snm, []
 
     def drop(n, m, f, *, dedup=False):
         members = real(n, m, f, dedup=dedup).members()
-        return EdgeSpectrum.from_members(n, None, [e for e in members if e not in dropped])
+        return from_members(n, None, [e for e in members if e not in dropped])
 
     monkeypatch.setattr(graphs, "compute_Snm", drop)
     sets = 0

@@ -1,5 +1,6 @@
 import functools
 import random
+import time
 from fractions import Fraction
 from math import isqrt
 
@@ -31,7 +32,7 @@ from edgespectra.cliquespec import (
     verify_interval,
 )
 from edgespectra.triangles import clique_parts, min_clique_edges, realizes, tri
-from oracles import spectrum_unblocked, witness_tables_uncapped
+from oracles import from_members, parse_export, spectrum_unblocked, witness_tables_uncapped
 
 
 def brute_spectrum(n, r):
@@ -245,6 +246,18 @@ def test_guard_does_not_depend_on_cpu_count():
     assert member_witness(61424, 5, tri(61424)).parts == (61424,)
     with pytest.raises(SpectrumMemoryError):
         member_witness(61425, 5, tri(61425))
+
+
+def test_refusal_time_does_not_grow_with_n(monkeypatch):
+    # the top row's four ints are charged before a cap is listed, so a
+    # refusal at n = r costs the same at any n
+    monkeypatch.delenv(ENV_MAX_TABLE_BITS, raising=False)
+    for n in (10 ** 7, 10 ** 9):
+        for call in (spectrum, lambda n, r: member_witness(n, r, 0)):
+            start = time.perf_counter()
+            with pytest.raises(SpectrumMemoryError):
+                call(n, n)
+            assert time.perf_counter() - start < 0.05, n
 
 
 def test_bounds_sweep_guard_counts_two_layers(table_cap):
@@ -550,15 +563,15 @@ def test_shift_inclusion():
 def test_export_roundtrip():
     spec = spectrum(9, 3)
     lines = spec.export_lines()
-    back = EdgeSpectrum.parse_export(lines)
+    back = parse_export(lines)
     assert back.mask == spec.mask and back.n == spec.n
     # members read off the mask a chunk of bytes at a time, across chunk edges
     chunk = 8 * cliquespec._EXPORT_CHUNK_BYTES
     members = [0, 5, chunk - 1, chunk, chunk + 1, 2 * chunk + 7]
-    spec = EdgeSpectrum.from_members(1500, None, members)
+    spec = from_members(1500, None, members)
     lines = list(spec.export_lines())
     assert lines[1:] == [f"{e}\n" for e in members] == [f"{e}\n" for e in spec.members()]
-    assert EdgeSpectrum.parse_export(lines).mask == spec.mask
+    assert parse_export(lines).mask == spec.mask
 
 
 def test_export_header_fields():
@@ -569,10 +582,10 @@ def test_export_header_fields():
 
 
 def test_export_empty_set():
-    empty = EdgeSpectrum.from_members(4, None, [])
+    empty = from_members(4, None, [])
     lines = list(empty.export_lines())
     assert len(lines) == 1
-    assert EdgeSpectrum.parse_export(lines).mask == 0
+    assert parse_export(lines).mask == 0
 
 
 @pytest.mark.parametrize("lines", [[], [""], ["[4]"], ['{"r": 2, "count": 0}'],
@@ -581,7 +594,7 @@ def test_export_empty_set():
                                    ['{"n": 4.0, "count": 0}'], ['{"n": 4, "count": "0"}']])
 def test_export_malformed_input_is_a_value_error(lines):
     with pytest.raises(ValueError):
-        EdgeSpectrum.parse_export(lines)
+        parse_export(lines)
 
 
 def _from_members_by_or(n, members):
@@ -598,11 +611,11 @@ def test_from_members_matches_or_loop():
     for n, members in ((4, []), (4, [0]), (4, [6]), (4, [6, 0, 3, 3]), (5, range(11)),
                        (60, spec.members()), (60, reversed(spec.members()))):
         members = list(members)
-        got = EdgeSpectrum.from_members(n, 2, members)
+        got = from_members(n, 2, members)
         assert got.mask == _from_members_by_or(n, members) and (got.n, got.r) == (n, 2)
     for bad in ([7], [-1], [0, 3, 11]):
         with pytest.raises(ValueError):
-            EdgeSpectrum.from_members(4, None, bad)
+            from_members(4, None, bad)
 
 
 

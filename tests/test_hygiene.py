@@ -1,14 +1,16 @@
 """Every name a package module imports is used in that module, every
 private module-level function and constant is read somewhere in the
 package, the modules of the certified integer paths import no numpy,
-triangles imports only the standard library, and no module starts a
-thread or a process.
+triangles imports only the standard library, no module starts a
+thread or a process, and every exception class of the package derives
+from one base, the only package failure the CLI names.
 
 No linter ships with the package, so this walks the syntax tree instead.
 `from __future__` imports and the re-exports of `__init__.py` are exempt.
 """
 
 import ast
+import importlib
 import sys
 from pathlib import Path
 
@@ -194,3 +196,21 @@ def test_concurrency_use_is_reported():
               "def f():\n    return os.fork() or len(os.sched_getaffinity(0)) or os.getpid()\n")
     assert concurrency_uses(source) == ["threading", "concurrent.futures", "multiprocessing",
                                         "subprocess", "os.fork", "os.fork", "os.sched_getaffinity"]
+
+
+def test_every_package_exception_derives_from_one_base():
+    from edgespectra import cli
+    from edgespectra.triangles import EdgespectraError
+
+    defined = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        module = importlib.import_module("edgespectra" + ("" if path.stem == "__init__"
+                                                          else "." + path.stem))
+        defined.update({obj.__name__: obj for obj in vars(module).values()
+                        if isinstance(obj, type) and issubclass(obj, BaseException)
+                        and obj.__module__ == module.__name__})
+    assert set(defined) == {"EdgespectraError", "PreconditionViolated", "WindowExhausted",
+                            "DescentBudgetExceeded", "ScaleRejected", "SpectrumMemoryError",
+                            "TupleBudgetExceeded", "RankBudgetExceeded"}
+    assert all(issubclass(cls, EdgespectraError) for cls in defined.values())
+    assert cli._FAILURES == (EdgespectraError, OverflowError, RecursionError)
