@@ -33,7 +33,7 @@ special pair (4, 3), bennett_search finds no other for y <= 10^100, and
 past m = 10^200 this rests on there being none: another would leave its
 pair at upper = 1, not 2/3, a looser bound but never an unsound one.
 
-The minimal clique rank comes from one search, _min_rank_parts, built on
+The minimal clique rank comes from one search, min_rank_parts, built on
 triangles.clique_parts, the recursion over the largest part a, which the
 deficit d = tri(m) - f confines to a >= m - 2d/m.  One and two parts
 are answered first, by f = tri(m) and by the roots of a quadratic.  Next
@@ -48,11 +48,11 @@ that admits a partition gives the witness.  The three-part
 windows of one search share a budget of z-steps, charged per window in
 closed form, so a search that cannot decide in time raises
 RankBudgetExceeded instead of running on.  min_r_witness lists the
-witness's singletons; min_r counts them, its rank is the witness's part
-count less one, so the rank and its certificate never disagree.  Every
-step is exact integer arithmetic: the one- and two-part quadratics are
-solved with triangles.int_roots, the three-part walk tests each
-discriminant with isqrt, and nothing here is fixed-width.
+witness's singletons; min_r and the minr command count them, and the rank
+is the witness's part count less one, so the rank and its certificate
+never disagree.  Every step is exact integer arithmetic: the one- and
+two-part quadratics are solved with triangles.int_roots, the three-part
+walk tests each discriminant with isqrt, and nothing here is fixed-width.
 """
 
 from __future__ import annotations
@@ -357,7 +357,7 @@ def three_part_witness(m: int, f: int, *,
     return None
 
 
-def _min_rank_parts(m: int, f: int) -> Optional[tuple[int, ...]]:
+def min_rank_parts(m: int, f: int) -> Optional[tuple[int, ...]]:
     """min_r_witness(m, f) without the singletons that fill up the rest of
     m (a one- or two-part witness lists all its parts); None if there is
     no partition.
@@ -399,9 +399,9 @@ def min_r_witness(m: int, f: int) -> Optional[tuple[int, ...]]:
 
     It has the fewest parts; the parts before the last three are the
     lexicographically largest possible, and the last three are the triple
-    with the smallest smallest part.  See _min_rank_parts for the search.
+    with the smallest smallest part.  See min_rank_parts for the search.
     """
-    parts = _min_rank_parts(m, f)
+    parts = min_rank_parts(m, f)
     return None if parts is None else parts + (1,) * (m - sum(parts))
 
 
@@ -413,7 +413,7 @@ def min_r(m: int, f: int) -> Optional[int]:
     It is the part count of min_r_witness(m, f) less one, its singletons
     counted, not listed.
     """
-    parts = _min_rank_parts(m, f)
+    parts = min_rank_parts(m, f)
     return None if parts is None else len(parts) + m - sum(parts) - 1
 
 

@@ -133,11 +133,15 @@ def _cmd_classify(args) -> dict:
             "rule_upper": _frac(v.rule_upper()), "trace": [t.as_dict() for t in v.trace]}
 
 def _cmd_minr(args) -> dict:
-    parts = certify.min_r_witness(args.m, args.f)
-    if args.check and parts is not None:
-        _require(min(parts) >= 1 and realizes(parts, args.m, args.f),
+    parts = certify.min_rank_parts(args.m, args.f)  # the witness less its singletons
+    if parts is None:
+        return {"m": args.m, "f": args.f, "r": None}
+    singletons = args.m - sum(parts)
+    if args.check:
+        _require(all(p >= 1 for p in parts) and singletons >= 0
+                 and realizes(parts, args.m - singletons, args.f),
                  "minimal-rank witness does not re-validate")
-    return {"m": args.m, "f": args.f, "r": None if parts is None else len(parts) - 1}
+    return {"m": args.m, "f": args.f, "r": len(parts) + singletons - 1}
 
 def _cmd_dm(args) -> dict:
     w = certify.dm_witness(args.f, args.m)

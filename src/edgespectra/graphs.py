@@ -8,27 +8,27 @@ popcount(edges & subset_pair_mask) and vectorized with numpy.
 Whether a graph hits (m, f) depends only on its isomorphism class, so arrow
 queries run the kernel over a catalogue of one representative per class.
 Each augmentation candidate is keyed by one uint64 that hashes its edge
-count and its deck (the class ids of its vertex-deleted subgraphs, each a
-few shift-and-mask bit runs of the candidate), all candidates of a level
-at once in numpy; the number of distinct keys is checked against the exact
-Polya count, which proves that the keys separate the classes.  A hash
-collision can only lower that number, so it raises instead of passing
-silently.  The class ids of all labeled k-vertex graphs (k <= 7) are built
-one vertex up: a labeled graph is a relabelled (k-1)-vertex representative
-plus vertex 0, so its class is that of a catalogue candidate, which the
-catalogue has already classed; only the (k-1)-vertex representatives are
-relabelled, under all (k-1)! permutations.  The same pass gives each
-class's lowest labeled mask: a labeled query (n <= 7) returns the lowest
-over the failing classes, a dedup query (n <= 8) the first failing
-representative.
+count and its deck (the class ids of its vertex-deleted subgraphs), all
+candidates of a level at once in numpy; the number of distinct keys is
+checked against the exact Polya count, which proves that the keys separate
+the classes.  A hash collision can only lower that number, so it raises
+instead of passing silently.  No level n builds a table over all labeled
+(n-1)-vertex graphs: a candidate minus an old vertex is a candidate of
+the level below, found through the class and a relabelling of its parent
+minus that vertex, so only the (n-2)-vertex representatives are
+relabelled, under all (n-2)! permutations (_deck).  A labeled k-vertex graph is likewise a catalogue
+candidate of the class of its graph on vertices 1..k-1, which gives each
+class's lowest labeled mask from one row per (k-1)-vertex class (_lowest):
+a labeled query (n <= 7) returns the lowest over the failing classes, a
+dedup query (n <= 8) the first failing representative.
 
 Pair bits move by two idioms (best of 5, 2-core x86-64 VM).  A relabelling
 permutes the pairs, so relabel maps, many rows at once, go through
-_move_bits, one shift-and-OR per source bit: its 26 calls in a cold
-canonical_reps(8) take 3.2 ms.  Deleting a vertex keeps the other pairs in
-order, so the deck reads each vertex-deleted subgraph as at most v + 2 bit
-runs (_deletion_runs): 6.2 ms for n = 8's 133,632 candidates, 24 ms by
-_move_bits.
+_move_bits, one shift-and-OR per source bit: its 28 calls in a cold
+canonical_reps(8) take 2.5 ms.  Deleting a vertex keeps the other pairs in
+order, so the deck reads each parent minus a vertex as at most v + 2 bit
+runs (_deletion_runs): 0.25 ms for n = 8's 7 x 1044 parent deletions,
+1.6 ms by _move_bits.
 """
 
 from __future__ import annotations
@@ -170,7 +170,7 @@ def arrow(n: int, e: int, m: int, f: int, *, dedup: bool = False) -> ArrowResult
     lacking = (pc == e) & _lacking(ach, f)
     if not lacking.any():
         return ArrowResult(holds=True, counterexample=None)
-    edges = reps[lacking.argmax()] if dedup else _class_ids(n)[1][lacking].min()
+    edges = reps[lacking.argmax()] if dedup else _lowest(n)[lacking].min()
     return ArrowResult(holds=False, counterexample=GraphMask(n=n, edges=int(edges)))
 
 
@@ -437,11 +437,6 @@ def concentration_experiment(
 # Isomorphism-reduced catalogue (augmentation + hashed deck keys + Polya count)
 # ---------------------------------------------------------------------------
 
-# labeled (k-1)-vertex graphs extended at once by _class_ids; unchunked,
-# the candidate index array of _class_ids(7) would be 2^21 intp (16 MB)
-_ROW_CHUNK = 1 << 12
-
-
 def _graph_count(n: int) -> int:
     """Number of isomorphism classes of n-vertex graphs (OEIS A000088).
 
@@ -488,11 +483,12 @@ def _move_bits(dest: np.ndarray, words: np.ndarray) -> np.ndarray:
 @lru_cache(maxsize=None)
 def _relabelled(k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Every labeled k-vertex graph g as its class and one relabelling that
-    reaches it: ids[g] indexes canonical_reps(k), and the row perms[index[g]]
+    reaches it: ids[g] indexes _catalogue(k)[0], and the row perms[index[g]]
     sends vertex u of that representative to vertex perms[index[g], u] of g.
     One scatter moves every representative under all k! permutations: only
-    _class_ids(k + 1) calls this, so k <= 6 and the moved masks fill 450 KB."""
-    reps = canonical_reps(k)
+    _deck(k + 2) and _lowest(k + 1) call this, so k <= 6 and the moved masks
+    fill 450 KB."""
+    reps = _catalogue(k)[0]
     perms = np.array(list(permutations(range(k))), dtype=np.intp)
     moved = _move_bits(_pair_dest(perms, k), np.array(reps, dtype=np.uint32))
     ids = np.zeros(1 << tri(k), dtype=np.uint16)
@@ -504,37 +500,39 @@ def _relabelled(k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return ids, index, perms
 
 
-@lru_cache(maxsize=None)
-def _class_ids(k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Index into canonical_reps(k) of the class of every labeled k-vertex
-    graph, and the lowest labeled mask of each class (k <= MAX_LABELED_N).
+def _back(perms: np.ndarray) -> np.ndarray:
+    """back[p, N] = p^-1(N) for every vertex set N of range(perms.shape[1]):
+    bit i of N moves to the vertex that row p sends to i."""
+    return _move_bits(np.argsort(perms, axis=1), np.arange(1 << perms.shape[1], dtype=np.uint32))
 
-    Built one vertex up from _relabelled(k - 1).  A labeled mask is
-    N | H << (k - 1): bits 0..k-2 are the neighbourhood N of vertex 0, and
-    the rest, in the pair order, is the graph H on vertices 1..k-1 numbered
-    from 0.  When a relabelling p sends representative R to H, the mask is
-    isomorphic to R plus a vertex joined to p^-1(N), which is the candidate
-    (R, p^-1(N)) that _catalogue(k) has already classed.
+
+@lru_cache(maxsize=None)
+def _lowest(k: int) -> np.ndarray:
+    """The lowest labeled mask of each class of k-vertex graphs, indexed
+    like canonical_reps(k) (1 <= k <= MAX_LABELED_N).
+
+    A labeled mask is N | H << (k - 1): bits 0..k-2 are the neighbourhood
+    N of vertex 0, and the rest, in the pair order, is the graph H on
+    vertices 1..k-1 numbered from 0.  When a relabelling p sends the
+    representative of class d to H, the mask is the candidate (d, p^-1(N))
+    of _catalogue(k), so the classes that the masks over H reach depend
+    only on d.  The lowest mask of a class therefore lies over the lowest
+    H of some d, _lowest(k - 1)[d]: one 2^(k-1)-wide row of candidates per
+    d is scanned, not all 2^tri(k) labeled masks.
     """
     if not 1 <= k <= MAX_LABELED_N:
-        raise ScaleRejected(f"labeled class ids support 1 <= k <= {MAX_LABELED_N}, got {k}")
+        raise ScaleRejected(f"labeled lowest masks support 1 <= k <= {MAX_LABELED_N}, got {k}")
     if k == 1:
-        return np.zeros(1, dtype=np.uint16), np.zeros(1, dtype=np.uint32)
+        return np.zeros(1, dtype=np.uint32)
     reps, cand_class = _catalogue(k)
-    sub_ids, sub_index, perms = _relabelled(k - 1)
+    below = _lowest(k - 1)
+    index, perms = _relabelled(k - 1)[1:]
     width = k - 1
-    nbhd = np.arange(1 << width, dtype=np.uint32)
-    # back[p, N] = p^-1(N): bit i of N moves to the vertex that p sends to i
-    back = _move_bits(np.argsort(perms, axis=1), nbhd)
-    ids = np.empty(1 << tri(k), dtype=np.uint16)
+    cls = cand_class[(np.arange(len(below))[:, None] << width) | _back(perms[index[below]])]
+    masks = (below[:, None] << np.uint32(width)) | np.arange(1 << width, dtype=np.uint32)
     lowest = np.full(len(reps), np.iinfo(np.uint32).max, dtype=np.uint32)
-    for lo in range(0, sub_ids.size, _ROW_CHUNK):
-        hi = min(lo + _ROW_CHUNK, sub_ids.size)
-        cand = (sub_ids[lo:hi].astype(np.intp)[:, None] << width) | back[sub_index[lo:hi]]
-        block = cand_class[cand].ravel()
-        ids[lo << width:hi << width] = block
-        np.minimum.at(lowest, block, np.arange(lo << width, hi << width, dtype=np.uint32))
-    return ids, lowest
+    np.minimum.at(lowest, cls.ravel(), masks.ravel())
+    return lowest
 
 
 def canonical_reps(n: int) -> tuple[int, ...]:
@@ -569,6 +567,30 @@ def _deletion_runs(n: int, v: int) -> tuple[tuple[int, int, int], ...]:
     return tuple(map(tuple, runs))
 
 
+def _deck(n: int) -> np.ndarray:
+    """deck[v, i, M]: the class, as an index into canonical_reps(n - 1), of
+    the candidate (i-th parent P, N) of _catalogue(n) minus vertex v < n - 1,
+    where M is N with bit v squeezed out (deleting vertex n - 1 leaves P).
+
+    The subgraph is P - v plus a vertex joined to N - v.  When a relabelling
+    p sends the representative of class d to P - v, that is the candidate
+    (d, p^-1(N - v)) of _catalogue(n - 1), so only the |reps(n-1)| (n - 1)
+    graphs P - v are classed, by _relabelled(n - 2); at n = 2 each is the
+    empty graph.
+    """
+    reps, prev_class = _catalogue(n - 1)
+    parents = np.array(reps, dtype=np.uint32)
+    ids, index, perms = _relabelled(n - 2)
+    back = _back(perms)
+    deck = np.empty((n - 1, len(parents), 1 << (n - 2)), dtype=np.uint16)
+    for v in range(n - 1):
+        sub = np.zeros_like(parents)
+        for src, width, dst in _deletion_runs(n - 1, v):
+            sub |= ((parents >> src) & ((1 << width) - 1)) << dst
+        deck[v] = prev_class[(ids[sub].astype(np.intp)[:, None] << (n - 2)) | back[index[sub]]]
+    return deck
+
+
 @lru_cache(maxsize=None)
 def _catalogue(n: int) -> tuple[tuple[int, ...], np.ndarray]:
     """The representatives of the n-vertex classes, built by augmenting the
@@ -580,16 +602,17 @@ def _catalogue(n: int) -> tuple[tuple[int, ...], np.ndarray]:
     come parent-major, neighborhood ascending, and the first of each key is
     kept, so classes are numbered in the order of their first candidates.
     The key hashes the edge count and the deck (the classes of the n
-    vertex-deleted subgraphs) into one uint64: the edge count plus the sum
-    of _class_weights over the deck.  A sum does not see the order of the
-    deck, so the key is an isomorphism invariant and #keys <= #classes <=
-    _graph_count(n); the catalogue is returned only when the first equals
-    the last, which proves the keys separate the classes.  The uint64
-    arithmetic wraps, but only inside the hash: a collision merges two
-    keys, which lowers #keys and raises AssertionError, so it never
-    passes silently, and no certified count is ever computed in it.
+    vertex-deleted subgraphs: the parent, and _deck(n)) into one uint64:
+    the edge count plus the sum of _class_weights over the deck.  A sum
+    does not see the order of the deck, so the key is an isomorphism
+    invariant and #keys <= #classes <= _graph_count(n); the catalogue is
+    returned only when the first equals the last, which proves the keys
+    separate the classes.  The uint64 arithmetic wraps, but only inside the
+    hash: a collision merges two keys, which lowers #keys and raises
+    AssertionError, so it never passes silently, and no certified count is
+    ever computed in it.  Levels 0 and 1 are one empty graph each.
     """
-    if n == 1:
+    if n <= 1:
         return (0,), np.zeros(1, dtype=np.uint16)
     prev = canonical_reps(n - 1)
     base = _move_bits(_pair_dest(np.arange(n - 1)[None], n), np.array(prev, dtype=np.uint32))
@@ -597,13 +620,16 @@ def _catalogue(n: int) -> tuple[tuple[int, ...], np.ndarray]:
     nbhd = _move_bits(star, np.arange(1 << (n - 1), dtype=np.uint32))
     cand = (base.reshape(-1, 1) | nbhd).ravel()
 
-    sub_ids, weights = _class_ids(n - 1)[0], _class_weights(len(prev))
-    key = np.bitwise_count(cand).astype(np.uint64)
-    for v in range(n):
-        sub = np.zeros_like(cand)
-        for src, width, dst in _deletion_runs(n, v):
-            sub |= ((cand >> src) & ((1 << width) - 1)) << dst
-        key += weights[sub_ids[sub]]
+    weights = _class_weights(len(prev))
+    key = np.bitwise_count(cand).astype(np.uint64).reshape(len(prev), -1)
+    key += weights[:, None]
+    deck = _deck(n)
+    for v in range(n - 1):
+        # N and N ^ 1 << v lose vertex v alike: one deck entry adds to both
+        split = key.reshape(len(prev), -1, 2, 1 << v)
+        split += weights[deck[v]].reshape(len(prev), -1, 1, 1 << v)
+    del deck
+    key = key.ravel()
     order = np.argsort(key)
     ranked = key[order]
     heads = np.r_[True, ranked[1:] != ranked[:-1]]

@@ -202,9 +202,11 @@ def dedup_counterexamples(n: int, m: int) -> dict[tuple[int, int], int]:
 
 
 def class_ids_by_relabelling(k: int) -> tuple[np.ndarray, np.ndarray]:
-    """graphs._class_ids by relabelling each representative under all k!
-    permutations: the class of every labeled k-vertex graph, and the
-    lowest labeled mask of each class."""
+    """The class of every labeled k-vertex graph, and the lowest labeled
+    mask of each class (graphs._lowest), by relabelling each representative
+    under all k! permutations: the table over all 2^tri(k) labeled graphs
+    that the package never builds, against which its deck classes are
+    checked."""
     reps = canonical_reps(k)
     ids = np.zeros(1 << tri(k), dtype=np.uint16)
     words = np.array(reps, dtype=np.uint32)

@@ -3,6 +3,7 @@ import hashlib
 import json
 import random
 import threading
+import tracemalloc
 
 import pytest
 
@@ -456,7 +457,7 @@ def test_recursion_error_exits_1_with_manifest(capsys, monkeypatch):
     def too_deep(m, f):
         raise RecursionError("maximum recursion depth exceeded")
 
-    monkeypatch.setattr(certify, "min_r_witness", too_deep)
+    monkeypatch.setattr(certify, "min_rank_parts", too_deep)
     code, out, err = run_cli(capsys, ["minr", "--m", "3004", "--f", "3003"])
     assert code == 1 and out == ""
     assert "error: RecursionError:" in err
@@ -466,11 +467,24 @@ def test_recursion_error_exits_1_with_manifest(capsys, monkeypatch):
 def test_minr_check_runs_one_search(capsys, monkeypatch):
     from edgespectra import certify
 
-    calls, real = [], certify.min_r_witness
-    monkeypatch.setattr(certify, "min_r_witness", lambda m, f: calls.append((m, f)) or real(m, f))
+    calls, real = [], certify.min_rank_parts
+    monkeypatch.setattr(certify, "min_rank_parts", lambda m, f: calls.append((m, f)) or real(m, f))
     code, out, _ = run_cli(capsys, ["minr", "--m", "20", "--f", "9", "--check"])
     assert code == 0 and json.loads(out)["r"] == 10
     assert calls == [(20, 9)]
+
+
+def test_minr_holds_no_singletons(capsys):
+    # the Turan pair's witness is 10^7 singletons; minr counts them, and
+    # --check re-validates the parts without listing them
+    tracemalloc.start()
+    try:
+        code, out, _ = run_cli(capsys, ["minr", "--m", "10000000", "--f", "0", "--check"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and json.loads(out)["r"] == 9999999
+    assert peak < 1 << 20, peak
 
 
 def test_classify_check_rejects_tampered_entry(capsys, monkeypatch):

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import tracemalloc
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations
@@ -299,7 +300,7 @@ def test_graph_count_is_A000088():
 def fresh_catalogue():
     """Every table derived from the catalogue, built anew in the test and
     dropped after it."""
-    caches = (graphs._catalogue, graphs._relabelled, graphs._class_ids, graphs._rep_tables)
+    caches = (graphs._catalogue, graphs._relabelled, graphs._lowest, graphs._rep_tables)
     for cache in caches:
         cache.cache_clear()
     yield
@@ -383,14 +384,14 @@ def _relabel(g: int, perm: tuple[int, ...], k: int) -> int:
 def test_move_bits_matches_python_relabelling(k):
     # the bit mover the catalogue and its oracle share, against a plain
     # relabelling: every pair map on every k-vertex mask, the vertex-bit
-    # map _class_ids builds back[p, N] = p^-1(N) with, and the relabelling
-    # _relabelled records for every labeled graph
+    # map back[p, N] = p^-1(N) that _deck and _lowest read, and the
+    # relabelling _relabelled records for every labeled graph
     perms = list(permutations(range(k)))
     maps = np.array(perms, dtype=np.intp)
     masks = range(1 << tri(k))
     moved = graphs._move_bits(graphs._pair_dest(maps, k), np.array(masks, dtype=np.uint32))
     assert moved.tolist() == [[_relabel(g, p, k) for g in masks] for p in perms]
-    back = graphs._move_bits(np.argsort(maps, axis=1), np.arange(1 << k, dtype=np.uint32))
+    back = graphs._back(maps)
     assert back.tolist() == [[sum(1 << u for u in range(k) if nbhd >> p[u] & 1)
                               for nbhd in range(1 << k)] for p in perms]
     ids, index, rows = graphs._relabelled(k)
@@ -399,12 +400,41 @@ def test_move_bits_matches_python_relabelling(k):
         assert _relabel(reps[ids[g]], tuple(rows[index[g]]), k) == g, (k, g)
 
 
+def _delete_vertex(masks: np.ndarray, n: int, v: int) -> np.ndarray:
+    """The n-vertex masks minus vertex v, pair by pair renumbered."""
+    renumbered = {p: i for i, p in enumerate(pair_list(n - 1))}
+    out = np.zeros_like(masks)
+    for i, (u, w) in enumerate(pair_list(n)):
+        if v not in (u, w):
+            out |= ((masks >> i) & 1) << renumbered[(u - (u > v), w - (w > v))]
+    return out
+
+
 @pytest.mark.parametrize("k", range(1, 8))
-def test_class_ids_match_relabelling(k):
-    ids, lowest = graphs._class_ids(k)
-    want_ids, want_lowest = class_ids_by_relabelling(k)
-    assert ids.dtype == want_ids.dtype and ids.tobytes() == want_ids.tobytes()
-    assert lowest.dtype == want_lowest.dtype and lowest.tobytes() == want_lowest.tobytes()
+def test_labeled_classes_match_relabelling(k):
+    # the oracle classes every labeled k-vertex graph by relabelling; the
+    # catalogue never builds that table, so check what it reads instead:
+    # the lowest labeled mask of each class, and the class of every
+    # vertex-deleted subgraph of every level k + 1 candidate
+    ids, lowest = class_ids_by_relabelling(k)
+    got = graphs._lowest(k)
+    assert got.dtype == lowest.dtype and got.tobytes() == lowest.tobytes()
+    n = k + 1
+    parents = np.array(canonical_reps(k), dtype=np.uint32)
+    bit = graphs._pair_index(n)
+    above = sum((((parents >> i) & 1) << bit[p] for i, p in enumerate(pair_list(k))),
+                np.zeros_like(parents))
+    nbhd = np.arange(1 << k, dtype=np.uint32)
+    star = sum(((nbhd >> u) & 1) << bit[(u, k)] for u in range(k))
+    cand = above[:, None] | star
+    deck = graphs._deck(n)
+    for v in range(n):
+        want = ids[_delete_vertex(cand, n, v)]
+        if v == k:  # the parent, which the catalogue keys by its index
+            used = np.broadcast_to(np.arange(len(parents))[:, None], cand.shape)
+        else:  # N minus bit v
+            used = deck[v][:, (nbhd & ((1 << v) - 1)) | (nbhd >> (v + 1) << v)]
+        assert (used == want).all(), (n, v)
 
 
 def test_catalogue_classes_own_candidates():
@@ -421,29 +451,42 @@ def test_catalogue_classes_own_candidates():
             assert cand_class[parents[below] << (n - 1) | nbhd] == i, (n, i)
 
 
-def test_class_ids_relabel_one_level_down(monkeypatch):
-    # with the catalogue built, the labeled n = 7 table relabels the n = 6
-    # representatives (6! rows), not the n = 7 ones (7! rows)
+def test_lowest_and_deck_relabel_one_level_down(fresh_catalogue, monkeypatch):
+    # with the n <= 7 catalogue built, the lowest n = 7 masks and the n = 8
+    # decks relabel the n = 6 representatives (6! rows) and nothing else
     canonical_reps(7)
     rows = []
     real = graphs._pair_dest
 
     def counting(maps, k):
-        rows.append(len(maps))
+        if maps.shape[1] == k:  # a relabelling, not the parent embedding
+            rows.append(len(maps))
         return real(maps, k)
 
-    for cache in (graphs._relabelled, graphs._class_ids):
-        cache.cache_clear()
     monkeypatch.setattr(graphs, "_pair_dest", counting)
-    graphs._class_ids(7)
-    assert sum(rows) == 720
+    graphs._lowest(7)
+    canonical_reps(8)
+    assert rows == [720]
 
 
-def test_class_ids_refused_above_labeled_range():
-    # the n = 8 table would take 2^28 entries (512 MB)
+def test_lowest_refused_outside_labeled_range():
+    # lowest labeled masks exist for 1 <= k <= 7 only
     for k in (0, graphs.MAX_LABELED_N + 1):
         with pytest.raises(ScaleRejected):
-            graphs._class_ids(k)
+            graphs._lowest(k)
+
+
+def test_extension_tables_stay_small(fresh_catalogue):
+    # the n = 8 catalogue and the lowest n = 7 masks, built cold, never
+    # hold a table over all 2^21 labeled 7-vertex graphs
+    tracemalloc.start()
+    try:
+        graphs._lowest(7)
+        canonical_reps(8)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 << 20 and held < 2 << 20, (peak, held)
 
 
 def test_catalogue_edge_count_distribution():
