@@ -14,6 +14,12 @@ The package is organized around five computable object families:
   plus the concentration experiment;
 - repcount: representation counts certifying membership among unions of
   five cliques.
+
+Every result is a record: a collections.namedtuple subclass with no
+instance dictionary, built by tuple.__new__ and read by field name.  A
+record whose fields must agree checks them in its __new__; _make and
+_replace skip that check.  Records are tuples, so they unpack and compare
+equal to a plain tuple of the same values.
 """
 
 __version__ = "0.1.0"

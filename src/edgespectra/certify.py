@@ -59,7 +59,7 @@ from __future__ import annotations
 
 import functools
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 from math import isqrt
 from typing import Callable, NamedTuple, Optional
@@ -72,55 +72,58 @@ from .triangles import (EdgespectraError, ceil_sqrt, clique_parts, decompose_low
 SPECIAL_PAIRS = frozenset({(2, 0), (2, 1), (4, 3), (5, 4), (5, 6)})
 
 
-@dataclass(frozen=True)
-class PairMF:
+class PairMF(namedtuple("PairMF", "m f")):
     """A target pair: induced subgraph order m and edge count f."""
 
-    m: int
-    f: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.m < 2:
-            raise ValueError(f"m must be >= 2, got {self.m}")
-        if not 0 <= self.f <= tri(self.m):
-            raise ValueError(f"f={self.f} outside [0, {tri(self.m)}] for m={self.m}")
+    def __new__(cls, m: int, f: int):
+        if m < 2:
+            raise ValueError(f"m must be >= 2, got {m}")
+        if not 0 <= f <= tri(m):
+            raise ValueError(f"f={f} outside [0, {tri(m)}] for m={m}")
+        return tuple.__new__(cls, (m, f))
 
     @property
     def complement_f(self) -> int:
         return tri(self.m) - self.f
 
 
-@dataclass(frozen=True)
-class TraceEntry:
-    rule: str                      # "A", "i".."v", or "thm-*" for cited facts
-    side: str                      # "f", "complement" or "pair"
-    params: tuple = ()             # (name, value) pairs, hashable
+class TraceEntry(namedtuple("TraceEntry", "rule side params", defaults=((),))):
+    """One fired rule.  rule: "A", "i".."v", or "thm-*" for cited facts;
+    side: "f", "complement" or "pair"; params: (name, value) pairs,
+    hashable, () by default."""
+
+    __slots__ = ()
 
     def as_dict(self) -> dict:
         return {"rule": self.rule, "side": self.side, "params": dict(self.params)}
 
 
-@dataclass(frozen=True)
-class Verdict:
-    """Certified interval for the density of a pair.
+class Verdict(namedtuple("Verdict", "exact upper lower trace")):
+    """Certified interval for the density of a pair: exact and lower are
+    Fractions or None, upper a Fraction, trace a tuple of TraceEntry,
+    which repr leaves out.
 
     upper always carries the tightest certified upper bound; rule-only and
     literature-only views are recoverable from the trace (entries whose
     rule id starts with "thm-" are cited facts, the rest are mechanical).
     """
 
-    exact: Optional[Fraction]
-    upper: Fraction
-    lower: Optional[Fraction]
-    trace: tuple[TraceEntry, ...] = field(repr=False)
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.trace:
+    def __new__(cls, exact: Optional[Fraction], upper: Fraction, lower: Optional[Fraction],
+                trace: tuple):
+        if not trace:
             raise ValueError("verdict trace must be non-empty")
-        if self.lower is not None and self.lower > self.upper:
-            raise ValueError(f"lower {self.lower} > upper {self.upper}")
-        if self.exact is not None and not (self.exact == self.lower == self.upper):
+        if lower is not None and lower > upper:
+            raise ValueError(f"lower {lower} > upper {upper}")
+        if exact is not None and not (exact == lower == upper):
             raise ValueError("exact verdict must collapse the interval")
+        return tuple.__new__(cls, (exact, upper, lower, trace))
+
+    def __repr__(self) -> str:
+        return f"Verdict(exact={self.exact!r}, upper={self.upper!r}, lower={self.lower!r})"
 
     def rule_upper(self) -> Fraction:
         """Upper bound certified by the mechanical rules alone: the least
@@ -421,11 +424,8 @@ def min_r(m: int, f: int) -> Optional[int]:
 # Triple-identity report (triangular twice over, and a product form)
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class TripleIdentity:
-    a: int
-    b: int
-    c: int
+class TripleIdentity(namedtuple("TripleIdentity", "a b c")):
+    __slots__ = ()
 
 
 def triple_identity(m: int, f: int) -> Optional[TripleIdentity]:

@@ -12,7 +12,10 @@ print "error: <ExceptionName>: <message>".
 --check, offered where it re-validates the result by an independent
 substitution, is accepted by spectrum, witness, density, classify, minr, dm,
 pell, three-squares, bennett, arrow, snm and repcount; witness7 always
-re-validates.  EDGESPECTRA_MAX_TABLE_BITS overrides the spectrum memory cap.
+re-validates, once, inside squares.witness7.  EDGESPECTRA_MAX_TABLE_BITS
+overrides the spectrum memory cap, which a spectrum's member list and a
+witness7 campaign's rows are charged to as well.  A payload built from a
+result record lists its fields in their declared order (_asdict).
 
 Clique spectra (spectrum, density, interval) at r = 5 and n from 288 up
 are built from the three-square cover and a top band of small DP layers,
@@ -79,6 +82,11 @@ def _write(path: str, lines: Iterable[str]) -> None:
 # bytes a member.  An export is written as it is read off the mask, so it
 # holds no list and is not charged.
 _PAYLOAD_MEMBER_BYTES = 64
+# Peak memory per row of a witness7 campaign (its sampled m, the row's JSON
+# line and the joined output), charged to that cap before the samples are
+# drawn.  Measured as peak RSS above the import at n = 30000 for 1000 to
+# 40000 samples: 393-413 bytes a row, whose line prints at 144-151 bytes.
+_CAMPAIGN_ROW_BYTES = 512
 
 
 # The run functions of the COMMANDS rows below.
@@ -115,7 +123,7 @@ def _cmd_density(args) -> dict:
         _require(rep.min_element == min_clique_edges(args.n, max(1, min(args.r, args.n))),
                  f"min {rep.min_element} is not the fewest edges")
         _check_probes(args.n, args.r, rep.min_element, rep.max_element)
-    return rep.__dict__.copy()
+    return rep._asdict()
 
 def _cmd_interval(args) -> tuple[dict, int]:
     rep = cliquespec.verify_interval(args.n, args.r, args.c_low, args.c_high, clip=args.clip)
@@ -157,7 +165,7 @@ def _cmd_pell(args) -> dict:
         rep = pell.verify_ABC(fp)
         _require(rep.b_ok, "triple witness does not re-validate")
         _require(rep.a_ok, "triple identity fails")
-    return {**vars(fp), "triple_witness": list(fp.triple_witness())}
+    return {**fp._asdict(), "triple_witness": list(fp.triple_witness())}
 
 def _cmd_abc(args) -> tuple[list, int]:
     if args.k_max < 1:  # an empty table would certify nothing
@@ -168,7 +176,7 @@ def _cmd_abc(args) -> tuple[list, int]:
         abc = {"A": rep.a_ok, "B": rep.b_ok, "C": rep.c_ok,
                "b_witness": list(rep.b_witness), "c_scanned": rep.c_scanned}
         ok = ok and rep.all_ok
-        rows.append({**vars(rep.pair), "ABC": abc})
+        rows.append({**rep.pair._asdict(), "ABC": abc})
     return rows, 0 if ok else 1
 
 def _cmd_three_squares(args) -> dict:
@@ -187,8 +195,7 @@ def _cmd_bennett(args) -> dict:
     return {"y_limit": args.y_limit, "solutions": [list(s) for s in sols]}
 
 def _witness7_row(n: int, m: int) -> dict:
-    w = squares.witness7(n, m)
-    w.validate()
+    w = squares.witness7(n, m)  # validated by witness7 before it returns
     return {"n": n, "m": m, "t": w.t, "s": [w.s1, w.s2, w.s3],
             "parts": list(w.parts), "window_index": w.window_index, "verified": True}
 
@@ -197,6 +204,7 @@ def _cmd_witness7(args) -> dict | str:
         return _witness7_row(args.n, args.m)
     if args.samples < 1:
         raise ValueError(f"need samples >= 1, got {args.samples}")
+    cliquespec._check_cap(8 * _CAMPAIGN_ROW_BYTES * args.samples, "campaign rows")
     lo, hi = squares.r7_interval(args.n)
     rng = random.Random(args.seed)
     ms = sorted(rng.randint(lo, hi) for _ in range(args.samples))
@@ -227,7 +235,7 @@ def _cmd_turan(args) -> tuple[dict, int]:
 
 def _cmd_runs(args) -> dict:
     rep = graphs.interval_runs(args.n, args.m, args.f)
-    return {"n": args.n, "m": args.m, "f": args.f, **vars(rep)}
+    return {"n": args.n, "m": args.m, "f": args.f, **rep._asdict()}
 
 def _cmd_closure(args) -> tuple[dict, int]:
     ok = graphs.induced_closure_check(args.n, args.r, args.m, trials=args.trials, seed=args.seed)
@@ -237,9 +245,9 @@ def _cmd_closure(args) -> tuple[dict, int]:
 def _cmd_concentration(args) -> tuple[dict, int]:
     rep = graphs.concentration_experiment(args.N, args.E, args.n,
                                           trials=args.trials, seed=args.seed)
-    payload = {k: v for k, v in vars(rep).items() if k != "tails"}
+    payload = {k: v for k, v in rep._asdict().items() if k != "tails"}
     payload["enum_mean"] = None if rep.enum_mean is None else float(rep.enum_mean)
-    payload["tails"] = [{**vars(t), "ok": t.ok} for t in rep.tails]
+    payload["tails"] = [{**t._asdict(), "ok": t.ok} for t in rep.tails]
     bad = rep.expectation_identity_ok is False or not rep.tails_ok
     return payload, 1 if bad else 0
 

@@ -65,7 +65,7 @@ from __future__ import annotations
 
 import functools
 import os
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 from itertools import compress
 from typing import Iterator
@@ -81,19 +81,18 @@ class SpectrumMemoryError(EdgespectraError):
     """Requested DP tables exceed the configured memory cap."""
 
 
-@dataclass(frozen=True)
-class CliquePartition:
-    """Multiset of clique sizes; canonical form is nonincreasing."""
+class CliquePartition(namedtuple("CliquePartition", "parts n")):
+    """Multiset of clique sizes; canonical form is nonincreasing, and parts
+    is stored in it."""
 
-    parts: tuple[int, ...]
-    n: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if sum(self.parts) != self.n:
-            raise ValueError(f"parts {self.parts} do not sum to n={self.n}")
-        if any(p < 0 for p in self.parts):
-            raise ValueError(f"negative part in {self.parts}")
-        object.__setattr__(self, "parts", tuple(sorted(self.parts, reverse=True)))
+    def __new__(cls, parts: tuple[int, ...], n: int):
+        if sum(parts) != n:
+            raise ValueError(f"parts {parts} do not sum to n={n}")
+        if any(p < 0 for p in parts):
+            raise ValueError(f"negative part in {parts}")
+        return tuple.__new__(cls, (tuple(sorted(parts, reverse=True)), n))
 
     def realizes(self, n: int, r: int, m: int) -> bool:
         """Re-validation of a witness that m is in C(n, r): at most r parts
@@ -111,13 +110,14 @@ def _one_bits(mask: int, start: int = 0) -> Iterator[int]:
     return compress(range(start, start + len(bits)), bits)
 
 
-@dataclass(frozen=True)
-class EdgeSpectrum:
-    """Membership table over edge counts 0..n(n-1)/2, packed into one int."""
+class EdgeSpectrum(namedtuple("EdgeSpectrum", "n r mask")):
+    """Membership table over edge counts 0..n(n-1)/2, packed into one int,
+    mask, which repr leaves out; r is an int or None."""
 
-    n: int
-    r: int | None
-    mask: int = field(repr=False)
+    __slots__ = ()
+
+    def __repr__(self) -> str:
+        return f"EdgeSpectrum(n={self.n!r}, r={self.r!r})"
 
     def __contains__(self, e: int) -> bool:
         return 0 <= e <= tri(self.n) and bool((self.mask >> e) & 1)
@@ -380,15 +380,9 @@ def member_witness(n: int, r: int, m: int) -> CliquePartition | None:
     return CliquePartition(parts=parts + (1,) * (n - sum(parts)), n=n)
 
 
-@dataclass(frozen=True)
-class DensityReport:
-    n: int
-    r: int
-    count: int
-    density: float
-    min_element: int
-    max_element: int
-    bounds_ok: bool
+class DensityReport(namedtuple("DensityReport",
+                               "n r count density min_element max_element bounds_ok")):
+    __slots__ = ()
 
 
 def _bounds_ok(n: int, r: int, count: int, min_element: int) -> bool:
@@ -428,13 +422,8 @@ def bounds_sweep(n_max: int, r_max: int) -> Iterator[DensityReport]:
             yield _density_report(n, r, prev[n])
 
 
-@dataclass(frozen=True)
-class IntervalReport:
-    ok: bool
-    first_gap: int | None
-    vacuous: bool
-    lo: int
-    hi: int
+class IntervalReport(namedtuple("IntervalReport", "ok first_gap vacuous lo hi")):
+    __slots__ = ()
 
 
 def verify_interval(n: int, r: int, c_low: float, c_high: float, *, clip: bool = False) -> IntervalReport:

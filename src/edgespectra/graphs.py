@@ -34,11 +34,10 @@ runs (_deletion_runs): 0.25 ms for n = 8's 7 x 1044 parent deletions,
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, islice, permutations
-from typing import Optional
 
 import numpy as np
 
@@ -80,18 +79,17 @@ def _subset_masks(n: int, m: int) -> tuple[int, ...]:
     return tuple(subset_pair_mask(n, s) for s in combinations(range(n), m))
 
 
-@dataclass(frozen=True)
-class GraphMask:
+class GraphMask(namedtuple("GraphMask", "n edges")):
     """Labeled graph on n <= 8 vertices as an edge bitmask."""
 
-    n: int
-    edges: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not 1 <= self.n <= MAX_DEDUP_N:
-            raise ScaleRejected(f"n={self.n} outside supported range")
-        if self.edges >> tri(self.n):
+    def __new__(cls, n: int, edges: int):
+        if not 1 <= n <= MAX_DEDUP_N:
+            raise ScaleRejected(f"n={n} outside supported range")
+        if edges >> tri(n):
             raise ValueError("edge bits beyond the pair range")
+        return tuple.__new__(cls, (n, edges))
 
     @property
     def edge_count(self) -> int:
@@ -143,10 +141,10 @@ def _lacking(ach: np.ndarray, f: int) -> np.ndarray:
     return (ach >> np.uint32(f)) & np.uint32(1) == 0
 
 
-@dataclass(frozen=True)
-class ArrowResult:
-    holds: bool
-    counterexample: Optional[GraphMask]
+class ArrowResult(namedtuple("ArrowResult", "holds counterexample")):
+    """counterexample is a GraphMask, or None when the arrow holds."""
+
+    __slots__ = ()
 
     def validate(self, e: int, m: int, f: int) -> None:
         if self.holds != (self.counterexample is None):
@@ -227,11 +225,8 @@ def turan_check(n: int, m: int) -> bool:
     return set(s.members()) == expected
 
 
-@dataclass(frozen=True)
-class RunReport:
-    runs: tuple[tuple[int, int], ...]
-    count: int
-    covered_fraction: float
+class RunReport(namedtuple("RunReport", "runs count covered_fraction")):
+    __slots__ = ()
 
 
 def interval_runs(n: int, m: int, f: int) -> RunReport:
@@ -302,31 +297,21 @@ def induced_closure_check(
 # Random-subset concentration experiment
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class TailCheck:
-    t: float
-    bound: float
-    observed: float
-    slack: float
+class TailCheck(namedtuple("TailCheck", "t bound observed slack")):
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:
         return self.observed <= self.bound + self.slack
 
 
-@dataclass(frozen=True)
-class ConcentrationReport:
-    N: int
-    E: int
-    n: int
-    trials: int
-    seed: int
-    expected_mean: float
-    empirical_mean: float
-    empirical_std: float
-    tails: tuple[TailCheck, ...]
-    enum_mean: Optional[Fraction]
-    expectation_identity_ok: Optional[bool]
+class ConcentrationReport(namedtuple("ConcentrationReport", (
+        "N E n trials seed expected_mean empirical_mean empirical_std tails enum_mean "
+        "expectation_identity_ok"))):
+    """tails is a tuple of TailCheck; enum_mean (a Fraction) and
+    expectation_identity_ok are None when the subsets were not enumerated."""
+
+    __slots__ = ()
 
     @property
     def tails_ok(self) -> bool:

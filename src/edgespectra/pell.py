@@ -12,20 +12,18 @@ multiplies by a thousand per index.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .triangles import is_triple, realizes, tri, two_part_witness
 
 
-@dataclass(frozen=True)
-class PellSolution:
-    x: int
-    y: int
-    k: int
+class PellSolution(namedtuple("PellSolution", "x y k")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.x * self.x - 7 * self.y * self.y != -3:
-            raise ValueError(f"({self.x}, {self.y}) does not satisfy x^2 - 7y^2 = -3")
+    def __new__(cls, x: int, y: int, k: int):
+        if x * x - 7 * y * y != -3:
+            raise ValueError(f"({x}, {y}) does not satisfy x^2 - 7y^2 = -3")
+        return tuple.__new__(cls, (x, y, k))
 
 
 def pell_solutions(k_max: int) -> list[PellSolution]:
@@ -39,21 +37,15 @@ def pell_solutions(k_max: int) -> list[PellSolution]:
     return out
 
 
-@dataclass(frozen=True)
-class FamilyPair:
-    k: int
-    t: int
-    m: int
-    f: int
-    a: int
-    b: int
-    c: int
+class FamilyPair(namedtuple("FamilyPair", "k t m f a b c")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.m != 5 * self.t + 2 or self.f != tri(3 * self.t + 1):
+    def __new__(cls, k: int, t: int, m: int, f: int, a: int, b: int, c: int):
+        if m != 5 * t + 2 or f != tri(3 * t + 1):
             raise ValueError("pair does not match its parameter t")
-        if not is_triple(self.m, self.f, self.a, self.b, self.c):
+        if not is_triple(m, f, a, b, c):
             raise ValueError("triple identity f = tri(a) = tri(m) - tri(b) = c(m - c) fails")
+        return tuple.__new__(cls, (k, t, m, f, a, b, c))
 
     def triple_witness(self) -> tuple[int, int, int]:
         """Three clique sizes summing to m whose edge counts sum to f."""
@@ -75,16 +67,12 @@ def family_pair(k: int) -> FamilyPair:
     )
 
 
-@dataclass(frozen=True)
-class ABCReport:
-    pair: FamilyPair
-    a_ok: bool
-    b_ok: bool
-    b_witness: tuple[int, int, int]
-    c_ok: bool
-    # two-clique splits y1 in [1, m // 2] the (C) certificate covers: all
-    # m // 2 of them when (C) holds, else up to the smaller part of the hit
-    c_scanned: int
+class ABCReport(namedtuple("ABCReport", "pair a_ok b_ok b_witness c_ok c_scanned")):
+    """The (A), (B), (C) checks of a FamilyPair.  c_scanned counts the
+    two-clique splits y1 in [1, m // 2] the (C) certificate covers: all
+    m // 2 of them when (C) holds, else up to the smaller part of the hit."""
+
+    __slots__ = ()
 
     @property
     def all_ok(self) -> bool:

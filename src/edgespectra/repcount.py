@@ -14,7 +14,7 @@ against a plain 4-loop count.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
 from itertools import combinations_with_replacement
 from typing import Optional
 
@@ -30,12 +30,13 @@ class TupleBudgetExceeded(EdgespectraError):
     """The sorted-tuple iteration estimate exceeds the resource guard."""
 
 
-@dataclass(frozen=True)
-class RepHistogram:
-    n: int
-    N: int
-    sum_cap: int
-    counts: np.ndarray = field(repr=False)
+class RepHistogram(namedtuple("RepHistogram", "n N sum_cap counts")):
+    """counts[m] is the number of ordered tuples at m; repr leaves it out."""
+
+    __slots__ = ()
+
+    def __repr__(self) -> str:
+        return f"RepHistogram(n={self.n!r}, N={self.N!r}, sum_cap={self.sum_cap!r})"
 
     def support(self) -> np.ndarray:
         return np.flatnonzero(self.counts)
@@ -91,17 +92,10 @@ def rep_histogram(n: int, N: int, sum_cap: Optional[int] = None) -> RepHistogram
     return RepHistogram(n=n, N=N, sum_cap=sum_cap, counts=counts)
 
 
-@dataclass(frozen=True)
-class ExceptionalReport:
-    n: int
-    N: int
-    sum_cap: int
-    lo: int
-    hi: int
-    zeros: int
-    total: int
-    range_empty: bool
-    log_base: Optional[str] = None
+class ExceptionalReport(namedtuple("ExceptionalReport",
+                                   "n N sum_cap lo hi zeros total range_empty log_base",
+                                   defaults=(None,))):
+    __slots__ = ()
 
     @property
     def fraction(self) -> float:

@@ -11,7 +11,7 @@ around a pivot t plus one remainder clique of n - 6t vertices.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from math import isqrt
 from typing import Optional
 
@@ -52,18 +52,15 @@ def is_three_square(v: int) -> bool:
     return v % 8 != 7
 
 
-@dataclass(frozen=True)
-class ThreeSquareDecomp:
-    target: int
-    x: int
-    y: int
-    z: int
+class ThreeSquareDecomp(namedtuple("ThreeSquareDecomp", "target x y z")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.x * self.x + self.y * self.y + self.z * self.z != self.target:
-            raise ValueError(f"{(self.x, self.y, self.z)} does not decompose {self.target}")
-        if not self.x >= self.y >= self.z >= 0:
-            raise ValueError(f"decomposition {(self.x, self.y, self.z)} not nonincreasing")
+    def __new__(cls, target: int, x: int, y: int, z: int):
+        if x * x + y * y + z * z != target:
+            raise ValueError(f"{(x, y, z)} does not decompose {target}")
+        if not x >= y >= z >= 0:
+            raise ValueError(f"decomposition {(x, y, z)} not nonincreasing")
+        return tuple.__new__(cls, (target, x, y, z))
 
 
 def three_square_decomp(v: int) -> Optional[ThreeSquareDecomp]:
@@ -129,19 +126,13 @@ def bennett_search(y_limit: int) -> list[tuple[int, int]]:
     return hits
 
 
-@dataclass(frozen=True)
-class Witness7:
-    """Seven clique sizes realizing edge count m on n vertices."""
+class Witness7(namedtuple("Witness7", "n m t s1 s2 s3 parts window_index t_anchor")):
+    """Seven clique sizes realizing edge count m on n vertices: parts, the
+    pivot t and offsets s1..s3; window_index is the position of the
+    accepted pivot in the scan window, 1-based, and t_anchor the pivot
+    congruent to -n mod 8 inside the window."""
 
-    n: int
-    m: int
-    t: int
-    s1: int
-    s2: int
-    s3: int
-    parts: tuple[int, int, int, int, int, int, int]
-    window_index: int  # position of the accepted pivot in the scan window, 1-based
-    t_anchor: int      # pivot congruent to -n mod 8 inside the window
+    __slots__ = ()
 
     def validate(self) -> None:
         p = self.parts

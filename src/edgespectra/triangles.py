@@ -18,7 +18,7 @@ alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from math import isqrt
 from typing import Callable
 
@@ -177,20 +177,16 @@ def clique_parts(v: int, g: int, k: int,
     return search(v, g, k)
 
 
-@dataclass(frozen=True)
-class UpperDecomp:
+class UpperDecomp(namedtuple("UpperDecomp", "ell ellp")):
     """f = tri(ell) + ellp with 0 <= ellp < ell."""
 
-    ell: int
-    ellp: int
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class LowerDecomp:
+class LowerDecomp(namedtuple("LowerDecomp", "b bp")):
     """f = tri(b) - bp with 0 <= bp < b - 1."""
 
-    b: int
-    bp: int
+    __slots__ = ()
 
 
 def decompose_upper(f: int) -> UpperDecomp:

@@ -24,6 +24,13 @@ from edgespectra.repcount import RepHistogram
 from edgespectra.triangles import clique_parts, int_roots, min_clique_edges, tri
 
 
+def replace(record, **changes):
+    """record with the given fields changed, rebuilt through its class's
+    constructor, so a validating record is validated again, as
+    dataclasses.replace did; a record's own _replace skips that."""
+    return type(record)(**{**record._asdict(), **changes})
+
+
 def rep_histogram_naive(n: int, N: int, sum_cap: Optional[int] = None) -> RepHistogram:
     """repcount.rep_histogram by plain 4 nested loops over ordered tuples."""
     sum_cap = n if sum_cap is None else sum_cap

@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import random
 import time
@@ -29,7 +28,7 @@ from edgespectra.pell import family_pair
 from edgespectra.squares import bennett_search
 from edgespectra.triangles import (clique_parts, decompose_lower, decompose_upper,
                                    min_clique_edges, tri, tri_floor_root, tri_root)
-from oracles import (brute_dm_witness, min_r_witness_loop, min_r_witness_search,
+from oracles import (brute_dm_witness, min_r_witness_loop, min_r_witness_search, replace,
                      three_part_witness_scan, three_part_witness_walk)
 
 HALF = Fraction(1, 2)
@@ -553,8 +552,8 @@ def test_mechanical_rules_cap_every_pair():
     for m in range(3, 200):
         lo, hi = _window(m)
         for g in range(lo, hi + 1):
-            l, lp = dataclasses.astuple(decompose_upper(g))
-            assert certify._RULES["iii"].holds(m, g, *dataclasses.astuple(decompose_lower(g))) \
+            l, lp = decompose_upper(g)
+            assert certify._RULES["iii"].holds(m, g, *decompose_lower(g)) \
                 == (1 <= lp and 2 * lp < l - 1), (m, g)
             assert certify._RULES["iv"].holds(m, g, l, lp) == (lp >= m - l > 0), (m, g)
     # so no lp escapes both once l + l // 2 >= m; l is least at the bottom
@@ -592,7 +591,7 @@ def _tampered(v, rule, side=None, **params):
     i = next(i for i, t in enumerate(v.trace) if t.rule == rule)
     t = v.trace[i]
     entry = TraceEntry(t.rule, side or t.side, tuple({**dict(t.params), **params}.items()))
-    return dataclasses.replace(v, trace=v.trace[:i] + (entry,) + v.trace[i + 1:])
+    return replace(v, trace=v.trace[:i] + (entry,) + v.trace[i + 1:])
 
 
 @pytest.mark.parametrize("m,f,tamper", [
@@ -607,18 +606,18 @@ def _tampered(v, rule, side=None, **params):
     (38, 325, lambda v: _tampered(v, "thm-lower-1/r", r=5)),
     (38, 325, lambda v: _tampered(v, "thm-lower-1/r", c=12)),
     (38, 325, lambda v: _tampered(v, "thm-upper-1/2", side="f")),
-    (38, 325, lambda v: dataclasses.replace(v, trace=v.trace[1:])),
-    (38, 325, lambda v: dataclasses.replace(v, lower=Fraction(1, 3))),
-    (38, 325, lambda v: dataclasses.replace(v, upper=Fraction(2, 3))),
+    (38, 325, lambda v: replace(v, trace=v.trace[1:])),
+    (38, 325, lambda v: replace(v, lower=Fraction(1, 3))),
+    (38, 325, lambda v: replace(v, upper=Fraction(2, 3))),
     # the cited 2/3 bound is no rule (the mechanical rules cap every
     # non-special pair at 0 or 1/2), so its entry is an unknown rule
-    (38, 325, lambda v: dataclasses.replace(
+    (38, 325, lambda v: replace(
         v, trace=v.trace + (TraceEntry("thm-upper-2/3", "pair"),))),
-    (7, 12, lambda v: dataclasses.replace(
+    (7, 12, lambda v: replace(
         v, trace=v.trace + (TraceEntry("thm-upper-2/3", "pair"),))),
-    (7, 10, lambda v: dataclasses.replace(
+    (7, 10, lambda v: replace(
         v, trace=(TraceEntry("A", "pair", (("m", 7), ("f", 10))),) + v.trace)),
-    (7, 10, lambda v: dataclasses.replace(v, trace=v.trace + (TraceEntry("vi", "pair"),))),
+    (7, 10, lambda v: replace(v, trace=v.trace + (TraceEntry("vi", "pair"),))),
 ])
 def test_verdict_validate_rejects_tampering(m, f, tamper):
     v = classify_pair(m, f)

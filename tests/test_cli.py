@@ -11,7 +11,7 @@ from edgespectra import squares
 from edgespectra.cli import main
 from edgespectra.repcount import rep_histogram
 from edgespectra.triangles import tri
-from oracles import from_members, parse_export
+from oracles import from_members, parse_export, replace
 
 
 def run_cli(capsys, argv):
@@ -134,8 +134,7 @@ def test_pell_check_substitutes_what_it_prints(capsys, monkeypatch, fault):
 
         def bent(k):
             fp = family_pair(k)
-            object.__setattr__(fp, "c", fp.c + 1)
-            return fp
+            return fp._replace(c=fp.c + 1)  # _replace skips the validation
 
         monkeypatch.setattr(pell, "family_pair", bent)
     code, out, err = run_cli(capsys, ["pell", "--k", "2", "--check"])
@@ -242,6 +241,39 @@ def test_witness7_out_of_interval_error(capsys):
     code, out, err = run_cli(capsys, ["witness7", "--n", "30000", "--m", "10"])
     assert code == 1
     assert "PreconditionViolated" in err
+
+
+def test_witness7_validates_each_row_once(capsys, monkeypatch):
+    calls = []
+    validate = squares.Witness7.validate
+
+    def counting(self):
+        calls.append(self)
+        return validate(self)
+
+    monkeypatch.setattr(squares.Witness7, "validate", counting)
+    code, out, _ = run_cli(capsys, ["witness7", "--n", "30000", "--samples", "6", "--seed", "2"])
+    rows = out.splitlines()
+    assert code == 0 and len(rows) == 6
+    assert len(calls) == len(rows)  # witness7's own check, not a second one per row
+    calls.clear()
+    code, out, _ = run_cli(capsys, ["witness7", "--n", "30000", "--m", "100000000"])
+    assert code == 0 and len(calls) == 1
+
+
+def test_witness7_campaign_charged_to_guard(capsys, monkeypatch):
+    from edgespectra import cli, cliquespec
+
+    # 2000 rows are charged at 512 bytes each, ~8.2M bits: a 1M-bit cap
+    # refuses the campaign before a sample is drawn
+    monkeypatch.setattr(squares, "witness7", lambda n, m: pytest.fail("a sample was drawn"))
+    monkeypatch.setenv("EDGESPECTRA_MAX_TABLE_BITS", str(10 ** 6))
+    code, out, err = run_cli(capsys, ["witness7", "--n", "30000", "--samples", "2000"])
+    assert code == 1 and out == ""
+    assert "error: SpectrumMemoryError: campaign rows need" in err
+    assert _manifest(err)["subcommand"] == "witness7"
+    # the default cap admits the benchmark's pinned campaigns of 2000 samples
+    assert 8 * cli._CAMPAIGN_ROW_BYTES * 2000 <= cliquespec._DEFAULT_MAX_TABLE_BITS
 
 
 def test_repcount_csv_and_check(tmp_path, capsys):
@@ -488,8 +520,6 @@ def test_minr_holds_no_singletons(capsys):
 
 
 def test_classify_check_rejects_tampered_entry(capsys, monkeypatch):
-    import dataclasses
-
     from edgespectra import certify
 
     real = certify.classify_pair
@@ -498,7 +528,7 @@ def test_classify_check_rejects_tampered_entry(capsys, monkeypatch):
         v = real(m, f)
         i = next(i for i, t in enumerate(v.trace) if t.rule == "iv")
         bad = certify.TraceEntry("iv", v.trace[i].side, (("l", 5), ("lp", 3)))
-        return dataclasses.replace(v, trace=v.trace[:i] + (bad,) + v.trace[i + 1:])
+        return replace(v, trace=v.trace[:i] + (bad,) + v.trace[i + 1:])
 
     monkeypatch.setattr(certify, "classify_pair", tampered)
     code, out, err = run_cli(capsys, ["classify", "--m", "7", "--f", "12", "--check"])
@@ -647,12 +677,10 @@ def test_check_rejects_witness_with_too_many_parts(capsys, monkeypatch, argv):
 
 @pytest.mark.parametrize("shift", [1, -1])
 def test_density_check_rejects_inexact_min(capsys, monkeypatch, shift):
-    import dataclasses
-
     from edgespectra import cliquespec
 
     real = cliquespec.density_and_bounds
-    monkeypatch.setattr(cliquespec, "density_and_bounds", lambda n, r: dataclasses.replace(
+    monkeypatch.setattr(cliquespec, "density_and_bounds", lambda n, r: replace(
         real(n, r), min_element=real(n, r).min_element + shift))
     argv = ["density", "--n", "50", "--r", "4"]
     code, out, _ = run_cli(capsys, argv)

@@ -5,6 +5,9 @@ triangles imports only the standard library, no module starts a
 thread or a process, and every exception class of the package derives
 from one base, the only package failure the CLI names.
 
+Every result record is a named tuple with no instance dictionary, and no
+module imports dataclasses, whose decorators generate code at import.
+
 No linter ships with the package, so this walks the syntax tree instead.
 `from __future__` imports and the re-exports of `__init__.py` are exempt.
 """
@@ -214,3 +217,58 @@ def test_every_package_exception_derives_from_one_base():
                             "TupleBudgetExceeded", "RankBudgetExceeded"}
     assert all(issubclass(cls, EdgespectraError) for cls in defined.values())
     assert cli._FAILURES == (EdgespectraError, OverflowError, RecursionError)
+
+
+#: The result records: immutable named tuples, built by tuple.__new__.
+RECORDS = {
+    "certify": ("PairMF", "TraceEntry", "Verdict", "TripleIdentity"),
+    "cliquespec": ("CliquePartition", "EdgeSpectrum", "DensityReport", "IntervalReport"),
+    "graphs": ("GraphMask", "ArrowResult", "RunReport", "TailCheck", "ConcentrationReport"),
+    "pell": ("PellSolution", "FamilyPair", "ABCReport"),
+    "repcount": ("RepHistogram", "ExceptionalReport"),
+    "squares": ("ThreeSquareDecomp", "Witness7"),
+    "triangles": ("UpperDecomp", "LowerDecomp"),
+}
+#: The package's other tuple classes, typing.NamedTuple rows of its tables.
+TABLE_ROWS = {"certify": ("_Rule",), "cli": ("Command", "_OptionTable")}
+
+
+def dataclass_imports(source: str) -> list[str]:
+    """Imports of the dataclasses module in the given module source."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found += [a.name for a in node.names if a.name.split(".")[0] == "dataclasses"]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module == "dataclasses":
+            found += [f"dataclasses.{a.name}" for a in node.names]
+    return found
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_package_imports_no_dataclasses(path):
+    assert dataclass_imports(path.read_text()) == []
+
+
+def test_dataclass_import_is_reported():
+    source = ("import dataclasses as dc\nfrom dataclasses import dataclass, field\n"
+              "from collections import namedtuple\nfrom .dataclasses import x\n")
+    assert dataclass_imports(source) == ["dataclasses", "dataclasses.dataclass",
+                                         "dataclasses.field"]
+
+
+def test_every_record_is_a_slotted_tuple():
+    defined = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        name = "edgespectra" + ("" if path.stem == "__init__" else "." + path.stem)
+        module = importlib.import_module(name)
+        defined.update({f"{path.stem}.{obj.__name__}": obj for obj in vars(module).values()
+                        if isinstance(obj, type) and issubclass(obj, tuple)
+                        and obj.__module__ == name})
+    records = {f"{mod}.{cls}" for mod, names in RECORDS.items() for cls in names}
+    assert len(records) == 22
+    assert set(defined) == records | {f"{mod}.{cls}" for mod, names in TABLE_ROWS.items()
+                                      for cls in names}
+    for name in records:
+        cls = defined[name]
+        assert vars(cls).get("__slots__") == (), name  # its own, not only its base's
+        assert cls.__dictoffset__ == 0 and len(cls._fields) >= 2, name
