@@ -42,12 +42,12 @@ pair with no representation is answered there.  Then it runs at part
 counts j = 3, 4, ..., from the least j with min_clique_edges(m, j) <= f,
 with three_part_witness (a walk over the smallest part within a
 closed-form window, keeping the discriminant of the other two parts as a
-running sum in triangles.first_square, the kernel the three-square
-descent of squares runs on too) as its three-part step, and the first j
-that admits a partition gives the witness.  The three-part
-windows of one search share a budget of z-steps, charged per window in
-closed form, so a search that cannot decide in time raises
-RankBudgetExceeded instead of running on.  min_r_witness lists the
+running sum in triangles.first_square) as its three-part step, and the
+first j that admits a partition gives the witness.  The three-part
+windows of one search walk through one triangles.WalkBudget of z-steps,
+the budget type the three-square descent of squares walks through too,
+so a search that cannot decide in time raises RankBudgetExceeded
+instead of running on.  min_r_witness lists the
 witness's singletons; min_r and the minr command count them, and the rank
 is the witness's part count less one, so the rank and its certificate
 never disagree.  Every step is exact integer arithmetic: the one- and
@@ -64,9 +64,9 @@ from fractions import Fraction
 from math import isqrt
 from typing import Callable, NamedTuple, Optional
 
-from .triangles import (EdgespectraError, ceil_sqrt, clique_parts, decompose_lower,
-                        decompose_upper, first_square, int_roots, is_triple, min_clique_edges,
-                        tri, tri_root, two_part_witness)
+from .triangles import (EdgespectraError, WalkBudget, ceil_sqrt, clique_parts, decompose_lower,
+                        decompose_upper, int_roots, is_triple, min_clique_edges, tri, tri_root,
+                        two_part_witness)
 
 #: The five pairs whose density is exactly 1.
 SPECIAL_PAIRS = frozenset({(2, 0), (2, 1), (4, 3), (5, 4), (5, 6)})
@@ -290,28 +290,11 @@ class RankBudgetExceeded(EdgespectraError):
 _RANK_STEPS = 2_000_000
 
 
-class _Budget:
-    """The z-steps one rank search may still walk, and the windows it
-    charged."""
-
-    def __init__(self, m: int, f: int):
-        self.pair, self.left, self.windows = (m, f), _RANK_STEPS, 0
-
-    def charge(self, window: range) -> range:
-        """Charge a whole window before it is walked; the part of it that
-        the budget covers."""
-        self.windows += 1
-        walk = window[:self.left]
-        self.left -= len(walk)
-        return walk
-
-    def refund(self, steps: int) -> None:
-        self.left += steps
-
-    def exceeded(self) -> RankBudgetExceeded:
-        return RankBudgetExceeded(
-            f"rank search of (m, f) = {self.pair} walked all {_RANK_STEPS} z-steps of its "
-            f"budget in {self.windows} three-part windows without a decision")
+def _rank_budget(m: int, f: int) -> WalkBudget:
+    """A fresh budget of _RANK_STEPS z-steps for the rank search of (m, f)."""
+    return WalkBudget(_RANK_STEPS, lambda budget: RankBudgetExceeded(
+        f"rank search of (m, f) = {(m, f)} walked all {_RANK_STEPS} z-steps of its "
+        f"budget in {budget.walks} three-part windows without a decision"))
 
 
 def _z_window(m: int, f: int) -> range:
@@ -325,7 +308,7 @@ def _z_window(m: int, f: int) -> range:
 
 
 def three_part_witness(m: int, f: int, *,
-                       budget: Optional[_Budget] = None) -> Optional[tuple[int, int, int]]:
+                       budget: Optional[WalkBudget] = None) -> Optional[tuple[int, int, int]]:
     """(x, y, z) with x >= y >= z >= 1, x+y+z = m, tri sums to f, and z
     smallest; None if there is none.
 
@@ -340,24 +323,19 @@ def three_part_witness(m: int, f: int, *,
     s^2 gives x, y = (m - z +- s) / 2.  Exact integer arithmetic at any
     size.
 
-    The budget, a fresh _Budget(m, f) by default, is charged the window's
-    length before the walk and refunded the steps a hit leaves unwalked;
-    RankBudgetExceeded is raised when it ends the walk before the window.
+    The walk goes through budget, a fresh _rank_budget(m, f) by default,
+    which charges it the z-steps it tests and raises RankBudgetExceeded
+    when it ends the walk before the window.
     """
     window = _z_window(m, f)
-    budget = _Budget(m, f) if budget is None else budget
-    walk = budget.charge(window)
-    z = walk.start
-    hit = first_square((m - z) * (2 - m + z) + 4 * f - 2 * z * (z - 1),
-                       2 * m - 6 * z - 3, -6, len(walk))
-    if hit is not None:  # the window's end keeps y >= z
-        i, s = hit
-        budget.refund(len(walk) - i - 1)
-        z += i
-        return ((m - z + s) // 2, (m - z - s) // 2, z)
-    if len(walk) < len(window):
-        raise budget.exceeded()
-    return None
+    z = window.start
+    hit = (_rank_budget(m, f) if budget is None else budget).walk(
+        (m - z) * (2 - m + z) + 4 * f - 2 * z * (z - 1), 2 * m - 6 * z - 3, -6, len(window))
+    if hit is None:
+        return None
+    i, s = hit  # the window's end keeps y >= z
+    z += i
+    return ((m - z + s) // 2, (m - z - s) // 2, z)
 
 
 def min_rank_parts(m: int, f: int) -> Optional[tuple[int, ...]]:
@@ -375,8 +353,8 @@ def min_rank_parts(m: int, f: int) -> Optional[tuple[int, ...]]:
     j with min_clique_edges(m, j) > f admits one, and min_clique_edges
     falls as j grows, so where j = 3 is such a j the search starts at the
     least j that is not, found by bisection.  The three-part windows of
-    one call share one budget of _RANK_STEPS z-steps; RankBudgetExceeded
-    is raised once they have walked it.
+    one call walk through one _rank_budget(m, f) of _RANK_STEPS z-steps,
+    which raises RankBudgetExceeded once they have walked it.
     """
     PairMF(m, f)
     if f == tri(m):
@@ -388,7 +366,7 @@ def min_rank_parts(m: int, f: int) -> Optional[tuple[int, ...]]:
         return None
     start = 3 if min_clique_edges(m, 3) <= f else bisect_left(
         range(m + 1), -f, 4, key=lambda j: -min_clique_edges(m, j))
-    budget = _Budget(m, f)
+    budget = _rank_budget(m, f)
     triple = lambda v, g: three_part_witness(v, g, budget=budget)
     for j in range(start, m + 1):
         parts = clique_parts(m, f, j, triple)

@@ -155,8 +155,8 @@ def _cmd_dm(args) -> dict:
     w = certify.dm_witness(args.f, args.m)
     if args.check and w is not None:
         x, y, z = w
-        _require(x * y + z == args.f and x + y <= args.m and (z == 0 or x + y + z <= args.m - 1),
-                 "D(m) witness does not re-validate")
+        _require(min(w) >= 0 and x * y + z == args.f and x + y <= args.m
+                 and (z == 0 or x + y + z <= args.m - 1), "D(m) witness does not re-validate")
     return {"m": args.m, "f": args.f, "witness": list(w) if w else None}
 
 def _cmd_pell(args) -> dict:
@@ -190,8 +190,11 @@ def _cmd_three_squares(args) -> dict:
 def _cmd_bennett(args) -> dict:
     sols = squares.bennett_search(args.y_limit)
     if args.check:
+        low = 1  # each y must exceed the last
         for x, y in sols:
             _require(2 * tri(x) == tri(y * y), f"({x},{y}) does not satisfy the equation")
+            _require(x >= 1 and low < y <= args.y_limit, f"({x},{y}) is out of range or order")
+            low = y
     return {"y_limit": args.y_limit, "solutions": [list(s) for s in sols]}
 
 def _witness7_row(n: int, m: int) -> dict:

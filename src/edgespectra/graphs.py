@@ -41,7 +41,7 @@ from itertools import combinations, islice, permutations
 
 import numpy as np
 
-from .cliquespec import EdgeSpectrum, bounded_partitions, spectrum
+from .cliquespec import EdgeSpectrum, _check_cap, bounded_partitions, spectrum
 from .triangles import EdgespectraError, min_clique_edges, tri
 
 MAX_LABELED_N = 7
@@ -319,6 +319,12 @@ class ConcentrationReport(namedtuple("ConcentrationReport", (
 
 
 _TAIL_GRID = (0.25, 0.5, 0.75, 1.0, 1.25)
+# Peak memory per trial of concentration_experiment (its int64 count and
+# the float and bool temporaries of a tail comparison), charged to the
+# spectrum memory cap before anything is drawn.  Measured as peak RSS above
+# the import at N = 12, n = 5 for 4 * 10^5 to 10^6 trials: 25.4 bytes a
+# trial at the margin.
+_TRIAL_BYTES = 32
 
 
 def _decode_pairs(N: int, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -365,7 +371,8 @@ def concentration_experiment(
     enumeration whenever C(N, n) <= 10^6.  Empirical tail frequencies are
     compared against 2*exp(-2 t^2 / (min(n, N-n) (n-1)^2)) plus three
     binomial standard errors.  N is at most MAX_CONCENTRATION_N
-    (ScaleRejected above it).
+    (ScaleRejected above it), and the per-trial arrays are charged to the
+    spectrum memory cap (SpectrumMemoryError past it) before any draw.
     """
     if not 2 <= n <= N:
         raise ValueError(f"need 2 <= n <= N, got n={n}, N={N}")
@@ -375,6 +382,7 @@ def concentration_experiment(
         raise ValueError(f"need trials >= 1, got {trials}")
     if N > MAX_CONCENTRATION_N:
         raise ScaleRejected(f"need N <= {MAX_CONCENTRATION_N}, got N={N}")
+    _check_cap(8 * _TRIAL_BYTES * trials, "concentration trials")
     rng = np.random.default_rng(seed)
     chosen = rng.choice(tri(N), size=E, replace=False) if E else np.empty(0, dtype=int)
     u, v = _decode_pairs(N, chosen)
@@ -467,12 +475,12 @@ def _move_bits(dest: np.ndarray, words: np.ndarray) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _relabelled(k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Every labeled k-vertex graph g as its class and one relabelling that
-    reaches it: ids[g] indexes _catalogue(k)[0], and the row perms[index[g]]
-    sends vertex u of that representative to vertex perms[index[g], u] of g.
-    One scatter moves every representative under all k! permutations: only
-    _deck(k + 2) and _lowest(k + 1) call this, so k <= 6 and the moved masks
-    fill 450 KB."""
+    """Every labeled k-vertex graph g as its class and one relabelling p
+    that sends that representative to g: ids[g] indexes _catalogue(k)[0],
+    and back[index[g], N] = p^-1(N) for every vertex set N of g.  One
+    scatter moves every representative under all k! permutations: only
+    _extension_class reads this, for _deck(k + 2) and _lowest(k + 1), so
+    k <= 6 and the moved masks fill 450 KB."""
     reps = _catalogue(k)[0]
     perms = np.array(list(permutations(range(k))), dtype=np.intp)
     moved = _move_bits(_pair_dest(perms, k), np.array(reps, dtype=np.uint32))
@@ -482,13 +490,16 @@ def _relabelled(k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     # relabelling is as good, so which write lands does not matter
     ids[moved] = np.arange(len(reps), dtype=np.uint16)
     index[moved] = np.arange(len(perms), dtype=np.uint16)[:, None]
-    return ids, index, perms
+    back = _move_bits(np.argsort(perms, axis=1), np.arange(1 << k, dtype=np.uint32))
+    return ids, index, back
 
 
-def _back(perms: np.ndarray) -> np.ndarray:
-    """back[p, N] = p^-1(N) for every vertex set N of range(perms.shape[1]):
-    bit i of N moves to the vertex that row p sends to i."""
-    return _move_bits(np.argsort(perms, axis=1), np.arange(1 << perms.shape[1], dtype=np.uint32))
+def _extension_class(cand_class: np.ndarray, masks: np.ndarray, k: int) -> np.ndarray:
+    """cls[j, N]: the class, by cand_class of _catalogue(k + 1), of the
+    labeled k-vertex graph masks[j] plus a vertex joined to N, that is, of
+    the candidate (ids[masks[j]], p^-1(N)) of _relabelled(k)."""
+    ids, index, back = _relabelled(k)
+    return cand_class[(ids[masks].astype(np.intp)[:, None] << k) | back[index[masks]]]
 
 
 @lru_cache(maxsize=None)
@@ -511,9 +522,8 @@ def _lowest(k: int) -> np.ndarray:
         return np.zeros(1, dtype=np.uint32)
     reps, cand_class = _catalogue(k)
     below = _lowest(k - 1)
-    index, perms = _relabelled(k - 1)[1:]
     width = k - 1
-    cls = cand_class[(np.arange(len(below))[:, None] << width) | _back(perms[index[below]])]
+    cls = _extension_class(cand_class, below, width)
     masks = (below[:, None] << np.uint32(width)) | np.arange(1 << width, dtype=np.uint32)
     lowest = np.full(len(reps), np.iinfo(np.uint32).max, dtype=np.uint32)
     np.minimum.at(lowest, cls.ravel(), masks.ravel())
@@ -565,14 +575,12 @@ def _deck(n: int) -> np.ndarray:
     """
     reps, prev_class = _catalogue(n - 1)
     parents = np.array(reps, dtype=np.uint32)
-    ids, index, perms = _relabelled(n - 2)
-    back = _back(perms)
     deck = np.empty((n - 1, len(parents), 1 << (n - 2)), dtype=np.uint16)
     for v in range(n - 1):
         sub = np.zeros_like(parents)
         for src, width, dst in _deletion_runs(n - 1, v):
             sub |= ((parents >> src) & ((1 << width) - 1)) << dst
-        deck[v] = prev_class[(ids[sub].astype(np.intp)[:, None] << (n - 2)) | back[index[sub]]]
+        deck[v] = _extension_class(prev_class, sub, n - 2)
     return deck
 
 

@@ -13,6 +13,8 @@ multiplies by a thousand per index.
 from __future__ import annotations
 
 from collections import namedtuple
+from itertools import islice
+from typing import Iterator
 
 from .triangles import is_triple, realizes, tri, two_part_witness
 
@@ -26,15 +28,19 @@ class PellSolution(namedtuple("PellSolution", "x y k")):
         return tuple.__new__(cls, (x, y, k))
 
 
+def _orbit() -> Iterator[tuple[int, int]]:
+    """(x_0, y_0), (x_1, y_1), ... from seed (2, 1), unvalidated."""
+    x, y = 2, 1
+    while True:
+        yield x, y
+        x, y = 8 * x + 21 * y, 3 * x + 8 * y
+
+
 def pell_solutions(k_max: int) -> list[PellSolution]:
     """Solutions (x_0, y_0) .. (x_k_max, y_k_max) from seed (2, 1)."""
     if k_max < 0:
         raise ValueError(f"need k_max >= 0, got {k_max}")
-    out = [PellSolution(2, 1, 0)]
-    for k in range(1, k_max + 1):
-        x, y = out[-1].x, out[-1].y
-        out.append(PellSolution(8 * x + 21 * y, 3 * x + 8 * y, k))
-    return out
+    return [PellSolution(x, y, k) for k, (x, y) in zip(range(k_max + 1), _orbit())]
 
 
 class FamilyPair(namedtuple("FamilyPair", "k t m f a b c")):
@@ -53,10 +59,12 @@ class FamilyPair(namedtuple("FamilyPair", "k t m f a b c")):
 
 
 def family_pair(k: int) -> FamilyPair:
-    """The k-th derived pair; k >= 1 (k = 0 degenerates to m = 2)."""
+    """The k-th derived pair; k >= 1 (k = 0 degenerates to m = 2).  One
+    walk of the orbit to index 2k keeps only the current solution, and only
+    the one it returns is validated."""
     if k < 1:
         raise ValueError(f"need k >= 1, got {k}")
-    sol = pell_solutions(2 * k)[2 * k]
+    sol = PellSolution(*next(islice(_orbit(), 2 * k, None)), 2 * k)
     if sol.x % 2 or sol.y % 2 == 0:
         raise AssertionError(f"index {2 * k}: expected x even and y odd, got {sol}")
     t = sol.y - 1

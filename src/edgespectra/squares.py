@@ -3,7 +3,7 @@
 A non-negative integer is a sum of three squares exactly when stripping
 every factor of 4 leaves a residue other than 7 mod 8.  three_square_decomp
 finds the squares, walking each window of its descent with
-triangles.first_square under a budget charged per window.  witness7 uses
+triangles.first_square through a triangles.WalkBudget.  witness7 uses
 the decomposition to build, for an admissible (n, m), seven clique sizes
 summing to n whose edge counts sum to m: three symmetric pairs t +- s_i
 around a pivot t plus one remainder clique of n - 6t vertices.
@@ -15,7 +15,7 @@ from collections import namedtuple
 from math import isqrt
 from typing import Optional
 
-from .triangles import EdgespectraError, ceil_sqrt, first_square, realizes
+from .triangles import EdgespectraError, WalkBudget, ceil_sqrt, realizes
 
 
 class PreconditionViolated(EdgespectraError):
@@ -73,9 +73,9 @@ def three_square_decomp(v: int) -> Optional[ThreeSquareDecomp]:
     For each x, triangles.first_square walks z^2 = w - y^2, w = u - x^2,
     for y from min(x, isqrt(w)) down to the least y with 2y^2 >= w.
 
-    The y-steps are charged to a budget of _DESCENT_STEPS a window at a
-    time, as the rank search charges its windows, and a window the budget
-    cuts short without a hit raises DescentBudgetExceeded, so a huge v is
+    Each window is walked through one WalkBudget of _DESCENT_STEPS y-steps,
+    and a window it cuts short without a hit raises DescentBudgetExceeded,
+    as the rank search's budget raises RankBudgetExceeded, so a huge v is
     refused in bounded time: unbudgeted, 10^30 + 3 was not answered in 30 s.
     """
     if v < 0:
@@ -85,22 +85,19 @@ def three_square_decomp(v: int) -> Optional[ThreeSquareDecomp]:
         u, k = u // 4, k + 1
     if u % 8 == 7:
         return None
-    left = _DESCENT_STEPS
+    budget = WalkBudget(_DESCENT_STEPS, lambda _: DescentBudgetExceeded(
+        f"three-square descent of v = {v} walked all {_DESCENT_STEPS} y-steps of its "
+        f"budget, down to x = {x}"))  # x: the loop's, at the window cut short
     for x in range(isqrt(u), -1, -1):
         w = u - x * x
         if w > 2 * x * x:  # y, z <= x unreachable
             break
         y = x if x * x <= w else isqrt(w)  # min(x, isqrt(w)), without a call per x
         count = y - isqrt((w - 1) // 2) if w else 1  # y down to the least with 2y^2 >= w
-        hit = first_square(w - y * y, 2 * y - 1, -2, count if count < left else left)
+        hit = budget.walk(w - y * y, 2 * y - 1, -2, count)
         if hit is not None:
             i, z = hit
             return ThreeSquareDecomp(target=v, x=x << k, y=(y - i) << k, z=z << k)
-        if left < count:
-            raise DescentBudgetExceeded(
-                f"three-square descent of v = {v} walked all {_DESCENT_STEPS} "
-                f"y-steps of its budget, down to x = {x}")
-        left -= count
     return None
 
 

@@ -6,7 +6,8 @@ this package.  The two decompositions expose an edge count f either as
 "largest triangular number below, plus excess" or as "smallest triangular
 number above, minus deficit"; both are unique in the stated ranges.
 clique_parts splits an edge count over a partition of the vertices, and
-first_square finds the first perfect square along a quadratic sequence.
+first_square finds the first perfect square along a quadratic sequence;
+WalkBudget is the one step budget every bounded search walks it under.
 
 Two certificates are stated here once, for every check in the package to
 read: realizes, a clique partition of an edge count, and is_triple, the
@@ -84,6 +85,28 @@ def first_square(d: int, step: int, turn: int, count: int) -> tuple[int, int] | 
         d += step
         step += turn
     return None
+
+
+class WalkBudget:
+    """Steps left and windows walked of one bounded search; refusal(self)
+    is the search's named failure when the budget cuts a window short."""
+
+    __slots__ = ("left", "walks", "refusal")
+
+    def __init__(self, steps: int, refusal: Callable[[WalkBudget], EdgespectraError]):
+        self.left, self.walks, self.refusal = steps, 0, refusal
+
+    def walk(self, d: int, step: int, turn: int, count: int) -> tuple[int, int] | None:
+        """first_square over the part of the window the budget covers,
+        charged i + 1 for a hit at term i, the whole window for a miss; a
+        miss the budget cut short raises refusal(self)."""
+        self.walks += 1
+        cap = count if count < self.left else self.left
+        hit = first_square(d, step, turn, cap)
+        self.left -= cap if hit is None else hit[0] + 1
+        if hit is None and cap < count:
+            raise self.refusal(self)
+        return hit
 
 
 def tri_root(f: int) -> int | None:

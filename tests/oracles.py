@@ -15,13 +15,13 @@ from unittest import mock
 import numpy as np
 
 from edgespectra import graphs, squares
-from edgespectra.certify import (PairMF, _Budget, _z_window, three_part_witness,
+from edgespectra.certify import (PairMF, _rank_budget, _z_window, three_part_witness,
                                  two_part_witness)
 from edgespectra.cliquespec import EdgeSpectrum
 from edgespectra.graphs import (_achieved, _move_bits, _pair_dest, canonical_reps,
                                 subset_pair_mask)
 from edgespectra.repcount import RepHistogram
-from edgespectra.triangles import clique_parts, int_roots, min_clique_edges, tri
+from edgespectra.triangles import WalkBudget, clique_parts, int_roots, min_clique_edges, tri
 
 
 def replace(record, **changes):
@@ -267,20 +267,24 @@ def three_part_witness_scan(m: int, f: int) -> Optional[tuple[int, int, int]]:
 
 
 def three_part_witness_walk(m: int, f: int, *,
-                            budget: Optional[_Budget] = None) -> Optional[tuple[int, int, int]]:
+                            budget: Optional[WalkBudget] = None) -> Optional[tuple[int, int, int]]:
     """certify.three_part_witness without its running sum: the same
     window, z order and budget, but each z solved afresh for the two
-    larger parts by two_part_witness.  Exact at any size."""
+    larger parts by two_part_witness, and the budget's counters kept here
+    by hand: the whole window charged before the walk, the z-steps a hit
+    leaves unwalked refunded.  Exact at any size."""
     window = _z_window(m, f)
-    budget = _Budget(m, f) if budget is None else budget
-    walk = budget.charge(window)
+    budget = _rank_budget(m, f) if budget is None else budget
+    budget.walks += 1
+    walk = window[:budget.left]
+    budget.left -= len(walk)
     for z in walk:
         w = two_part_witness(m - z, f - tri(z))
         if w is not None and w[1] >= z:
-            budget.refund(walk.stop - z - 1)
+            budget.left += walk.stop - z - 1
             return (w[0], w[1], z)
     if len(walk) < len(window):
-        raise budget.exceeded()
+        raise budget.refusal(budget)
     return None
 
 
@@ -413,7 +417,7 @@ def min_r_witness_loop(m: int, f: int) -> Optional[tuple[int, ...]]:
     PairMF(m, f)
     if clique_parts(m, f, m) is None:
         return None
-    budget = _Budget(m, f)
+    budget = _rank_budget(m, f)
     triple = lambda v, g: three_part_witness(v, g, budget=budget)
     for j in range(1, m + 1):
         parts = clique_parts(m, f, j, triple)

@@ -13,7 +13,7 @@ from edgespectra.certify import (
     RankBudgetExceeded,
     SPECIAL_PAIRS,
     TraceEntry,
-    _Budget,
+    _rank_budget,
     _window,
     classify_pair,
     dm_witness,
@@ -349,12 +349,12 @@ def test_three_part_budget_matches_walk(monkeypatch):
     for m, f in _seeded_three_part_pairs(200, seed=13)[:200]:
         left = []
         for fn in (three_part_witness, three_part_witness_walk):
-            budget = _Budget(m, f)
+            budget = _rank_budget(m, f)
             try:
                 result = fn(m, f, budget=budget)
             except RankBudgetExceeded as exc:
                 result = str(exc)
-            left.append((result, budget.left, budget.windows))
+            left.append((result, budget.left, budget.walks))
         assert left[0] == left[1], (m, f)
         outcomes.add(type(left[0][0]))
     assert outcomes == {tuple, type(None), str}
@@ -365,19 +365,19 @@ def test_three_part_budget_charges_window_and_refunds_hit(monkeypatch):
     # (18270687362, f) of the Pell family: a window of about 1.2 * 10^9
     # z-steps, hit at its first z, so one step is charged
     m, f = 18270687362, 60087242994716684736
-    budget = _Budget(m, f)
+    budget = _rank_budget(m, f)
     assert three_part_witness(m, f, budget=budget) == three_part_witness(m, f)
-    assert (budget.left, budget.windows) == (10 ** 6 - 1, 1)
+    assert (budget.left, budget.walks) == (10 ** 6 - 1, 1)
     # a miss is charged its whole window
     m, f = 3000, 2037210
     window = certify._z_window(m, f)
-    budget = _Budget(m, f)
+    budget = _rank_budget(m, f)
     assert three_part_witness(m, f, budget=budget) is None
     assert budget.left == 10 ** 6 - len(window) and len(window) > 100
 
 
 def test_three_part_witness_alone_walks_under_a_budget(monkeypatch):
-    # without a budget passed, the walk is charged to a fresh _Budget(m, f),
+    # without a budget passed, the walk is charged to a fresh _rank_budget(m, f),
     # so a miss window longer than the budget raises instead of running on
     monkeypatch.setattr(certify, "_RANK_STEPS", 400)
     m = 2 ** 70 + 12345

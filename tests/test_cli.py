@@ -446,6 +446,18 @@ def test_concentration_scale_rejected_exits_1(capsys):
     assert _manifest(err)["subcommand"] == "concentration"
 
 
+def test_concentration_trials_charged_to_guard(capsys, monkeypatch):
+    # 10^11 trials would need 800 GB of counts: refused before a draw
+    import numpy as np
+
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: pytest.fail("a draw began"))
+    argv = ["concentration", "--N", "12", "--E", "10", "--n", "5", "--trials", "100000000000"]
+    code, out, err = run_cli(capsys, argv)
+    assert code == 1 and out == ""
+    assert "error: SpectrumMemoryError: concentration trials need" in err
+    assert _manifest(err)["subcommand"] == "concentration"
+
+
 def test_bad_value_exits_2_with_manifest(capsys, tmp_path):
     unwritable = str(tmp_path / "missing" / "x")
     for argv in (["spectrum", "--n", "-1", "--r", "2"],
@@ -688,6 +700,28 @@ def test_density_check_rejects_inexact_min(capsys, monkeypatch, shift):
     code, out, err = run_cli(capsys, argv + ["--check"])
     assert code == 1 and out == ""
     assert "check failed:" in err
+
+
+@pytest.mark.parametrize("argv, module, name, fault", [
+    # 7 * 7 - 4 = 45 with 7 + 7 - 4 <= 39: only the negative part is wrong
+    (["dm", "--m", "40", "--f", "45"], "certify", "dm_witness", lambda f, m: (7, 7, -4)),
+    # y = 1 solves the equation but is excluded as degenerate
+    (["bennett", "--y-limit", "50"], "squares", "bennett_search",
+     lambda y_limit: [(1, 1), (3, 2)]),
+    # a solution listed twice: y must strictly increase
+    (["bennett", "--y-limit", "50"], "squares", "bennett_search",
+     lambda y_limit: [(3, 2), (3, 2)]),
+], ids=["dm-negative-part", "bennett-degenerate-y", "bennett-repeated-y"])
+def test_check_rejects_answers_out_of_range(capsys, monkeypatch, argv, module, name, fault):
+    import edgespectra
+
+    monkeypatch.setattr(getattr(edgespectra, module), name, fault)
+    code, _, _ = run_cli(capsys, argv)
+    assert code == 0  # each answer satisfies its equation
+    code, out, err = run_cli(capsys, argv + ["--check"])
+    assert code == 1 and out == ""
+    assert "check failed:" in err
+    assert _manifest(err)["subcommand"] == argv[0]
 
 
 def test_snm_check_rejects_dropped_member(capsys, monkeypatch):

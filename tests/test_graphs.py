@@ -384,20 +384,24 @@ def _relabel(g: int, perm: tuple[int, ...], k: int) -> int:
 def test_move_bits_matches_python_relabelling(k):
     # the bit mover the catalogue and its oracle share, against a plain
     # relabelling: every pair map on every k-vertex mask, the vertex-bit
-    # map back[p, N] = p^-1(N) that _deck and _lowest read, and the
-    # relabelling _relabelled records for every labeled graph
+    # map back[p, N] = p^-1(N) of _relabelled that _extension_class reads,
+    # one row per permutation in order, and the relabelling each labeled
+    # graph's row stands for, read back off the row's single vertices
     perms = list(permutations(range(k)))
     maps = np.array(perms, dtype=np.intp)
     masks = range(1 << tri(k))
     moved = graphs._move_bits(graphs._pair_dest(maps, k), np.array(masks, dtype=np.uint32))
     assert moved.tolist() == [[_relabel(g, p, k) for g in masks] for p in perms]
-    back = graphs._back(maps)
+    ids, index, back = graphs._relabelled(k)
     assert back.tolist() == [[sum(1 << u for u in range(k) if nbhd >> p[u] & 1)
                               for nbhd in range(1 << k)] for p in perms]
-    ids, index, rows = graphs._relabelled(k)
     reps = canonical_reps(k)
     for g in masks:
-        assert _relabel(reps[ids[g]], tuple(rows[index[g]]), k) == g, (k, g)
+        row = back[index[g]]
+        perm = [0] * k
+        for i in range(k):  # p^-1 moves bit i to the vertex u with p[u] = i
+            perm[int(row[1 << i]).bit_length() - 1] = i
+        assert _relabel(reps[ids[g]], tuple(perm), k) == g, (k, g)
 
 
 def _delete_vertex(masks: np.ndarray, n: int, v: int) -> np.ndarray:

@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -36,6 +37,28 @@ def test_family_first_pair():
     assert fp.triple_witness() == (445, 445, 222)
     w = fp.triple_witness()
     assert sum(w) == fp.m and sum(tri(q) for q in w) == fp.f
+
+
+def test_family_pair_matches_list_route():
+    # the pair at index 2k of the full solution list, as family_pair built it
+    sols = pell_solutions(80)
+    for k in range(1, 41):
+        t = sols[2 * k].y - 1
+        m = 5 * t + 2
+        want = FamilyPair(k=k, t=t, m=m, f=tri(3 * t + 1), a=3 * t + 1, b=4 * t + 2,
+                          c=(m - sols[2 * k].x) // 2)
+        assert family_pair(k) == want, k
+
+
+def test_family_pair_keeps_one_solution():
+    # the list of 4001 solutions peaked at 8.8 MB; one walk keeps the current one
+    tracemalloc.start()
+    try:
+        family_pair(2000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_family_rejects_k0():
