@@ -18,17 +18,18 @@ print("=" * 72)
 hist = rep_histogram(n, N)
 support = hist.support()
 print(f"  tuples counted: {hist.total_tuples}")
-print(f"  distinct realized m: {support.size} "
-      f"(from {support.min()} to {support.max()})")
-print(f"  largest count: R({int(hist.counts.argmax())}) = {int(hist.counts.max())}")
+peak = max(range(len(hist.counts)), key=hist.counts.__getitem__)  # the first largest count
+print(f"  distinct realized m: {len(support)} "
+      f"(from {support[0]} to {support[-1]})")
+print(f"  largest count: R({peak}) = {hist.counts[peak]}")
 
 print()
 print("=" * 72)
 print("2. Every realized m really is a five-clique edge count")
 print("=" * 72)
 spec = spectrum(n, 5)
-escaped = [int(m) for m in support if int(m) not in spec]
-print(f"  support size {support.size}, escapes from C({n},5): {len(escaped)}")
+escaped = [m for m in support if m not in spec]
+print(f"  support size {len(support)}, escapes from C({n},5): {len(escaped)}")
 
 print()
 print("=" * 72)

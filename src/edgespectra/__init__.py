@@ -15,6 +15,9 @@ The package is organized around five computable object families:
 - repcount: representation counts certifying membership among unions of
   five cliques.
 
+graphs is the one module that imports numpy; every other module, and
+every certified integer path, computes in exact Python ints.
+
 Every result is a record: a collections.namedtuple subclass with no
 instance dictionary, built by tuple.__new__ and read by field name.  A
 record whose fields must agree checks them in its __new__; _make and

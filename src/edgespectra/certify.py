@@ -58,12 +58,12 @@ walk tests each discriminant with isqrt, and nothing here is fixed-width.
 from __future__ import annotations
 
 import functools
-from bisect import bisect_left
 from collections import namedtuple
 from fractions import Fraction
 from math import isqrt
 from typing import Callable, NamedTuple, Optional
 
+from .cliquespec import _check_cap
 from .triangles import (EdgespectraError, WalkBudget, ceil_sqrt, clique_parts, decompose_lower,
                         decompose_upper, int_roots, is_triple, min_clique_edges, tri, tri_root,
                         two_part_witness)
@@ -288,6 +288,11 @@ class RankBudgetExceeded(EdgespectraError):
 #: and 20 times the most that any of 2400 seeded pairs with m <= 3000 walks
 #: (95,656 steps, at (2942, 1718353)).
 _RANK_STEPS = 2_000_000
+# Peak memory per part of a min_r_witness partition (the singletons' tuple
+# and the padded copy), charged to the table cap of cliquespec before the
+# singletons are listed.  Measured as peak RSS above the search at f = 1
+# for m = 10^6 to 4 * 10^6: 16.0 bytes a part.
+_WITNESS_PART_BYTES = 16
 
 
 def _rank_budget(m: int, f: int) -> WalkBudget:
@@ -352,9 +357,10 @@ def min_rank_parts(m: int, f: int) -> Optional[tuple[int, ...]]:
     least such j every partition into at most j parts has exactly j.  No
     j with min_clique_edges(m, j) > f admits one, and min_clique_edges
     falls as j grows, so where j = 3 is such a j the search starts at the
-    least j that is not, found by bisection.  The three-part windows of
-    one call walk through one _rank_budget(m, f) of _RANK_STEPS z-steps,
-    which raises RankBudgetExceeded once they have walked it.
+    least j that is not, found by an integer bisection over [4, m] that
+    holds at any m.  The three-part windows of one call walk through one
+    _rank_budget(m, f) of _RANK_STEPS z-steps, which raises
+    RankBudgetExceeded once they have walked it.
     """
     PairMF(m, f)
     if f == tri(m):
@@ -364,8 +370,13 @@ def min_rank_parts(m: int, f: int) -> Optional[tuple[int, ...]]:
         return pair
     if clique_parts(m, f, m) is None:
         return None
-    start = 3 if min_clique_edges(m, 3) <= f else bisect_left(
-        range(m + 1), -f, 4, key=lambda j: -min_clique_edges(m, j))
+    start, hi = (3, 3) if min_clique_edges(m, 3) <= f else (4, m)
+    while start < hi:  # min_clique_edges falls as j grows, to 0 at j = m
+        mid = (start + hi) // 2
+        if min_clique_edges(m, mid) <= f:
+            hi = mid
+        else:
+            start = mid + 1
     budget = _rank_budget(m, f)
     triple = lambda v, g: three_part_witness(v, g, budget=budget)
     for j in range(start, m + 1):
@@ -381,9 +392,15 @@ def min_r_witness(m: int, f: int) -> Optional[tuple[int, ...]]:
     It has the fewest parts; the parts before the last three are the
     lexicographically largest possible, and the last three are the triple
     with the smallest smallest part.  See min_rank_parts for the search.
+    The listed partition is charged to the table cap of cliquespec before
+    its singletons are listed: SpectrumMemoryError above it.
     """
     parts = min_rank_parts(m, f)
-    return None if parts is None else parts + (1,) * (m - sum(parts))
+    if parts is None:
+        return None
+    singletons = m - sum(parts)
+    _check_cap(8 * _WITNESS_PART_BYTES * (len(parts) + singletons), "witness parts")
+    return parts + (1,) * singletons
 
 
 def min_r(m: int, f: int) -> Optional[int]:

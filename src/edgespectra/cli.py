@@ -1,7 +1,9 @@
 """Command-line entry point: one subcommand per package operation.
 
-Results go to standard output as JSON (JSON lines for sampling campaigns);
-diagnostics and a reproducibility manifest go to standard error, on every
+Results go to standard output as JSON (JSON lines for sampling campaigns),
+their ints printed exactly at any size: the int-to-str digit limit of
+Python 3.11+ is lifted while a payload is serialised, then restored.
+Diagnostics and a reproducibility manifest go to standard error, on every
 call.  Exit status: 0 on success; 1 on a verification failure (an interval
 gap, "check failed: ..." from a re-validation) or a named failure (an
 EdgespectraError, the base of every package failure, or an OverflowError
@@ -258,9 +260,8 @@ def _cmd_repcount(args) -> dict:
     hist = repcount.rep_histogram(args.n, args.N, args.sum_cap)
     payload = hist.summary()
     if args.check:
-        support = hist.support()
         spec = cliquespec.spectrum(args.n, 5)
-        missing = [int(m) for m in support if int(m) not in spec]
+        missing = [m for m, _ in hist.csv_rows() if m not in spec]
         _require(not missing, f"support escapes the 5-clique spectrum: {missing[:3]}")
     if args.csv:
         _write(args.csv, ["m,R\n"] + [f"{m},{c}\n" for m, c in hist.csv_rows()])
@@ -450,10 +451,13 @@ def main(argv: list[str] | None = None) -> int:
     parser = _shared_parser()
     start = time.perf_counter()
     args, output = None, ""
+    limit = getattr(sys, "get_int_max_str_digits", int)()  # 0: none, as on Python 3.10
     try:
         args = _parse(parser, sys.argv[1:] if argv is None else argv)
         result = COMMANDS[args.cmd].run(args)
         payload, code = result if isinstance(result, tuple) else (result, 0)
+        if limit:  # exact ints print at any size: the limit is lifted while they print
+            sys.set_int_max_str_digits(0)
         output = payload if isinstance(payload, str) else json.dumps(payload) + "\n"
     except AssertionError as exc:
         print(f"check failed: {exc}", file=sys.stderr)
@@ -462,6 +466,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         code = 2 if isinstance(exc, ValueError) else 1
     finally:  # also when argparse exits: every call writes its manifest
+        if limit:
+            sys.set_int_max_str_digits(limit)
         sys.stdout.write(output)
         params = {"argv": sys.argv[1:] if argv is None else argv} if args is None else vars(args)
         manifest = {"subcommand": getattr(args, "cmd", None),

@@ -466,7 +466,9 @@ def verify_interval(n: int, r: int, c_low: float, c_high: float, *, clip: bool =
 
 def shift_inclusion_check(n: int, r: int) -> bool:
     """Every element of C(n - floor(n/(r+1)), r), shifted by the edge count of
-    one clique on floor(n/(r+1)) vertices, lands inside C(n, r+1)."""
+    one clique on floor(n/(r+1)) vertices, lands inside C(n, r+1).  n and r
+    are checked as spectrum(n, r) checks them."""
+    _check_n_r(n, r)
     if n < r + 1:
         raise ValueError(f"need n >= r+1, got n={n}, r={r}")
     s = n // (r + 1)

@@ -8,7 +8,9 @@ is therefore realizable by five cliques on n vertices.
 
 The histogram is accumulated over sorted tuples with permutation
 multiplicities, read by tie pattern from a table; the tests compare it
-against a plain 4-loop count.
+against a plain 4-loop count.  Every count is a Python int, so the
+histogram is exact at any size, and the record compares and hashes by
+value like every other record of the package.
 """
 
 from __future__ import annotations
@@ -18,12 +20,19 @@ from collections import namedtuple
 from itertools import combinations_with_replacement
 from typing import Optional
 
-import numpy as np
-
 from .cliquespec import _check_cap
 from .triangles import EdgespectraError, tri
 
 _MAX_TUPLES = 50_000_000
+# Peak memory of a histogram, charged to the table cap of cliquespec before
+# it is built: per cell, a pointer in the list that is filled and one in the
+# tuple copied from it; per cell whose count exceeds 256, the largest cached
+# small int, one int object.  Measured as peak RSS above the import: 16.0
+# bytes a cell at N = 3 for n = 1000 to 3000, where no count exceeds 256,
+# and 31.6 bytes more for each count above 256 at n = 500 to 900, N = 120
+# to 150.
+_CELL_BYTES = 16
+_INT_BYTES = 32
 
 
 class TupleBudgetExceeded(EdgespectraError):
@@ -31,27 +40,28 @@ class TupleBudgetExceeded(EdgespectraError):
 
 
 class RepHistogram(namedtuple("RepHistogram", "n N sum_cap counts")):
-    """counts[m] is the number of ordered tuples at m; repr leaves it out."""
+    """counts, a tuple of ints, holds at index m the number of ordered
+    tuples at m; repr leaves it out."""
 
     __slots__ = ()
 
     def __repr__(self) -> str:
         return f"RepHistogram(n={self.n!r}, N={self.N!r}, sum_cap={self.sum_cap!r})"
 
-    def support(self) -> np.ndarray:
-        return np.flatnonzero(self.counts)
+    def support(self) -> tuple[int, ...]:
+        """The m with a positive count, increasing."""
+        return tuple(m for m, _ in self.csv_rows())
 
     @property
     def total_tuples(self) -> int:
-        return int(self.counts.sum())
+        return sum(self.counts)
 
     def csv_rows(self):
-        for m in self.support():
-            yield int(m), int(self.counts[m])
+        return ((m, c) for m, c in enumerate(self.counts) if c)
 
     def summary(self) -> dict:
         return {"n": self.n, "N": self.N, "sum_cap": self.sum_cap,
-                "support_size": int(self.support().size),
+                "support_size": len(self.counts) - self.counts.count(0),
                 "total_tuples": self.total_tuples}
 
 
@@ -70,8 +80,9 @@ def _sum_cap(n: int, sum_cap: Optional[int]) -> int:
 
 def rep_histogram(n: int, N: int, sum_cap: Optional[int] = None) -> RepHistogram:
     """Counts of ordered 4-tuples per realized edge count m.  The histogram's
-    tri(n) + 1 cells are charged to the table cap of cliquespec first:
-    SpectrumMemoryError above it."""
+    tri(n) + 1 cells, and its counts above 256, at most one per 257 of the
+    24 * C(N + 3, 4) ordered tuples, are charged to the table cap of
+    cliquespec first: SpectrumMemoryError above it."""
     if n < 0:
         raise ValueError(f"need n >= 0, got {n}")
     if N < 1:
@@ -80,8 +91,9 @@ def rep_histogram(n: int, N: int, sum_cap: Optional[int] = None) -> RepHistogram
     estimate = math.comb(N + 3, 4)
     if estimate > _MAX_TUPLES:
         raise TupleBudgetExceeded(f"~{estimate} sorted tuples exceeds cap {_MAX_TUPLES}")
-    _check_cap(64 * (tri(n) + 1), "histogram cells")  # one int64 cell per m
-    counts = np.zeros(tri(n) + 1, dtype=np.int64)
+    cells, big = tri(n) + 1, 24 * estimate // 257  # a count above 256 takes 257 ordered tuples
+    _check_cap(8 * (_CELL_BYTES * cells + _INT_BYTES * min(cells, big)), "histogram cells")
+    counts = [0] * cells
     tris = [tri(x) for x in range(n + 1)]  # every part and n - s of a kept tuple is <= n
     for a, b, c, d in combinations_with_replacement(range(1, N + 1), 4):
         s = a + b + c + d
@@ -89,7 +101,7 @@ def rep_histogram(n: int, N: int, sum_cap: Optional[int] = None) -> RepHistogram
             continue
         m = tris[a] + tris[b] + tris[c] + tris[d] + tris[n - s]
         counts[m] += _TIE_WEIGHTS[(a == b) << 2 | (b == c) << 1 | (c == d)]
-    return RepHistogram(n=n, N=N, sum_cap=sum_cap, counts=counts)
+    return RepHistogram(n=n, N=N, sum_cap=sum_cap, counts=tuple(counts))
 
 
 class ExceptionalReport(namedtuple("ExceptionalReport",
@@ -153,11 +165,9 @@ def exceptional_count(
     # the asymptotic cap N keeps every reachable m at or above tri(n - 4N),
     # which at moderate n lies above the whole range: that range is flagged
     # empty instead of counting every value a zero
-    if lo > hi or (asymptotic and not hist.counts[:hi + 1].any()):
+    if lo > hi or (asymptotic and not any(hist.counts[:hi + 1])):
         return ExceptionalReport(n=n, N=N, sum_cap=hist.sum_cap, lo=lo, hi=hi,
                                  zeros=0, total=0, range_empty=True, log_base=log_base)
-    window = hist.counts[lo:hi + 1]
-    zeros = int(np.count_nonzero(window == 0))
     return ExceptionalReport(n=n, N=N, sum_cap=hist.sum_cap, lo=lo, hi=hi,
-                             zeros=zeros, total=hi - lo + 1, range_empty=False,
-                             log_base=log_base)
+                             zeros=hist.counts[lo:hi + 1].count(0), total=hi - lo + 1,
+                             range_empty=False, log_base=log_base)

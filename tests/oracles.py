@@ -34,7 +34,7 @@ def replace(record, **changes):
 def rep_histogram_naive(n: int, N: int, sum_cap: Optional[int] = None) -> RepHistogram:
     """repcount.rep_histogram by plain 4 nested loops over ordered tuples."""
     sum_cap = n if sum_cap is None else sum_cap
-    counts = np.zeros(tri(n) + 1, dtype=np.int64)
+    counts = [0] * (tri(n) + 1)
     for x1 in range(1, N + 1):
         for x2 in range(1, N + 1):
             for x3 in range(1, N + 1):
@@ -44,7 +44,7 @@ def rep_histogram_naive(n: int, N: int, sum_cap: Optional[int] = None) -> RepHis
                         continue
                     q = x1 * x1 + x2 * x2 + x3 * x3 + x4 * x4 + (s - n) ** 2
                     counts[(q - n) // 2] += 1
-    return RepHistogram(n=n, N=N, sum_cap=sum_cap, counts=counts)
+    return RepHistogram(n=n, N=N, sum_cap=sum_cap, counts=tuple(counts))
 
 
 def _find_t0_linear(n: int, m: int) -> int:

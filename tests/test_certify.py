@@ -23,7 +23,7 @@ from edgespectra.certify import (
     three_part_witness,
     two_part_witness,
 )
-from edgespectra.cliquespec import spectrum
+from edgespectra.cliquespec import SpectrumMemoryError, spectrum
 from edgespectra.pell import family_pair
 from edgespectra.squares import bennett_search
 from edgespectra.triangles import (clique_parts, decompose_lower, decompose_upper,
@@ -259,6 +259,25 @@ def test_min_r_with_many_singletons_is_fast():
     assert min_r(10 ** 6, 0) == 999_999
     assert min_r(10 ** 6, 1) == 999_998
     assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("m", [2 ** 63 + 9, 10 ** 30, 10 ** 100], ids=["2^63+9", "10^30", "10^100"])
+def test_rank_search_past_the_machine_word(m):
+    # the least part count is bisected over Python ints, so an m past
+    # sys.maxsize is searched as any other: f = 0 and 1 need m and m - 1 parts
+    assert min_r(m, 0) == m - 1
+    assert min_r(m, 1) == m - 2
+    v = classify_pair(m, 0)
+    v.validate(m, 0)
+
+
+def test_min_r_witness_charges_its_singletons():
+    # the listed partition is charged to the memory guard before it is built
+    for m in (2 ** 63 - 11, 2 ** 63 + 9):
+        with pytest.raises(SpectrumMemoryError, match="witness parts need"):
+            min_r_witness(m, 0)
+    assert min_r_witness(10 ** 6, 0) == (1,) * 10 ** 6
+    assert min_r_witness(10 ** 6, 1) == (2,) + (1,) * (10 ** 6 - 2)
 
 
 def test_min_r_witness_length_is_rank():

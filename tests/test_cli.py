@@ -2,6 +2,7 @@ import argparse
 import hashlib
 import json
 import random
+import sys
 import threading
 import tracemalloc
 
@@ -529,6 +530,29 @@ def test_minr_holds_no_singletons(capsys):
         tracemalloc.stop()
     assert code == 0 and json.loads(out)["r"] == 9999999
     assert peak < 1 << 20, peak
+
+
+def test_minr_past_the_machine_word(capsys):
+    code, out, _ = run_cli(capsys, ["minr", "--m", str(10 ** 30), "--f", "0", "--check"])
+    assert code == 0 and json.loads(out)["r"] == 10 ** 30 - 1
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="no int-to-str digit limit before Python 3.11")
+def test_exact_ints_print_past_the_digit_limit(capsys):
+    # at k = 133 f first passes 640 digits: under that limit the pair still
+    # prints exactly, and the limit is back in place afterwards
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        code, out, err = run_cli(capsys, ["pell", "--k", "133", "--check"])
+        after = sys.get_int_max_str_digits()
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert code == 0 and after == 640, err
+    pair = json.loads(out)
+    assert len(str(pair["f"])) > 640
+    assert pair["m"] == 5 * pair["t"] + 2 and pair["f"] == tri(3 * pair["t"] + 1)
 
 
 def test_classify_check_rejects_tampered_entry(capsys, monkeypatch):

@@ -560,6 +560,15 @@ def test_shift_inclusion():
             assert shift_inclusion_check(n, r), (n, r)
 
 
+@pytest.mark.parametrize("r", [-1, 0])
+def test_shift_inclusion_checks_r_as_spectrum_does(r):
+    # n // (r + 1) divided by zero at r = -1: r < 1 is refused first, as spectrum refuses it
+    with pytest.raises(ValueError, match="r must be >= 1"):
+        shift_inclusion_check(10, r)
+    with pytest.raises(ValueError, match="r must be >= 1"):
+        spectrum(10, r)
+
+
 def test_export_roundtrip():
     spec = spectrum(9, 3)
     lines = spec.export_lines()

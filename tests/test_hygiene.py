@@ -1,9 +1,10 @@
 """Every name a package module imports is used in that module, every
 private module-level function and constant is read somewhere in the
 package, the modules of the certified integer paths import no numpy,
-triangles imports only the standard library, no module starts a
-thread or a process, and every exception class of the package derives
-from one base, the only package failure the CLI names.
+graphs is the only module that imports it, triangles imports only the
+standard library, no module starts a thread or a process, and every
+exception class of the package derives from one base, the only package
+failure the CLI names.
 
 Every result record is a named tuple with no instance dictionary, and no
 module imports dataclasses, whose decorators generate code at import.
@@ -105,7 +106,7 @@ def test_unread_constant_is_reported():
 
 # Modules whose answers are certificates: exact integers only, so neither
 # numpy nor a package module that imports it.
-EXACT_MODULES = ("certify", "cliquespec", "pell", "squares", "triangles")
+EXACT_MODULES = ("certify", "cliquespec", "pell", "repcount", "squares", "triangles")
 
 
 def fixed_width_imports(source: str) -> list[str]:
@@ -126,6 +127,14 @@ def fixed_width_imports(source: str) -> list[str]:
 @pytest.mark.parametrize("module", EXACT_MODULES)
 def test_exact_modules_import_no_numpy(module):
     assert fixed_width_imports((PACKAGE / f"{module}.py").read_text()) == []
+
+
+def test_graphs_is_the_only_numpy_module():
+    # the exhaustive small-graph scans are the package's one vectorised
+    # code; every other module counts in Python ints
+    importers = [path.stem for path in sorted(PACKAGE.glob("*.py"))
+                 if any(name[:1] != "." for name in fixed_width_imports(path.read_text()))]
+    assert importers == ["graphs"]
 
 
 def non_stdlib_imports(source: str) -> list[str]:

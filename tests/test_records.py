@@ -87,6 +87,7 @@ def test_clique_partition_stores_parts_sorted():
     (ThreeSquareDecomp, (14, 3, 2, 1)),
     (squares.Witness7, tuple(squares.witness7(30000, 100_000_000))),
     (graphs.TailCheck, (0.5, 0.1, 0.05, 0.01)),
+    (repcount.RepHistogram, tuple(repcount.rep_histogram(20, 4))),
 ])
 def test_positional_and_keyword_construction_agree(cls, values):
     by_position = cls(*values)
