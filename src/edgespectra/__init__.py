@@ -42,7 +42,6 @@ from .certify import (
 from .cliquespec import (
     CliquePartition,
     EdgeSpectrum,
-    SpectrumMemoryError,
     bounded_partitions,
     bounds_sweep,
     density_and_bounds,
@@ -90,7 +89,7 @@ from .squares import (
     three_square_decomp,
     witness7,
 )
-from .triangles import (EdgespectraError, decompose_lower, decompose_upper, tri, tri_root,
-                        two_part_witness)
+from .triangles import (EdgespectraError, SpectrumMemoryError, decompose_lower, decompose_upper,
+                        tri, tri_root, two_part_witness)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

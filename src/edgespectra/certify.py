@@ -35,24 +35,26 @@ pair at upper = 1, not 2/3, a looser bound but never an unsound one.
 
 The minimal clique rank comes from one search, min_rank_parts, built on
 triangles.clique_parts, the recursion over the largest part a, which the
-deficit d = tri(m) - f confines to a >= m - 2d/m.  One and two parts
-are answered first, by f = tri(m) and by the roots of a quadratic.  Next
-the search decides whether f is the edge sum of any partition of m; a
-pair with no representation is answered there.  Then it runs at part
-counts j = 3, 4, ..., from the least j with min_clique_edges(m, j) <= f,
-with three_part_witness (a walk over the smallest part within a
-closed-form window, keeping the discriminant of the other two parts as a
-running sum in triangles.first_square) as its three-part step, and the
-first j that admits a partition gives the witness.  The three-part
-windows of one search walk through one triangles.WalkBudget of z-steps,
-the budget type the three-square descent of squares walks through too,
-so a search that cannot decide in time raises RankBudgetExceeded
-instead of running on.  min_r_witness lists the
-witness's singletons; min_r and the minr command count them, and the rank
-is the witness's part count less one, so the rank and its certificate
-never disagree.  Every step is exact integer arithmetic: the one- and
-two-part quadratics are solved with triangles.int_roots, the three-part
-walk tests each discriminant with isqrt, and nothing here is fixed-width.
+deficit d = tri(m) - f confines to a >= m - 2d/m.  The search first
+decides whether f is the edge sum of any partition of m; a pair with no
+representation is answered there.  Then it runs at part counts
+j = 1, 2, ..., from the least j with min_clique_edges(m, j) <= f, with
+three_part_witness (a walk over the smallest part within a closed-form
+window, keeping the discriminant of the other two parts as a running sum
+in triangles.first_square) as its three-part step, and the first j that
+admits a partition gives the witness.  The three-part windows of one
+search walk through one triangles.WalkBudget of z-steps, the budget type
+the three-square descent of squares walks through too, so a search that
+cannot decide in time raises RankBudgetExceeded instead of running on.
+Every partition it would list, and every witness min_r_witness pads, is
+charged first to triangles.check_cap, the one memory cap of the package,
+so a search that cannot list its answer raises SpectrumMemoryError
+instead of allocating.  min_r_witness lists the witness's singletons;
+min_r and the minr command count them, and the rank is the witness's
+part count less one, so the rank and its certificate never disagree.
+Every step is exact integer arithmetic: the two-part quadratic is solved
+with triangles.int_roots, the three-part walk tests each discriminant
+with isqrt, and nothing here is fixed-width.
 """
 
 from __future__ import annotations
@@ -63,10 +65,9 @@ from fractions import Fraction
 from math import isqrt
 from typing import Callable, NamedTuple, Optional
 
-from .cliquespec import _check_cap
-from .triangles import (EdgespectraError, WalkBudget, ceil_sqrt, clique_parts, decompose_lower,
-                        decompose_upper, int_roots, is_triple, min_clique_edges, tri, tri_root,
-                        two_part_witness)
+from .triangles import (EdgespectraError, WalkBudget, ceil_sqrt, check_cap, clique_parts,
+                        decompose_lower, decompose_upper, int_roots, is_triple, min_clique_edges,
+                        tri, tri_root)
 
 #: The five pairs whose density is exactly 1.
 SPECIAL_PAIRS = frozenset({(2, 0), (2, 1), (4, 3), (5, 4), (5, 6)})
@@ -289,9 +290,10 @@ class RankBudgetExceeded(EdgespectraError):
 #: (95,656 steps, at (2942, 1718353)).
 _RANK_STEPS = 2_000_000
 # Peak memory per part of a min_r_witness partition (the singletons' tuple
-# and the padded copy), charged to the table cap of cliquespec before the
-# singletons are listed.  Measured as peak RSS above the search at f = 1
-# for m = 10^6 to 4 * 10^6: 16.0 bytes a part.
+# and the padded copy), charged to the memory cap of triangles before the
+# singletons are listed, and per part the rank search must list at least.
+# Measured as peak RSS above the search at f = 1 for m = 10^6 to 4 * 10^6:
+# 16.0 bytes a part.
 _WITNESS_PART_BYTES = 16
 
 
@@ -334,8 +336,11 @@ def three_part_witness(m: int, f: int, *,
     """
     window = _z_window(m, f)
     z = window.start
+    # the window's length at any size (len() must fit a C ssize_t), never
+    # negative, which would refund steps to the budget
     hit = (_rank_budget(m, f) if budget is None else budget).walk(
-        (m - z) * (2 - m + z) + 4 * f - 2 * z * (z - 1), 2 * m - 6 * z - 3, -6, len(window))
+        (m - z) * (2 - m + z) + 4 * f - 2 * z * (z - 1), 2 * m - 6 * z - 3, -6,
+        max(0, window.stop - z))
     if hit is None:
         return None
     i, s = hit  # the window's end keeps y >= z
@@ -345,38 +350,45 @@ def three_part_witness(m: int, f: int, *,
 
 def min_rank_parts(m: int, f: int) -> Optional[tuple[int, ...]]:
     """min_r_witness(m, f) without the singletons that fill up the rest of
-    m (a one- or two-part witness lists all its parts); None if there is
-    no partition.
+    m: its parts >= 2, nonincreasing; None if there is no partition.
 
-    One part is f = tri(m), and two parts are two_part_witness.  Otherwise
     triangles.clique_parts first decides whether any partition of m has
     edge sum f, by a recursion over the largest part; a pair without one
-    returns None there.  Then the part counts j = 3, 4, ... are tried
-    in turn by the same recursion with three_part_witness as its k = 3
-    step, and the first that admits a partition gives the witness: at the
-    least such j every partition into at most j parts has exactly j.  No
-    j with min_clique_edges(m, j) > f admits one, and min_clique_edges
-    falls as j grows, so where j = 3 is such a j the search starts at the
-    least j that is not, found by an integer bisection over [4, m] that
-    holds at any m.  The three-part windows of one call walk through one
-    _rank_budget(m, f) of _RANK_STEPS z-steps, which raises
-    RankBudgetExceeded once they have walked it.
+    returns None there.  Then the part counts j = 1, 2, ... are tried in
+    turn by the same recursion with three_part_witness as its k = 3 step,
+    and the first that admits a partition gives the witness: at the least
+    such j every partition into at most j parts has exactly j.  No j with
+    min_clique_edges(m, j) > f admits one, and min_clique_edges falls as
+    j grows, so the search starts at the least j that is not, found by an
+    integer bisection over [1, m] that holds at any m.  The three-part
+    windows of one call walk through one _rank_budget(m, f) of
+    _RANK_STEPS z-steps, which raises RankBudgetExceeded once they have
+    walked it.
+
+    Parts the recursion would list past the memory cap raise
+    SpectrumMemoryError ("clique parts"): a balanced partition is charged
+    by clique_parts, and before the loop the search charges the fewest
+    parts >= 2 that a partition into at most start parts lists.  With
+    c = m - start > 0, P such parts hold W >= max(2P, c + P) vertices and
+    span at least W(W - P)/(2P) edges by convexity, so 2Pf >= (c + P)c,
+    that is P >= c^2/(2f - c), or else P > c.  So a search whose answer
+    at its start is too long to list is refused at once, not after walking
+    about sqrt(2f) largest parts that each fail at once (at f of order m
+    past 2^63, start is about m/3).
     """
     PairMF(m, f)
-    if f == tri(m):
-        return (m,)
-    pair = two_part_witness(m, f)
-    if pair is not None:
-        return pair
     if clique_parts(m, f, m) is None:
         return None
-    start, hi = (3, 3) if min_clique_edges(m, 3) <= f else (4, m)
+    start, hi = 1, m
     while start < hi:  # min_clique_edges falls as j grows, to 0 at j = m
         mid = (start + hi) // 2
         if min_clique_edges(m, mid) <= f:
             hi = mid
         else:
             start = mid + 1
+    c = m - start
+    if 2 * f > c > 0:
+        check_cap(8 * _WITNESS_PART_BYTES * min(-(-c * c // (2 * f - c)), c + 1), "clique parts")
     budget = _rank_budget(m, f)
     triple = lambda v, g: three_part_witness(v, g, budget=budget)
     for j in range(start, m + 1):
@@ -392,14 +404,14 @@ def min_r_witness(m: int, f: int) -> Optional[tuple[int, ...]]:
     It has the fewest parts; the parts before the last three are the
     lexicographically largest possible, and the last three are the triple
     with the smallest smallest part.  See min_rank_parts for the search.
-    The listed partition is charged to the table cap of cliquespec before
+    The listed partition is charged to the memory cap of triangles before
     its singletons are listed: SpectrumMemoryError above it.
     """
     parts = min_rank_parts(m, f)
     if parts is None:
         return None
     singletons = m - sum(parts)
-    _check_cap(8 * _WITNESS_PART_BYTES * (len(parts) + singletons), "witness parts")
+    check_cap(8 * _WITNESS_PART_BYTES * (len(parts) + singletons), "witness parts")
     return parts + (1,) * singletons
 
 

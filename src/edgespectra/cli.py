@@ -15,9 +15,11 @@ print "error: <ExceptionName>: <message>".
 substitution, is accepted by spectrum, witness, density, classify, minr, dm,
 pell, three-squares, bennett, arrow, snm and repcount; witness7 always
 re-validates, once, inside squares.witness7.  EDGESPECTRA_MAX_TABLE_BITS
-overrides the spectrum memory cap, which a spectrum's member list and a
-witness7 campaign's rows are charged to as well.  A payload built from a
-result record lists its fields in their declared order (_asdict).
+overrides the package's one memory cap, triangles.check_cap, which the
+spectrum tables, a spectrum's member list and a witness7 campaign's rows
+are charged to, as are the rank search's partitions and the histogram and
+concentration arrays.  A payload built from a result record lists its
+fields in their declared order (_asdict).
 
 Clique spectra (spectrum, density, interval) at r = 5 and n from 288 up
 are built from the three-square cover and a top band of small DP layers,
@@ -55,7 +57,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, NamedTuple
 
 from . import __version__, certify, cliquespec, graphs, pell, repcount, squares
-from .triangles import EdgespectraError, min_clique_edges, realizes, tri
+from .triangles import EdgespectraError, check_cap, min_clique_edges, realizes, tri
 
 
 def _frac(x: Fraction | None):
@@ -101,7 +103,7 @@ def _check_probes(n: int, r: int, *probes: int) -> None:
 def _cmd_spectrum(args) -> dict:
     spec = cliquespec.spectrum(args.n, args.r)
     if not args.export:
-        cliquespec._check_cap(8 * _PAYLOAD_MEMBER_BYTES * spec.count, "listed members")
+        check_cap(8 * _PAYLOAD_MEMBER_BYTES * spec.count, "listed members")
     if args.check:
         _check_probes(args.n, args.r, spec.min_element, spec.max_element)
     payload = {"n": args.n, "r": args.r, "count": spec.count,
@@ -209,7 +211,7 @@ def _cmd_witness7(args) -> dict | str:
         return _witness7_row(args.n, args.m)
     if args.samples < 1:
         raise ValueError(f"need samples >= 1, got {args.samples}")
-    cliquespec._check_cap(8 * _CAMPAIGN_ROW_BYTES * args.samples, "campaign rows")
+    check_cap(8 * _CAMPAIGN_ROW_BYTES * args.samples, "campaign rows")
     lo, hi = squares.r7_interval(args.n)
     rng = random.Random(args.seed)
     ms = sorted(rng.randint(lo, hi) for _ in range(args.samples))

@@ -48,9 +48,10 @@ against.
 
 Alive at a time are the two largest stored layers and, while layer r - 1
 is streamed, a few ints the size of its rows and of the top row;
-the memory guard is charged for them, at the size of full rows, before the
-first layer is built.  On the r = 5 route these are the band's layers,
-and the cover's run is OR-ed into the top row within the same charge.
+the memory guard, triangles.check_cap, is charged for them as "DP
+tables", at the size of full rows, before the first layer is built.  On
+the r = 5 route these are the band's layers, and the cover's run is
+OR-ed into the top row within the same charge.
 The guard is charged in two steps: first the top row's four ints,
 4(tri(n) + 1) bits, a term of every route's charge, before a cover plan
 or a layer cap is made, so a refusal takes the same time at any n and r;
@@ -64,21 +65,12 @@ is, from the same cover plan, which is made once per n and cached.
 from __future__ import annotations
 
 import functools
-import os
 from collections import namedtuple
 from fractions import Fraction
 from itertools import compress
 from typing import Iterator
 
-from .triangles import (EdgespectraError, ceil_sqrt, clique_parts, min_clique_edges, realizes,
-                        tri)
-
-ENV_MAX_TABLE_BITS = "EDGESPECTRA_MAX_TABLE_BITS"
-_DEFAULT_MAX_TABLE_BITS = 8_000_000_000  # ~1 GB of row storage
-
-
-class SpectrumMemoryError(EdgespectraError):
-    """Requested DP tables exceed the configured memory cap."""
+from .triangles import ceil_sqrt, check_cap, clique_parts, min_clique_edges, realizes, tri
 
 
 class CliquePartition(namedtuple("CliquePartition", "parts n")):
@@ -183,16 +175,6 @@ def _layer_caps(n: int, r: int) -> list[int]:
     fraction of its budget.
     """
     return [0] + [(n * k) // r for k in range(1, r)] + [n]
-
-
-def _check_cap(bits_estimate: int, what: str = "DP tables"):
-    env = os.environ.get(ENV_MAX_TABLE_BITS)
-    limit = int(env) if env else _DEFAULT_MAX_TABLE_BITS
-    if bits_estimate > limit:
-        raise SpectrumMemoryError(
-            f"{what} need ~{bits_estimate} bits, cap is {limit} "
-            f"(raise via {ENV_MAX_TABLE_BITS})"
-        )
 
 
 def _rows_bits(cap: int) -> int:
@@ -340,11 +322,11 @@ def _guarded_caps(n: int, r: int) -> tuple[int, list[int], tuple[int, int, int] 
     been charged for them.  The top row's four ints, a term of every
     route's charge, are charged first, so a refusal lists no cap."""
     _check_n_r(n, r)
-    _check_cap(4 * (tri(n) + 1))
+    check_cap(4 * (tri(n) + 1), "DP tables")
     k_eff = min(r, max(n, 1))  # more than n parts only adds empty cliques
     plan = _cover_plan(n) if k_eff == 5 else None
     caps = _layer_caps(n, k_eff) if plan is None else _layer_caps(plan[2], 4) + [n]
-    _check_cap(_estimate_bits(caps))
+    check_cap(_estimate_bits(caps), "DP tables")
     return k_eff, caps, plan
 
 
@@ -414,7 +396,7 @@ def bounds_sweep(n_max: int, r_max: int) -> Iterator[DensityReport]:
     the current layer only, so the whole sweep costs two layers of memory,
     which the memory guard is charged before the first is built.
     """
-    _check_cap(2 * _rows_bits(n_max))
+    check_cap(2 * _rows_bits(n_max), "DP tables")
     prev = _layer([1], 1, n_max)
     for r in range(2, r_max + 1):
         prev = _layer(prev, r, n_max)

@@ -41,14 +41,13 @@ from itertools import combinations, islice, permutations
 
 import numpy as np
 
-from .cliquespec import EdgeSpectrum, _check_cap, bounded_partitions, spectrum
-from .triangles import EdgespectraError, min_clique_edges, tri
+from .cliquespec import EdgeSpectrum, bounded_partitions, spectrum
+from .triangles import EdgespectraError, check_cap, min_clique_edges, tri
 
 MAX_LABELED_N = 7
 MAX_DEDUP_N = 8
 _ENUM_LIMIT = 10 ** 6  # full-subset enumeration cap for exact expectations
 _ENUM_CELLS = 1 << 20  # adjacency cells read per numpy pass of that enumeration
-MAX_CONCENTRATION_N = 2000  # the N x N adjacency matrix takes N^2 bytes: 4 MB here
 
 
 class ScaleRejected(EdgespectraError):
@@ -321,10 +320,17 @@ class ConcentrationReport(namedtuple("ConcentrationReport", (
 _TAIL_GRID = (0.25, 0.5, 0.75, 1.0, 1.25)
 # Peak memory per trial of concentration_experiment (its int64 count and
 # the float and bool temporaries of a tail comparison), charged to the
-# spectrum memory cap before anything is drawn.  Measured as peak RSS above
-# the import at N = 12, n = 5 for 4 * 10^5 to 10^6 trials: 25.4 bytes a
-# trial at the margin.
+# memory cap of triangles before anything is drawn.  Measured as peak RSS
+# above the import at N = 12, n = 5 for 4 * 10^5 to 10^6 trials: 25.4
+# bytes a trial at the margin.
 _TRIAL_BYTES = 32
+# Peak memory per cell of the N x N graph concentration_experiment draws
+# (the shuffled pair indices, the decoded pairs and the adjacency matrix),
+# charged to that cap before anything is drawn.  Measured as peak RSS
+# above the import at E = tri(N), n = 5, one trial: 17.8, 16.8 and 16.4
+# bytes a cell at N = 2000, 3000 and 4000 (23.2 at N = 1000, 22 MB in
+# all); at E = tri(N)/1000, 1.4 bytes a cell at N = 4000.
+_GRAPH_CELL_BYTES = 18
 
 
 def _decode_pairs(N: int, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -370,9 +376,9 @@ def concentration_experiment(
     E * tri(n) / tri(N) for every graph; that identity is asserted by full
     enumeration whenever C(N, n) <= 10^6.  Empirical tail frequencies are
     compared against 2*exp(-2 t^2 / (min(n, N-n) (n-1)^2)) plus three
-    binomial standard errors.  N is at most MAX_CONCENTRATION_N
-    (ScaleRejected above it), and the per-trial arrays are charged to the
-    spectrum memory cap (SpectrumMemoryError past it) before any draw.
+    binomial standard errors.  The N x N graph and the per-trial arrays
+    are charged to the memory cap of triangles (SpectrumMemoryError past
+    it) before any draw.
     """
     if not 2 <= n <= N:
         raise ValueError(f"need 2 <= n <= N, got n={n}, N={N}")
@@ -380,9 +386,8 @@ def concentration_experiment(
         raise ValueError(f"E={E} outside [0, {tri(N)}]")
     if trials < 1:
         raise ValueError(f"need trials >= 1, got {trials}")
-    if N > MAX_CONCENTRATION_N:
-        raise ScaleRejected(f"need N <= {MAX_CONCENTRATION_N}, got N={N}")
-    _check_cap(8 * _TRIAL_BYTES * trials, "concentration trials")
+    check_cap(8 * _GRAPH_CELL_BYTES * N * N, "concentration graph cells")
+    check_cap(8 * _TRIAL_BYTES * trials, "concentration trials")
     rng = np.random.default_rng(seed)
     chosen = rng.choice(tri(N), size=E, replace=False) if E else np.empty(0, dtype=int)
     u, v = _decode_pairs(N, chosen)

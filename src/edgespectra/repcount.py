@@ -20,11 +20,10 @@ from collections import namedtuple
 from itertools import combinations_with_replacement
 from typing import Optional
 
-from .cliquespec import _check_cap
-from .triangles import EdgespectraError, tri
+from .triangles import EdgespectraError, check_cap, tri
 
 _MAX_TUPLES = 50_000_000
-# Peak memory of a histogram, charged to the table cap of cliquespec before
+# Peak memory of a histogram, charged to the memory cap of triangles before
 # it is built: per cell, a pointer in the list that is filled and one in the
 # tuple copied from it; per cell whose count exceeds 256, the largest cached
 # small int, one int object.  Measured as peak RSS above the import: 16.0
@@ -81,8 +80,8 @@ def _sum_cap(n: int, sum_cap: Optional[int]) -> int:
 def rep_histogram(n: int, N: int, sum_cap: Optional[int] = None) -> RepHistogram:
     """Counts of ordered 4-tuples per realized edge count m.  The histogram's
     tri(n) + 1 cells, and its counts above 256, at most one per 257 of the
-    24 * C(N + 3, 4) ordered tuples, are charged to the table cap of
-    cliquespec first: SpectrumMemoryError above it."""
+    24 * C(N + 3, 4) ordered tuples, are charged to the memory cap of
+    triangles first: SpectrumMemoryError above it."""
     if n < 0:
         raise ValueError(f"need n >= 0, got {n}")
     if N < 1:
@@ -92,7 +91,7 @@ def rep_histogram(n: int, N: int, sum_cap: Optional[int] = None) -> RepHistogram
     if estimate > _MAX_TUPLES:
         raise TupleBudgetExceeded(f"~{estimate} sorted tuples exceeds cap {_MAX_TUPLES}")
     cells, big = tri(n) + 1, 24 * estimate // 257  # a count above 256 takes 257 ordered tuples
-    _check_cap(8 * (_CELL_BYTES * cells + _INT_BYTES * min(cells, big)), "histogram cells")
+    check_cap(8 * (_CELL_BYTES * cells + _INT_BYTES * min(cells, big)), "histogram cells")
     counts = [0] * cells
     tris = [tri(x) for x in range(n + 1)]  # every part and n - s of a kept tuple is <= n
     for a, b, c, d in combinations_with_replacement(range(1, N + 1), 4):

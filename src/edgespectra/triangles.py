@@ -8,6 +8,10 @@ number above, minus deficit"; both are unique in the stated ranges.
 clique_parts splits an edge count over a partition of the vertices, and
 first_square finds the first perfect square along a quadratic sequence;
 WalkBudget is the one step budget every bounded search walks it under.
+check_cap is the one memory cap beside it: every table, list or tuple
+the package would build past a size the caller picks is charged here
+first, in bits, against EDGESPECTRA_MAX_TABLE_BITS, and refused by
+SpectrumMemoryError before it is built.
 
 Two certificates are stated here once, for every check in the package to
 read: realizes, a clique partition of an edge count, and is_triple, the
@@ -19,6 +23,7 @@ alone.
 
 from __future__ import annotations
 
+import os
 from collections import namedtuple
 from math import isqrt
 from typing import Callable
@@ -27,6 +32,24 @@ from typing import Callable
 class EdgespectraError(Exception):
     """Base of every named package failure: a guard or budget that refuses
     a call, or an input outside a routine's proven range."""
+
+
+class SpectrumMemoryError(EdgespectraError):
+    """A table, list or tuple a call would build exceeds the memory cap."""
+
+
+ENV_MAX_TABLE_BITS = "EDGESPECTRA_MAX_TABLE_BITS"
+_DEFAULT_MAX_TABLE_BITS = 8_000_000_000  # ~1 GB of row storage
+
+
+def check_cap(bits: int, what: str) -> None:
+    """SpectrumMemoryError, naming what, when bits exceeds the memory cap:
+    EDGESPECTRA_MAX_TABLE_BITS if set, else _DEFAULT_MAX_TABLE_BITS."""
+    env = os.environ.get(ENV_MAX_TABLE_BITS)
+    limit = int(env) if env else _DEFAULT_MAX_TABLE_BITS
+    if bits > limit:
+        raise SpectrumMemoryError(
+            f"{what} need ~{bits} bits, cap is {limit} (raise via {ENV_MAX_TABLE_BITS})")
 
 
 def tri(x: int) -> int:
@@ -143,6 +166,13 @@ def two_part_witness(m: int, f: int) -> tuple[int, int] | None:
     return None
 
 
+# Peak memory per part of a balanced partition that clique_parts lists (the
+# two runs of equal parts and their concatenation), charged to the memory
+# cap before it is built.  Measured as peak RSS above the call for
+# m = 3 * 10^6 to 1.2 * 10^7 at k = m/3 + 7: 16.0 bytes a part.
+_PART_BYTES = 16
+
+
 def clique_parts(v: int, g: int, k: int,
                  triple: Callable[[int, int], tuple[int, ...] | None] | None = None
                  ) -> tuple[int, ...] | None:
@@ -159,8 +189,10 @@ def clique_parts(v: int, g: int, k: int,
     (v - a, g - tri(a), k - 1), so the first that succeeds is the largest
     part of any such partition, and no part of its rest exceeds a.  The
     balanced partition, the only one with min_clique_edges(v, k) edges, is
-    returned at once, and k = 2 is two_part_witness.  The failed keys, with
-    k past v taken as v, are remembered for the rest of the call.
+    returned at once, its parts charged to check_cap first ("clique parts",
+    SpectrumMemoryError above the cap), and k = 2 is two_part_witness.  The
+    failed keys, with k past v taken as v, are remembered for the rest of
+    the call.
 
     With triple given, the k = 3 step is triple(v, g), three parts that
     the caller picks (min_r_witness: the smallest smallest part), or
@@ -184,6 +216,7 @@ def clique_parts(v: int, g: int, k: int,
             return (v,)
         if g == fewest:  # the balanced partition; q = 1 leaves singletons
             q, rem = divmod(v, k)
+            check_cap(8 * _PART_BYTES * (k if q > 1 else rem), "clique parts")
             return (q + 1,) * rem + (q,) * (k - rem) if q > 1 else (2,) * rem
         if k == 2 or (k == 3 and triple is not None):
             w = (triple(v, g) if k == 3 else None) or two_part_witness(v, g)

@@ -15,13 +15,13 @@ from unittest import mock
 import numpy as np
 
 from edgespectra import graphs, squares
-from edgespectra.certify import (PairMF, _rank_budget, _z_window, three_part_witness,
-                                 two_part_witness)
+from edgespectra.certify import PairMF, _rank_budget, _z_window, three_part_witness
 from edgespectra.cliquespec import EdgeSpectrum
 from edgespectra.graphs import (_achieved, _move_bits, _pair_dest, canonical_reps,
                                 subset_pair_mask)
 from edgespectra.repcount import RepHistogram
-from edgespectra.triangles import WalkBudget, clique_parts, int_roots, min_clique_edges, tri
+from edgespectra.triangles import (WalkBudget, clique_parts, int_roots, min_clique_edges, tri,
+                                   two_part_witness)
 
 
 def replace(record, **changes):

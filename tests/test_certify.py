@@ -1,5 +1,6 @@
 import hashlib
 import random
+import signal
 import time
 from fractions import Fraction
 from math import isqrt
@@ -21,13 +22,13 @@ from edgespectra.certify import (
     min_r,
     min_r_witness,
     three_part_witness,
-    two_part_witness,
 )
-from edgespectra.cliquespec import SpectrumMemoryError, spectrum
+from edgespectra.cliquespec import bounded_partitions, spectrum
 from edgespectra.pell import family_pair
 from edgespectra.squares import bennett_search
-from edgespectra.triangles import (clique_parts, decompose_lower, decompose_upper,
-                                   min_clique_edges, tri, tri_floor_root, tri_root)
+from edgespectra.triangles import (SpectrumMemoryError, clique_parts, decompose_lower,
+                                   decompose_upper, min_clique_edges, tri, tri_floor_root,
+                                   tri_root, two_part_witness)
 from oracles import (brute_dm_witness, min_r_witness_loop, min_r_witness_search, replace,
                      three_part_witness_scan, three_part_witness_walk)
 
@@ -269,6 +270,50 @@ def test_rank_search_past_the_machine_word(m):
     assert min_r(m, 1) == m - 2
     v = classify_pair(m, 0)
     v.validate(m, 0)
+
+
+def test_rank_search_charges_no_more_parts_than_its_start_lists(monkeypatch):
+    # the charge made before the loop is a lower bound: every partition of
+    # m into at most start parts with edge sum f has that many parts >= 2
+    charged = []
+    monkeypatch.setattr(certify, "check_cap", lambda bits, what: charged.append(bits))
+    seen = 0
+    for m in range(2, 19):
+        listed: dict[tuple[int, int], int] = {}  # (part count, f): fewest parts >= 2
+        for p in bounded_partitions(m, m):
+            key = (len(p), sum(tri(a) for a in p))
+            listed[key] = min(listed.get(key, m), sum(a > 1 for a in p))
+        for f in range(tri(m) + 1):
+            charged.clear()
+            certify.min_rank_parts(m, f)
+            if charged:
+                start = next(j for j in range(1, m + 1) if min_clique_edges(m, j) <= f)
+                fewest = [n for (j, e), n in listed.items() if j <= start and e == f]
+                bound = charged[0] // (8 * certify._WITNESS_PART_BYTES)
+                assert bound <= min(fewest, default=bound), (m, f)
+                seen += bound > 0
+    assert seen > 500
+
+
+def test_rank_search_refuses_an_answer_past_the_cap_at_once():
+    # at f of order m past 2^63 the search starts near m/3 parts, and every
+    # partition there lists about m/3 parts >= 2: refused before the search
+    # walks the largest parts, each of which its rest refuses at once
+    def ran_on(signum, frame):
+        pytest.fail("the rank search ran on")
+
+    previous = signal.signal(signal.SIGALRM, ran_on)
+    signal.alarm(5)
+    try:
+        start = time.perf_counter()
+        for m, f in ((2 ** 63 - 1, 7833485821801681014),
+                     (10 ** 30 + 6, 3954041730664432 * 10 ** 15)):
+            with pytest.raises(SpectrumMemoryError, match="clique parts need"):
+                min_r(m, f)
+        assert time.perf_counter() - start < 1.0
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def test_min_r_witness_charges_its_singletons():

@@ -263,7 +263,7 @@ def test_witness7_validates_each_row_once(capsys, monkeypatch):
 
 
 def test_witness7_campaign_charged_to_guard(capsys, monkeypatch):
-    from edgespectra import cli, cliquespec
+    from edgespectra import cli, triangles
 
     # 2000 rows are charged at 512 bytes each, ~8.2M bits: a 1M-bit cap
     # refuses the campaign before a sample is drawn
@@ -274,7 +274,7 @@ def test_witness7_campaign_charged_to_guard(capsys, monkeypatch):
     assert "error: SpectrumMemoryError: campaign rows need" in err
     assert _manifest(err)["subcommand"] == "witness7"
     # the default cap admits the benchmark's pinned campaigns of 2000 samples
-    assert 8 * cli._CAMPAIGN_ROW_BYTES * 2000 <= cliquespec._DEFAULT_MAX_TABLE_BITS
+    assert 8 * cli._CAMPAIGN_ROW_BYTES * 2000 <= triangles._DEFAULT_MAX_TABLE_BITS
 
 
 def test_repcount_csv_and_check(tmp_path, capsys):
@@ -438,12 +438,16 @@ def test_spectrum_member_list_charged_to_guard(capsys, monkeypatch, tmp_path, ex
     assert code == 0 and (path.exists() if export else json.loads(out)["count"] == 28435)
 
 
-def test_concentration_scale_rejected_exits_1(capsys):
-    # N = 300000 would need a 90 GB adjacency matrix
+def test_concentration_scale_rejected_exits_1(capsys, monkeypatch):
+    # N = 300000 would need a 90 GB adjacency matrix: its cells are charged
+    # to the memory guard, which refuses the graph before a draw
+    import numpy as np
+
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: pytest.fail("a draw began"))
     code, out, err = run_cli(capsys, ["concentration", "--N", "300000", "--E", "1",
                                       "--n", "2", "--trials", "1"])
     assert code == 1 and out == ""
-    assert "error: ScaleRejected:" in err
+    assert "error: SpectrumMemoryError: concentration graph cells need" in err
     assert _manifest(err)["subcommand"] == "concentration"
 
 
@@ -535,6 +539,16 @@ def test_minr_holds_no_singletons(capsys):
 def test_minr_past_the_machine_word(capsys):
     code, out, _ = run_cli(capsys, ["minr", "--m", str(10 ** 30), "--f", "0", "--check"])
     assert code == 0 and json.loads(out)["r"] == 10 ** 30 - 1
+
+
+def test_minr_refuses_a_partition_past_the_cap_by_name(capsys):
+    # f = m needs a balanced partition of about m/3 parts: it is charged to
+    # the memory guard before it is listed, and the refusal is named
+    m = str(10 ** 30)
+    code, out, err = run_cli(capsys, ["minr", "--m", m, "--f", m, "--check"])
+    assert code == 1 and out == ""
+    assert "error: SpectrumMemoryError: clique parts need" in err
+    assert _manifest(err)["subcommand"] == "minr"
 
 
 @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),

@@ -9,11 +9,8 @@ import pytest
 from edgespectra import cliquespec
 from edgespectra.cliquespec import (
     _BLOCK,
-    _DEFAULT_MAX_TABLE_BITS,
-    ENV_MAX_TABLE_BITS,
     CliquePartition,
     EdgeSpectrum,
-    SpectrumMemoryError,
     _StreamedLayer,
     _cover_plan,
     _cover_run,
@@ -31,7 +28,9 @@ from edgespectra.cliquespec import (
     spectrum,
     verify_interval,
 )
-from edgespectra.triangles import clique_parts, min_clique_edges, realizes, tri
+from edgespectra.triangles import (_DEFAULT_MAX_TABLE_BITS, ENV_MAX_TABLE_BITS,
+                                   SpectrumMemoryError, clique_parts, min_clique_edges, realizes,
+                                   tri)
 from oracles import from_members, parse_export, spectrum_unblocked, witness_tables_uncapped
 
 

@@ -576,6 +576,22 @@ def test_concentration_needs_a_draw():
             concentration_experiment(6, 5, 3, trials=trials)
 
 
+def test_concentration_graph_charged_to_guard(monkeypatch):
+    # the N x N graph is charged to the memory guard before any draw; the
+    # default cap still admits the N = 2000 that a fixed limit allowed
+    from edgespectra.triangles import _DEFAULT_MAX_TABLE_BITS, SpectrumMemoryError
+
+    assert 8 * graphs._GRAPH_CELL_BYTES * 2000 ** 2 <= _DEFAULT_MAX_TABLE_BITS
+    cells = 8 * graphs._GRAPH_CELL_BYTES * 40 ** 2
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: pytest.fail("a draw began"))
+    monkeypatch.setenv("EDGESPECTRA_MAX_TABLE_BITS", str(cells - 1))
+    with pytest.raises(SpectrumMemoryError, match=f"concentration graph cells need ~{cells} bits"):
+        concentration_experiment(40, 10, 5, trials=1)
+    monkeypatch.undo()
+    monkeypatch.setenv("EDGESPECTRA_MAX_TABLE_BITS", str(cells + 8 * graphs._TRIAL_BYTES))
+    assert concentration_experiment(40, 10, 5, trials=1).N == 40
+
+
 def test_concentration_zero_edges():
     rep = concentration_experiment(12, 0, 4, trials=200, seed=0)
     assert rep.empirical_mean == 0.0 and rep.empirical_std == 0.0

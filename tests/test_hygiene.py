@@ -2,9 +2,10 @@
 private module-level function and constant is read somewhere in the
 package, the modules of the certified integer paths import no numpy,
 graphs is the only module that imports it, triangles imports only the
-standard library, no module starts a thread or a process, and every
-exception class of the package derives from one base, the only package
-failure the CLI names.
+standard library, each module imports only the package modules of its
+row in IMPORT_GRAPH and no private name of another, no module starts a
+thread or a process, and every exception class of the package derives
+from one base, the only package failure the CLI names.
 
 Every result record is a named tuple with no instance dictionary, and no
 module imports dataclasses, whose decorators generate code at import.
@@ -163,6 +164,69 @@ def test_non_stdlib_import_is_reported():
     source = ("from __future__ import annotations\nimport math, numpy\n"
               "from typing import Callable\nfrom .certify import tri\nfrom . import pell\n")
     assert non_stdlib_imports(source) == ["numpy", ".certify", "."]
+
+
+def package_imports(source: str) -> set[str]:
+    """The package modules the given module source imports by a relative
+    import: x for "from .x import ..." and each name of "from . import"
+    that is a package module."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            if node.module:
+                found.add(node.module)
+            else:
+                found |= {a.name for a in node.names if (PACKAGE / f"{a.name}.py").exists()}
+    return found
+
+
+#: Each module's package imports.  triangles is the base: the arithmetic,
+#: the certificates, the walk budget and the memory cap live there, so a
+#: module that needs only those imports nothing else of the package.
+IMPORT_GRAPH = {"certify": {"triangles"}, "cliquespec": {"triangles"}, "pell": {"triangles"},
+                "repcount": {"triangles"}, "squares": {"triangles"},
+                "graphs": {"cliquespec", "triangles"}, "triangles": set()}
+
+
+@pytest.mark.parametrize("module", sorted(IMPORT_GRAPH))
+def test_import_graph(module):
+    assert package_imports((PACKAGE / f"{module}.py").read_text()) == IMPORT_GRAPH[module]
+
+
+def test_package_import_is_reported():
+    source = ("from __future__ import annotations\nimport math\n"
+              "from .triangles import tri\nfrom . import __version__, certify, graphs\n")
+    assert package_imports(source) == {"triangles", "certify", "graphs"}
+
+
+def sibling_private_names(source: str) -> list[str]:
+    """Private names (one leading underscore) that the given module source
+    takes from another package module: by "from .x import _name", or as
+    x._name of a module x it imported by "from . import x"."""
+    found, siblings = [], set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            found += [a.name for a in node.names if a.name.startswith("_")
+                      and not a.name.startswith("__")]
+            if not node.module:
+                siblings |= {a.asname or a.name for a in node.names}
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in siblings and node.attr.startswith("_")
+                and not node.attr.startswith("__")):
+            found.append(f"{node.value.id}.{node.attr}")
+    return found
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_module_reads_a_private_name_of_another(path):
+    assert sibling_private_names(path.read_text()) == []
+
+
+def test_sibling_private_name_is_reported():
+    source = ("from . import __version__, cliquespec\nfrom .triangles import _PART_BYTES, tri\n"
+              "cliquespec._check_cap(1)\ncliquespec.spectrum(3, 2)\nx = tri.__name__\n")
+    assert sibling_private_names(source) == ["_PART_BYTES", "cliquespec._check_cap"]
 
 
 def test_numpy_import_is_reported():

@@ -3,9 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from edgespectra.certify import classify_pair, min_r, three_part_witness, two_part_witness
+from edgespectra.certify import classify_pair, min_r, three_part_witness
 from edgespectra.pell import FamilyPair, family_pair, pell_solutions, verify_ABC
-from edgespectra.triangles import tri
+from edgespectra.triangles import tri, two_part_witness
 from oracles import scan_two_clique_partitions
 
 
