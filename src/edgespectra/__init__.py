@@ -28,6 +28,7 @@ equal to a plain tuple of the same values.
 __version__ = "0.1.0"
 
 from .certify import (
+    DmBudgetExceeded,
     PairMF,
     RankBudgetExceeded,
     SPECIAL_PAIRS,

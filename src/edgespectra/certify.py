@@ -45,7 +45,9 @@ in triangles.first_square) as its three-part step, and the first j that
 admits a partition gives the witness.  The three-part windows of one
 search walk through one triangles.WalkBudget of z-steps, the budget type
 the three-square descent of squares walks through too, so a search that
-cannot decide in time raises RankBudgetExceeded instead of running on.
+cannot decide in time raises RankBudgetExceeded instead of running on;
+dm_witness, which rule (v) reads, walks at most _DM_STEPS values of x
+and raises DmBudgetExceeded when that cuts its walk short.
 Every partition it would list, and every witness min_r_witness pads, is
 charged first to triangles.check_cap, the one memory cap of the package,
 so a search that cannot list its answer raises SpectrumMemoryError
@@ -243,6 +245,18 @@ def _fired(rule: str, side: str, m: int, g: int, *values) -> list[TraceEntry]:
 # D(m) membership
 # ---------------------------------------------------------------------------
 
+class DmBudgetExceeded(EdgespectraError):
+    """dm_witness walked its whole budget of x-values below m/2 without
+    deciding the pair."""
+
+
+#: x-values one dm_witness call may walk, as many as the rank search's
+#: z-steps: 2.1 s at (m, f) = (2^63 + 8, 21267647932558654001048558102690922510),
+#: which spends it, 2.6 s near m = 10^30 and 5.0 s near 10^100 (2-core
+#: x86-64 VM); a pair with m <= 3000 walks at most 1,499.
+_DM_STEPS = 2_000_000
+
+
 def dm_witness(f: int, m: int) -> Optional[tuple[int, int, int]]:
     """A triple (x, y, z) of non-negative integers with f = x*y + z,
     x + y <= m, and x + y + z <= m - 1 whenever z >= 1; None if no such
@@ -253,7 +267,9 @@ def dm_witness(f: int, m: int) -> Optional[tuple[int, int, int]]:
     f <= xy + m - 1 - x - y), so x starts at the smaller root of
     x(m - x) = f.  The slack x + y + (f - xy) falls as y grows, so the
     largest y, min(f // x, m - x), decides whether x has a witness; the
-    least y is then the closed form below while z >= 1, else f / x.
+    least y is then the closed form below while z >= 1, else f / x.  The
+    walk covers at most _DM_STEPS values of x; one that this cuts short of
+    m/2 raises DmBudgetExceeded.
     """
     if m < 2 or f < 0:
         raise ValueError(f"need m >= 2 and f >= 0, got m={m}, f={f}")
@@ -262,7 +278,9 @@ def dm_witness(f: int, m: int) -> Optional[tuple[int, int, int]]:
     if f > m * m // 4:
         # x*y <= m^2/4, so z >= f - m^2/4 and x+y+z > m - 1 always
         return None
-    for x in range(max(2, (m - isqrt(m * m - 4 * f)) // 2), m // 2 + 1):
+    start = max(2, (m - isqrt(m * m - 4 * f)) // 2)
+    stop = min(m // 2 + 1, start + _DM_STEPS)
+    for x in range(start, stop):
         y = min(f // x, m - x)
         if y < x or (x * y < f and x + y + f - x * y > m - 1):
             continue
@@ -271,6 +289,9 @@ def dm_witness(f: int, m: int) -> Optional[tuple[int, int, int]]:
         if x * y_lo < f and y_lo <= m - x:
             y = y_lo
         return (x, y, f - x * y)
+    if stop <= m // 2:
+        raise DmBudgetExceeded(f"D(m) search of (m, f) = {(m, f)} walked all {_DM_STEPS} "
+                               f"x-values of its budget, from {start}, short of m/2")
     return None
 
 

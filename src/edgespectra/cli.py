@@ -25,7 +25,10 @@ Clique spectra (spectrum, density, interval) at r = 5 and n from 288 up
 are built from the three-square cover and a top band of small DP layers,
 and otherwise by the whole DP, every layer in the calling process.  The
 output does not depend on the route.  spectrum --export writes its lines
-as it reads them off the spectrum, holding no member list.
+as it reads them off the spectrum, holding no member list.  A printed
+member list is the text json.dumps gives, each whole block of 1000
+members [1000q, 1000q + 999] (q >= 1) written as one join of its prefix
+over the 1000 three-digit suffixes.
 Witnesses (witness, the probes of spectrum and density --check) come from a
 recursion, not from the spectrum; density --check also checks min is exact.
 snm --check re-counts a counterexample of every non-member over its m-subsets.
@@ -53,6 +56,7 @@ import random
 import re
 import sys
 import time
+from bisect import bisect_left
 from fractions import Fraction
 from typing import Callable, Iterable, NamedTuple
 
@@ -82,15 +86,19 @@ def _write(path: str, lines: Iterable[str]) -> None:
 
 # Peak memory per member of a spectrum call's payload, charged to the same
 # cap as the tables.  Measured above the spectrum's own peak RSS at
-# n = 2000 and 4000, r = 5: the payload's list and its JSON take 58.5
-# bytes a member.  An export is written as it is read off the mask, so it
-# holds no list and is not charged.
+# n = 2000 and 4000, r = 5: the payload's list, its pieces of text, the
+# joined text and its encoded copy take 50.9 and 49.5 bytes a member (58.5
+# and 58.8 when the whole payload went through json.dumps).  An export is
+# written as it is read off the mask, so it holds no list and is not
+# charged.
 _PAYLOAD_MEMBER_BYTES = 64
 # Peak memory per row of a witness7 campaign (its sampled m, the row's JSON
 # line and the joined output), charged to that cap before the samples are
 # drawn.  Measured as peak RSS above the import at n = 30000 for 1000 to
 # 40000 samples: 393-413 bytes a row, whose line prints at 144-151 bytes.
 _CAMPAIGN_ROW_BYTES = 512
+# The 1000 decimal suffixes of a whole block of a printed member list.
+_SUFFIXES = tuple(f"{i:03d}" for i in range(1000))
 
 
 # The run functions of the COMMANDS rows below.
@@ -100,7 +108,31 @@ def _check_probes(n: int, r: int, *probes: int) -> None:
         w = cliquespec.member_witness(n, r, probe)
         _require(w is not None and w.realizes(n, r, probe), f"witness recovery failed at {probe}")
 
-def _cmd_spectrum(args) -> dict:
+def _int_list_pieces(values: list[int]) -> list[str]:
+    """Pieces whose concatenation is json.dumps(values), for a sorted list
+    of distinct ints >= 0.  Each whole aligned block [1000q, 1000q + 999],
+    q >= 1, is one C-level join of its prefix str(q) over _SUFFIXES; the
+    rest, all of q = 0 included, goes through json.dumps of its slice."""
+    pieces, done, n = ["["], 0, len(values)
+    i = bisect_left(values, 1000)
+    while i + 999 < n:
+        v = values[i]
+        if v % 1000 or values[i + 999] != v + 999:  # not a whole block: try the next
+            i = bisect_left(values, v - v % 1000 + 1000, i + 1)
+            continue
+        if done < i:
+            pieces += json.dumps(values[done:i])[1:-1], ", "
+        p = str(v // 1000)
+        pieces += p + (", " + p).join(_SUFFIXES), ", "
+        done = i = i + 1000
+    if done == 0:
+        return [json.dumps(values)]
+    if done < n:
+        pieces += json.dumps(values[done:])[1:-1], ", "
+    pieces[-1] = "]"
+    return pieces
+
+def _cmd_spectrum(args) -> dict | str:
     spec = cliquespec.spectrum(args.n, args.r)
     if not args.export:
         check_cap(8 * _PAYLOAD_MEMBER_BYTES * spec.count, "listed members")
@@ -108,10 +140,13 @@ def _cmd_spectrum(args) -> dict:
         _check_probes(args.n, args.r, spec.min_element, spec.max_element)
     payload = {"n": args.n, "r": args.r, "count": spec.count,
                "min": spec.min_element, "max": spec.max_element}
-    if not args.export:
-        return {**payload, "members": spec.members()}
-    _write(args.export, spec.export_lines())
-    return {**payload, "exported_to": args.export}
+    if args.export:
+        _write(args.export, spec.export_lines())
+        return {**payload, "exported_to": args.export}
+    # the member list dies with the call that encodes it, so its text is
+    # joined once, after the list is gone
+    return "".join([json.dumps(payload)[:-1], ', "members": ',
+                    *_int_list_pieces(spec.members()), "}\n"])
 
 def _cmd_witness(args) -> dict:
     w = cliquespec.member_witness(args.n, args.r, args.m)

@@ -3,16 +3,11 @@ answer or raises a named package failure (an EdgespectraError) or a
 ValueError for a bad value, at any size of its integers.
 
 Seeded (m, f) draws at m near 10^6, 2^63 (both sides of the machine
-word), 10^30 and 10^100 go to the rank search's entry points, each call
-under a wall-clock alarm and with the rank search's step budget lowered,
-so a call that would run on, or fail by a bare MemoryError, OverflowError
-or RecursionError, fails the test by name.
-
-Not yet under the contract: certify.dm_witness walks x from the smaller
-root of x(m - x) = f up to m/2, about sqrt(m^2 - 4f)/2 values, with no
-budget, so it (and classify_pair, which calls it) can run on for a pair
-such as (m, f) = (2^63 + 8, 21267647932558654001048558102690922510),
-about 1.5 * 10^9 values of x.
+word), 10^30 and 10^100 go to the rank search's entry points, to
+dm_witness and to classify_pair, each call under a wall-clock alarm and
+with the step budgets of the rank search and of dm_witness lowered, so a
+call that would run on, or fail by a bare MemoryError, OverflowError or
+RecursionError, fails the test by name.
 """
 
 import random
@@ -21,7 +16,7 @@ import signal
 import pytest
 
 from edgespectra import certify
-from edgespectra.certify import min_r, min_r_witness, three_part_witness
+from edgespectra.certify import classify_pair, dm_witness, min_r, min_r_witness, three_part_witness
 from edgespectra.triangles import (EdgespectraError, SpectrumMemoryError, clique_parts,
                                    min_clique_edges, realizes, tri)
 
@@ -67,10 +62,11 @@ def _alarm(signum, frame):
 
 @pytest.fixture
 def bounded(monkeypatch):
-    """Calls run under ALARM_S of wall clock and a rank budget of 10^4
-    z-steps; the fixture gives a runner that returns ("ok", result) or
-    ("raised", exception type name)."""
+    """Calls run under ALARM_S of wall clock, a rank budget of 10^4 z-steps
+    and a D(m) budget of 10^4 x-values; the fixture gives a runner that
+    returns ("ok", result) or ("raised", exception type name)."""
     monkeypatch.setattr(certify, "_RANK_STEPS", 10 ** 4)
+    monkeypatch.setattr(certify, "_DM_STEPS", 10 ** 4)
     previous = signal.signal(signal.SIGALRM, _alarm)
 
     def run(fn, *args):
@@ -129,3 +125,37 @@ def test_long_z_window_is_walked_under_the_budget(monkeypatch):
         three_part_witness(m, f)
     with pytest.raises(certify.RankBudgetExceeded):
         min_r(m, f)
+
+
+#: The pair whose D(m) walk spans about 1.5 * 10^9 values of x.
+LONG_DM_WALK = (2 ** 63 + 8, 21267647932558654001048558102690922510)
+
+
+def _dm_ok(w, m: int, f: int) -> bool:
+    x, y, z = w
+    return min(w) >= 0 and x * y + z == f and x + y <= m and (z == 0 or x + y + z <= m - 1)
+
+
+@pytest.mark.parametrize("magnitude", list(MAGNITUDES.values()), ids=list(MAGNITUDES))
+def test_dm_and_classify_answer_or_refuse_by_name(bounded, magnitude):
+    draws = _draws(magnitude, seed=magnitude % 1009)
+    if magnitude == 2 ** 63:
+        draws.append(LONG_DM_WALK)
+    seen = set()
+    for m, f in draws:
+        kind, w = bounded(dm_witness, f, m)
+        seen.add(w if kind == "raised" else kind)
+        if kind == "ok" and w is not None:
+            assert _dm_ok(w, m, f), (m, f)
+        kind, v = bounded(classify_pair, m, f)
+        seen.add(v if kind == "raised" else kind)
+        if kind == "ok":
+            assert bounded(v.validate, m, f) == ("ok", None), (m, f)
+    assert seen <= {"ok", "RankBudgetExceeded", "DmBudgetExceeded", "SpectrumMemoryError"}, seen
+    assert "ok" in seen
+
+
+def test_long_dm_walk_is_refused_by_name(bounded):
+    m, f = LONG_DM_WALK
+    assert bounded(dm_witness, f, m) == ("raised", "DmBudgetExceeded")
+    assert bounded(classify_pair, m, f) == ("raised", "DmBudgetExceeded")

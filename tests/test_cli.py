@@ -9,7 +9,7 @@ import tracemalloc
 import pytest
 
 from edgespectra import squares
-from edgespectra.cli import main
+from edgespectra.cli import _int_list_pieces, main
 from edgespectra.repcount import rep_histogram
 from edgespectra.triangles import tri
 from oracles import from_members, parse_export, replace
@@ -31,6 +31,10 @@ def run_cli(capsys, argv):
 # The four rows of rank 1001 and 1199 were pinned when the rank search
 # stopped recursing once per part of the balanced partition; before that
 # they exited 1 with a RecursionError (test_high_rank_pairs_answered).
+# The three spectrum rows without --check were pinned before member lists
+# were printed by whole blocks of 1000: n = 500 and 1000 at r = 5 print
+# 83,295 and 352,061 members, most of them in whole blocks, and n = 60 at
+# r = 2 prints a list with none.
 DIGEST_PINS = [
     ("spectrum --n 12 --r 3 --check", 0, "326aae8999e71d837b70a86cd71ca27ac9014f76abfbf0d44b798ef24fb5495f"),
     ("witness --n 12 --r 3 --m 30 --check", 0, "14c9dad6c4260938dfb5e3a1eb225f8d4480ed87f5cf924982d276d01e770903"),
@@ -61,6 +65,9 @@ DIGEST_PINS = [
     ("concentration --N 6 --E 5 --n 3 --trials 200 --seed 1", 0, "e8c6a82be8e1297ddf54f2c8988a9b116284560f2e1f98dac0d9767d440ee203"),
     ("repcount --n 60 --N 12 --check", 0, "eb685e05531f75e1a30765cc50928431545f42044008805815faff893e1f269c"),
     ("exceptional --n 120 --N 24 --lo-margin 500 --hi-margin 500", 0, "b4d58211380b07fcefe4c8dc7b28314edb48cef1f381fd1a39cad8b1d201e7e6"),
+    ("spectrum --n 500 --r 5", 0, "9d7b3f54a79f4ce43c74629f922b719be6395354449c2bff557c3f2757026045"),
+    ("spectrum --n 60 --r 2", 0, "fad4e53ea31ac8251a32f2147eb5f0e870b85ca20c86ae3d19a9f60e2f0ac30d"),
+    ("spectrum --n 1000 --r 5", 0, "1f78ba7593bb02b1544290ffbd9cb8a96ee85daa3664ac516bfbee54010a8d39"),
 ]
 
 
@@ -285,6 +292,55 @@ def test_repcount_csv_and_check(tmp_path, capsys):
     lines = csv_path.read_text().strip().splitlines()
     assert lines[0] == "m,R"
     assert all("," in line for line in lines[1:])
+
+
+def test_int_list_pieces_join_to_json_dumps():
+    # range(1000) is q = 0, whose members print unpadded; the runs start
+    # just below, at and just past 999/1000, 9999/10^4, 99999/10^5 and
+    # 999999/10^6, and cover whole and partial blocks on either side
+    cases = [[], list(range(1000)), list(range(2001)), [0, 1000, 10 ** 6]]
+    for power in (1000, 10 ** 4, 10 ** 5, 10 ** 6):
+        for lo in (power - 1000, power - 999, power - 1, power, power + 1):
+            cases += [list(range(lo, lo + length))
+                      for length in (1, 999, 1000, 1001, 1999, 2000, 2001)]
+    for values in cases:
+        assert "".join(_int_list_pieces(values)) == json.dumps(values), values[:1]
+
+
+def test_int_list_pieces_with_one_member_missing():
+    for start in (1000, 9000, 99000, 10 ** 6):
+        run = list(range(start - 1500, start + 2500))
+        for gone in (0, 1499, 1500, 1501, 1999, 2499, 2500, len(run) - 1):
+            values = run[:gone] + run[gone + 1:]
+            assert "".join(_int_list_pieces(values)) == json.dumps(values), (start, gone)
+
+
+def test_int_list_pieces_on_seeded_sparse_and_run_mixes():
+    rng = random.Random(38)
+    for _ in range(400):
+        values, x = set(), rng.randint(0, 3000)
+        for _ in range(rng.randint(0, 10)):
+            x += rng.choice((1, 13, 999, 1000, 10 ** rng.randint(1, 7)))
+            if rng.random() < 0.5:
+                length = rng.randint(1, 4000)
+                values.update(range(x, x + length))
+                x += length
+            else:
+                values.add(x)
+        values = sorted(values)
+        assert "".join(_int_list_pieces(values)) == json.dumps(values)
+
+
+def test_spectrum_prints_what_json_dumps_prints(capsys):
+    from edgespectra.cliquespec import spectrum
+
+    # n <= 60 lists no whole block; C(300, 5) and C(500, 5) list mostly blocks
+    for n, r in [(n, r) for n in range(1, 61) for r in range(1, 7)] + [(300, 5), (500, 5)]:
+        spec = spectrum(n, r)
+        code, out, _ = run_cli(capsys, ["spectrum", "--n", str(n), "--r", str(r)])
+        header = {"n": n, "r": r, "count": spec.count,
+                  "min": spec.min_element, "max": spec.max_element}
+        assert (code, out) == (0, json.dumps({**header, "members": spec.members()}) + "\n"), (n, r)
 
 
 def test_spectrum_export(tmp_path, capsys):
@@ -539,6 +595,19 @@ def test_minr_holds_no_singletons(capsys):
 def test_minr_past_the_machine_word(capsys):
     code, out, _ = run_cli(capsys, ["minr", "--m", str(10 ** 30), "--f", "0", "--check"])
     assert code == 0 and json.loads(out)["r"] == 10 ** 30 - 1
+
+
+@pytest.mark.parametrize("cmd", ["dm", "classify"])
+def test_long_dm_walk_exits_1_naming_its_budget(capsys, monkeypatch, cmd):
+    # this pair's D(m) walk spans about 1.5 * 10^9 values of x below m/2
+    from edgespectra import certify
+
+    monkeypatch.setattr(certify, "_DM_STEPS", 10 ** 4)
+    code, out, err = run_cli(capsys, [cmd, "--m", str(2 ** 63 + 8),
+                                      "--f", "21267647932558654001048558102690922510"])
+    assert code == 1 and out == ""
+    assert "error: DmBudgetExceeded:" in err and "walked all 10000 x-values" in err
+    assert _manifest(err)["subcommand"] == cmd
 
 
 def test_minr_refuses_a_partition_past_the_cap_by_name(capsys):

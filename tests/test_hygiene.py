@@ -287,7 +287,7 @@ def test_every_package_exception_derives_from_one_base():
                         and obj.__module__ == module.__name__})
     assert set(defined) == {"EdgespectraError", "PreconditionViolated", "WindowExhausted",
                             "DescentBudgetExceeded", "ScaleRejected", "SpectrumMemoryError",
-                            "TupleBudgetExceeded", "RankBudgetExceeded"}
+                            "TupleBudgetExceeded", "RankBudgetExceeded", "DmBudgetExceeded"}
     assert all(issubclass(cls, EdgespectraError) for cls in defined.values())
     assert cli._FAILURES == (EdgespectraError, OverflowError, RecursionError)
 
