@@ -12,7 +12,6 @@ import time
 from edgespectra import (
     density_and_bounds,
     member_witness,
-    shift_inclusion_check,
     spectrum,
     verify_interval,
 )
@@ -71,4 +70,5 @@ print("5. Shift inclusion: C(n - s, r) + tri(s) lands inside C(n, r+1)")
 print("=" * 72)
 for n, r in ((8, 2), (30, 3), (60, 4)):
     s = n // (r + 1)
-    print(f"  n={n}, r={r}, s={s}: {shift_inclusion_check(n, r)}")
+    big = spectrum(n, r + 1).mask  # bit e set for each member e
+    print(f"  n={n}, r={r}, s={s}: {spectrum(n - s, r).mask << tri(s) | big == big}")

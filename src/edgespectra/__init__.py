@@ -28,9 +28,7 @@ equal to a plain tuple of the same values.
 __version__ = "0.1.0"
 
 from .certify import (
-    DmBudgetExceeded,
     PairMF,
-    RankBudgetExceeded,
     SPECIAL_PAIRS,
     Verdict,
     classify_pair,
@@ -47,7 +45,6 @@ from .cliquespec import (
     bounds_sweep,
     density_and_bounds,
     member_witness,
-    shift_inclusion_check,
     spectrum,
     verify_interval,
 )
@@ -79,7 +76,6 @@ from .repcount import (
     rep_histogram,
 )
 from .squares import (
-    DescentBudgetExceeded,
     PreconditionViolated,
     ThreeSquareDecomp,
     WindowExhausted,
@@ -90,7 +86,7 @@ from .squares import (
     three_square_decomp,
     witness7,
 )
-from .triangles import (EdgespectraError, SpectrumMemoryError, decompose_lower, decompose_upper,
-                        tri, tri_root, two_part_witness)
+from .triangles import (BudgetExceeded, EdgespectraError, SpectrumMemoryError, decompose_lower,
+                        decompose_upper, tri, tri_root, two_part_witness)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

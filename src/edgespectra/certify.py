@@ -45,9 +45,9 @@ in triangles.first_square) as its three-part step, and the first j that
 admits a partition gives the witness.  The three-part windows of one
 search walk through one triangles.WalkBudget of z-steps, the budget type
 the three-square descent of squares walks through too, so a search that
-cannot decide in time raises RankBudgetExceeded instead of running on;
-dm_witness, which rule (v) reads, walks at most _DM_STEPS values of x
-and raises DmBudgetExceeded when that cuts its walk short.
+cannot decide in time raises triangles.BudgetExceeded instead of running
+on; dm_witness, which rule (v) reads, walks at most _DM_STEPS values of x
+and raises BudgetExceeded too when that cuts its walk short.
 Every partition it would list, and every witness min_r_witness pads, is
 charged first to triangles.check_cap, the one memory cap of the package,
 so a search that cannot list its answer raises SpectrumMemoryError
@@ -67,7 +67,7 @@ from fractions import Fraction
 from math import isqrt
 from typing import Callable, NamedTuple, Optional
 
-from .triangles import (EdgespectraError, WalkBudget, ceil_sqrt, check_cap, clique_parts,
+from .triangles import (BudgetExceeded, WalkBudget, ceil_sqrt, check_cap, clique_parts,
                         decompose_lower, decompose_upper, int_roots, is_triple, min_clique_edges,
                         tri, tri_root)
 
@@ -245,11 +245,6 @@ def _fired(rule: str, side: str, m: int, g: int, *values) -> list[TraceEntry]:
 # D(m) membership
 # ---------------------------------------------------------------------------
 
-class DmBudgetExceeded(EdgespectraError):
-    """dm_witness walked its whole budget of x-values below m/2 without
-    deciding the pair."""
-
-
 #: x-values one dm_witness call may walk, as many as the rank search's
 #: z-steps: 2.1 s at (m, f) = (2^63 + 8, 21267647932558654001048558102690922510),
 #: which spends it, 2.6 s near m = 10^30 and 5.0 s near 10^100 (2-core
@@ -269,7 +264,7 @@ def dm_witness(f: int, m: int) -> Optional[tuple[int, int, int]]:
     largest y, min(f // x, m - x), decides whether x has a witness; the
     least y is then the closed form below while z >= 1, else f / x.  The
     walk covers at most _DM_STEPS values of x; one that this cuts short of
-    m/2 raises DmBudgetExceeded.
+    m/2 raises BudgetExceeded.
     """
     if m < 2 or f < 0:
         raise ValueError(f"need m >= 2 and f >= 0, got m={m}, f={f}")
@@ -290,8 +285,8 @@ def dm_witness(f: int, m: int) -> Optional[tuple[int, int, int]]:
             y = y_lo
         return (x, y, f - x * y)
     if stop <= m // 2:
-        raise DmBudgetExceeded(f"D(m) search of (m, f) = {(m, f)} walked all {_DM_STEPS} "
-                               f"x-values of its budget, from {start}, short of m/2")
+        raise BudgetExceeded(f"D(m) search of (m, f) = {(m, f)} walked all {_DM_STEPS} "
+                             f"x-values of its budget, from {start}, short of m/2")
     return None
 
 
@@ -299,11 +294,6 @@ def dm_witness(f: int, m: int) -> Optional[tuple[int, int, int]]:
 # Minimal clique rank: smallest r with f a sum of r+1 clique edge counts
 # whose vertex counts are positive and sum to m.
 # ---------------------------------------------------------------------------
-
-class RankBudgetExceeded(EdgespectraError):
-    """The rank search walked its whole budget of three-part z-steps
-    without deciding the pair."""
-
 
 #: z-steps of three-part windows one min_r_witness call may walk: 0.2 to
 #: 0.3 s (2-core x86-64 VM, seven pairs near m = 1.5 * 10^5 that spend it),
@@ -320,7 +310,7 @@ _WITNESS_PART_BYTES = 16
 
 def _rank_budget(m: int, f: int) -> WalkBudget:
     """A fresh budget of _RANK_STEPS z-steps for the rank search of (m, f)."""
-    return WalkBudget(_RANK_STEPS, lambda budget: RankBudgetExceeded(
+    return WalkBudget(_RANK_STEPS, lambda budget: (
         f"rank search of (m, f) = {(m, f)} walked all {_RANK_STEPS} z-steps of its "
         f"budget in {budget.walks} three-part windows without a decision"))
 
@@ -352,8 +342,8 @@ def three_part_witness(m: int, f: int, *,
     size.
 
     The walk goes through budget, a fresh _rank_budget(m, f) by default,
-    which charges it the z-steps it tests and raises RankBudgetExceeded
-    when it ends the walk before the window.
+    which charges it the z-steps it tests and raises BudgetExceeded when
+    it ends the walk before the window.
     """
     window = _z_window(m, f)
     z = window.start
@@ -383,7 +373,7 @@ def min_rank_parts(m: int, f: int) -> Optional[tuple[int, ...]]:
     j grows, so the search starts at the least j that is not, found by an
     integer bisection over [1, m] that holds at any m.  The three-part
     windows of one call walk through one _rank_budget(m, f) of
-    _RANK_STEPS z-steps, which raises RankBudgetExceeded once they have
+    _RANK_STEPS z-steps, which raises BudgetExceeded once they have
     walked it.
 
     Parts the recursion would list past the memory cap raise

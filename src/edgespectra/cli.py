@@ -9,7 +9,8 @@ gap, "check failed: ..." from a re-validation) or a named failure (an
 EdgespectraError, the base of every package failure, or an OverflowError
 or RecursionError); 2 on a usage error (argparse, or a ValueError for a bad
 value, such as an --export or --csv path that cannot be written).  Failures
-print "error: <ExceptionName>: <message>".
+print "error: <ExceptionName>: <message>"; a call that spent a work budget
+prints "error: BudgetExceeded: <message>", the message naming the budget.
 
 --check, offered where it re-validates the result by an independent
 substitution, is accepted by spectrum, witness, density, classify, minr, dm,
@@ -61,7 +62,8 @@ from fractions import Fraction
 from typing import Callable, Iterable, NamedTuple
 
 from . import __version__, certify, cliquespec, graphs, pell, repcount, squares
-from .triangles import EdgespectraError, check_cap, min_clique_edges, realizes, tri
+from .triangles import (EdgespectraError, check_cap, is_dm_witness, min_clique_edges, realizes,
+                        tri)
 
 
 def _frac(x: Fraction | None):
@@ -193,9 +195,7 @@ def _cmd_minr(args) -> dict:
 def _cmd_dm(args) -> dict:
     w = certify.dm_witness(args.f, args.m)
     if args.check and w is not None:
-        x, y, z = w
-        _require(min(w) >= 0 and x * y + z == args.f and x + y <= args.m
-                 and (z == 0 or x + y + z <= args.m - 1), "D(m) witness does not re-validate")
+        _require(is_dm_witness(args.m, args.f, w), "D(m) witness does not re-validate")
     return {"m": args.m, "f": args.f, "witness": list(w) if w else None}
 
 def _cmd_pell(args) -> dict:

@@ -444,17 +444,3 @@ def verify_interval(n: int, r: int, c_low: float, c_high: float, *, clip: bool =
         return IntervalReport(ok=True, first_gap=None, vacuous=False, lo=lo, hi=hi)
     gap = (missing & -missing).bit_length() - 1 + lo
     return IntervalReport(ok=False, first_gap=gap, vacuous=False, lo=lo, hi=hi)
-
-
-def shift_inclusion_check(n: int, r: int) -> bool:
-    """Every element of C(n - floor(n/(r+1)), r), shifted by the edge count of
-    one clique on floor(n/(r+1)) vertices, lands inside C(n, r+1).  n and r
-    are checked as spectrum(n, r) checks them."""
-    _check_n_r(n, r)
-    if n < r + 1:
-        raise ValueError(f"need n >= r+1, got n={n}, r={r}")
-    s = n // (r + 1)
-    small = spectrum(n - s, r)
-    big = spectrum(n, r + 1)
-    shifted = small.mask << tri(s)
-    return shifted | big.mask == big.mask

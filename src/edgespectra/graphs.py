@@ -42,12 +42,17 @@ from itertools import combinations, islice, permutations
 import numpy as np
 
 from .cliquespec import EdgeSpectrum, bounded_partitions, spectrum
-from .triangles import EdgespectraError, check_cap, min_clique_edges, tri
+from .triangles import BudgetExceeded, EdgespectraError, check_cap, min_clique_edges, tri
 
 MAX_LABELED_N = 7
 MAX_DEDUP_N = 8
 _ENUM_LIMIT = 10 ** 6  # full-subset enumeration cap for exact expectations
 _ENUM_CELLS = 1 << 20  # adjacency cells read per numpy pass of that enumeration
+# Subset tests a random-mode closure check may make, each trial charged its
+# C(n, m) subsets and 32 more for its draw: a trial takes 8-11 us and 0.3-0.45
+# us a subset (2-core x86-64 VM, n = 2 to 12), so the budget is at most about
+# 4.5 s; 10^4 trials at (n, r, m) = (12, 4, 6) take 2.8 s.
+_MAX_CLOSURE_SUBSETS = 10_000_000
 
 
 class ScaleRejected(EdgespectraError):
@@ -262,7 +267,10 @@ def induced_closure_check(
     induces an edge count lying in the (m, r) clique spectrum.
 
     trials=None enumerates all partitions exhaustively (n <= 10); otherwise
-    `trials` >= 1 random partitions are drawn from a seeded generator.
+    `trials` >= 1 random partitions are drawn from a seeded generator, and
+    a run whose trials * (C(n, m) + 32) exceeds _MAX_CLOSURE_SUBSETS, its
+    subset tests with each draw counted as 32, is refused by BudgetExceeded
+    before the first draw.
     """
     if trials is not None and trials < 1:
         raise ValueError(f"need trials >= 1, got {trials}")
@@ -271,6 +279,10 @@ def induced_closure_check(
     if trials is None and n > 10:
         raise ScaleRejected(f"exhaustive mode needs n <= 10, got {n}")
     target = spectrum(m, r)
+    if trials is not None and trials * ((subsets := math.comb(n, m)) + 32) > _MAX_CLOSURE_SUBSETS:
+        raise BudgetExceeded(f"closure check of (n, r, m) = {(n, r, m)} would test {trials} x "
+                             f"({subsets} + 32) subsets, a draw counted as 32, "
+                             f"cap is {_MAX_CLOSURE_SUBSETS}")
     if trials is None:
         parts_iter = bounded_partitions(n, r)
     else:

@@ -10,7 +10,9 @@ The histogram is accumulated over sorted tuples with permutation
 multiplicities, read by tie pattern from a table; the tests compare it
 against a plain 4-loop count.  Every count is a Python int, so the
 histogram is exact at any size, and the record compares and hashes by
-value like every other record of the package.
+value like every other record of the package.  A histogram of more than
+_MAX_TUPLES sorted tuples is refused by triangles.BudgetExceeded before
+it is counted.
 """
 
 from __future__ import annotations
@@ -20,8 +22,10 @@ from collections import namedtuple
 from itertools import combinations_with_replacement
 from typing import Optional
 
-from .triangles import EdgespectraError, check_cap, tri
+from .triangles import BudgetExceeded, check_cap, tri
 
+# Sorted tuples one histogram may count: 0.32 to 0.44 us a tuple at n = 3000,
+# N = 100 and 150 (2-core x86-64 VM), so 16 to 22 s at the budget.
 _MAX_TUPLES = 50_000_000
 # Peak memory of a histogram, charged to the memory cap of triangles before
 # it is built: per cell, a pointer in the list that is filled and one in the
@@ -32,10 +36,6 @@ _MAX_TUPLES = 50_000_000
 # to 150.
 _CELL_BYTES = 16
 _INT_BYTES = 32
-
-
-class TupleBudgetExceeded(EdgespectraError):
-    """The sorted-tuple iteration estimate exceeds the resource guard."""
 
 
 class RepHistogram(namedtuple("RepHistogram", "n N sum_cap counts")):
@@ -77,6 +77,15 @@ def _sum_cap(n: int, sum_cap: Optional[int]) -> int:
     return sum_cap
 
 
+def _sorted_tuples(N: int) -> int:
+    """C(N + 3, 4), the sorted 4-tuples of coordinates in [1, N], N >= 0;
+    BudgetExceeded above _MAX_TUPLES."""
+    estimate = math.comb(N + 3, 4)
+    if estimate > _MAX_TUPLES:
+        raise BudgetExceeded(f"~{estimate} sorted tuples exceeds cap {_MAX_TUPLES}")
+    return estimate
+
+
 def rep_histogram(n: int, N: int, sum_cap: Optional[int] = None) -> RepHistogram:
     """Counts of ordered 4-tuples per realized edge count m.  The histogram's
     tri(n) + 1 cells, and its counts above 256, at most one per 257 of the
@@ -87,9 +96,7 @@ def rep_histogram(n: int, N: int, sum_cap: Optional[int] = None) -> RepHistogram
     if N < 1:
         raise ValueError(f"need N >= 1, got {N}")
     sum_cap = _sum_cap(n, sum_cap)
-    estimate = math.comb(N + 3, 4)
-    if estimate > _MAX_TUPLES:
-        raise TupleBudgetExceeded(f"~{estimate} sorted tuples exceeds cap {_MAX_TUPLES}")
+    estimate = _sorted_tuples(N)
     cells, big = tri(n) + 1, 24 * estimate // 257  # a count above 256 takes 257 ordered tuples
     check_cap(8 * (_CELL_BYTES * cells + _INT_BYTES * min(cells, big)), "histogram cells")
     counts = [0] * cells
@@ -139,6 +146,8 @@ def exceptional_count(
     asymptotic regime degenerates for small and moderate n and may produce
     an empty range or coordinate cap, or a range wholly below the smallest
     reachable m, which is flagged as an empty range rather than hidden.
+    A histogram the tuple budget refuses, asymptotic or not, raises
+    BudgetExceeded before any margin is computed.
     """
     if not (math.isfinite(lo_margin) and math.isfinite(hi_margin)):
         raise ValueError(f"margins must be finite, got {lo_margin} and {hi_margin}")
@@ -149,6 +158,10 @@ def exceptional_count(
                              f"lo_margin={lo_margin}, hi_margin={hi_margin}")
         if n < 2:
             raise ValueError(f"the asymptotic margins divide by log(n); need n >= 2, got {n}")
+        # ln n >= (b - 1) ln 2 > 0.69 (b - 1) for b = n.bit_length(), so
+        # N >= n//5 - 100n//(69(b - 1)) - 1: the tuple budget refuses that
+        # bound in ints, before n^2/ln n overflows a float (n > 10^154)
+        _sorted_tuples(max(0, n // 5 - 100 * n // (69 * (n.bit_length() - 1)) - 1))
         log_base = "e"
         lo_margin = hi_margin = n * n / math.log(n)
         N = math.floor(n / 5 - n / math.log(n))

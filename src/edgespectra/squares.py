@@ -3,7 +3,8 @@
 A non-negative integer is a sum of three squares exactly when stripping
 every factor of 4 leaves a residue other than 7 mod 8.  three_square_decomp
 finds the squares, walking each window of its descent with
-triangles.first_square through a triangles.WalkBudget.  witness7 uses
+triangles.first_square through a triangles.WalkBudget, which refuses a
+descent that spends it by triangles.BudgetExceeded.  witness7 uses
 the decomposition to build, for an admissible (n, m), seven clique sizes
 summing to n whose edge counts sum to m: three symmetric pairs t +- s_i
 around a pivot t plus one remainder clique of n - 6t vertices.
@@ -28,11 +29,6 @@ class WindowExhausted(EdgespectraError):
     This signals an implementation or transcription bug: the window is
     guaranteed to contain a good pivot.  It is never widened silently.
     """
-
-
-class DescentBudgetExceeded(EdgespectraError):
-    """three_square_decomp walked its whole budget of y-steps without
-    finding a decomposition."""
 
 
 #: y-steps one three_square_decomp descent may walk: 0.26 to 0.55 s (2-core
@@ -74,9 +70,9 @@ def three_square_decomp(v: int) -> Optional[ThreeSquareDecomp]:
     for y from min(x, isqrt(w)) down to the least y with 2y^2 >= w.
 
     Each window is walked through one WalkBudget of _DESCENT_STEPS y-steps,
-    and a window it cuts short without a hit raises DescentBudgetExceeded,
-    as the rank search's budget raises RankBudgetExceeded, so a huge v is
-    refused in bounded time: unbudgeted, 10^30 + 3 was not answered in 30 s.
+    and a window it cuts short without a hit raises BudgetExceeded, as
+    the rank search's budget does, so a huge v is refused in bounded time:
+    unbudgeted, 10^30 + 3 was not answered in 30 s.
     """
     if v < 0:
         raise ValueError(f"need v >= 0, got {v}")
@@ -85,7 +81,7 @@ def three_square_decomp(v: int) -> Optional[ThreeSquareDecomp]:
         u, k = u // 4, k + 1
     if u % 8 == 7:
         return None
-    budget = WalkBudget(_DESCENT_STEPS, lambda _: DescentBudgetExceeded(
+    budget = WalkBudget(_DESCENT_STEPS, lambda _: (
         f"three-square descent of v = {v} walked all {_DESCENT_STEPS} y-steps of its "
         f"budget, down to x = {x}"))  # x: the loop's, at the window cut short
     for x in range(isqrt(u), -1, -1):

@@ -11,14 +11,18 @@ WalkBudget is the one step budget every bounded search walks it under.
 check_cap is the one memory cap beside it: every table, list or tuple
 the package would build past a size the caller picks is charged here
 first, in bits, against EDGESPECTRA_MAX_TABLE_BITS, and refused by
-SpectrumMemoryError before it is built.
+SpectrumMemoryError before it is built.  BudgetExceeded is the one
+refusal of a call that spent its work budget: the rank search's z-steps
+and the three-square descent's y-steps through WalkBudget, the D(m)
+walk's x-values (certify), the histogram's tuples (repcount) and the
+closure check's subsets (graphs).
 
-Two certificates are stated here once, for every check in the package to
-read: realizes, a clique partition of an edge count, and is_triple, the
-triple identity of the special pairs.  EdgespectraError, the base of
-every named failure the package raises, is defined here too.  This
-module imports only the standard library, so a checker can import it
-alone.
+Three certificates are stated here once, for every check in the package
+to read: realizes, a clique partition of an edge count, is_triple, the
+triple identity of the special pairs, and is_dm_witness, a D(m) witness.
+EdgespectraError, the base of every named failure the package raises, is
+defined here too.  This module imports only the standard library, so a
+checker can import it alone.
 """
 
 from __future__ import annotations
@@ -36,6 +40,11 @@ class EdgespectraError(Exception):
 
 class SpectrumMemoryError(EdgespectraError):
     """A table, list or tuple a call would build exceeds the memory cap."""
+
+
+class BudgetExceeded(EdgespectraError):
+    """A call spent its work budget without deciding: a refusal, not an
+    answer.  The message names the budget and the work done."""
 
 
 ENV_MAX_TABLE_BITS = "EDGESPECTRA_MAX_TABLE_BITS"
@@ -65,6 +74,13 @@ def realizes(parts: tuple[int, ...], v: int, g: int) -> bool:
 def is_triple(m: int, g: int, a: int, b: int, c: int) -> bool:
     """Whether g = tri(a) = tri(m) - tri(b) = c(m - c)."""
     return g == tri(a) == tri(m) - tri(b) == c * (m - c)
+
+
+def is_dm_witness(m: int, f: int, w: tuple[int, int, int]) -> bool:
+    """Whether w = (x, y, z), each >= 0, has xy + z = f, x + y <= m, and
+    x + y + z <= m - 1 when z >= 1: a D(m) witness of f."""
+    x, y, z = w
+    return min(w) >= 0 and x * y + z == f and x + y <= m and (z == 0 or x + y + z <= m - 1)
 
 
 def int_roots(p: int, q: int) -> tuple[int, ...]:
@@ -112,23 +128,23 @@ def first_square(d: int, step: int, turn: int, count: int) -> tuple[int, int] | 
 
 class WalkBudget:
     """Steps left and windows walked of one bounded search; refusal(self)
-    is the search's named failure when the budget cuts a window short."""
+    is the text of its BudgetExceeded when the budget cuts a window short."""
 
     __slots__ = ("left", "walks", "refusal")
 
-    def __init__(self, steps: int, refusal: Callable[[WalkBudget], EdgespectraError]):
+    def __init__(self, steps: int, refusal: Callable[[WalkBudget], str]):
         self.left, self.walks, self.refusal = steps, 0, refusal
 
     def walk(self, d: int, step: int, turn: int, count: int) -> tuple[int, int] | None:
         """first_square over the part of the window the budget covers,
         charged i + 1 for a hit at term i, the whole window for a miss; a
-        miss the budget cut short raises refusal(self)."""
+        miss the budget cut short raises BudgetExceeded(refusal(self))."""
         self.walks += 1
         cap = count if count < self.left else self.left
         hit = first_square(d, step, turn, cap)
         self.left -= cap if hit is None else hit[0] + 1
         if hit is None and cap < count:
-            raise self.refusal(self)
+            raise BudgetExceeded(self.refusal(self))
         return hit
 
 

@@ -16,12 +16,12 @@ import numpy as np
 
 from edgespectra import graphs, squares
 from edgespectra.certify import PairMF, _rank_budget, _z_window, three_part_witness
-from edgespectra.cliquespec import EdgeSpectrum
+from edgespectra.cliquespec import EdgeSpectrum, _check_n_r, spectrum
 from edgespectra.graphs import (_achieved, _move_bits, _pair_dest, canonical_reps,
                                 subset_pair_mask)
 from edgespectra.repcount import RepHistogram
-from edgespectra.triangles import (WalkBudget, clique_parts, int_roots, min_clique_edges, tri,
-                                   two_part_witness)
+from edgespectra.triangles import (BudgetExceeded, WalkBudget, clique_parts, int_roots,
+                                   min_clique_edges, tri, two_part_witness)
 
 
 def replace(record, **changes):
@@ -77,7 +77,7 @@ def three_square_decomp_descent(v: int) -> Optional[squares.ThreeSquareDecomp]:
     """squares.three_square_decomp by the per-step descent it ran before
     the first_square kernel: the same x order and y-windows, each y-step
     charged to the budget of squares._DESCENT_STEPS and tested by its own
-    isqrt, and DescentBudgetExceeded raised on the first step past it."""
+    isqrt, and BudgetExceeded raised on the first step past it."""
     if v < 0:
         raise ValueError(f"need v >= 0, got {v}")
     if not squares.is_three_square(v):
@@ -93,7 +93,7 @@ def three_square_decomp_descent(v: int) -> Optional[squares.ThreeSquareDecomp]:
         y = min(x, isqrt(w))
         while 2 * y * y >= w:
             if not left:
-                raise squares.DescentBudgetExceeded(
+                raise BudgetExceeded(
                     f"three-square descent of v = {v} walked all {squares._DESCENT_STEPS} "
                     f"y-steps of its budget, down to x = {x}")
             left -= 1
@@ -284,7 +284,7 @@ def three_part_witness_walk(m: int, f: int, *,
             budget.left += walk.stop - z - 1
             return (w[0], w[1], z)
     if len(walk) < len(window):
-        raise budget.refusal(budget)
+        raise BudgetExceeded(budget.refusal(budget))
     return None
 
 
@@ -437,3 +437,15 @@ def brute_dm_witness(f: int, m: int) -> Optional[tuple[int, int, int]]:
             if z == 0 or x + y + z <= m - 1:
                 return (x, y, z)
     return None
+
+
+def shift_inclusion_check(n: int, r: int) -> bool:
+    """Every element of C(n - floor(n/(r+1)), r), shifted by the edge count of
+    one clique on floor(n/(r+1)) vertices, lands inside C(n, r+1).  n and r
+    are checked as spectrum(n, r) checks them."""
+    _check_n_r(n, r)
+    if n < r + 1:
+        raise ValueError(f"need n >= r+1, got n={n}, r={r}")
+    s = n // (r + 1)
+    big = spectrum(n, r + 1).mask
+    return spectrum(n - s, r).mask << tri(s) | big == big

@@ -1,13 +1,19 @@
-"""The first rows of the API contract: a public call returns a checkable
-answer or raises a named package failure (an EdgespectraError) or a
-ValueError for a bad value, at any size of its integers.
+"""The rows of the API contract: a public call returns a checkable answer
+or raises a named package failure (BudgetExceeded, SpectrumMemoryError,
+ScaleRejected or PreconditionViolated) or a ValueError for a bad value,
+at any size of its integers.
 
 Seeded (m, f) draws at m near 10^6, 2^63 (both sides of the machine
 word), 10^30 and 10^100 go to the rank search's entry points, to
-dm_witness and to classify_pair, each call under a wall-clock alarm and
-with the step budgets of the rank search and of dm_witness lowered, so a
-call that would run on, or fail by a bare MemoryError, OverflowError or
-RecursionError, fails the test by name.
+dm_witness and to classify_pair.  Then three_square_decomp, witness7,
+the spectrum calls, the representation histogram, the closure check and
+bennett_search get arguments of the same sizes.  Each call runs under a
+wall-clock alarm, with the step budgets of the rank search, of
+dm_witness and of the three-square descent lowered, so a call that would
+run on, or fail by a bare MemoryError, OverflowError or RecursionError,
+fails the test by name.
+
+NOT_YET_BOUNDED lists the public calls that no budget bounds yet.
 """
 
 import random
@@ -15,14 +21,26 @@ import signal
 
 import pytest
 
-from edgespectra import certify
+from edgespectra import certify, cli, pell, squares
 from edgespectra.certify import classify_pair, dm_witness, min_r, min_r_witness, three_part_witness
-from edgespectra.triangles import (EdgespectraError, SpectrumMemoryError, clique_parts,
-                                   min_clique_edges, realizes, tri)
+from edgespectra.cliquespec import density_and_bounds, member_witness, spectrum, verify_interval
+from edgespectra.graphs import induced_closure_check
+from edgespectra.repcount import exceptional_count, rep_histogram
+from edgespectra.squares import (bennett_search, is_three_square, r7_interval,
+                                 three_square_decomp, witness7)
+from edgespectra.triangles import (BudgetExceeded, EdgespectraError, SpectrumMemoryError,
+                                   clique_parts, is_dm_witness, min_clique_edges, realizes, tri)
 
 MAGNITUDES = {"1e6": 10 ** 6, "2^63": 2 ** 63, "1e30": 10 ** 30, "1e100": 10 ** 100}
 DRAWS = 30  # (m, f) pairs per magnitude
 ALARM_S = 5  # per call; the slowest call here takes well under a second
+#: What a call may raise: a refusal by name, or a bad value.
+NAMED = {"BudgetExceeded", "SpectrumMemoryError", "ScaleRejected", "PreconditionViolated",
+         "ValueError"}
+#: Public calls that no budget bounds yet, each quadratic in k: family_pair
+#: (2.2 s at k = 4 * 10^4), pell_solutions, which lists k + 1 solutions of
+#: growing size, and the abc command, one family_pair per k <= k-max.
+NOT_YET_BOUNDED = ("pell.family_pair", "pell.pell_solutions", "cli abc")
 
 
 def _draws(magnitude: int, seed: int) -> list[tuple[int, int]]:
@@ -62,17 +80,19 @@ def _alarm(signum, frame):
 
 @pytest.fixture
 def bounded(monkeypatch):
-    """Calls run under ALARM_S of wall clock, a rank budget of 10^4 z-steps
-    and a D(m) budget of 10^4 x-values; the fixture gives a runner that
-    returns ("ok", result) or ("raised", exception type name)."""
+    """Calls run under ALARM_S of wall clock, a rank budget of 10^4 z-steps,
+    a D(m) budget of 10^4 x-values and a descent budget of 10^4 y-steps;
+    the fixture gives a runner that returns ("ok", result) or ("raised",
+    exception type name)."""
     monkeypatch.setattr(certify, "_RANK_STEPS", 10 ** 4)
     monkeypatch.setattr(certify, "_DM_STEPS", 10 ** 4)
+    monkeypatch.setattr(squares, "_DESCENT_STEPS", 10 ** 4)
     previous = signal.signal(signal.SIGALRM, _alarm)
 
-    def run(fn, *args):
+    def run(fn, *args, **kwargs):
         signal.alarm(ALARM_S)
         try:
-            return "ok", fn(*args)
+            return "ok", fn(*args, **kwargs)
         except (EdgespectraError, ValueError) as exc:
             return "raised", type(exc).__name__
         finally:
@@ -102,7 +122,7 @@ def test_rank_search_answers_or_refuses_by_name(bounded, magnitude):
         seen.add(parts if kind == "raised" else kind)
         if kind == "ok" and parts is not None:
             assert sum(parts) <= m and realizes(parts, sum(parts), f), (m, f)
-    assert seen <= {"ok", "RankBudgetExceeded", "SpectrumMemoryError"}, seen
+    assert seen <= {"ok", "BudgetExceeded", "SpectrumMemoryError"}, seen
     assert "ok" in seen
 
 
@@ -121,19 +141,14 @@ def test_long_z_window_is_walked_under_the_budget(monkeypatch):
     window = certify._z_window(m, f)
     assert window.stop - window.start > 2 ** 63
     monkeypatch.setattr(certify, "_RANK_STEPS", 10 ** 4)
-    with pytest.raises(certify.RankBudgetExceeded):
+    with pytest.raises(BudgetExceeded, match="walked all 10000 z-steps"):
         three_part_witness(m, f)
-    with pytest.raises(certify.RankBudgetExceeded):
+    with pytest.raises(BudgetExceeded, match="walked all 10000 z-steps"):
         min_r(m, f)
 
 
 #: The pair whose D(m) walk spans about 1.5 * 10^9 values of x.
 LONG_DM_WALK = (2 ** 63 + 8, 21267647932558654001048558102690922510)
-
-
-def _dm_ok(w, m: int, f: int) -> bool:
-    x, y, z = w
-    return min(w) >= 0 and x * y + z == f and x + y <= m and (z == 0 or x + y + z <= m - 1)
 
 
 @pytest.mark.parametrize("magnitude", list(MAGNITUDES.values()), ids=list(MAGNITUDES))
@@ -146,16 +161,137 @@ def test_dm_and_classify_answer_or_refuse_by_name(bounded, magnitude):
         kind, w = bounded(dm_witness, f, m)
         seen.add(w if kind == "raised" else kind)
         if kind == "ok" and w is not None:
-            assert _dm_ok(w, m, f), (m, f)
+            assert is_dm_witness(m, f, w), (m, f)
         kind, v = bounded(classify_pair, m, f)
         seen.add(v if kind == "raised" else kind)
         if kind == "ok":
             assert bounded(v.validate, m, f) == ("ok", None), (m, f)
-    assert seen <= {"ok", "RankBudgetExceeded", "DmBudgetExceeded", "SpectrumMemoryError"}, seen
+    assert seen <= {"ok", "BudgetExceeded", "SpectrumMemoryError"}, seen
     assert "ok" in seen
 
 
 def test_long_dm_walk_is_refused_by_name(bounded):
     m, f = LONG_DM_WALK
-    assert bounded(dm_witness, f, m) == ("raised", "DmBudgetExceeded")
-    assert bounded(classify_pair, m, f) == ("raised", "DmBudgetExceeded")
+    assert bounded(dm_witness, f, m) == ("raised", "BudgetExceeded")
+    assert bounded(classify_pair, m, f) == ("raised", "BudgetExceeded")
+
+
+def _outcome(kind: str, value) -> str:
+    """"ok", or the name of what the call raised."""
+    return value if kind == "raised" else kind
+
+
+@pytest.mark.parametrize("magnitude", [10 ** 18, 10 ** 30, 10 ** 100],
+                         ids=["1e18", "1e30", "1e100"])
+def test_three_square_decomp_answers_or_refuses_by_name(bounded, magnitude):
+    rng = random.Random(magnitude % 1009)
+    seen = set()
+    for _ in range(DRAWS):
+        v = magnitude + rng.randint(-10 ** 6, 10 ** 6)
+        kind, dec = bounded(three_square_decomp, v)
+        seen.add(_outcome(kind, dec))
+        if kind == "ok":
+            assert (dec is None) == (not is_three_square(v)), v
+            assert dec is None or (dec.target, dec.x ** 2 + dec.y ** 2 + dec.z ** 2) == (v, v), v
+    assert seen <= {"ok", "BudgetExceeded"}, seen
+    assert "ok" in seen
+
+
+def test_hard_three_square_targets_are_refused_by_name(bounded):
+    # unbudgeted, the descent of 10^30 + 3 ran past 30 s; 729555738377712073
+    # spends even the default budget of two million y-steps
+    for v in (10 ** 30 + 3, 729555738377712073):
+        assert bounded(three_square_decomp, v) == ("raised", "BudgetExceeded")
+
+
+@pytest.mark.parametrize("magnitude", [10 ** 6, 2 ** 63, 10 ** 30], ids=["1e6", "2^63", "1e30"])
+def test_witness7_answers_or_refuses_by_name(bounded, magnitude):
+    rng = random.Random(magnitude % 1009)
+    seen = set()
+    for _ in range(10):
+        n = magnitude + rng.randint(-10, 10)
+        lo, hi = r7_interval(n)
+        for m in (lo, rng.randint(lo, hi), hi, lo - 1, hi + 1):
+            kind, w = bounded(witness7, n, m)
+            seen.add(_outcome(kind, w))
+            if kind == "ok":
+                assert (w.n, w.m) == (n, m) and bounded(w.validate) == ("ok", None), (n, m)
+            elif not lo <= m <= hi:
+                assert w == "PreconditionViolated", (n, m)
+    assert seen <= {"ok", "BudgetExceeded", "PreconditionViolated"}, seen
+    assert "PreconditionViolated" in seen
+
+
+SPECTRUM_SIZES = {"2^63-10": 2 ** 63 - 10, "2^63+10": 2 ** 63 + 10, "1e30": 10 ** 30,
+                  "1e100": 10 ** 100}
+
+
+@pytest.mark.parametrize("n", list(SPECTRUM_SIZES.values()), ids=list(SPECTRUM_SIZES))
+def test_spectrum_calls_answer_or_refuse_by_name(bounded, n):
+    seen = set()
+    for r in (1, 2, 5, 7, n):
+        kind, spec = bounded(spectrum, n, r)
+        seen.add(_outcome(kind, spec))
+        if kind == "ok":
+            assert spec.max_element <= tri(n) and spec.min_element in spec, (n, r)
+        kind, rep = bounded(density_and_bounds, n, r)
+        seen.add(_outcome(kind, rep))
+        if kind == "ok":
+            assert rep.bounds_ok, (n, r)
+        kind, rep = bounded(verify_interval, n, r, 0.5, 1.0)
+        seen.add(_outcome(kind, rep))
+        if kind == "ok":
+            assert rep.ok == (rep.first_gap is None), (n, r)
+        for m in (0, n, tri(n) // 3, tri(n)):
+            kind, w = bounded(member_witness, n, r, m)
+            seen.add(_outcome(kind, w))
+            if kind == "ok":
+                assert w is None or w.realizes(n, r, m), (n, r, m)
+    assert seen <= {"ok"} | NAMED, seen
+
+
+def test_histogram_calls_answer_or_refuse_by_name(bounded):
+    seen = set()
+    for n in (3000, 10 ** 6, 2 ** 63 + 10, 10 ** 30, 10 ** 155, 10 ** 400):
+        for N in (3, 60, n // 5, n):
+            kind, hist = bounded(rep_histogram, n, N)
+            seen.add(_outcome(kind, hist))
+            if kind == "ok":
+                assert len(hist.counts) == tri(n) + 1 and hist.total_tuples <= N ** 4, (n, N)
+            kind, rep = bounded(exceptional_count, n, N)
+            seen.add(_outcome(kind, rep))
+            if kind == "ok":
+                assert 0 <= rep.zeros <= rep.total and rep.N == N, (n, N)
+        # the asymptotic margins n^2/ln n leave a float past 10^154: the
+        # tuple budget refuses first
+        kind, rep = bounded(exceptional_count, n, asymptotic=True)
+        assert (kind, rep) == ("raised", "BudgetExceeded"), n
+    assert seen == {"ok", "BudgetExceeded", "SpectrumMemoryError"}, seen
+
+
+def test_closure_trials_answer_or_refuse_by_name(bounded):
+    # C(8, 4) = 70 subsets a trial, each draw counted as 32 more: 10^3
+    # trials answer, and the least count past the budget is refused before
+    # a draw, as are more
+    assert bounded(induced_closure_check, 8, 2, 4, trials=10 ** 3) == ("ok", True)
+    for trials in (10 ** 7 // 102 + 1, 10 ** 9, 10 ** 30):
+        kind, name = bounded(induced_closure_check, 8, 2, 4, trials=trials)
+        assert (kind, name) == ("raised", "BudgetExceeded"), trials
+
+
+def test_bennett_search_past_the_word(bounded):
+    # O(log y_limit) steps of the Pell orbit: 10^100 answers at once
+    kind, sols = bounded(bennett_search, 10 ** 100)
+    assert kind == "ok" and sols == [(3, 2)]
+    assert all(2 * tri(x) == tri(y * y) for x, y in sols)
+
+
+def test_not_yet_bounded_calls_exist():
+    # each entry names a public call; it leaves the list once a budget bounds it
+    modules = {"pell": pell}
+    for entry in NOT_YET_BOUNDED:
+        if entry.startswith("cli "):
+            assert entry[4:] in cli.COMMANDS, entry
+        else:
+            module, name = entry.split(".")
+            assert callable(getattr(modules[module], name)), entry

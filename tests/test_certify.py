@@ -11,7 +11,6 @@ from edgespectra import certify
 from edgespectra.certify import (
     TripleIdentity,
     PairMF,
-    RankBudgetExceeded,
     SPECIAL_PAIRS,
     TraceEntry,
     _rank_budget,
@@ -26,9 +25,10 @@ from edgespectra.certify import (
 from edgespectra.cliquespec import bounded_partitions, spectrum
 from edgespectra.pell import family_pair
 from edgespectra.squares import bennett_search
-from edgespectra.triangles import (SpectrumMemoryError, clique_parts, decompose_lower,
-                                   decompose_upper, min_clique_edges, tri, tri_floor_root,
-                                   tri_root, two_part_witness)
+from edgespectra.triangles import (BudgetExceeded, SpectrumMemoryError, clique_parts,
+                                   decompose_lower, decompose_upper, is_dm_witness,
+                                   min_clique_edges, tri, tri_floor_root, tri_root,
+                                   two_part_witness)
 from oracles import (brute_dm_witness, min_r_witness_loop, min_r_witness_search, replace,
                      three_part_witness_scan, three_part_witness_walk)
 
@@ -52,9 +52,7 @@ def test_special_pairs_complement_closed():
 # -- D(m) -------------------------------------------------------------------
 
 def test_dm_examples():
-    w = dm_witness(12, 8)
-    x, y, z = w
-    assert x * y + z == 12 and x + y <= 8 and (z == 0 or x + y + z <= 7)
+    assert is_dm_witness(8, 12, dm_witness(12, 8))
     assert dm_witness(17, 8) is None
     assert dm_witness(0, 2) == (0, 0, 0)
 
@@ -83,9 +81,7 @@ def test_dm_matches_brute_enumeration():
 
 def test_dm_large_pair_fast():
     fp_m, fp_f = 1112, 222111
-    w = dm_witness(fp_f, fp_m)
-    x, y, z = w
-    assert x * y + z == fp_f and x + y <= fp_m and (z == 0 or x + y + z <= fp_m - 1)
+    assert is_dm_witness(fp_m, fp_f, dm_witness(fp_f, fp_m))
     # above the product ceiling nothing is representable
     assert dm_witness(fp_m * fp_m // 4 + 1, fp_m) is None
 
@@ -241,7 +237,7 @@ def test_rank_search_starts_where_a_partition_can_exist(monkeypatch):
                 calls.clear()
                 try:
                     outcomes.append(fn(m, f))
-                except RankBudgetExceeded as exc:
+                except BudgetExceeded as exc:
                     outcomes.append(str(exc))
                 if fn is min_r_witness and len(calls) > 1:
                     assert calls[1][2] == next(j for j in range(3, m + 1)
@@ -416,7 +412,7 @@ def test_three_part_budget_matches_walk(monkeypatch):
             budget = _rank_budget(m, f)
             try:
                 result = fn(m, f, budget=budget)
-            except RankBudgetExceeded as exc:
+            except BudgetExceeded as exc:
                 result = str(exc)
             left.append((result, budget.left, budget.walks))
         assert left[0] == left[1], (m, f)
@@ -449,7 +445,7 @@ def test_three_part_witness_alone_walks_under_a_budget(monkeypatch):
     assert [len(certify._z_window(m, f)) for m, f in big] == [424, 14027304449]
     for m, f in big:
         for fn in (three_part_witness, three_part_witness_walk):
-            with pytest.raises(RankBudgetExceeded, match=r"walked all 400 z-steps"):
+            with pytest.raises(BudgetExceeded, match=r"walked all 400 z-steps"):
                 fn(m, f)
     monkeypatch.setattr(certify, "_RANK_STEPS", 424)
     assert three_part_witness(3000, 2037210) is None
@@ -462,7 +458,7 @@ def test_rank_budget_bounds_the_search(monkeypatch):
     monkeypatch.setattr(certify, "_RANK_STEPS", 95656)
     assert min_r(2942, 1718353) == 4
     monkeypatch.setattr(certify, "_RANK_STEPS", 95655)
-    with pytest.raises(RankBudgetExceeded, match=r"\(2942, 1718353\) walked all 95655 z-steps"):
+    with pytest.raises(BudgetExceeded, match=r"\(2942, 1718353\) walked all 95655 z-steps"):
         min_r(2942, 1718353)
     # a window cut by the budget still answers when it hits within the cut
     monkeypatch.setattr(certify, "_RANK_STEPS", 1)

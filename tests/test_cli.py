@@ -443,8 +443,22 @@ def _manifest(err):
 def test_budget_overrun_exits_1_with_manifest(capsys):
     code, out, err = run_cli(capsys, ["repcount", "--n", "3000", "--N", "1000"])
     assert code == 1 and out == ""
-    assert "error: TupleBudgetExceeded:" in err
+    assert "error: BudgetExceeded:" in err
     assert _manifest(err)["subcommand"] == "repcount"
+
+
+@pytest.mark.parametrize("argv", [
+    # the asymptotic margins n^2/ln n once overflowed a float here
+    ["exceptional", "--n", str(10 ** 155), "--asymptotic"],
+    ["exceptional", "--n", str(10 ** 400), "--asymptotic"],
+    # 924 subsets a trial: days of work, refused before a draw
+    ["closure", "--n", "12", "--r", "4", "--m", "6", "--trials", str(10 ** 9)],
+], ids=["exceptional-1e155", "exceptional-1e400", "closure-1e9"])
+def test_unbounded_work_exits_1_naming_its_budget(capsys, argv):
+    code, out, err = run_cli(capsys, argv)
+    assert code == 1 and out == ""
+    assert "error: BudgetExceeded:" in err and "OverflowError" not in err
+    assert _manifest(err)["subcommand"] == argv[0]
 
 
 @pytest.mark.parametrize("cmd", ["repcount", "exceptional"])
@@ -460,7 +474,7 @@ def test_rank_budget_overrun_exits_1_with_manifest(capsys):
     # a pair whose rank search would walk far more than two million z-steps
     code, out, err = run_cli(capsys, ["minr", "--m", "146714", "--f", "5165649739"])
     assert code == 1 and out == ""
-    assert "error: RankBudgetExceeded:" in err and "three-part windows" in err
+    assert "error: BudgetExceeded:" in err and "three-part windows" in err
     assert _manifest(err)["subcommand"] == "minr"
 
 
@@ -469,7 +483,7 @@ def test_descent_budget_overrun_exits_1_with_manifest(capsys, monkeypatch):
     monkeypatch.setattr(squares, "_DESCENT_STEPS", 1000)
     code, out, err = run_cli(capsys, ["three-squares", "--v", str(10 ** 30 + 3)])
     assert code == 1 and out == ""
-    assert "error: DescentBudgetExceeded:" in err and "walked all 1000 y-steps" in err
+    assert "error: BudgetExceeded:" in err and "walked all 1000 y-steps" in err
     assert _manifest(err)["subcommand"] == "three-squares"
 
 
@@ -606,7 +620,7 @@ def test_long_dm_walk_exits_1_naming_its_budget(capsys, monkeypatch, cmd):
     code, out, err = run_cli(capsys, [cmd, "--m", str(2 ** 63 + 8),
                                       "--f", "21267647932558654001048558102690922510"])
     assert code == 1 and out == ""
-    assert "error: DmBudgetExceeded:" in err and "walked all 10000 x-values" in err
+    assert "error: BudgetExceeded:" in err and "walked all 10000 x-values" in err
     assert _manifest(err)["subcommand"] == cmd
 
 
@@ -666,14 +680,20 @@ def test_classify_check_runs_one_verdict(capsys, monkeypatch):
     assert calls == [(38, 325)]
 
 
-def _fuzz_argvs(count, seed):
+def _fuzz_argvs(count, seed, *, magnitude=False):
     """Random classify, minr and dm calls with m <= 300, witness calls with
     n <= 60, and interval, exceptional, repcount, concentration and closure
     calls on at most 40 vertices (12 for concentration, 9 for closure):
     values reach a little past their ranges on both sides, float options
     are sometimes inf or nan, half the calls that offer --check carry it,
-    and one in twenty has a malformed value."""
+    and one in twenty has a malformed value.
+
+    The magnitude arm draws valid values instead, sizes near 10^6, 2^63 and
+    10^30, for every command but pell and abc, whose work no budget bounds
+    yet; one call in twenty has a malformed value, "1.5" for an int."""
     rng = random.Random(seed)
+    if magnitude:
+        return [_magnitude_argv(rng) for _ in range(count)]
 
     def near(lo, hi):  # inside [lo, hi], or at or just past one of its ends
         hi = max(lo, hi)
@@ -722,6 +742,79 @@ def _fuzz_argvs(count, seed):
             argv[rng.choice((2, 4)) if len(argv) > 4 else 2] = "1.5"
         argvs.append(argv)
     return argvs
+
+
+def _magnitude_argv(rng):
+    """One call of the magnitude arm of _fuzz_argvs."""
+
+    def big():  # a size near 10^6, 2^63 or 10^30
+        return rng.choice([10 ** 6, 2 ** 63, 10 ** 30]) + rng.randint(-10, 10)
+
+    cmd = rng.choice(["classify", "minr", "dm", "witness", "spectrum", "density", "interval",
+                      "three-squares", "bennett", "witness7", "exceptional", "repcount",
+                      "closure", "concentration", "turan", "runs"])
+    if cmd in ("classify", "minr", "dm"):
+        m = big()
+        f = rng.choice([rng.randint(0, 4 * m), rng.randint(0, tri(m)), tri(m) - rng.randint(0, m)])
+        argv = [cmd, "--m", m, "--f", f]
+    elif cmd == "witness":
+        n = big()
+        argv = [cmd, "--n", n, "--r", rng.randint(1, 6), "--m", rng.randint(0, tri(n))]
+    elif cmd in ("spectrum", "density", "interval"):
+        argv = [cmd, "--n", big(), "--r", rng.choice([1, 2, 5, 7, big()])]
+        if cmd == "interval":
+            argv += ["--c-low", rng.choice([0, 0.5, 2]), "--c-high", rng.choice([0, 1, 66])]
+    elif cmd == "three-squares":
+        argv = [cmd, "--v", rng.randint(0, rng.choice([10 ** 18, 10 ** 30]))]
+    elif cmd == "bennett":
+        argv = [cmd, "--y-limit", big()]
+    elif cmd == "witness7":
+        n = big()
+        lo, hi = squares.r7_interval(n)
+        argv = [cmd, "--n", n, "--m", rng.choice([lo - 1, lo, rng.randint(lo, hi), hi, hi + 1])]
+    elif cmd == "exceptional":
+        argv = [cmd, "--n", big(), *rng.choice([["--asymptotic"], ["--N", big()], ["--N", 3]])]
+    elif cmd == "repcount":
+        argv = [cmd, "--n", big(), "--N", rng.choice([3, big()])]
+    elif cmd == "closure":
+        n = rng.randint(2, 12)
+        argv = [cmd, "--n", n, "--r", rng.randint(1, 4), "--m", rng.randint(2, n),
+                "--trials", rng.choice([10 ** 7, big()])]
+    elif cmd == "concentration":
+        # trials are charged to the memory cap alone: 10^6 would run for seconds
+        N = rng.choice([12, big()])
+        argv = [cmd, "--N", N, "--E", rng.randint(0, tri(N)), "--n", rng.randint(2, 12),
+                "--trials", rng.choice([10, 2 ** 63, 10 ** 30]) if N == 12 else 10]
+    else:  # turan and runs: n past the exhaustive range
+        argv = [cmd, "--n", big(), "--m", rng.randint(3, 4)] + (["--f", 1] if cmd == "runs" else [])
+    offers_check = cmd in ("classify", "minr", "dm", "witness", "spectrum", "density",
+                           "three-squares", "bennett", "repcount")
+    argv = [str(a) for a in argv] + ["--check"] * (offers_check and rng.random() < 0.5)
+    if rng.random() < 0.05:
+        argv[rng.choice((2, 4)) if len(argv) > 4 else 2] = "1.5"
+    return argv
+
+
+def test_cli_magnitude_fuzz_keeps_exit_contract(capsys, monkeypatch):
+    # valid values at any size: exit 2 only for a malformed argv, and no
+    # OverflowError; the three step budgets are lowered to 10^4
+    from edgespectra import certify
+
+    monkeypatch.setattr(certify, "_RANK_STEPS", 10 ** 4)
+    monkeypatch.setattr(certify, "_DM_STEPS", 10 ** 4)
+    monkeypatch.setattr(squares, "_DESCENT_STEPS", 10 ** 4)
+    codes = set()
+    for argv in _fuzz_argvs(400, seed=13, magnitude=True):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's usage errors
+            code = exc.code
+        out, err = capsys.readouterr()
+        assert (code == 2) == ("1.5" in argv), (argv, err)
+        assert "OverflowError" not in err, argv
+        assert _manifest(err)["output_digest"], argv
+        codes.add(code)
+    assert codes == {0, 1, 2}
 
 
 def test_cli_fuzz_keeps_exit_contract(capsys):

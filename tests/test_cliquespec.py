@@ -24,14 +24,14 @@ from edgespectra.cliquespec import (
     bounds_sweep,
     density_and_bounds,
     member_witness,
-    shift_inclusion_check,
     spectrum,
     verify_interval,
 )
 from edgespectra.triangles import (_DEFAULT_MAX_TABLE_BITS, ENV_MAX_TABLE_BITS,
                                    SpectrumMemoryError, clique_parts, min_clique_edges, realizes,
                                    tri)
-from oracles import from_members, parse_export, spectrum_unblocked, witness_tables_uncapped
+from oracles import (from_members, parse_export, shift_inclusion_check, spectrum_unblocked,
+                     witness_tables_uncapped)
 
 
 def brute_spectrum(n, r):

@@ -24,7 +24,7 @@ from edgespectra.graphs import (
     turan_check,
     turan_number,
 )
-from edgespectra.triangles import tri
+from edgespectra.triangles import BudgetExceeded, tri
 from oracles import (class_ids_by_relabelling, concentration_per_trial,
                      dedup_counterexamples, induced_edge_total_per_subset,
                      labeled_counterexamples)
@@ -560,6 +560,27 @@ def test_induced_closure_scale_guard():
     for trials in (-1, 0):  # would certify nothing
         with pytest.raises(ValueError, match="trials >= 1"):
             induced_closure_check(6, 2, 3, trials=trials)
+
+
+def test_induced_closure_trials_budget(monkeypatch):
+    # trials * (C(n, m) + 32) past the budget of subset tests is refused
+    # before any draw; C(12, 6) = 924, so 10^9 trials would test 9.24 * 10^11
+    # subsets, and C(2, 2) = 1, where the draws cost the most
+    class Drew(Exception):
+        pass
+
+    def default_rng(seed):
+        raise Drew
+
+    monkeypatch.setattr(graphs.np.random, "default_rng", default_rng)
+    for n, m, subsets in ((12, 6, 924), (2, 2, 1)):
+        most = 10 ** 7 // (subsets + 32)
+        for trials in (most + 1, 10 ** 9):
+            with pytest.raises(BudgetExceeded, match=fr"would test {trials} x \({subsets} \+ 32\) "
+                                                     "subsets, a draw counted as 32, cap is 10000000"):
+                induced_closure_check(n, 1, m, trials=trials)
+        with pytest.raises(Drew):  # the most the budget admits
+            induced_closure_check(n, 1, m, trials=most)
 
 
 def test_concentration_exact_small():

@@ -5,7 +5,8 @@ graphs is the only module that imports it, triangles imports only the
 standard library, each module imports only the package modules of its
 row in IMPORT_GRAPH and no private name of another, no module starts a
 thread or a process, and every exception class of the package derives
-from one base, the only package failure the CLI names.
+from one base, the only package failure the CLI names, and README's
+exit-status entry names exactly those classes.
 
 Every result record is a named tuple with no instance dictionary, and no
 module imports dataclasses, whose decorators generate code at import.
@@ -15,7 +16,9 @@ No linter ships with the package, so this walks the syntax tree instead.
 """
 
 import ast
+import builtins
 import importlib
+import re
 import sys
 from pathlib import Path
 
@@ -274,10 +277,8 @@ def test_concurrency_use_is_reported():
                                         "subprocess", "os.fork", "os.fork", "os.sched_getaffinity"]
 
 
-def test_every_package_exception_derives_from_one_base():
-    from edgespectra import cli
-    from edgespectra.triangles import EdgespectraError
-
+def package_exceptions() -> dict:
+    """Every exception class a package module defines, by name."""
     defined = {}
     for path in sorted(PACKAGE.glob("*.py")):
         module = importlib.import_module("edgespectra" + ("" if path.stem == "__init__"
@@ -285,11 +286,27 @@ def test_every_package_exception_derives_from_one_base():
         defined.update({obj.__name__: obj for obj in vars(module).values()
                         if isinstance(obj, type) and issubclass(obj, BaseException)
                         and obj.__module__ == module.__name__})
-    assert set(defined) == {"EdgespectraError", "PreconditionViolated", "WindowExhausted",
-                            "DescentBudgetExceeded", "ScaleRejected", "SpectrumMemoryError",
-                            "TupleBudgetExceeded", "RankBudgetExceeded", "DmBudgetExceeded"}
+    return defined
+
+
+def test_every_package_exception_derives_from_one_base():
+    from edgespectra import cli
+    from edgespectra.triangles import EdgespectraError
+
+    defined = package_exceptions()
+    assert set(defined) == {"EdgespectraError", "SpectrumMemoryError", "BudgetExceeded",
+                            "ScaleRejected", "PreconditionViolated", "WindowExhausted"}
     assert all(issubclass(cls, EdgespectraError) for cls in defined.values())
     assert cli._FAILURES == (EdgespectraError, OverflowError, RecursionError)
+
+
+def test_readme_exit_status_names_exactly_the_package_exceptions():
+    # the exit-status entry for 1 names every class the package defines,
+    # and no other but Python's own
+    readme = (PACKAGE.parent.parent / "README.md").read_text()
+    entry = readme.split("\n- 1: a verification failure.", 1)[1].split("\n- 2:", 1)[0]
+    named = set(re.findall(r"`([A-Z][A-Za-z]*)`", entry)) - set(dir(builtins))
+    assert named == set(package_exceptions())
 
 
 #: The result records: immutable named tuples, built by tuple.__new__.

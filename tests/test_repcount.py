@@ -4,12 +4,8 @@ import random
 import pytest
 
 from edgespectra.cliquespec import spectrum
-from edgespectra.repcount import (
-    TupleBudgetExceeded,
-    exceptional_count,
-    rep_histogram,
-)
-from edgespectra.triangles import tri
+from edgespectra.repcount import exceptional_count, rep_histogram
+from edgespectra.triangles import BudgetExceeded, tri
 from oracles import rep_histogram_naive
 
 
@@ -108,8 +104,24 @@ def test_exceptional_rejects_non_finite_margins():
 
 
 def test_tuple_budget_guard():
-    with pytest.raises(TupleBudgetExceeded):
+    with pytest.raises(BudgetExceeded, match="sorted tuples exceeds cap"):
         rep_histogram(10_000, 2000)  # C(2003, 4) ~ 6.7e11 tuples, over the default cap
+
+
+@pytest.mark.parametrize("n", [10 ** 150, 10 ** 155, 10 ** 400], ids=["1e150", "1e155", "1e400"])
+def test_asymptotic_mode_refuses_before_floats(n):
+    # n^2/ln n overflows a float past 10^154: the tuple budget refuses a
+    # lower bound on the coordinate cap first, in exact ints
+    with pytest.raises(BudgetExceeded, match="sorted tuples exceeds cap 50000000"):
+        exceptional_count(n, asymptotic=True)
+
+
+def test_asymptotic_precheck_only_refuses_what_the_budget_refuses():
+    # the integer bound on N = floor(n/5 - n/ln n) never exceeds N, so it
+    # refuses no n whose histogram the budget admits
+    for n in range(2, 20_000):
+        low = n // 5 - 100 * n // (69 * (n.bit_length() - 1)) - 1
+        assert low <= max(0, math.floor(n / 5 - n / math.log(n))), n
 
 
 def test_exceptional_zero_partition():

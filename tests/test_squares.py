@@ -8,7 +8,6 @@ import pytest
 from edgespectra import squares
 from edgespectra.cliquespec import CliquePartition
 from edgespectra.squares import (
-    DescentBudgetExceeded,
     PreconditionViolated,
     WindowExhausted,
     bennett_search,
@@ -17,7 +16,7 @@ from edgespectra.squares import (
     three_square_decomp,
     witness7,
 )
-from edgespectra.triangles import tri
+from edgespectra.triangles import BudgetExceeded, tri
 from oracles import bennett_search_scan, three_square_decomp_descent, witness7_linear_t0
 
 
@@ -75,7 +74,7 @@ def test_decomp_strips_factors_of_four(monkeypatch):
 def test_decomp_budget_refuses_huge_v():
     # unbudgeted, the descent of 10^30 + 3 did not return in 30 s
     start = time.perf_counter()
-    with pytest.raises(DescentBudgetExceeded,
+    with pytest.raises(BudgetExceeded,
                        match=f"walked all {squares._DESCENT_STEPS} y-steps"):
         three_square_decomp(10 ** 30 + 3)
     assert time.perf_counter() - start < 10
@@ -88,14 +87,14 @@ def test_decomp_budget_counts_inner_steps(monkeypatch):
     monkeypatch.setattr(squares, "_DESCENT_STEPS", 352)
     assert three_square_decomp(935332294) == want
     monkeypatch.setattr(squares, "_DESCENT_STEPS", 351)
-    with pytest.raises(DescentBudgetExceeded, match="walked all 351 y-steps"):
+    with pytest.raises(BudgetExceeded, match="walked all 351 y-steps"):
         three_square_decomp(935332294)
 
 
 def _descent_outcome(decomp, v):
     try:
         return decomp(v)
-    except DescentBudgetExceeded as exc:
+    except BudgetExceeded as exc:
         return str(exc)
 
 

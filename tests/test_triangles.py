@@ -13,6 +13,7 @@ from edgespectra.triangles import (
     decompose_upper,
     first_square,
     int_roots,
+    is_dm_witness,
     is_triple,
     min_clique_edges,
     realizes,
@@ -20,6 +21,7 @@ from edgespectra.triangles import (
     tri_floor_root,
     tri_root,
 )
+from oracles import brute_dm_witness
 
 
 def test_tri_basics():
@@ -70,6 +72,34 @@ def test_is_triple_and_its_mutants(name):
             mutant = list(abc)
             mutant[i] += delta
             assert not is_triple(*pair, *mutant), (pair, mutant)
+
+
+def test_is_dm_witness_matches_brute_enumeration():
+    # the triples (x, y, f - xy), x <= y, that the predicate accepts: some
+    # exactly when the oracle finds one, and its first is the oracle's
+    for m in range(2, 41):
+        for f in range(m * m // 4 + 2):
+            accepted = [(x, y, f - x * y) for x in range(m + 1) for y in range(x, m + 1)
+                        if is_dm_witness(m, f, (x, y, f - x * y))]
+            assert (accepted[0] if accepted else None) == brute_dm_witness(f, m), (m, f)
+
+
+def test_is_dm_witness_rejects_its_mutants():
+    for m in range(2, 41):
+        for f in range(m * m // 4 + 1):
+            w = brute_dm_witness(f, m)
+            if w is None:
+                continue
+            x, y, z = w
+            assert is_dm_witness(m, f, w) and is_dm_witness(m, f, (y, x, z)), (m, f)
+            # the product identity, and the sign of each part
+            assert not is_dm_witness(m, f, (x, y, z + 1)), (m, f)
+            assert not is_dm_witness(m, f, (x, y, z - 1)), (m, f)
+            if x:
+                assert not is_dm_witness(m, f, (-x, -y, z)), (m, f)
+            # the tightest m the witness fits, and one vertex fewer
+            tight = x + y + z + 1 if z else x + y
+            assert is_dm_witness(tight, f, w) and not is_dm_witness(tight - 1, f, w), (m, f)
 
 
 def test_int_roots_small_by_definition():
