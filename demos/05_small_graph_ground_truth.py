@@ -66,7 +66,7 @@ print("=" * 72)
 print("5. Induced closure: m-subsets of clique unions stay inside C(m, r)")
 print("=" * 72)
 print(f"  exhaustive n=10, r=3, m=5: {induced_closure_check(10, 3, 5)}")
-print(f"  randomized n=12, r=4, m=6: {induced_closure_check(12, 4, 6, trials=5000)}")
+print(f"  exhaustive n=12, r=4, m=6: {induced_closure_check(12, 4, 6)}")
 
 print()
 print("=" * 72)

@@ -6,10 +6,10 @@ Python 3.11+ is lifted while a payload is serialised, then restored.
 Diagnostics and a reproducibility manifest go to standard error, on every
 call.  Exit status: 0 on success; 1 on a verification failure (an interval
 gap, "check failed: ..." from a re-validation) or a named failure (an
-EdgespectraError, the base of every package failure, or an OverflowError
-or RecursionError); 2 on a usage error (argparse, or a ValueError for a bad
-value, such as an --export or --csv path that cannot be written).  Failures
-print "error: <ExceptionName>: <message>"; a call that spent a work budget
+EdgespectraError, the base of every package failure, or a RecursionError);
+2 on a usage error (argparse, or a ValueError for a bad value, such as an
+--export or --csv path that cannot be written).  Failures print
+"error: <ExceptionName>: <message>"; a call that spent a work budget
 prints "error: BudgetExceeded: <message>", the message naming the budget.
 
 --check, offered where it re-validates the result by an independent
@@ -209,6 +209,7 @@ def _cmd_pell(args) -> dict:
 def _cmd_abc(args) -> tuple[list, int]:
     if args.k_max < 1:  # an empty table would certify nothing
         raise ValueError(f"need k-max >= 1, got {args.k_max}")
+    pell.check_k(args.k_max)
     rows, ok = [], True
     for k in range(1, args.k_max + 1):
         rep = pell.verify_ABC(pell.family_pair(k))
@@ -280,9 +281,9 @@ def _cmd_runs(args) -> dict:
     return {"n": args.n, "m": args.m, "f": args.f, **rep._asdict()}
 
 def _cmd_closure(args) -> tuple[dict, int]:
-    ok = graphs.induced_closure_check(args.n, args.r, args.m, trials=args.trials, seed=args.seed)
-    mode = "exhaustive" if args.trials is None else f"random({args.trials})"
-    return {"n": args.n, "r": args.r, "m": args.m, "ok": ok, "mode": mode}, 0 if ok else 1
+    ok = graphs.induced_closure_check(args.n, args.r, args.m)
+    # every check is exhaustive; "mode" stays so that pinned payloads keep their bytes
+    return {"n": args.n, "r": args.r, "m": args.m, "ok": ok, "mode": "exhaustive"}, 0 if ok else 1
 
 def _cmd_concentration(args) -> tuple[dict, int]:
     rep = graphs.concentration_experiment(args.N, args.E, args.n,
@@ -370,8 +371,7 @@ COMMANDS = {
     "turan": Command("arrow set of a complete target equals the classical threshold",
                      _cmd_turan, {"n m": int}),
     "runs": Command("interval-run structure of an arrow set", _cmd_runs, {"n m f": int}),
-    "closure": Command("induced closure of clique unions", _cmd_closure,
-                       {"n r m": int, "trials": OPT_INT, "seed": SEED}),
+    "closure": Command("induced closure of clique unions", _cmd_closure, {"n r m": int}),
     "concentration": Command("random-subset concentration experiment", _cmd_concentration,
                              {"N E n trials": int, "seed": SEED}),
     "repcount": Command("representation histogram", _cmd_repcount, {
@@ -382,9 +382,9 @@ COMMANDS = {
         "sum-cap": OPT_INT, "asymptotic": FLAG}),
 }
 
-# Named failures: the package's own and two of Python's; a ValueError (a
-# bad value) exits 2 instead.
-_FAILURES = (EdgespectraError, OverflowError, RecursionError)
+# Named failures: the package's own and Python's RecursionError; a
+# ValueError (a bad value) exits 2 instead.
+_FAILURES = (EdgespectraError, RecursionError)
 
 
 class _OptionTable(NamedTuple):

@@ -48,11 +48,6 @@ MAX_LABELED_N = 7
 MAX_DEDUP_N = 8
 _ENUM_LIMIT = 10 ** 6  # full-subset enumeration cap for exact expectations
 _ENUM_CELLS = 1 << 20  # adjacency cells read per numpy pass of that enumeration
-# Subset tests a random-mode closure check may make, each trial charged its
-# C(n, m) subsets and 32 more for its draw: a trial takes 8-11 us and 0.3-0.45
-# us a subset (2-core x86-64 VM, n = 2 to 12), so the budget is at most about
-# 4.5 s; 10^4 trials at (n, r, m) = (12, 4, 6) take 2.8 s.
-_MAX_CLOSURE_SUBSETS = 10_000_000
 
 
 class ScaleRejected(EdgespectraError):
@@ -260,43 +255,19 @@ def _clique_union_mask(n: int, parts: tuple[int, ...]) -> int:
     return mask
 
 
-def induced_closure_check(
-    n: int, r: int, m: int, trials: int | None = None, seed: int = 0
-) -> bool:
+def induced_closure_check(n: int, r: int, m: int) -> bool:
     """Every m-subset of every union of at most r cliques on n vertices
-    induces an edge count lying in the (m, r) clique spectrum.
-
-    trials=None enumerates all partitions exhaustively (n <= 10); otherwise
-    `trials` >= 1 random partitions are drawn from a seeded generator, and
-    a run whose trials * (C(n, m) + 32) exceeds _MAX_CLOSURE_SUBSETS, its
-    subset tests with each draw counted as 32, is refused by BudgetExceeded
-    before the first draw.
+    induces an edge count lying in the (m, r) clique spectrum, decided for
+    2 <= m <= n <= 12 over every partition of n into at most r parts:
+    unions of cliques on the same sorted sizes are isomorphic, so these
+    are all of them, up to isomorphism.  At n = 12 a call tests at most
+    77 partitions x 924 subsets.
     """
-    if trials is not None and trials < 1:
-        raise ValueError(f"need trials >= 1, got {trials}")
     if not 2 <= m <= n <= 12:
         raise ScaleRejected(f"need 2 <= m <= n <= 12, got n={n}, m={m}")
-    if trials is None and n > 10:
-        raise ScaleRejected(f"exhaustive mode needs n <= 10, got {n}")
     target = spectrum(m, r)
-    if trials is not None and trials * ((subsets := math.comb(n, m)) + 32) > _MAX_CLOSURE_SUBSETS:
-        raise BudgetExceeded(f"closure check of (n, r, m) = {(n, r, m)} would test {trials} x "
-                             f"({subsets} + 32) subsets, a draw counted as 32, "
-                             f"cap is {_MAX_CLOSURE_SUBSETS}")
-    if trials is None:
-        parts_iter = bounded_partitions(n, r)
-    else:
-        rng = np.random.default_rng(seed)
-
-        def _random_parts():
-            for _ in range(trials):
-                cuts = sorted(int(c) for c in rng.integers(0, n + 1, size=r - 1))
-                bounds = [0] + cuts + [n]
-                yield tuple(b - a for a, b in zip(bounds, bounds[1:]) if b > a)
-
-        parts_iter = _random_parts()
     smasks = _subset_masks(n, m)
-    for parts in parts_iter:
+    for parts in bounded_partitions(n, r):
         gmask = _clique_union_mask(n, parts)
         for sm in smasks:
             if (gmask & sm).bit_count() not in target:
@@ -343,6 +314,14 @@ _TRIAL_BYTES = 32
 # bytes a cell at N = 2000, 3000 and 4000 (23.2 at N = 1000, 22 MB in
 # all); at E = tri(N)/1000, 1.4 bytes a cell at N = 4000.
 _GRAPH_CELL_BYTES = 18
+# Adjacency cells concentration_experiment may count, each trial charged
+# the n * n cells of its subset and _DRAW_CELLS more for its draw: a trial
+# takes about 6.7 us plus 4.3 ns a cell (2-core x86-64 VM, n = 2 to 400,
+# N = 12 to 1000), so a draw costs about 1500 cells; a call at the budget
+# ran 5.9 s at n = 2, 6.8 s at n = 30 and 4.3 s at n = 400.  A larger call
+# is refused by BudgetExceeded before the graph is drawn.
+_DRAW_CELLS = 1500
+_MAX_TRIAL_CELLS = 1_000_000_000
 
 
 def _decode_pairs(N: int, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -390,7 +369,8 @@ def concentration_experiment(
     compared against 2*exp(-2 t^2 / (min(n, N-n) (n-1)^2)) plus three
     binomial standard errors.  The N x N graph and the per-trial arrays
     are charged to the memory cap of triangles (SpectrumMemoryError past
-    it) before any draw.
+    it) before any draw, and then the trials' cells to _MAX_TRIAL_CELLS
+    (BudgetExceeded past it).
     """
     if not 2 <= n <= N:
         raise ValueError(f"need 2 <= n <= N, got n={n}, N={N}")
@@ -400,6 +380,10 @@ def concentration_experiment(
         raise ValueError(f"need trials >= 1, got {trials}")
     check_cap(8 * _GRAPH_CELL_BYTES * N * N, "concentration graph cells")
     check_cap(8 * _TRIAL_BYTES * trials, "concentration trials")
+    if trials * (n * n + _DRAW_CELLS) > _MAX_TRIAL_CELLS:
+        raise BudgetExceeded(f"{trials} trials at n = {n} would count {trials} x ({n}^2 + "
+                             f"{_DRAW_CELLS}) cells, a draw counted as {_DRAW_CELLS}, "
+                             f"cap is {_MAX_TRIAL_CELLS}")
     rng = np.random.default_rng(seed)
     chosen = rng.choice(tri(N), size=E, replace=False) if E else np.empty(0, dtype=int)
     u, v = _decode_pairs(N, chosen)

@@ -7,7 +7,8 @@ t yields a pair m = 5t + 2, f = tri(3t + 1) satisfying the three-identity
 report of certify.triple_identity with minimal clique rank 2.
 
 Everything here runs in exact big-integer arithmetic; t roughly
-multiplies by a thousand per index.
+multiplies by a thousand per index.  A k or k_max above _MAX_K is refused
+by triangles.BudgetExceeded before any walk of the orbit (check_k).
 """
 
 from __future__ import annotations
@@ -16,7 +17,14 @@ from collections import namedtuple
 from itertools import islice
 from typing import Iterator
 
-from .triangles import is_triple, realizes, tri, two_part_witness
+from .triangles import BudgetExceeded, is_triple, realizes, tri, two_part_witness
+
+# The largest k and k_max the family calls take.  The orbit's ints gain
+# about 1.2 digits a step, so family_pair(k) walks in time quadratic in k
+# (2 ms at k = 1000, 0.2 s at 10^4), pell_solutions(k_max) validates k_max
+# solutions (8 ms at 1000, 5 s at 10^4), and the abc table, one family_pair
+# per k <= k_max, grows with k_max^3: 1.1-1.4 s at 1000 (2-core x86-64 VM).
+_MAX_K = 1000
 
 
 class PellSolution(namedtuple("PellSolution", "x y k")):
@@ -26,6 +34,12 @@ class PellSolution(namedtuple("PellSolution", "x y k")):
         if x * x - 7 * y * y != -3:
             raise ValueError(f"({x}, {y}) does not satisfy x^2 - 7y^2 = -3")
         return tuple.__new__(cls, (x, y, k))
+
+
+def check_k(k: int) -> None:
+    """BudgetExceeded when the index k, or a table's k_max, exceeds _MAX_K."""
+    if k > _MAX_K:
+        raise BudgetExceeded(f"Pell family index {k} exceeds cap {_MAX_K}")
 
 
 def _orbit() -> Iterator[tuple[int, int]]:
@@ -40,6 +54,7 @@ def pell_solutions(k_max: int) -> list[PellSolution]:
     """Solutions (x_0, y_0) .. (x_k_max, y_k_max) from seed (2, 1)."""
     if k_max < 0:
         raise ValueError(f"need k_max >= 0, got {k_max}")
+    check_k(k_max)
     return [PellSolution(x, y, k) for k, (x, y) in zip(range(k_max + 1), _orbit())]
 
 
@@ -64,6 +79,7 @@ def family_pair(k: int) -> FamilyPair:
     the one it returns is validated."""
     if k < 1:
         raise ValueError(f"need k >= 1, got {k}")
+    check_k(k)
     sol = PellSolution(*next(islice(_orbit(), 2 * k, None)), 2 * k)
     if sol.x % 2 or sol.y % 2 == 0:
         raise AssertionError(f"index {2 * k}: expected x even and y odd, got {sol}")

@@ -14,8 +14,9 @@ first, in bits, against EDGESPECTRA_MAX_TABLE_BITS, and refused by
 SpectrumMemoryError before it is built.  BudgetExceeded is the one
 refusal of a call that spent its work budget: the rank search's z-steps
 and the three-square descent's y-steps through WalkBudget, the D(m)
-walk's x-values (certify), the histogram's tuples (repcount) and the
-closure check's subsets (graphs).
+walk's x-values (certify), the histogram's tuples (repcount), the
+concentration experiment's cells (graphs) and the Pell family's index
+(pell).
 
 Three certificates are stated here once, for every check in the package
 to read: realizes, a clique partition of an edge count, is_triple, the

@@ -6,16 +6,15 @@ at any size of its integers.
 Seeded (m, f) draws at m near 10^6, 2^63 (both sides of the machine
 word), 10^30 and 10^100 go to the rank search's entry points, to
 dm_witness and to classify_pair.  Then three_square_decomp, witness7,
-the spectrum calls, the representation histogram, the closure check and
-bennett_search get arguments of the same sizes.  Each call runs under a
-wall-clock alarm, with the step budgets of the rank search, of
-dm_witness and of the three-square descent lowered, so a call that would
-run on, or fail by a bare MemoryError, OverflowError or RecursionError,
-fails the test by name.
-
-NOT_YET_BOUNDED lists the public calls that no budget bounds yet.
+the spectrum calls, the representation histogram, the closure check,
+bennett_search and the Pell family calls get arguments of the same
+sizes.  Each call runs under a wall-clock alarm, with the step budgets of
+the rank search, of dm_witness and of the three-square descent lowered,
+so a call that would run on, or fail by a bare MemoryError, OverflowError
+or RecursionError, fails the test by name.
 """
 
+import argparse
 import random
 import signal
 
@@ -37,10 +36,6 @@ ALARM_S = 5  # per call; the slowest call here takes well under a second
 #: What a call may raise: a refusal by name, or a bad value.
 NAMED = {"BudgetExceeded", "SpectrumMemoryError", "ScaleRejected", "PreconditionViolated",
          "ValueError"}
-#: Public calls that no budget bounds yet, each quadratic in k: family_pair
-#: (2.2 s at k = 4 * 10^4), pell_solutions, which lists k + 1 solutions of
-#: growing size, and the abc command, one family_pair per k <= k-max.
-NOT_YET_BOUNDED = ("pell.family_pair", "pell.pell_solutions", "cli abc")
 
 
 def _draws(magnitude: int, seed: int) -> list[tuple[int, int]]:
@@ -269,14 +264,11 @@ def test_histogram_calls_answer_or_refuse_by_name(bounded):
     assert seen == {"ok", "BudgetExceeded", "SpectrumMemoryError"}, seen
 
 
-def test_closure_trials_answer_or_refuse_by_name(bounded):
-    # C(8, 4) = 70 subsets a trial, each draw counted as 32 more: 10^3
-    # trials answer, and the least count past the budget is refused before
-    # a draw, as are more
-    assert bounded(induced_closure_check, 8, 2, 4, trials=10 ** 3) == ("ok", True)
-    for trials in (10 ** 7 // 102 + 1, 10 ** 9, 10 ** 30):
-        kind, name = bounded(induced_closure_check, 8, 2, 4, trials=trials)
-        assert (kind, name) == ("raised", "BudgetExceeded"), trials
+def test_closure_check_answers_at_any_r(bounded):
+    # every check is exhaustive: at most 77 partitions of n = 12, whatever r
+    for n, m in ((6, 3), (11, 5), (12, 6)):
+        for r in (2 ** 63 - 10, 2 ** 63 + 10, 10 ** 30):
+            assert bounded(induced_closure_check, n, r, m) == ("ok", True), (n, r, m)
 
 
 def test_bennett_search_past_the_word(bounded):
@@ -286,12 +278,14 @@ def test_bennett_search_past_the_word(bounded):
     assert all(2 * tri(x) == tri(y * y) for x, y in sols)
 
 
-def test_not_yet_bounded_calls_exist():
-    # each entry names a public call; it leaves the list once a budget bounds it
-    modules = {"pell": pell}
-    for entry in NOT_YET_BOUNDED:
-        if entry.startswith("cli "):
-            assert entry[4:] in cli.COMMANDS, entry
-        else:
-            module, name = entry.split(".")
-            assert callable(getattr(modules[module], name)), entry
+@pytest.mark.parametrize("k", [10 ** 3, 10 ** 6, 10 ** 30], ids=["1e3", "1e6", "1e30"])
+def test_pell_calls_answer_or_refuse_by_name(bounded, k):
+    # k = 1000 is the largest index the Pell family calls take
+    abc = cli.COMMANDS["abc"].run
+    outcomes = [bounded(pell.family_pair, k), bounded(pell.pell_solutions, k),
+                bounded(abc, argparse.Namespace(k_max=k))]
+    if k > 1000:
+        assert outcomes == [("raised", "BudgetExceeded")] * 3, k
+        return
+    (_, pair), (_, sols), (_, (rows, code)) = outcomes
+    assert pair.k == k and len(sols) == k + 1 and (len(rows), code) == (k, 0)

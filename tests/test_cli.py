@@ -361,6 +361,22 @@ def test_turan_and_closure_exit_codes(capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize("n,r,m", [(6, 10 ** 30, 3), (12, 4, 6)])
+def test_closure_is_exhaustive_at_every_admissible_n(capsys, n, r, m):
+    # an r past the machine word answers, and n = 12 is enumerated
+    code, out, _ = run_cli(capsys, ["closure", "--n", str(n), "--r", str(r), "--m", str(m)])
+    assert code == 0
+    assert json.loads(out) == {"n": n, "r": r, "m": m, "ok": True, "mode": "exhaustive"}
+
+
+def test_closure_takes_no_trials(capsys):
+    # the random mode and its options are gone: --trials is an unknown option
+    with pytest.raises(SystemExit) as exc:
+        main(["closure", "--n", "6", "--r", "2", "--m", "3", "--trials", "5"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --trials 5" in capsys.readouterr().err
+
+
 def test_three_squares_and_bennett(capsys):
     code, out, _ = run_cli(capsys, ["three-squares", "--v", "33", "--check"])
     assert code == 0
@@ -451,9 +467,12 @@ def test_budget_overrun_exits_1_with_manifest(capsys):
     # the asymptotic margins n^2/ln n once overflowed a float here
     ["exceptional", "--n", str(10 ** 155), "--asymptotic"],
     ["exceptional", "--n", str(10 ** 400), "--asymptotic"],
-    # 924 subsets a trial: days of work, refused before a draw
-    ["closure", "--n", "12", "--r", "4", "--m", "6", "--trials", str(10 ** 9)],
-], ids=["exceptional-1e155", "exceptional-1e400", "closure-1e9"])
+    # 10^6 trials of 1564 cells: 7.4 s before the trial budget refused it
+    ["concentration", "--N", "12", "--E", "50", "--n", "8", "--trials", "999996"],
+    # one past the largest Pell family index
+    ["pell", "--k", "1001"],
+    ["abc", "--k-max", "1001"],
+], ids=["exceptional-1e155", "exceptional-1e400", "concentration-1e6", "pell-1001", "abc-1001"])
 def test_unbounded_work_exits_1_naming_its_budget(capsys, argv):
     code, out, err = run_cli(capsys, argv)
     assert code == 1 and out == ""
@@ -543,8 +562,6 @@ def test_bad_value_exits_2_with_manifest(capsys, tmp_path):
                  ["abc", "--k-max", "0"],
                  ["abc", "--k-max", "-1"],
                  # no random draw, or a negative tuple cap, would certify nothing
-                 ["closure", "--n", "6", "--r", "2", "--m", "3", "--trials", "-1"],
-                 ["closure", "--n", "6", "--r", "2", "--m", "3", "--trials", "0"],
                  ["concentration", "--N", "6", "--E", "5", "--n", "3", "--trials", "0"],
                  ["exceptional", "--n", "10", "--sum-cap", "-1"],
                  ["repcount", "--n", "10", "--N", "2", "--sum-cap", "-1"],
@@ -558,15 +575,19 @@ def test_bad_value_exits_2_with_manifest(capsys, tmp_path):
 
 
 def test_overflow_exits_1_with_manifest(capsys, monkeypatch):
+    # no valid input overflows, so an OverflowError is a fault, not a named
+    # failure: main lets it through (the interpreter exits 1 on it), and the
+    # manifest is still written
     from edgespectra import certify
 
     def overflow(m, f):
         raise OverflowError("Python int too large to convert to C long")
 
     monkeypatch.setattr(certify, "classify_pair", overflow)
-    code, out, err = run_cli(capsys, ["classify", "--m", "7", "--f", "12"])
-    assert code == 1 and out == ""
-    assert "error: OverflowError:" in err
+    with pytest.raises(OverflowError):
+        main(["classify", "--m", "7", "--f", "12"])
+    out, err = capsys.readouterr()
+    assert out == "" and "error: OverflowError:" not in err
     assert _manifest(err)["output_digest"] == hashlib.sha256(b"").hexdigest()
 
 
@@ -689,8 +710,7 @@ def _fuzz_argvs(count, seed, *, magnitude=False):
     and one in twenty has a malformed value.
 
     The magnitude arm draws valid values instead, sizes near 10^6, 2^63 and
-    10^30, for every command but pell and abc, whose work no budget bounds
-    yet; one call in twenty has a malformed value, "1.5" for an int."""
+    10^30; one call in twenty has a malformed value, "1.5" for an int."""
     rng = random.Random(seed)
     if magnitude:
         return [_magnitude_argv(rng) for _ in range(count)]
@@ -730,7 +750,7 @@ def _fuzz_argvs(count, seed, *, magnitude=False):
                     "--trials", near(0, 30), "--seed", rng.randint(0, 9)]
         elif cmd == "closure":
             n = near(2, 8)
-            argv = [cmd, "--n", n, "--r", near(1, 4), "--m", near(2, n), *maybe("--trials", near(0, 3))]
+            argv = [cmd, "--n", n, "--r", near(1, 4), "--m", near(2, n)]
         else:
             m = rng.randint(-1, 300)
             top = tri(max(m, 0))
@@ -752,7 +772,7 @@ def _magnitude_argv(rng):
 
     cmd = rng.choice(["classify", "minr", "dm", "witness", "spectrum", "density", "interval",
                       "three-squares", "bennett", "witness7", "exceptional", "repcount",
-                      "closure", "concentration", "turan", "runs"])
+                      "closure", "concentration", "turan", "runs", "pell", "abc"])
     if cmd in ("classify", "minr", "dm"):
         m = big()
         f = rng.choice([rng.randint(0, 4 * m), rng.randint(0, tri(m)), tri(m) - rng.randint(0, m)])
@@ -778,17 +798,19 @@ def _magnitude_argv(rng):
         argv = [cmd, "--n", big(), "--N", rng.choice([3, big()])]
     elif cmd == "closure":
         n = rng.randint(2, 12)
-        argv = [cmd, "--n", n, "--r", rng.randint(1, 4), "--m", rng.randint(2, n),
-                "--trials", rng.choice([10 ** 7, big()])]
+        argv = [cmd, "--n", n, "--r", big(), "--m", rng.randint(2, n)]
     elif cmd == "concentration":
-        # trials are charged to the memory cap alone: 10^6 would run for seconds
         N = rng.choice([12, big()])
         argv = [cmd, "--N", N, "--E", rng.randint(0, tri(N)), "--n", rng.randint(2, 12),
-                "--trials", rng.choice([10, 2 ** 63, 10 ** 30]) if N == 12 else 10]
+                "--trials", rng.choice([10, big()])]
+    elif cmd == "pell":
+        argv = [cmd, "--k", big()]
+    elif cmd == "abc":
+        argv = [cmd, "--k-max", big()]
     else:  # turan and runs: n past the exhaustive range
         argv = [cmd, "--n", big(), "--m", rng.randint(3, 4)] + (["--f", 1] if cmd == "runs" else [])
     offers_check = cmd in ("classify", "minr", "dm", "witness", "spectrum", "density",
-                           "three-squares", "bennett", "repcount")
+                           "three-squares", "bennett", "repcount", "pell")
     argv = [str(a) for a in argv] + ["--check"] * (offers_check and rng.random() < 0.5)
     if rng.random() < 0.05:
         argv[rng.choice((2, 4)) if len(argv) > 4 else 2] = "1.5"
@@ -1001,15 +1023,16 @@ def test_spectrum_check_builds_each_layer_once(capsys, monkeypatch):
 
 # Calls that set different options of one subparser, an argparse error and
 # the call after it: a parser that kept state between calls would differ
-# from a fresh one somewhere here.
+# from a fresh one somewhere here.  The repcount rows set its optional int
+# --sum-cap, whose default is None, and then leave it out.
 PARSER_STATE_SEQUENCE = [
     "witness7 --n 30000 --m 100000000",
     "witness7 --n 30000 --samples 3",
     "witness7 --n 30000 --m 100000000 --samples 3",
     "witness7 --n 30000 --m 100000000",
-    "closure --n 6 --r 2 --m 3",
-    "closure --n 6 --r 2 --m 3 --trials 5",
-    "closure --n 6 --r 2 --m 3",
+    "repcount --n 30 --N 8",
+    "repcount --n 30 --N 8 --sum-cap 20",
+    "repcount --n 30 --N 8",
     "spectrum --n 5",
     "spectrum --n 5 --r 2",
 ]
@@ -1066,7 +1089,7 @@ ONE_PER_COMMAND = {
     "snm": "snm --n 6 --m 3 --f 1",
     "turan": "turan --n 7 --m 4",
     "runs": "runs --n 5 --m 3 --f 2",
-    "closure": "closure --n 6 --r 2 --m 3 --trials 5",
+    "closure": "closure --n 6 --r 2 --m 3",
     "concentration": "concentration --N 8 --E 10 --n 4 --trials 50",
     "repcount": "repcount --n 30 --N 8 --sum-cap 20 --csv out.csv",
     "exceptional": "exceptional --n 30 --N 9 --lo-margin 0.5 --asymptotic",

@@ -3,14 +3,14 @@ import json
 import tracemalloc
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, permutations
+from itertools import chain, combinations, combinations_with_replacement, permutations
 
 import numpy as np
 import pytest
 
 from edgespectra import graphs
 from edgespectra.cli import main
-from edgespectra.cliquespec import spectrum
+from edgespectra.cliquespec import bounded_partitions, spectrum
 from edgespectra.graphs import (
     GraphMask,
     ScaleRejected,
@@ -549,38 +549,62 @@ def test_graphmask_roundtrip():
 def test_induced_closure_examples():
     assert induced_closure_check(10, 3, 5)
     assert induced_closure_check(6, 1, 3)
-    assert induced_closure_check(12, 4, 6, trials=2000, seed=3)
+    assert induced_closure_check(12, 4, 6)
 
 
 def test_induced_closure_scale_guard():
-    with pytest.raises(ScaleRejected):
-        induced_closure_check(13, 3, 5)
-    with pytest.raises(ScaleRejected):
-        induced_closure_check(11, 3, 5)  # exhaustive mode needs n <= 10
-    for trials in (-1, 0):  # would certify nothing
-        with pytest.raises(ValueError, match="trials >= 1"):
-            induced_closure_check(6, 2, 3, trials=trials)
+    for n, m in ((13, 5), (12, 13), (5, 1)):
+        with pytest.raises(ScaleRejected, match="need 2 <= m <= n <= 12"):
+            induced_closure_check(n, 3, m)
+    with pytest.raises(TypeError):  # the random mode is gone, and its trials with it
+        induced_closure_check(6, 2, 3, trials=5)
 
 
-def test_induced_closure_trials_budget(monkeypatch):
-    # trials * (C(n, m) + 32) past the budget of subset tests is refused
-    # before any draw; C(12, 6) = 924, so 10^9 trials would test 9.24 * 10^11
-    # subsets, and C(2, 2) = 1, where the draws cost the most
-    class Drew(Exception):
-        pass
+def _draw_outcomes(n: int, draws) -> set[tuple[int, ...]]:
+    """The parts the removed random closure mode made of each sorted tuple
+    of cut points of [0, n] in draws: its positive gaps, sorted."""
+    outcomes = set()
+    for cuts in draws:
+        bounds = (0, *cuts, n)
+        outcomes.add(tuple(sorted((b - a for a, b in zip(bounds, bounds[1:]) if b > a),
+                                  reverse=True)))
+    return outcomes
 
-    def default_rng(seed):
-        raise Drew
 
-    monkeypatch.setattr(graphs.np.random, "default_rng", default_rng)
-    for n, m, subsets in ((12, 6, 924), (2, 2, 1)):
-        most = 10 ** 7 // (subsets + 32)
-        for trials in (most + 1, 10 ** 9):
-            with pytest.raises(BudgetExceeded, match=fr"would test {trials} x \({subsets} \+ 32\) "
-                                                     "subsets, a draw counted as 32, cap is 10000000"):
-                induced_closure_check(n, 1, m, trials=trials)
-        with pytest.raises(Drew):  # the most the budget admits
-            induced_closure_check(n, 1, m, trials=most)
+def test_random_draws_were_bounded_partitions():
+    # the removed random mode cut [0, n] at r - 1 uniform points of 0..n and
+    # kept the positive gaps.  A union of cliques is the same graph, up to
+    # isomorphism, in any order of its parts, so what it could draw is the
+    # set of sorted gaps, which is exactly the partitions the exhaustive
+    # check visits.  A gap is positive only after a cut inside (0, n) and
+    # not on the cut before it, so the sets of at most r - 1 inner cuts
+    # reach every outcome; every multiset of r - 1 cuts is drawn for n <= 7
+    for n in range(2, 13):
+        for r in range(1, n + 2):
+            expected = set(bounded_partitions(n, r))
+            inner = chain.from_iterable(combinations(range(1, n), k) for k in range(r))
+            assert _draw_outcomes(n, inner) == expected, (n, r)
+            if n <= 7:
+                every = combinations_with_replacement(range(n + 1), r - 1)
+                assert _draw_outcomes(n, every) == expected, (n, r)
+
+
+def test_induced_closure_holds_at_n_11_and_12():
+    for n in (11, 12):
+        for r in range(1, n + 2):
+            for m in range(2, n + 1):
+                assert induced_closure_check(n, r, m), (n, r, m)
+
+
+def test_induced_closure_sees_a_dropped_member(monkeypatch):
+    # every member of C(m, r) is induced by some union of r cliques on n
+    # vertices, so a target missing any one of them fails the check
+    for n, r, m in ((8, 3, 5), (12, 4, 6), (12, 2, 12)):
+        spec = spectrum(m, r)
+        for e in spec.members():
+            monkeypatch.setattr(graphs, "spectrum",
+                                lambda m_, r_, e=e: spec._replace(mask=spec.mask & ~(1 << e)))
+            assert not induced_closure_check(n, r, m), (n, r, m, e)
 
 
 def test_concentration_exact_small():
@@ -595,6 +619,26 @@ def test_concentration_needs_a_draw():
     for trials in (-1, 0):
         with pytest.raises(ValueError, match="trials >= 1"):
             concentration_experiment(6, 5, 3, trials=trials)
+
+
+@pytest.mark.parametrize("N,n", [(12, 2), (600, 400)])
+def test_concentration_trials_budget(monkeypatch, N, n):
+    # trials * (n^2 + 1500) past 10^9 cells is refused before the graph is
+    # drawn, and the most the budget admits goes on to draw it
+    class Drew(Exception):
+        pass
+
+    def default_rng(seed):
+        raise Drew
+
+    monkeypatch.setattr(graphs.np.random, "default_rng", default_rng)
+    most = 10 ** 9 // (n * n + 1500)
+    with pytest.raises(BudgetExceeded, match=fr"^{most + 1} trials at n = {n} would count "
+                                             fr"{most + 1} x \({n}\^2 \+ 1500\) cells, a draw "
+                                             "counted as 1500, cap is 1000000000$"):
+        concentration_experiment(N, 50, n, trials=most + 1)
+    with pytest.raises(Drew):
+        concentration_experiment(N, 50, n, trials=most)
 
 
 def test_concentration_graph_charged_to_guard(monkeypatch):

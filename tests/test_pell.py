@@ -3,9 +3,10 @@ from fractions import Fraction
 
 import pytest
 
+from edgespectra import pell
 from edgespectra.certify import classify_pair, min_r, three_part_witness
 from edgespectra.pell import FamilyPair, family_pair, pell_solutions, verify_ABC
-from edgespectra.triangles import tri, two_part_witness
+from edgespectra.triangles import BudgetExceeded, tri, two_part_witness
 from oracles import scan_two_clique_partitions
 
 
@@ -50,8 +51,9 @@ def test_family_pair_matches_list_route():
         assert family_pair(k) == want, k
 
 
-def test_family_pair_keeps_one_solution():
+def test_family_pair_keeps_one_solution(monkeypatch):
     # the list of 4001 solutions peaked at 8.8 MB; one walk keeps the current one
+    monkeypatch.setattr(pell, "_MAX_K", 2000)  # past the index budget, to see the peak
     tracemalloc.start()
     try:
         family_pair(2000)
@@ -59,6 +61,17 @@ def test_family_pair_keeps_one_solution():
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+def test_family_index_budget(monkeypatch):
+    # k and k_max up to 1000 answer; above it they are refused before the
+    # orbit is walked
+    assert family_pair(1000).k == 1000 and len(pell_solutions(1000)) == 1001
+    monkeypatch.setattr(pell, "_orbit", lambda: pytest.fail("the orbit was walked"))
+    for call in (family_pair, pell_solutions):
+        for k in (1001, 10 ** 30):
+            with pytest.raises(BudgetExceeded, match=f"Pell family index {k} exceeds cap 1000"):
+                call(k)
 
 
 def test_family_rejects_k0():
