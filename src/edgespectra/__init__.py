@@ -42,7 +42,6 @@ from .cliquespec import (
     CliquePartition,
     EdgeSpectrum,
     bounded_partitions,
-    bounds_sweep,
     density_and_bounds,
     member_witness,
     spectrum,

@@ -7,24 +7,25 @@ holds, for each vertex budget v, the bitmask of edge sums reachable with at
 most k parts.  Rows are Python integers used as bit-vectors, so membership,
 counting and shifting are single big-int operations.
 
-Every path builds its layers with one kernel, _layer (and its one-row form
-_row), and row v of layer k only ever reads rows up to floor(v(k-1)/k) of
-layer k - 1.  So a target (n, r) needs layer k only up to the cap
-floor(nk/r), and the top layer only row n.  That row is the OR, over
-a >= ceil(n/r), of row n - a of layer r - 1 shifted by tri(a), so spectrum
-stores layers 1..r-2 only and streams layer r - 1, its largest: each of its
-rows is built, OR-ed into the top row and dropped (_top).
+Every layer is one view, _Layer(prev, k, cap, n, r): layer k toward row n
+of layer r, each row built from layer k - 1 (prev) by one kernel, _row.
+Row v of layer k only ever reads rows up to floor(v(k-1)/k) of layer
+k - 1, so layer k is needed only up to the cap floor(nk/r), and the top
+layer only at row n.  That row is the OR, over a >= ceil(n/r), of row
+n - a of layer r - 1 shifted by tri(a), so spectrum stores layers 1..r-2
+only, as the lists of their rows, and reads layer r - 1, its largest,
+through the view itself: each of its rows is built, OR-ed into the top
+row and dropped.
 
 Nor does row n need every partition of v into k parts in row v of layer
 k < r: only the canonical tails, the k smallest parts of a partition of n
 into r parts p_1 >= ... >= p_r >= 0.  Their largest part a is at most each
-of the r - k larger parts, which sum to n - v, so toward (n, r) row v of
-layer k takes a <= floor((n - v)/(r - k)) only (n - w for row w of the
-streamed layer).  The rest v - a still fits the bound of row v - a of
-layer k - 1, since a <= floor((n - v)/(r - k)) gives
-a <= floor((n - v + a)/(r - k + 1)).  So, by induction on k, every row
-holds every canonical tail and stays a subset of C(v, k), and row n is
-C(n, r) bit for bit.
+of the r - k larger parts, which sum to n - v, so row v of layer k takes
+a <= floor((n - v)/(r - k)) only, which is n - v on layer r - 1.  The
+rest v - a still fits the bound of row v - a of layer k - 1, since
+a <= floor((n - v)/(r - k)) gives a <= floor((n - v + a)/(r - k + 1)).
+So, by induction on k, every row holds every canonical tail and stays a
+subset of C(v, k), and row n is C(n, r) bit for bit.
 
 At r = 5 and n >= 288 (and n = 275, 281-285) C(n, 5) is built from three
 exact pieces instead (_cover_plan):
@@ -51,15 +52,14 @@ is streamed, a few ints the size of its rows and of the top row;
 the memory guard, triangles.check_cap, is charged for them as "DP
 tables", at the size of full rows, before the first layer is built.  On
 the r = 5 route these are the band's layers, and the cover's run is
-OR-ed into the top row within the same charge.
-The guard is charged in two steps: first the top row's four ints,
-4(tri(n) + 1) bits, a term of every route's charge, before a cover plan
-or a layer cap is made, so a refusal takes the same time at any n and r;
-then the whole charge, read off the route's layer caps.
-bounds_sweep reads every row of every layer, so it stores full layers of
-full rows.  member_witness reads no layer (it is triangles.clique_parts,
-a recursion over the largest part), but it is guarded as spectrum(n, r)
-is, from the same cover plan, which is made once per n and cached.
+OR-ed into the top row within the same charge.  The guard is charged in
+two steps: first the top row's four ints, 4(tri(n) + 1) bits, a term of
+every route's charge, before a cover plan or a layer cap is made, so a
+refusal takes the same time at any n and r; then the whole charge, read
+off the route's layer caps.  member_witness reads no layer (it is
+triangles.clique_parts, a recursion over the largest part), but it is
+guarded as spectrum(n, r) is, from the same cover plan, which is made
+once per n and cached.
 """
 
 from __future__ import annotations
@@ -183,15 +183,16 @@ def _rows_bits(cap: int) -> int:
 
 
 def _estimate_bits(caps: list[int]) -> int:
-    # alive at once: the two largest stored layers (the one being built and
-    # the one it reads; layers r - 3 and r - 2), and, while layer r - 1 is
-    # streamed, three ints the size of one of its rows (_row's row, shifted
-    # block and OR result) and four the size of the top row: the same three
-    # in the top row, and on the r = 5 route the mask and the three ints
-    # that OR the cover's run into it.  At r = 2 no layer is stored, and
-    # these ints are the whole charge.  Each is charged at its full row's
-    # size; a row bounded toward (n, r) is no longer, and most are shorter.
-    # Caps are nondecreasing, so the two largest stored layers are the last.
+    # alive at once: the two largest stored layers (the _Layer.rows being
+    # built and the one it reads; layers r - 3 and r - 2), and, while _row
+    # reads layer r - 1 through its _Layer view, three ints the size of one
+    # of its rows (_row's row, shifted block and OR result) and four the
+    # size of the top row: the same three in the top row, and on the r = 5
+    # route the mask and the three ints that OR the cover's run into it.  At
+    # r = 2 no layer is stored, and these ints are the whole charge.  Each
+    # is charged at its full row's size; a row bounded toward (n, r) is no
+    # longer, and most are shorter.  Caps are nondecreasing, so the two
+    # largest stored layers are the last.
     streamed_row, top_row = tri(caps[-2]) + 1, tri(caps[-1]) + 1
     return sum(_rows_bits(c) for c in caps[-4:-2]) + 3 * streamed_row + 4 * top_row
 
@@ -204,15 +205,15 @@ def _estimate_bits(caps: list[int]) -> int:
 _BLOCK = 64
 
 
-def _row(prev: list[int] | _StreamedLayer, v: int, k: int, hi: int | None = None) -> int:
+def _row(prev: list[int] | _Layer, v: int, k: int, hi: int) -> int:
     """Row v of layer k from layer k - 1: the OR, over largest parts a with
-    ceil(v/k) <= a <= min(v, hi) (a <= v without hi), of row v - a shifted
-    by tri(a).  It holds the edge sums of every partition of v into at most
-    k parts no larger than hi whose rest layer k - 1 holds, and none outside
-    C(v, k); over full rows without hi it is C(v, k).  It reads layer k - 1
-    at rows up to floor(v(k-1)/k) only, each once, in decreasing order."""
+    ceil(v/k) <= a <= min(v, hi), of row v - a shifted by tri(a).  It holds
+    the edge sums of every partition of v into at most k parts no larger
+    than hi whose rest layer k - 1 holds, and none outside C(v, k); over
+    full rows with hi >= v it is C(v, k).  It reads layer k - 1 at rows up
+    to floor(v(k-1)/k) only, each once, in decreasing order."""
     row = 0
-    stop = v + 1 if hi is None else min(v, hi) + 1
+    stop = min(v, hi) + 1
     # largest part first: a >= ceil(v/k) covers every partition once
     for a0 in range(-(-v // k), stop, _BLOCK):
         block, offset = 0, 0
@@ -223,41 +224,28 @@ def _row(prev: list[int] | _StreamedLayer, v: int, k: int, hi: int | None = None
     return row
 
 
-class _StreamedLayer:
-    """Layer k = r - 1 as _row reads it toward row n of layer r, with no row
-    stored: row w, its largest part bounded by n - w, is built from layer
-    k - 1 (prev) when read, if w <= cap, and reads 0 otherwise."""
+class _Layer:
+    """Layer k toward row n of layer r (k < r), read row by row: row v, its
+    largest part bounded by floor((n - v)/(r - k)), is built from layer
+    k - 1 (prev) when read, if v <= cap, and reads 0 otherwise.  Layer
+    r - 1 is read through the view, each row once; a lower layer is stored
+    as rows()."""
 
-    def __init__(self, prev: list[int], k: int, cap: int, n: int):
-        self.prev, self.k, self.cap, self.n = prev, k, cap, n
+    def __init__(self, prev: list[int], k: int, cap: int, n: int, r: int):
+        self.prev, self.k, self.cap, self.n, self.r = prev, k, cap, n, r
 
-    def __getitem__(self, w: int) -> int:
-        return _row(self.prev, w, self.k, self.n - w) if w <= self.cap else 0
+    def __getitem__(self, v: int) -> int:
+        return _row(self.prev, v, self.k, (self.n - v) // (self.r - self.k)) if v <= self.cap else 0
 
-
-def _layer(prev: list[int], k: int, cap: int, target: tuple[int, int] | None = None) -> list[int]:
-    """Rows 0..cap of layer k from layer k - 1; layer 0 is [1].  Toward row n
-    of layer r (target (n, r), k < r) row v takes largest parts up to
-    floor((n - v)/(r - k)) only, which keeps every canonical tail; without a
-    target rows are full, C(v, k)."""
-    # Rows are built largest first: the temporaries of a row then fit in the
-    # heap holes the larger row before it left, where in increasing order
-    # none would.  At n = 2000, r = 5, on a 2-core x86-64 VM, the peak RSS
-    # fell from 84 MB to 76 MB.
-    def hi(v: int) -> int | None:
-        return None if target is None else (target[0] - v) // (target[1] - k)
-
-    rows = [_row(prev, v, k, hi(v)) for v in range(cap, -1, -1)]
-    rows.reverse()
-    return rows
-
-
-def _top(prev: list[int], n: int, k: int, cap: int) -> int:
-    """Row n of layer k, streaming layer k - 1: each of its rows w in 0..cap
-    is built from layer k - 2 (prev) with largest parts up to n - w, the
-    largest part a = n - w of the top row that reads it, OR-ed into the top
-    row at its shift and dropped."""
-    return _row(_StreamedLayer(prev, k - 1, cap, n), n, k)
+    def rows(self) -> list[int]:
+        """Rows 0..cap; layer 0 is [1]."""
+        # Rows are built largest first: the temporaries of a row then fit in
+        # the heap holes the larger row before it left, where in increasing
+        # order none would.  At n = 2000, r = 5, on a 2-core x86-64 VM, the
+        # peak RSS fell from 84 MB to 76 MB.
+        rows = [self[v] for v in range(self.cap, -1, -1)]
+        rows.reverse()
+        return rows
 
 
 def _check_n_r(n: int, r: int) -> None:
@@ -339,8 +327,8 @@ def spectrum(n: int, r: int) -> EdgeSpectrum:
         return EdgeSpectrum(n=n, r=r, mask=1 << tri(n))
     prev = [1]
     for k in range(1, k_eff - 1):
-        prev = _layer(prev, k, caps[k], (n, k_eff))
-    mask = _top(prev, n, k_eff, caps[k_eff - 1])
+        prev = _Layer(prev, k, caps[k], n, k_eff).rows()
+    mask = _row(_Layer(prev, k_eff - 1, caps[k_eff - 1], n, k_eff), n, k_eff, n)
     if plan is not None:  # the top band is built; add the cover's run and the values below it
         lo, hi, _ = plan
         mask |= (1 << (hi + 1)) - (1 << lo)
@@ -387,21 +375,6 @@ def _density_report(n: int, r: int, mask: int) -> DensityReport:
 def density_and_bounds(n: int, r: int) -> DensityReport:
     """Cardinality, density and the two bound checks for C(n, r)."""
     return _density_report(n, r, spectrum(n, r).mask)
-
-
-def bounds_sweep(n_max: int, r_max: int) -> Iterator[DensityReport]:
-    """Stream DensityReports for every 1 <= n <= n_max, 2 <= r <= r_max.
-
-    One full-table DP pass per report family: rows for all v are kept for
-    the current layer only, so the whole sweep costs two layers of memory,
-    which the memory guard is charged before the first is built.
-    """
-    check_cap(2 * _rows_bits(n_max), "DP tables")
-    prev = _layer([1], 1, n_max)
-    for r in range(2, r_max + 1):
-        prev = _layer(prev, r, n_max)
-        for n in range(1, n_max + 1):
-            yield _density_report(n, r, prev[n])
 
 
 class IntervalReport(namedtuple("IntervalReport", "ok first_gap vacuous lo hi")):

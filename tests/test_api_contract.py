@@ -8,27 +8,38 @@ word), 10^30 and 10^100 go to the rank search's entry points, to
 dm_witness and to classify_pair.  Then three_square_decomp, witness7,
 the spectrum calls, the representation histogram, the closure check,
 bennett_search and the Pell family calls get arguments of the same
-sizes.  Each call runs under a wall-clock alarm, with the step budgets of
+sizes, and every other public function gets 3, 7, 2^63 + 9, 10^30 and
+10^100.  Every public function of the package has a row here
+(test_every_public_function_has_a_row).  Each call runs under a wall-clock alarm, with the step budgets of
 the rank search, of dm_witness and of the three-square descent lowered,
 so a call that would run on, or fail by a bare MemoryError, OverflowError
 or RecursionError, fails the test by name.
 """
 
 import argparse
+import ast
+import inspect
+import pathlib
 import random
 import signal
 
 import pytest
 
+import edgespectra
 from edgespectra import certify, cli, pell, squares
-from edgespectra.certify import classify_pair, dm_witness, min_r, min_r_witness, three_part_witness
-from edgespectra.cliquespec import density_and_bounds, member_witness, spectrum, verify_interval
-from edgespectra.graphs import induced_closure_check
+from edgespectra.certify import (classify_pair, dm_witness, min_r, min_r_witness,
+                                 three_part_witness, triple_identity)
+from edgespectra.cliquespec import (bounded_partitions, density_and_bounds, member_witness,
+                                    spectrum, verify_interval)
+from edgespectra.graphs import (arrow, canonical_reps, compute_Snm, concentration_experiment,
+                                induced_closure_check, interval_runs, turan_check, turan_number)
+from edgespectra.pell import family_pair, verify_ABC
 from edgespectra.repcount import exceptional_count, rep_histogram
 from edgespectra.squares import (bennett_search, is_three_square, r7_interval,
                                  three_square_decomp, witness7)
 from edgespectra.triangles import (BudgetExceeded, EdgespectraError, SpectrumMemoryError,
-                                   clique_parts, is_dm_witness, min_clique_edges, realizes, tri)
+                                   clique_parts, decompose_lower, decompose_upper, is_dm_witness,
+                                   min_clique_edges, realizes, tri, tri_root, two_part_witness)
 
 MAGNITUDES = {"1e6": 10 ** 6, "2^63": 2 ** 63, "1e30": 10 ** 30, "1e100": 10 ** 100}
 DRAWS = 30  # (m, f) pairs per magnitude
@@ -289,3 +300,97 @@ def test_pell_calls_answer_or_refuse_by_name(bounded, k):
         return
     (_, pair), (_, sols), (_, (rows, code)) = outcomes
     assert pair.k == k and len(sols) == k + 1 and (len(rows), code) == (k, 0)
+
+
+#: The sizes every other public function gets: small, past the machine word
+#: and far past it.
+SIZES = {"3": 3, "7": 7, "2^63+9": 2 ** 63 + 9, "1e30": 10 ** 30, "1e100": 10 ** 100}
+#: Isomorphism classes of graphs on 3 and 7 vertices.
+GRAPH_CLASSES = {3: 4, 7: 1044}
+
+
+def _legendre(v: int) -> bool:
+    """v >= 1 is a sum of three squares unless it is 4^a (8b + 7)."""
+    while v % 4 == 0:
+        v //= 4
+    return v % 8 != 7
+
+
+@pytest.mark.parametrize("x", list(SIZES.values()), ids=list(SIZES))
+def test_integer_calls_answer_at_any_size(bounded, x):
+    kind, t = bounded(tri, x)
+    assert kind == "ok" and 2 * t == x * (x - 1)
+    assert bounded(tri_root, t) == ("ok", x)
+    assert bounded(tri_root, t + 1) == ("ok", None)
+    kind, low = bounded(decompose_lower, x)
+    assert kind == "ok" and x == tri(low.b) - low.bp and 0 <= low.bp < low.b - 1
+    kind, up = bounded(decompose_upper, x)
+    assert kind == "ok" and x == tri(up.ell) + up.ellp and 0 <= up.ellp < up.ell
+    assert bounded(is_three_square, x) == ("ok", _legendre(x))
+    kind, (lo, hi) = bounded(r7_interval, x)
+    assert kind == "ok" and 14 * (lo - 1) < x * x + 7 * x + 29400 <= 14 * lo
+    assert (tri(x) - hi) ** 2 >= 66 * 66 * x ** 3 > (tri(x) - hi - 1) ** 2
+    q, s = divmod(x, 7)  # the balanced 7-partite graph misses s parts of q + 1, 7 - s of q
+    assert bounded(turan_number, x, 7) == ("ok", tri(x) - s * tri(q + 1) - (7 - s) * tri(q))
+    kind, w = bounded(two_part_witness, x, tri(x - 1))
+    assert kind == "ok" and sum(w) == x and min(w) >= 1 and realizes(w, x, tri(x - 1))
+    kind, parts = bounded(bounded_partitions, x, 3)
+    kind, first = bounded(next, parts)  # the generator is advanced once
+    assert kind == "ok" and first == (x,)
+    for f in (x - 1, tri(x) // 3):
+        kind, ident = bounded(triple_identity, x, f)
+        assert kind == "ok", (x, f)
+        if ident is not None:
+            a, b, c = ident
+            assert f == tri(a) == tri(x) - tri(b) == c * (x - c), (x, f)
+
+
+@pytest.mark.parametrize("x", list(SIZES.values()), ids=list(SIZES))
+def test_graph_calls_answer_or_refuse_by_name(bounded, x):
+    # the ground truth is exhaustive: past n = 7 (8 for the catalogue) every
+    # call is refused by ScaleRejected, and the draw past its memory cap
+    small = x in GRAPH_CLASSES
+    kind, reps = bounded(canonical_reps, x)
+    assert (kind, len(reps)) == ("ok", GRAPH_CLASSES[x]) if small else reps == "ScaleRejected"
+    kind, res = bounded(arrow, x, 3, 3, 1)
+    assert kind == "ok" if small else res == "ScaleRejected"
+    if small:
+        assert bounded(res.validate, 3, 3, 1) == ("ok", None)
+    kind, spec = bounded(compute_Snm, x, 3, 1)
+    assert kind == "ok" if small else spec == "ScaleRejected"
+    if small:
+        assert spec.members() == [e for e in range(tri(x) + 1) if arrow(x, e, 3, 1).holds]
+    kind, runs = bounded(interval_runs, x, 3, 1)
+    assert kind == "ok" if small else runs == "ScaleRejected"
+    if small:
+        assert [e for lo, hi in runs.runs for e in range(lo, hi + 1)] == spec.members()
+    kind, ok = bounded(turan_check, x, 3)
+    assert (kind, ok) == ("ok", True) if small else ok == "ScaleRejected"
+    kind, rep = bounded(concentration_experiment, x, 3, 3, 1)
+    assert kind == "ok" if small else rep == "SpectrumMemoryError"
+    if small:
+        assert (rep.N, rep.trials) == (x, 1) and rep.expectation_identity_ok is not False
+
+
+@pytest.mark.parametrize("k", [3, 7, 1000])
+def test_verify_abc_answers_on_family_pairs(bounded, k):
+    # real pairs, m past 2^63 from k = 7 on: an int is outside the contract
+    pair = family_pair(k)
+    kind, rep = bounded(verify_ABC, pair)
+    assert kind == "ok" and rep.all_ok and rep.pair == pair
+    assert bounded(triple_identity, pair.m, pair.f) == ("ok", (pair.a, pair.b, pair.c))
+
+
+def _row_functions() -> set[str]:
+    """The names of the functions this module's rows run under bounded."""
+    tree = ast.parse(pathlib.Path(__file__).read_text())
+    return {call.args[0].id if isinstance(call.args[0], ast.Name) else call.args[0].attr
+            for call in ast.walk(tree)
+            if isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
+            and call.func.id == "bounded" and call.args}
+
+
+def test_every_public_function_has_a_row():
+    public = {name for name in edgespectra.__all__
+              if inspect.isfunction(getattr(edgespectra, name))}
+    assert public - _row_functions() == set()

@@ -407,6 +407,23 @@ def test_abc_certifies_every_k(capsys):
     assert exc.value.code == 2
 
 
+def test_abc_walks_the_orbit_once(capsys, monkeypatch):
+    # the table's pairs come from one walk to index 2 k-max: 101 solutions
+    # for k-max 50, where a walk per k took about 2,600
+    from edgespectra import pell
+
+    steps, orbit = [0], pell._orbit
+
+    def counted():
+        for sol in orbit():
+            steps[0] += 1
+            yield sol
+    monkeypatch.setattr(pell, "_orbit", counted)
+    code, out, _ = run_cli(capsys, ["abc", "--k-max", "50"])
+    assert code == 0 and [row["k"] for row in json.loads(out)] == list(range(1, 51))
+    assert 0 < steps[0] <= 101
+
+
 def test_arrow_and_snm(capsys):
     code, out, _ = run_cli(capsys, ["arrow", "--n", "5", "--e", "6",
                                     "--m", "3", "--f", "3", "--check"])
@@ -1012,9 +1029,8 @@ def test_snm_check_recounts_counterexample(capsys, monkeypatch):
 def test_spectrum_check_builds_each_layer_once(capsys, monkeypatch):
     from edgespectra import cliquespec
 
-    built, real = [], cliquespec._layer
-    monkeypatch.setattr(cliquespec, "_layer",
-                        lambda prev, k, cap, target: built.append(k) or real(prev, k, cap, target))
+    built, real = [], cliquespec._Layer.rows
+    monkeypatch.setattr(cliquespec._Layer, "rows", lambda layer: built.append(layer.k) or real(layer))
     code, out, _ = run_cli(capsys, ["spectrum", "--n", "60", "--r", "5", "--check"])
     assert code == 0 and json.loads(out)["count"] == 893
     assert sorted(built) == [1, 2, 3]  # layer r - 1 = 4 is streamed into the top row

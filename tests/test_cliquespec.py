@@ -11,17 +11,14 @@ from edgespectra.cliquespec import (
     _BLOCK,
     CliquePartition,
     EdgeSpectrum,
-    _StreamedLayer,
+    _Layer,
     _cover_plan,
     _cover_run,
     _estimate_bits,
-    _layer,
     _layer_caps,
     _row,
     _rows_bits,
-    _top,
     bounded_partitions,
-    bounds_sweep,
     density_and_bounds,
     member_witness,
     spectrum,
@@ -30,8 +27,8 @@ from edgespectra.cliquespec import (
 from edgespectra.triangles import (_DEFAULT_MAX_TABLE_BITS, ENV_MAX_TABLE_BITS,
                                    SpectrumMemoryError, clique_parts, min_clique_edges, realizes,
                                    tri)
-from oracles import (from_members, parse_export, shift_inclusion_check, spectrum_unblocked,
-                     witness_tables_uncapped)
+from oracles import (bounds_sweep, from_members, parse_export, shift_inclusion_check,
+                     spectrum_unblocked, witness_tables_uncapped)
 
 
 def brute_spectrum(n, r):
@@ -259,17 +256,6 @@ def test_refusal_time_does_not_grow_with_n(monkeypatch):
             assert time.perf_counter() - start < 0.05, n
 
 
-def test_bounds_sweep_guard_counts_two_layers(table_cap):
-    # the sweep is a generator: the guard is met on its first report
-    first = next(bounds_sweep(400, 9))
-    assert (first.n, first.r) == (1, 2)
-    table_cap(2 * _rows_bits(60))
-    assert next(bounds_sweep(60, 3)) == first
-    table_cap(2 * _rows_bits(60) - 1)
-    with pytest.raises(SpectrumMemoryError):
-        next(bounds_sweep(60, 3))
-
-
 def test_cover_runs_lie_in_four_clique_spectra():
     # the three-square cover: for odd v, [min_clique_edges(v, 4),
     # floor((4v^2 - 12v - 1)/24)] lies inside C(v, 4)
@@ -354,14 +340,18 @@ def test_blocked_spectrum_matches_unblocked():
 
 
 def test_bounds_sweep_matches_unblocked():
+    # the full-row sweep's reports are the package's, n = 1..3B, r = 2..7
     n_max = 3 * _BLOCK
-    uncapped = witness_tables_uncapped(n_max, 7)
     reps = list(bounds_sweep(n_max, 7))
     assert len(reps) == n_max * 6
     for rep in reps:
-        row = uncapped[rep.r - 1][rep.n]
-        assert (rep.count, rep.min_element, rep.max_element) == (
-            row.bit_count(), (row & -row).bit_length() - 1, row.bit_length() - 1)
+        assert rep == density_and_bounds(rep.n, rep.r), (rep.n, rep.r)
+
+
+def streamed_top(prev, n, r, cap):
+    """Row n of layer r, read through the _Layer view of layer r - 1 toward
+    (n, r), as spectrum reads it."""
+    return _row(_Layer(prev, r - 1, cap, n, r), n, r, n)
 
 
 def test_capped_witness_rows_match_uncapped():
@@ -369,15 +359,15 @@ def test_capped_witness_rows_match_uncapped():
         caps = _layer_caps(n, r)
         layers = [[1]]
         for k in range(1, r):
-            layers.append(_layer(layers[-1], k, caps[k]))
-        top = _row(layers[-1], n, r)
+            layers.append([_row(layers[-1], v, k, v) for v in range(caps[k] + 1)])
+        top = _row(layers[-1], n, r, n)
         uncapped = witness_tables_uncapped(n, r)
         assert layers[0] == [1]
         for k in range(1, r):
             assert layers[k] == uncapped[k - 1][:caps[k] + 1], (n, r, k)
         assert top == uncapped[r - 1][n]
         if r > 1:  # the same row with layer r - 1 streamed
-            assert _top(layers[-2], n, r, caps[r - 1]) == top, (n, r)
+            assert streamed_top(layers[-2], n, r, caps[r - 1]) == top, (n, r)
 
 
 @functools.cache
@@ -399,8 +389,8 @@ def test_bounded_rows_hold_every_canonical_tail():
             caps = _layer_caps(n, r)
             layers = [[1]]
             for k in range(1, r - 1):
-                layers.append(_layer(layers[-1], k, caps[k], (n, r)))
-            streamed = _StreamedLayer(layers[-1], r - 1, caps[r - 1], n)
+                layers.append(_Layer(layers[-1], k, caps[k], n, r).rows())
+            streamed = _Layer(layers[-1], r - 1, caps[r - 1], n, r)
             rows = [(v, k, layers[k][v], (n - v) // (r - k)) for k in range(1, r - 1) for v in range(caps[k] + 1)]
             rows += [(w, r - 1, streamed[w], n - w) for w in range(caps[r - 1] + 1)]
             for v, k, row, largest in rows:
@@ -419,7 +409,7 @@ def test_bounded_rows_read_count(monkeypatch):
         def __getitem__(self, v):
             reads[0] += 1
             return self.prev[v]
-    monkeypatch.setattr(cliquespec, "_row", lambda prev, v, k, hi=None: real_row(Counted(prev), v, k, hi))
+    monkeypatch.setattr(cliquespec, "_row", lambda prev, v, k, hi: real_row(Counted(prev), v, k, hi))
     n, r = 200, 5
     caps = _layer_caps(n, r)
 
@@ -441,34 +431,38 @@ LAYER_CAPS = (0, 1, 2, 7, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1)
 def serial_layers(cap, depth):
     layers = [[1]]
     for k in range(1, depth + 1):
-        layers.append([_row(layers[-1], v, k) for v in range(cap + 1)])
+        layers.append([_row(layers[-1], v, k, v) for v in range(cap + 1)])
     return layers
 
 
 @pytest.mark.parametrize("depth", [2, 3])
 def test_split_layer_matches_serial(depth):
-    # _layer builds its rows largest first: it gives the rows built one by
-    # one in increasing order, for every layer up to depth
+    # _Layer.rows builds its rows largest first: it gives the rows built one
+    # by one in increasing order, for every layer up to depth; toward
+    # (2 cap, k + 1) every row's bound 2 cap - v is at least v, so the rows
+    # are full, and toward (cap, depth + 1) most are bounded
     serial = serial_layers(max(LAYER_CAPS), depth)
     for cap in LAYER_CAPS:
         for k in range(1, depth + 1):
-            assert _layer(serial[k - 1], k, cap) == serial[k][:cap + 1], (cap, k)
+            assert _Layer(serial[k - 1], k, cap, 2 * cap, k + 1).rows() == serial[k][:cap + 1], (cap, k)
+            bounded = _Layer(serial[k - 1], k, cap, cap, depth + 1)
+            assert bounded.rows() == [bounded[v] for v in range(cap + 1)], (cap, k)
 
 
 @pytest.mark.parametrize("depth", [2, 3])
 def test_split_top_matches_serial(monkeypatch, depth):
-    # _top streams layer k - 1 for every top layer k up to depth + 1; n runs
-    # over LAYER_CAPS, so the streamed rows do too
+    # the view streams layer k - 1 for every top layer k up to depth + 1; n
+    # runs over LAYER_CAPS, so the streamed rows do too
     serial = serial_layers(max(LAYER_CAPS), depth)
     for n in LAYER_CAPS:
         for k in range(2, depth + 2):
-            assert _top(serial[k - 2], n, k, n * (k - 1) // k) == _row(serial[k - 1], n, k), (n, k)
+            assert streamed_top(serial[k - 2], n, k, n * (k - 1) // k) == _row(serial[k - 1], n, k, n), (n, k)
     assert spectrum(3 * _BLOCK, 5).mask == spectrum_unblocked(3 * _BLOCK, 5).mask
     # each streamed row 0..cap is built once
     built, real_row = [], cliquespec._row
-    monkeypatch.setattr(cliquespec, "_row", lambda prev, v, k, hi=None: built.append((v, k)) or real_row(prev, v, k, hi))
+    monkeypatch.setattr(cliquespec, "_row", lambda prev, v, k, hi: built.append((v, k)) or real_row(prev, v, k, hi))
     n = 2 * _BLOCK + 1
-    assert _top(serial[1], n, 3, n * 2 // 3) == real_row(serial[2], n, 3)
+    assert streamed_top(serial[1], n, 3, n * 2 // 3) == real_row(serial[2], n, 3, n)
     assert sorted(v for v, k in built if k == 2) == list(range(n * 2 // 3 + 1))
 
 

@@ -5,7 +5,7 @@ import pytest
 
 from edgespectra import pell
 from edgespectra.certify import classify_pair, min_r, three_part_witness
-from edgespectra.pell import FamilyPair, family_pair, pell_solutions, verify_ABC
+from edgespectra.pell import FamilyPair, family_pair, family_pairs, pell_solutions, verify_ABC
 from edgespectra.triangles import BudgetExceeded, tri, two_part_witness
 from oracles import scan_two_clique_partitions
 
@@ -51,6 +51,12 @@ def test_family_pair_matches_list_route():
         assert family_pair(k) == want, k
 
 
+def test_family_pairs_match_family_pair():
+    # one walk gives the pairs that a walk per k gives, validated alike
+    assert family_pairs(40) == [family_pair(k) for k in range(1, 41)]
+    assert family_pairs(1) == [family_pair(1)]
+
+
 def test_family_pair_keeps_one_solution(monkeypatch):
     # the list of 4001 solutions peaked at 8.8 MB; one walk keeps the current one
     monkeypatch.setattr(pell, "_MAX_K", 2000)  # past the index budget, to see the peak
@@ -67,8 +73,9 @@ def test_family_index_budget(monkeypatch):
     # k and k_max up to 1000 answer; above it they are refused before the
     # orbit is walked
     assert family_pair(1000).k == 1000 and len(pell_solutions(1000)) == 1001
+    assert family_pairs(1000)[-1].k == 1000
     monkeypatch.setattr(pell, "_orbit", lambda: pytest.fail("the orbit was walked"))
-    for call in (family_pair, pell_solutions):
+    for call in (family_pair, pell_solutions, family_pairs):
         for k in (1001, 10 ** 30):
             with pytest.raises(BudgetExceeded, match=f"Pell family index {k} exceeds cap 1000"):
                 call(k)
@@ -77,6 +84,9 @@ def test_family_index_budget(monkeypatch):
 def test_family_rejects_k0():
     with pytest.raises(ValueError):
         family_pair(0)
+    for k_max in (0, -1):
+        with pytest.raises(ValueError, match=f"need k-max >= 1, got {k_max}"):
+            family_pairs(k_max)
 
 
 def test_family_identities_enforced():
